@@ -18,11 +18,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import jsonschema
 
-from harness import Op, OpFailed, require, rand_q, rand_vec, affine_text, q_text
+from harness import (MAGNITUDES, Op, OpFailed, Reference, require, rand_q,
+                     rand_vec, affine_text, q_text)
 from starweyl import (
     BilinearForm,
     LieAlgebra,
@@ -60,6 +62,28 @@ COMMANDS = ("star", "commutator", "poisson", "gutt", "bch", "equiv", "rep",
             "adjoint", "seminorm", "expcheck", "weylrel", "verify")
 USAGE = "usage_error"
 MIN_OPS = 100   # the 90th percentile needs at least 100 samples per run
+# The quick verify suites draw their own inputs from `--seed`; with a seed
+# taken from the workload seed, the slowest suite cost 300-450 ms by seed,
+# which moved the 90th percentile between runs, so every run passes this one.
+VERIFY_SEED = 1
+
+
+def interpreter_seconds(samples=2):
+    """Mean wall time of `python -c pass` in a subprocess, taken now."""
+    t0 = time.perf_counter()
+    for _ in range(samples):
+        subprocess.run([sys.executable, "-c", "pass"], capture_output=True,
+                       timeout=60)
+    return (time.perf_counter() - t0) / samples
+
+
+# Every operation here is mostly the start of a fresh interpreter, which
+# the host's drift slows more than it slows in-process arithmetic, so the
+# reference is an interpreter that starts and exits: 37 ms at the host
+# speed where harness.PRODUCT takes its nominal 3.6 ms. On the same five
+# runs, scaled by it the middle half spread by 0.04-0.11 of the median,
+# scaled by the product by 0.07-0.14.
+REFERENCE = Reference(interpreter_seconds, 0.037, 2.0)
 
 # Usage errors the CLI reports correctly today.
 USAGE_OK = (
@@ -225,10 +249,14 @@ def build(seed, run, work):
                            lambda e=expected: _text(str(e()))))
 
     for name, order, as_json in (("h3", 4, False), ("sl2", 5, False),
+                                 ("sl2", 5, True), ("axb.json", 6, False),
                                  ("axb.json", 6, True)):
         alg = algs[name]()
-        x = rand_vec(rng, alg.dim)
-        y = rand_vec(rng, alg.dim)
+        # the seed picks one sign for both: bch(-x, -y) = -bch(x, y) costs
+        # the same, where signs drawn per coefficient changed the cost
+        sign = rng.choice((-1, 1))
+        x = [sign * MAGNITUDES[k % 3] for k in range(alg.dim)]
+        y = [sign * MAGNITUDES[(k + 1) % 3] for k in range(alg.dim)]
         argv = (["--json"] if as_json else []) + [
             "bch", "--algebra", name, "--order", str(order),
             affine_text(alg.basis, x), affine_text(alg.basis, y)]
@@ -334,7 +362,7 @@ def build(seed, run, work):
                 f"weyl_relation: {report().status} (defect_max "
                 f"{report().defect_max}, degree <= 2, orders <= 2)")))
 
-    vseed = rng.randrange(1000)
+    vseed = VERIFY_SEED
     for suite, as_json in (("roundtrip", False), ("ordering", False),
                            ("seminorm", False), ("continuity", False),
                            ("seminorm", True)):

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import time
 
+START = time.perf_counter()
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
 SRC = os.path.join(ROOT, "src")
@@ -34,8 +35,8 @@ WORKLOADS = {
     "gutt-bch": ("gutt_bch",),
     "cli": ("cli_mix",),
 }
-SETUP_SAMPLES = 2        # in-process: this process and a fresh one
-CLI_SETUP_SAMPLES = 5    # cli: fresh interpreters that only import starweyl
+SETUP_SAMPLES = 3        # in-process: this process and two fresh ones
+CLI_SETUP_SAMPLES = 9    # cli: fresh interpreters that only import starweyl
 
 # The reference Gutt product and BCH inputs of the per-layer probes.
 GUTT_REF = ("(x+y+z)^5", "(x-2*y+z)^5")
@@ -103,24 +104,45 @@ def build_ops(workload, seed, work, trace=False):
     return mods, None, [op for mod in mods for op in mod.build(seed)]
 
 
+def warms_up(mods):
+    """Whether the workload's set-up ends with one untimed round."""
+    return any(getattr(mod, "WARM_UP", False) for mod in mods)
+
+
 def setup_probe(workload, seed):
-    """Child mode: time import + build in this fresh interpreter."""
+    """Child mode: time import + build (+ the warm-up round) in this fresh
+    interpreter."""
+    import harness
+
+    ref = harness.PRODUCT
+    before = ref.measure()
     t0 = time.perf_counter()
     use_checkout_source()
-    build_ops(workload, seed, None)
-    print(time.perf_counter() - t0)
+    mods, _, ops = build_ops(workload, seed, None)
+    if warms_up(mods):
+        for op in ops:
+            op.run()
+    dt = time.perf_counter() - t0
+    print(ref.scaled(dt, before, ref.measure()))
 
 
-def setup_seconds(workload, seed, first):
+def setup_seconds(workload, seed, first, ref):
+    """Median of several set-ups, each scaled to the nominal host speed of
+    `ref`; `first` is this process's own, already scaled."""
     if workload == "cli":
         cmd = [sys.executable, "-c", "import starweyl"]
-        return min(wall(cmd)[0] for _ in range(CLI_SETUP_SAMPLES))
+        samples = []
+        for _ in range(CLI_SETUP_SAMPLES):
+            before = ref.measure()
+            dt = wall(cmd)[0]
+            samples.append(ref.scaled(dt, before, ref.measure()))
+        return statistics.median(samples)
     samples = [first]
     for _ in range(SETUP_SAMPLES - 1):
         _, out = wall([sys.executable, os.path.abspath(__file__), "--setup-probe",
                        "--workload", workload, "--seed", str(seed)])
         samples.append(float(out.decode().split()[-1]))
-    return min(samples)
+    return statistics.median(samples)
 
 
 # -- end-to-end metrics ------------------------------------------------------------
@@ -128,7 +150,7 @@ def setup_seconds(workload, seed, first):
 def end_to_end(workload, res, setup_s):
     import harness
 
-    ms = [t * 1e3 for t in res.times]
+    ms = [t * 1e3 for t in res.scaled]
     who = resource.RUSAGE_CHILDREN if workload == "cli" else resource.RUSAGE_SELF
     rss_mb = resource.getrusage(who).ru_maxrss / 1024.0
     return {
@@ -283,23 +305,34 @@ def run(args):
     os.makedirs(work, exist_ok=True)
 
     tracer = None
+    ref = harness.PRODUCT
+    before = ref.measure()
     t0 = time.perf_counter()
     importlib.import_module("starweyl")
     if args.trace:
         tracer = spans.Tracer()
         spans.install(tracer)
     mods, extra, ops = build_ops(args.workload, args.seed, work, args.trace)
-    first_setup = time.perf_counter() - t0
+    first_setup = ref.scaled(time.perf_counter() - t0, before, ref.measure())
+    # the workload's own reference task, if it has one, from here on
+    ref = next((mod.REFERENCE for mod in mods if hasattr(mod, "REFERENCE")), ref)
 
     if tracer is not None:
-        tracer.phase = "rounds"
         for op in ops:
             op.check = _untraced(tracer, op.check)
 
     min_ops = max(getattr(mod, "MIN_OPS", 0) for mod in mods)
     correct = True
     try:
-        res = harness.run_rounds(ops, args.seconds, min_ops)
+        warm = None
+        if warms_up(mods):
+            # round 1, checked, fills the caches as set-up
+            warm = harness.run_rounds(ops, 0, reference=ref)
+            first_setup += sum(warm.scaled)
+        if tracer is not None:
+            tracer.phase = "rounds"
+        res = harness.run_rounds(ops, args.seconds, min_ops, after=warm,
+                                 reference=ref)
     except harness.CheckFailed as exc:
         print(f"perfbench: wrong output: {exc}", file=sys.stderr)
         correct = False
@@ -316,17 +349,24 @@ def run(args):
         _finish(record, {}, 0, 0, 1)
 
     groups = {}
-    for g, t in zip(res.groups, res.times):
+    for g, t in zip(res.groups, res.scaled):
         groups.setdefault(g, []).append(t * 1e3)
+    record["wall_s"] = {   # where the run's wall time went, unscaled
+        "warm_up": sum(warm.times) if warm else 0.0,
+        "checks": res.check_s + (warm.check_s if warm else 0.0),
+        "timed": sum(res.times)}
     record.update(attempted=res.attempted, failed=res.failed, rounds=res.rounds,
                   ops_per_s=res.ops_per_s(), failures=res.errors,
                   group_p50_ms={g: statistics.median(ts) for g, ts in groups.items()},
                   op_ms=[[t * 1e3 for t in res.times[i::len(ops)]]
                          for i in range(len(ops))],
+                  op_scaled_ms=[[t * 1e3 for t in res.scaled[i::len(ops)]]
+                                for i in range(len(ops))],
                   op_groups=[op.group for op in ops])
     if not args.trace:
         metrics = end_to_end(args.workload, res,
-                             setup_seconds(args.workload, args.seed, first_setup))
+                             setup_seconds(args.workload, args.seed, first_setup,
+                                           ref))
         _finish(record, metrics, res.attempted, res.failed, 0)
 
     # traced run: per-layer figures
@@ -378,6 +418,7 @@ def _finish(record, metrics, attempted, failed, code):
     out = {"correct": record["correct"], "attempted": attempted, "failed": failed,
            "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
     record["metrics"] = out["metrics"]
+    record.setdefault("wall_s", {})["run"] = time.perf_counter() - START
     name = f"{record['workload']}-seed{record['seed']}-trace{record['trace']}.json"
     with open(os.path.join(RESULTS, name), "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)

@@ -49,7 +49,7 @@ def test_cli_fails_exactly_the_malformed_vectors(rounds):
 
     ops, res = rounds["cli"]
     assert res.failed == len(cli_mix.MALFORMED)
-    assert len(ops) == 34
+    assert len(ops) == 36
     for err, argv in zip(res.errors, cli_mix.MALFORMED):
         assert str(list(argv)) in err
 
@@ -158,6 +158,30 @@ def test_later_rounds_must_repeat_round_one():
     op = harness.Op("flaky", flaky, lambda out: None)
     with pytest.raises(harness.CheckFailed, match="differs from round 1"):
         harness.run_rounds([op], 1e-9, min_ops=2)
+
+
+def test_timed_rounds_must_repeat_the_warm_up_round():
+    calls = []
+
+    def flaky():
+        calls.append(1)
+        return len(calls)
+    op = harness.Op("flaky", flaky, lambda out: None)
+    warm = harness.run_rounds([op], 0)
+    with pytest.raises(harness.CheckFailed, match="differs from round 1"):
+        harness.run_rounds([op], 0, after=warm)
+
+
+def test_every_operation_is_scaled_by_the_reference_around_it():
+    # a host that runs twice as slow from the third reference timing on
+    refs = iter([1.0] * 2 + [2.0] * 100)
+    ref = harness.Reference(lambda: next(refs), 1.0, 0.0)
+    op = harness.Op("nap", lambda: None, lambda out: None)
+    res = harness.run_rounds([op, op, op], 0, reference=ref)
+    assert len(res.scaled) == len(res.times) == 3
+    assert res.scaled[0] == pytest.approx(res.times[0])
+    assert res.scaled[1] == pytest.approx(res.times[1] / 1.5)
+    assert res.scaled[2] == pytest.approx(res.times[2] / 2)
 
 
 # -- the command ---------------------------------------------------------------
