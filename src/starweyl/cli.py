@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -38,6 +39,38 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo."""
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+    return parse
+
+
+def _finite_float(text):
+    """argparse type: a finite float."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
+
+
+def _seminorm_exponent(text):
+    """argparse type: R >= 1/2, which the p_R seminorms need."""
+    v = _finite_float(text)
+    if v < 0.5:
+        raise argparse.ArgumentTypeError(f"must be >= 1/2, got {text}")
+    return v
+
+
 def _common_flags(parser, suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
@@ -50,7 +83,7 @@ def _common_flags(parser, suppress):
         **({"default": argparse.SUPPRESS} if suppress else {}),
     )
     parser.add_argument(
-        "--truncation", type=int, metavar="N",
+        "--truncation", type=_int_at_least(0), metavar="N",
         help="override the session truncation order", **kw
     )
     parser.add_argument(
@@ -96,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bch", parents=[common],
                        help="Baker-Campbell-Hausdorff series in a Lie algebra")
     p.add_argument("--algebra", default="h3", metavar="NAME|FILE")
-    p.add_argument("--order", type=int, required=True, metavar="N")
+    p.add_argument("--order", type=_int_at_least(0), required=True, metavar="N")
     p.add_argument("x", help="linear expression in the basis names")
     p.add_argument("y", help="linear expression in the basis names")
 
@@ -119,9 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seminorm", parents=[common],
                        help="p_R seminorm of an expression")
-    p.add_argument("--R", type=float, default=None,
+    p.add_argument("--R", type=_seminorm_exponent, default=None,
                    help="override the session exponent R")
-    p.add_argument("--hbar", type=float, default=1.0,
+    p.add_argument("--hbar", type=_finite_float, default=1.0,
                    help="evaluation point for formal coefficients (default 1)")
     p.add_argument("f")
 
@@ -131,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficient vector of the linear exponent")
     p.add_argument("--alpha", required=True, metavar="A",
                    help="scalar prefactor (rational or float)")
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=40)
+    p.add_argument("--R", type=_seminorm_exponent, default=None)
+    p.add_argument("--kmax", type=_int_at_least(1), default=40)
     p.add_argument("--csv", action="store_true",
                    help="emit K,partial_sum lines")
 
@@ -140,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exactness of the exponential Weyl relation")
     p.add_argument("--v", required=True, metavar="C1,C2,...")
     p.add_argument("--w", required=True, metavar="C1,C2,...")
-    p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--orders", type=int, default=4)
-    p.add_argument("--cutoff", type=int, default=None)
+    p.add_argument("--degree", type=_int_at_least(0), default=6)
+    p.add_argument("--orders", type=_int_at_least(0), default=4)
+    p.add_argument("--cutoff", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification suite")
@@ -202,26 +235,16 @@ def _parse_vector(text: str, n: int, what: str):
         raise UsageError(
             f"{what} needs {n} comma-separated entries, got {len(parts)}"
         )
-    out = []
-    for s in parts:
-        try:
-            out.append(Fraction(s))
-        except (ValueError, ZeroDivisionError):
-            try:
-                out.append(float(s))
-            except ValueError:
-                raise UsageError(f"bad {what} entry {s!r}") from None
-    return out
+    return [_parse_scalar_arg(s, f"{what} entry") for s in parts]
 
 
 def _parse_scalar_arg(text: str, what: str):
+    """An exact rational. Every finite decimal is one, so what Fraction
+    rejects (nan, inf, junk) is a usage error."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        try:
-            return float(text)
-        except ValueError:
-            raise UsageError(f"bad {what} value {text!r}") from None
+        raise UsageError(f"bad {what} {text!r}") from None
 
 
 def _emit(args, payload: dict, text: str):
@@ -367,7 +390,7 @@ def _cmd_seminorm(args, ses):
 def _cmd_expcheck(args, ses):
     n = len(ses.gens.names)
     v = _parse_vector(args.v, n, "--v")
-    alpha = _parse_scalar_arg(args.alpha, "--alpha")
+    alpha = _parse_scalar_arg(args.alpha, "--alpha value")
     rep = exponential_convergence_report(
         ses.seminorm, v, alpha, R=args.R, kmax=args.kmax
     )

@@ -1,14 +1,16 @@
-"""Pure-Python reference implementations of the hot kernels.
+"""The sparse kernels behind polynomial and star products.
 
 All three functions work on plain dicts keyed by exponent tuples, with
 coefficient objects that support +, *, unary bool (zero test) and
-multiplication by int. The compiled backend (_ckern) implements public
-functions with identical semantics; tests assert agreement.
+multiplication by int. Polynomial products pass FormalScalar or
+NumericScalar coefficients; the formal star product and Poisson bracket
+pass plain ints (star.py encodes the operands and decodes the result).
 """
 
+from operator import add
 
-def _dec(t, i):
-    return t[:i] + (t[i] - 1,) + t[i + 1 :]
+# One implementation; the name is kept because benchmark results record it.
+BACKEND = "pure"
 
 
 def mul_terms(a, b):
@@ -16,7 +18,7 @@ def mul_terms(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
+            key = tuple(map(add, ea, eb))
             v = ca * cb
             prev = out.get(key)
             v = v if prev is None else prev + v
@@ -29,18 +31,25 @@ def mul_terms(a, b):
 def p_lambda_terms(entries, t):
     """One application of P_Lambda to a tensor-square term dict.
 
-    entries: nonzero (i, j, lam_ij) triples of the bilinear form.
+    entries: nonzero (i, j, lam_ij, left) of the bilinear form.
     t: dict[(exp_left, exp_right) -> coeff].
     Contracts one derivative on each side: coefficient picks up
-    lam_ij * alpha_i * beta_j and both exponents drop by one unit.
+    lam_ij * alpha_i * beta_j and both exponents drop by one unit. left is
+    None or a tuple added to the left exponent in place of its drop at i:
+    the -1 at i plus shifts of further slots (the integer star encoding
+    keeps the powers of h and i in two extra slots).
     """
     out = {}
     for (ea, eb), c in t.items():
-        for i, j, lam in entries:
+        for i, j, lam, left in entries:
             ai = ea[i]
             bj = eb[j]
             if ai and bj:
-                key = (_dec(ea, i), _dec(eb, j))
+                if left is None:
+                    ka = ea[:i] + (ai - 1,) + ea[i + 1 :]
+                else:
+                    ka = tuple(map(add, ea, left))
+                key = (ka, eb[:j] + (bj - 1,) + eb[j + 1 :])
                 v = c * (lam * (ai * bj))
                 prev = out.get(key)
                 v = v if prev is None else prev + v
@@ -53,8 +62,9 @@ def p_lambda_terms(entries, t):
 def star_terms(entries, zfacts, a, b, rmax):
     """Accumulated star product sum_r zfacts[r] * mu(P_Lambda^r(a (x) b)).
 
-    zfacts[r] must hold z^r / r! in the coefficient domain; rmax bounds the
-    number of P_Lambda applications (min of the operand degrees).
+    zfacts[r] is the weight of level r (z^r / r! with z outside the
+    entries, or an integer weight when z is folded into them); rmax bounds
+    the number of P_Lambda applications.
     """
     t = {}
     for ea, ca in a.items():
@@ -66,7 +76,7 @@ def star_terms(entries, zfacts, a, b, rmax):
         zf = zfacts[r]
         if zf:
             for (ea, eb), c in t.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
+                key = tuple(map(add, ea, eb))
                 v = c * zf
                 prev = out.get(key)
                 v = v if prev is None else prev + v

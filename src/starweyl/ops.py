@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import IncompatibleError
-from .poly import Generators, Polynomial, _coerce_coeff
+from .poly import Generators, Polynomial, _coerce_coeff, merge_terms
 from .scalars import DEFAULT_TRUNCATION
 from .star import minus_i_hbar, n_operator
 
@@ -90,17 +90,8 @@ class DifferentialOperator:
         if not isinstance(other, DifferentialOperator):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return DifferentialOperator(
-            self.gens, out, self.domain, min(self.trunc, other.trunc), _clean=True
-        )
+        out, trunc = merge_terms(self, other)
+        return DifferentialOperator(self.gens, out, self.domain, trunc, _clean=True)
 
     def __neg__(self):
         return DifferentialOperator(

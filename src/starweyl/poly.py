@@ -98,6 +98,39 @@ def _coerce_coeff(c, domain, trunc):
     raise ValueError(f"unknown scalar domain {domain!r}")
 
 
+def accumulate(out, items):
+    """Add (key, coefficient) pairs into the term dict out, dropping every
+    sum that vanishes; returns out."""
+    for key, c in items:
+        prev = out.get(key)
+        s = c if prev is None else prev + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def merge_terms(x, y):
+    """(terms, trunc) of the sum of two term containers of one domain.
+
+    The sum keeps the smaller truncation, and no coefficient is kept above
+    it: formal coefficients that came from the operand with the larger
+    truncation are cut down to it.
+    """
+    trunc = min(x.trunc, y.trunc)
+    out = accumulate(dict(x.terms), y.terms.items())
+    if x.domain == "formal" and x.trunc != y.trunc:
+        cut = {}
+        for key, c in out.items():
+            if c.trunc > trunc:
+                c = c.truncate(trunc)
+            if c:
+                cut[key] = c
+        out = cut
+    return out, trunc
+
+
 def monomial_sort_key(exp):
     return (total_degree(exp), exp)
 
@@ -219,17 +252,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            prev = out.get(exp)
-            s = c if prev is None else prev + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Polynomial(
-            self.gens, out, self.domain, min(self.trunc, other.trunc), _clean=True
-        )
+        out, trunc = merge_terms(self, other)
+        return Polynomial(self.gens, out, self.domain, trunc, _clean=True)
 
     def __neg__(self):
         return self._wrap({e: -c for e, c in self.terms.items()})
@@ -273,8 +297,9 @@ class Polynomial:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):

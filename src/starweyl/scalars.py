@@ -119,8 +119,9 @@ class GaussianRational:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self):
@@ -349,8 +350,9 @@ class FormalScalar:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self) -> "FormalScalar":

@@ -13,7 +13,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import IncompatibleError, StarWeylError, TruncationError
+from .errors import (
+    IncompatibleError,
+    NonFiniteError,
+    StarWeylError,
+    TruncationError,
+)
 from .poly import Generators, Polynomial
 from .scalars import DEFAULT_TRUNCATION, FormalScalar, GaussianRational
 from .star import BilinearForm, star
@@ -218,7 +223,10 @@ def exponential_convergence_report(spec: SeminormSpec, v, alpha,
         raise ValueError("R must be >= 1/2")
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    x = abs(complex(alpha)) * spec.linear_norm(v)
+    try:
+        x = abs(complex(alpha)) * spec.linear_norm(v)
+    except OverflowError:
+        raise NonFiniteError("alpha * v is outside the float range") from None
     terms = []
     sums = []
     acc = 0.0

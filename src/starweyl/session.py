@@ -152,7 +152,7 @@ class Session:
             "truncation": self.trunc,
             "lambda": self.form.to_json(),
             "z": self.z.canonical() if self.domain == "formal" else
-                 [self.z.value.real, self.z.value.imag],
+                 [self.z.val.real, self.z.val.imag],
             "seminorm": self.seminorm.to_json(),
         }
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from . import kernels
 from .errors import IncompatibleError, TruncationError
-from .poly import Generators, Polynomial
+from .poly import Generators, Polynomial, _coerce_coeff, accumulate, merge_terms
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
@@ -38,8 +39,6 @@ class BilinearForm:
         rows = []
         if len(matrix) != n:
             raise ValueError(f"matrix must be {n}x{n}")
-        from .poly import _coerce_coeff
-
         for row in matrix:
             if len(row) != n:
                 raise ValueError(f"matrix must be {n}x{n}")
@@ -94,8 +93,6 @@ class BilinearForm:
         n = len(self.gens)
         if len(v) != n or len(w) != n:
             raise ValueError("vector length mismatch")
-        from .poly import _coerce_coeff
-
         vv = [_coerce_coeff(x, self.domain, self.trunc) for x in v]
         ww = [_coerce_coeff(x, self.domain, self.trunc) for x in w]
         total = _coerce_coeff(0, self.domain, self.trunc)
@@ -218,8 +215,6 @@ class TensorSquare:
         if _clean:
             cl = terms
         else:
-            from .poly import _coerce_coeff
-
             cl = {}
             for key, c in terms.items():
                 ea, eb = tuple(key[0]), tuple(key[1])
@@ -237,13 +232,8 @@ class TensorSquare:
     @classmethod
     def of(cls, a: Polynomial, b: Polynomial) -> "TensorSquare":
         a._check_compatible(b)
-        terms = {}
-        for ea, ca in a.terms.items():
-            for eb, cb in b.terms.items():
-                v = ca * cb
-                if v:
-                    terms[(ea, eb)] = v
-        return cls(a.gens, terms, a.domain, min(a.trunc, b.trunc), _clean=True)
+        return cls(a.gens, _tensor_terms(a.terms, b.terms), a.domain,
+                   min(a.trunc, b.trunc), _clean=True)
 
     def __bool__(self):
         return bool(self.terms)
@@ -253,17 +243,8 @@ class TensorSquare:
             return NotImplemented
         if self.gens != other.gens or self.domain != other.domain:
             raise IncompatibleError("tensor squares over different algebras")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            prev = out.get(key)
-            s = c if prev is None else prev + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return TensorSquare(
-            self.gens, out, self.domain, min(self.trunc, other.trunc), _clean=True
-        )
+        out, trunc = merge_terms(self, other)
+        return TensorSquare(self.gens, out, self.domain, trunc, _clean=True)
 
     def __neg__(self):
         return TensorSquare(
@@ -292,43 +273,175 @@ class TensorSquare:
 
     def mu(self) -> Polynomial:
         """Multiplication map a (x) b -> a*b."""
-        out = {}
-        for (ea, eb), c in self.terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            prev = out.get(key)
-            v = c if prev is None else prev + c
+        return Polynomial(self.gens, _mu_terms(self.terms), self.domain,
+                          self.trunc, _clean=True)
+
+
+def _tensor_terms(a, b):
+    """Term dict of a (x) b."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            v = ca * cb
             if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return Polynomial(self.gens, out, self.domain, self.trunc, _clean=True)
+                out[(ea, eb)] = v
+    return out
+
+
+def _mu_terms(t):
+    """Term dict of mu(t) for a tensor-square term dict t."""
+    return accumulate({}, ((tuple(map(add, ea, eb)), c) for (ea, eb), c in t.items()))
+
+
+def _plain_entries(form):
+    """Kernel entries of the form's own coefficients, without slot shifts."""
+    return [(i, j, lam, None) for i, j, lam in form.nonzero_entries()]
 
 
 def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
     """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j."""
     if form.gens != t.gens or form.domain != t.domain:
         raise IncompatibleError("form and tensor square over different algebras")
-    out = kernels.p_lambda_terms(form.nonzero_entries(), t.terms)
+    out = kernels.p_lambda_terms(_plain_entries(form), t.terms)
     return TensorSquare(t.gens, out, t.domain, t.trunc, _clean=True)
 
 
-def _z_factors(z, domain, trunc, rmax):
-    """[z^r / r! for r in 0..rmax], trimmed at the last nonzero entry."""
-    from .poly import _coerce_coeff
+# -- the integer encoding of the formal domain ----------------------------------
+#
+# A formal coefficient sum_r (x_r + y_r i) h^r is stored as integer terms
+# under one denominator per operand: the monomial's exponent tuple gets two
+# extra slots, the power of h and the power of i, so x_r h^r becomes the key
+# exp + (r, 0) and y_r i h^r the key exp + (r, 1). The kernels add slots
+# when they multiply, like any exponent. Z[i] = Z[x]/(x^2 + 1) and
+# Z[h]/(h^(T+1)) are quotient rings, so reducing the power of i mod 4 and
+# dropping h-orders above T once, when the result is decoded, gives what
+# reducing after every step would.
 
-    zz = _coerce_coeff(z, domain, trunc)
-    if domain == "formal":
-        one = FormalScalar.constant(1, trunc)
+
+def _parts(c, trunc):
+    """(h-order, i-power, rational) parts of a formal scalar up to trunc."""
+    out = []
+    for r, g in c.coeffs.items():
+        if r <= trunc:
+            if g.re:
+                out.append((r, 0, g.re))
+            if g.im:
+                out.append((r, 1, g.im))
+    return out
+
+
+def _encode(terms, trunc):
+    """(den, {exp + (r, q): n}) with terms = sum n/den h^r i^q x^exp."""
+    parts = [(e, _parts(c, trunc)) for e, c in terms.items()]
+    den = math.lcm(*(x.denominator for _, ps in parts for _, _, x in ps))
+    out = {}
+    for e, ps in parts:
+        for r, q, x in ps:
+            out[e + (r, q)] = x.numerator * (den // x.denominator)
+    return den, out
+
+
+def _fold(form, z, trunc):
+    """(den, entries): kernel entries of z * Lambda in the integer encoding.
+
+    Each part of z * Lambda_ij becomes one entry (i, j, n, left) with value
+    n/den; left lowers slot i by one and raises the h and i slots by the
+    part's orders (None when both are 0). i^2 = -1 is applied here, so the
+    i slot rises by 0 or 1. Parts above h-order trunc cannot reach the
+    result and are dropped.
+    """
+    zparts = _parts(z, trunc)
+    acc = {}
+    for i, j, lam in form.nonzero_entries():
+        for r1, q1, x in _parts(lam, trunc):
+            for r2, q2, y in zparts:
+                r, q, v = r1 + r2, q1 + q2, x * y
+                if r > trunc:
+                    continue
+                if q == 2:
+                    q, v = 0, -v
+                key = (i, j, r, q)
+                acc[key] = acc.get(key, 0) + v
+    acc = {key: v for key, v in acc.items() if v}
+    den = math.lcm(*(v.denominator for v in acc.values()))
+    n = len(form.gens)
+    entries = []
+    for (i, j, r, q), v in acc.items():
+        left = None
+        if r or q:
+            left = tuple(-1 if k == i else 0 for k in range(n)) + (r, q)
+        entries.append((i, j, v.numerator * (den // v.denominator), left))
+    return den, entries
+
+
+def _decode(out, den, n, trunc):
+    """Formal term dict of the integer terms out, read over den."""
+    parts = {}
+    for key, v in out.items():
+        r = key[n]
+        if r > trunc:
+            continue
+        q = key[n + 1] & 3
+        slot = parts.setdefault(key[:n], {}).setdefault(r, [0, 0])
+        slot[q & 1] += -v if q & 2 else v
+    terms = {}
+    for e, orders in parts.items():
+        coeffs = {
+            r: GaussianRational(Fraction(re, den), Fraction(im, den))
+            for r, (re, im) in orders.items()
+            if re or im
+        }
+        if coeffs:
+            terms[e] = FormalScalar(coeffs, trunc, _clean=True)
+    return terms
+
+
+def _encode_operands(form, z, a, b):
+    """trunc, (den, entries) of z * Lambda, and (den, terms) of a and of b,
+    encoded at trunc, the smallest truncation in play."""
+    trunc = min(a.trunc, b.trunc, form.trunc)
+    return (
+        trunc,
+        _fold(form, _coerce_coeff(z, "formal", trunc), trunc),
+        _encode(a.terms, trunc),
+        _encode(b.terms, trunc),
+    )
+
+
+def _star_formal(form, z, a, b, rmax):
+    """Term dict of the formal star product, on integer coefficients."""
+    n = len(a.gens)
+    trunc, (dz, entries), (da, ea), (db, eb) = _encode_operands(form, z, a, b)
+    if not ea or not eb:
+        return {}
+    room = trunc - min(key[n] for key in ea) - min(key[n] for key in eb)
+    if room < 0:
+        return {}
+    if not entries:
+        rmax = 0
     else:
-        one = NumericScalar(1.0)
-    facts = [one]
-    zp = one
+        # every level raises the h-order by at least step
+        step = min(0 if left is None else left[n] for _, _, _, left in entries)
+        if step:
+            rmax = min(rmax, room // step)
+    # level r carries z^r/r!: its weight rmax!/r! * dz^(rmax-r) brings
+    # every level over the one denominator rmax! * dz^rmax
+    weights = [
+        math.factorial(rmax) // math.factorial(r) * dz ** (rmax - r)
+        for r in range(rmax + 1)
+    ]
+    out = kernels.star_terms(entries, weights, ea, eb, rmax)
+    return _decode(out, da * db * weights[0], n, trunc)
+
+
+def _z_factors(z, trunc, rmax):
+    """[z^r / r! for r in 0..rmax] in the numeric domain."""
+    zz = _coerce_coeff(z, "numeric", trunc)
+    facts = [NumericScalar(1.0)]
+    zp = facts[0]
     for r in range(1, rmax + 1):
         zp = zp * zz
-        if domain == "formal":
-            facts.append(zp * GaussianRational(Fraction(1, math.factorial(r))))
-        else:
-            facts.append(zp * (1.0 / math.factorial(r)))
+        facts.append(zp * (1.0 / math.factorial(r)))
     while facts and not facts[-1]:
         facts.pop()
     return facts
@@ -339,16 +452,18 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     a._check_compatible(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
+    trunc = min(a.trunc, b.trunc)
     if not a.terms or not b.terms:
-        return Polynomial.zero(a.gens, a.domain, min(a.trunc, b.trunc))
+        return Polynomial.zero(a.gens, a.domain, trunc)
     rmax = min(a.degree(), b.degree())
-    zfacts = _z_factors(z, a.domain, min(a.trunc, b.trunc, form.trunc), rmax)
-    if not zfacts:
-        return Polynomial.zero(a.gens, a.domain, min(a.trunc, b.trunc))
-    out = kernels.star_terms(
-        form.nonzero_entries(), zfacts, a.terms, b.terms, len(zfacts) - 1
-    )
-    return Polynomial(a.gens, out, a.domain, min(a.trunc, b.trunc), _clean=True)
+    if a.domain == "formal":
+        out = _star_formal(form, z, a, b, rmax)
+    else:
+        zfacts = _z_factors(z, min(trunc, form.trunc), rmax)
+        out = kernels.star_terms(
+            _plain_entries(form), zfacts, a.terms, b.terms, len(zfacts) - 1
+        )
+    return Polynomial(a.gens, out, a.domain, trunc, _clean=True)
 
 
 def star_term_count(form: BilinearForm, a: Polynomial, b: Polynomial) -> int:
@@ -400,9 +515,24 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
     On linear elements {v, w} = Lambda(v, w) - Lambda(w, v); only the
     antisymmetric part of Lambda contributes.
     """
-    lhs = p_lambda(form, TensorSquare.of(a, b))
-    rhs = p_lambda(form, TensorSquare.of(b, a))
-    return (lhs - rhs).mu()
+    a._check_compatible(b)
+    if form.gens != a.gens or form.domain != a.domain:
+        raise IncompatibleError("form and operands over different algebras")
+    trunc = min(a.trunc, b.trunc)
+    if a.domain == "formal":
+        t, (dl, entries), (da, ea), (db, eb) = _encode_operands(form, 1, a, b)
+        out = _decode(_bracket_terms(entries, ea, eb), dl * da * db, len(a.gens), t)
+    else:
+        out = _bracket_terms(_plain_entries(form), a.terms, b.terms)
+    return Polynomial(a.gens, out, a.domain, trunc, _clean=True)
+
+
+def _bracket_terms(entries, a, b):
+    """Term dict of mu(P(a (x) b) - P(b (x) a))."""
+    t = kernels.p_lambda_terms(entries, _tensor_terms(a, b))
+    rhs = kernels.p_lambda_terms(entries, _tensor_terms(b, a))
+    accumulate(t, ((key, -c) for key, c in rhs.items()))
+    return _mu_terms(t)
 
 
 def poisson_standard(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -442,8 +572,6 @@ class OrderingOperator:
     def __init__(self, sym_form: BilinearForm, z):
         if not sym_form.is_symmetric():
             raise IncompatibleError("ordering operator needs a symmetric form")
-        from .poly import _coerce_coeff
-
         zz = _coerce_coeff(z, sym_form.domain, sym_form.trunc)
         object.__setattr__(self, "sym_form", sym_form)
         object.__setattr__(self, "z", zz)

@@ -232,6 +232,48 @@ def test_wrong_vector_length_is_usage_error():
     assert r.returncode == 2
 
 
+# Bad argument vectors and the exit code each must give. main runs in
+# process, so an exception that escapes it (a traceback) fails the test.
+BAD_ARGUMENTS = [
+    (["bch", "--order", "-1", "X", "Y"], 2),
+    (["bch", "--order", "two", "X", "Y"], 2),
+    (["seminorm", "--R", "0.1", "q"], 2),
+    (["seminorm", "--R", "inf", "q"], 2),
+    (["seminorm", "--hbar", "nan", "q"], 2),
+    (["expcheck", "--v", "1,1", "--alpha", "1", "--kmax", "0"], 2),
+    (["expcheck", "--v", "1,1", "--alpha", "1", "--R", "0"], 2),
+    (["expcheck", "--v", "1,1", "--alpha", "nan"], 2),
+    (["expcheck", "--v", "inf,1", "--alpha", "1"], 2),
+    (["expcheck", "--v", "1,1", "--alpha", "1e400"], 1),
+    (["--truncation", "-3", "star", "p", "q"], 2),
+    (["star", "--truncation", "-1", "p", "q"], 2),
+    (["weylrel", "--v", "1,0", "--w", "0,1", "--degree", "-1"], 2),
+    (["weylrel", "--v", "1,0", "--w", "0,1", "--orders", "-1"], 2),
+    (["weylrel", "--v", "1,0", "--w", "0,1", "--cutoff", "-1"], 2),
+    (["weylrel", "--v", "nan,0", "--w", "0,1"], 2),
+    (["weylrel", "--v", "1,0,0", "--w", "0,1"], 2),
+    (["verify", "no-such-suite"], 2),
+    (["frobnicate", "q"], 2),
+    (["star", "p"], 2),
+    (["star", "q +", "p"], 1),
+    (["bch", "--order", "9", "X", "Y"], 1),
+]
+
+
+@pytest.mark.parametrize("argv,code", BAD_ARGUMENTS)
+def test_bad_arguments_exit_without_a_traceback(argv, code, capsys):
+    from starweyl.cli import main
+
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the vector itself
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
 def test_nonlinear_bch_argument_is_computation_error():
     r = run("bch", "--order", "3", "X^2", "Y")
     assert r.returncode == 1

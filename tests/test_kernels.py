@@ -1,110 +1,28 @@
-"""Pure-Python and compiled kernel backends must be interchangeable."""
+"""The sparse kernels on the integer coefficients of the formal star path."""
 
-import os
-import subprocess
-import sys
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from starweyl import GaussianRational
-from starweyl.kernels import BACKEND, pure
-
-try:
-    from starweyl.kernels import _ckern
-except ImportError:
-    _ckern = None
-
-needs_ext = pytest.mark.skipif(_ckern is None, reason="compiled backend not built")
-
-fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-gaussians = st.builds(GaussianRational, fractions, fractions)
-exps = st.tuples(
-    st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)
-)
-term_dicts = st.dictionaries(exps, gaussians, max_size=5).map(
-    lambda d: {k: v for k, v in d.items() if v}
-)
-pair_dicts = st.dictionaries(st.tuples(exps, exps), gaussians, max_size=5).map(
-    lambda d: {k: v for k, v in d.items() if v}
-)
-entry_lists = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=1),
-        st.integers(min_value=0, max_value=1),
-        fractions,
-    ),
-    max_size=3,
-).map(lambda es: [(i, j, lam) for i, j, lam in es if lam])
+from starweyl import kernels
 
 
 def test_backend_is_declared():
-    assert BACKEND in ("pure", "compiled")
+    assert kernels.BACKEND == "pure"
 
 
-@needs_ext
-@given(term_dicts, term_dicts)
-@settings(max_examples=60)
-def test_mul_terms_agreement(a, b):
-    assert pure.mul_terms(a, b) == _ckern.mul_terms(a, b)
+def test_p_lambda_shift_moves_the_left_slots():
+    # one generator plus the h and i slots; d (x) d with weight 3, and the
+    # same with the left factor also raised to h*i
+    t = {((2, 0, 0), (1, 0, 0)): 5}
+    plain = kernels.p_lambda_terms([(0, 0, 3, None)], t)
+    assert plain == {((1, 0, 0), (0, 0, 0)): 30}
+    shifted = kernels.p_lambda_terms([(0, 0, 3, (-1, 1, 1))], t)
+    assert shifted == {((1, 1, 1), (0, 0, 0)): 30}
 
 
-@needs_ext
-@given(entry_lists, pair_dicts)
-@settings(max_examples=60)
-def test_p_lambda_agreement(entries, t):
-    assert pure.p_lambda_terms(entries, t) == _ckern.p_lambda_terms(entries, t)
-
-
-@needs_ext
-@given(entry_lists, term_dicts, term_dicts)
-@settings(max_examples=40, deadline=None)
-def test_star_terms_agreement(entries, a, b):
-    # zfacts in the exact domain: z = -i h replaced by plain Gaussian factors
-    # is enough for kernel agreement (the kernel never looks inside coeffs)
-    i = GaussianRational(0, 1)
-    zfacts = [GaussianRational(1)]
-    for r in range(1, 12):
-        zfacts.append(zfacts[-1] * i)
-    rmax = 10
-    assert pure.star_terms(entries, zfacts, a, b, rmax) == _ckern.star_terms(
-        entries, zfacts, a, b, rmax
-    )
-
-
-def _run_with_env(pure_flag):
-    env = dict(os.environ)
-    if pure_flag:
-        env["STARWEYL_PURE"] = "1"
-    else:
-        env.pop("STARWEYL_PURE", None)
-    code = (
-        "from starweyl.kernels import BACKEND\n"
-        "import starweyl, json\n"
-        "ses = starweyl.Session.default()\n"
-        "f = ses.parse_poly('(q + 2*p)^3')\n"
-        "g = ses.parse_poly('q*p^2 - i*q')\n"
-        "s = starweyl.star(ses.form, ses.z, f, g)\n"
-        "print(BACKEND)\n"
-        "print(json.dumps(s.to_json()))\n"
-    )
-    r = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert r.returncode == 0, r.stderr
-    backend, payload = r.stdout.strip().splitlines()
-    return backend, payload
-
-
-def test_env_override_selects_pure():
-    backend, _ = _run_with_env(pure_flag=True)
-    assert backend == "pure"
-
-
-@needs_ext
-def test_backends_compute_identical_results():
-    b1, payload1 = _run_with_env(pure_flag=False)
-    b2, payload2 = _run_with_env(pure_flag=True)
-    assert b1 == "compiled" and b2 == "pure"
-    assert payload1 == payload2
+def test_star_terms_weights_levels_and_cancels():
+    # x * x with z folded into one entry: level weights 2 and 1
+    a = {(1, 0, 0): 1}
+    entries = [(0, 0, 1, (-1, 1, 0))]
+    out = kernels.star_terms(entries, [2, 1], a, a, 1)
+    assert out == {(2, 0, 0): 2, (0, 1, 0): 1}
+    # opposite entries cancel level 1 exactly and the key is dropped
+    entries = [(0, 0, 1, None), (0, 0, -1, None)]
+    assert kernels.star_terms(entries, [1, 1], a, a, 1) == {(2, 0, 0): 1}

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
+    DifferentialOperator,
+    FormalScalar,
     GaussianRational,
     Generators,
     Polynomial,
+    TensorSquare,
     poly_from_text,
     total_degree,
 )
@@ -152,3 +155,87 @@ def test_mixed_generator_arithmetic_rejected():
     g = Polynomial.one(GENS3)
     with pytest.raises(Exception):
         f + g
+
+
+# ------------------------------------------------------------- powers
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_power_equals_repeated_multiplication(k):
+    f = poly_from_text("q + 2*p - i*h", GENS2)
+    g = GaussianRational(Fraction(1, 2), 1)
+    s = FormalScalar({0: 2, 1: GaussianRational(0, 1)})
+    fk, gk, sk = Polynomial.one(GENS2), GaussianRational(1), FormalScalar.constant(1)
+    for _ in range(k):
+        fk, gk, sk = fk * f, gk * g, sk * s
+    assert f**k == fk
+    assert g**k == gk
+    assert s**k == sk
+
+
+# ------------------------------------------------------------- truncation
+
+
+def hpolys(trunc):
+    """Polynomials at truncation trunc with coefficients at several h-orders."""
+    coeff = st.dictionaries(
+        st.integers(min_value=0, max_value=trunc), gaussians, max_size=3
+    ).map(lambda d: FormalScalar(d, trunc))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return st.dictionaries(exps, coeff, max_size=4).map(
+        lambda d: Polynomial(GENS2, d, "formal", trunc)
+    )
+
+
+def mixed_pairs():
+    truncs = st.integers(min_value=0, max_value=8)
+    return st.tuples(truncs, truncs).flatmap(
+        lambda t: st.tuples(hpolys(t[0]), hpolys(t[1]))
+    )
+
+
+def _check_truncation_invariant(f):
+    for c in f.terms.values():
+        assert c
+        assert all(r <= f.trunc for r in c.coeffs)
+        assert c.trunc <= f.trunc
+    assert Polynomial.from_json(f.to_json()) == f
+    f.hbar_coefficient(f.trunc)
+
+
+@given(mixed_pairs())
+@settings(max_examples=80)
+def test_sum_keeps_no_coefficient_above_the_truncation(pair):
+    f, g = pair
+    for s in (f + g, g + f, f - g):
+        assert s.trunc == min(f.trunc, g.trunc)
+        _check_truncation_invariant(s)
+    # the sum agrees with the sum of both operands cut to its truncation
+    cut = f.map_coefficients(lambda c: c.truncate(s.trunc))
+    assert f + g == cut + g.map_coefficients(lambda c: c.truncate(s.trunc))
+
+
+def test_sum_drops_orders_above_the_smaller_truncation():
+    f = poly_from_text("h^6*q", GENS2, trunc=8)
+    g = poly_from_text("p", GENS2, trunc=4)
+    s = f + g
+    assert str(s) == "p"
+    assert Polynomial.from_json(s.to_json()) == s
+    assert not s.hbar_coefficient(4)
+
+
+@given(mixed_pairs())
+@settings(max_examples=40)
+def test_tensor_and_operator_sums_keep_no_coefficient_above_the_truncation(pair):
+    f, g = pair
+    n = min(f.trunc, g.trunc)
+    one = Polynomial.one(GENS2, trunc=8)
+    ops = [
+        DifferentialOperator(GENS2, {(e, e): c for e, c in p.terms.items()},
+                             "formal", p.trunc)
+        for p in (f, g)
+    ]
+    for s in (TensorSquare.of(f, one) + TensorSquare.of(g, one), ops[0] + ops[1]):
+        assert s.trunc == n
+        for c in s.terms.values():
+            assert c and all(r <= n for r in c.coeffs) and c.trunc <= n

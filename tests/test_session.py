@@ -91,3 +91,20 @@ def test_parse_scalar_respects_session():
     ses = Session.from_config({"truncation": 3})
     s = ses.parse_scalar("1 + h^5")
     assert s == ses.parse_scalar("1")  # order 5 falls outside the window
+
+
+def test_numeric_session_json_roundtrip():
+    cfg = {
+        "generators": ["q", "p"],
+        "domain": "numeric",
+        "lambda": {"matrix": [[0, 0], [[1.0, 0.5], 0]]},
+        "z": [0.0, -1.0],
+    }
+    ses = Session.from_config(cfg)
+    d = ses.to_json()
+    assert d["z"] == [0.0, -1.0]
+    again = Session.from_config(d)
+    assert again.domain == "numeric"
+    assert again.z == ses.z
+    assert again.form.matrix == ses.form.matrix
+    assert again.to_json() == d

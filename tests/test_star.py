@@ -13,15 +13,19 @@ from hypothesis import strategies as st
 
 from starweyl import (
     BilinearForm,
+    FormalScalar,
     GaussianRational,
     Generators,
     Polynomial,
+    TensorSquare,
     apply_equivalence,
     hbar_coefficient,
     jacobi_defect,
     minus_i_hbar,
     n_operator,
+    naive_star,
     ordering_operator,
+    p_lambda,
     poisson_bracket,
     poisson_standard,
     poly_from_text,
@@ -33,6 +37,7 @@ from starweyl import (
     star_weyl,
     weyl_form,
 )
+from starweyl.bruteforce import DensePolynomial
 
 G = Generators(("q", "p"))
 Z = minus_i_hbar()
@@ -221,3 +226,99 @@ def test_standard_conjugation_is_not_an_antihomomorphism():
     # the standard product needs the N-twist; bare conjugation fails on q*p
     f, g = pf("q"), pf("p")
     assert star_standard(f, g).conjugate() != star_standard(g.conjugate(), f.conjugate())
+
+
+# ------------------------------------------------------------- integer path
+#
+# star and poisson_bracket compute formal results on integer coefficients;
+# these properties hold them to the dense oracle and to the public tensor
+# square on inputs that use every part of the encoding: complex and
+# h-dependent forms, several z, coefficients at several h-orders, and
+# operands and form at different truncations.
+
+ZS = ("-i*h", "i*h^2", "3/2", "h - i*h^2")
+truncs = st.integers(min_value=1, max_value=8)
+
+
+def formal_scalars(trunc, max_order=2):
+    return st.dictionaries(
+        st.integers(min_value=0, max_value=max_order), gaussians, max_size=2
+    ).map(lambda d: FormalScalar(d, trunc))
+
+
+def hpolys(trunc, max_deg=3, max_terms=3):
+    exps = st.tuples(
+        st.integers(min_value=0, max_value=max_deg),
+        st.integers(min_value=0, max_value=max_deg),
+    )
+    return st.dictionaries(exps, formal_scalars(trunc, 3), max_size=max_terms).map(
+        lambda d: Polynomial(G, d, "formal", trunc)
+    )
+
+
+def complex_forms(trunc):
+    entry = st.one_of(st.just(0), formal_scalars(trunc, 1))
+    return st.tuples(entry, entry, entry, entry).map(
+        lambda m: BilinearForm(G, ((m[0], m[1]), (m[2], m[3])), "formal", trunc)
+    )
+
+
+def star_cases():
+    return st.tuples(truncs, truncs, truncs).flatmap(
+        lambda t: st.tuples(
+            complex_forms(t[2]), st.sampled_from(ZS), hpolys(t[0]), hpolys(t[1])
+        )
+    )
+
+
+@given(star_cases())
+@settings(max_examples=60, deadline=None)
+def test_star_equals_the_naive_oracle(case):
+    form, ztext, a, b = case
+    z = scalar_from_text(ztext, "formal", form.trunc)
+    out = star(form, z, a, b)
+    assert out.trunc == min(a.trunc, b.trunc)
+    # coefficients are exact up to the smallest truncation in play
+    t = min(a.trunc, b.trunc, form.trunc)
+    lam = [[form.entry(i, j) for j in range(2)] for i in range(2)]
+    dense = naive_star(
+        lam, z,
+        DensePolynomial.from_dict(2, a.terms, "formal", t, box=7),
+        DensePolynomial.from_dict(2, b.terms, "formal", t, box=7),
+    ).to_dict()
+    assert dense == out.terms
+    assert {e: c.trunc for e, c in out.terms.items()} == {
+        e: c.trunc for e, c in dense.items()
+    }
+
+
+@given(star_cases())
+@settings(max_examples=60, deadline=None)
+def test_poisson_bracket_equals_the_tensor_square_formula(case):
+    form, _, a, b = case
+    out = poisson_bracket(form, a, b)
+    lhs = p_lambda(form, TensorSquare.of(a, b))
+    rhs = p_lambda(form, TensorSquare.of(b, a))
+    want = (lhs - rhs).mu()
+    assert out == want
+    assert out.trunc == want.trunc
+    assert {e: c.trunc for e, c in out.terms.items()} == {
+        e: c.trunc for e, c in want.terms.items()
+    }
+
+
+def test_numeric_domain_keeps_float_coefficients():
+    gn = ("q", "p")
+    f = poly_from_text("(q + 2*p)^3 - (3/2)*i*q", gn, "numeric")
+    g = poly_from_text("q*p^2 + 1/4", gn, "numeric")
+    form = standard_form(Generators(gn), "numeric")
+    lhs = p_lambda(form.transpose(), TensorSquare.of(f, g))
+    rhs = p_lambda(form.transpose(), TensorSquare.of(g, f))
+    assert poisson_bracket(form.transpose(), f, g) == (lhs - rhs).mu()
+    # at hbar = 1 the numeric product is the formal one evaluated
+    exact = star_standard(poly_from_text("(q + 2*p)^3 - (3/2)*i*q", gn),
+                          poly_from_text("q*p^2 + 1/4", gn))
+    s = star(form, minus_i_hbar("numeric"), f, g)
+    assert set(s.terms) == set(exact.terms)
+    for e, c in exact.terms.items():
+        assert s.terms[e].val == pytest.approx(c.eval_at(1.0))
