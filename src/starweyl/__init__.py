@@ -21,14 +21,13 @@ from .scalars import (
     GaussianRational,
     NumericScalar,
 )
-from .poly import Generators, Polynomial, poly_from_text, poly_mul, total_degree
+from .poly import Generators, Polynomial, poly_from_text, total_degree
 from .parse import parse_expression, scalar_from_text
 from .star import (
     BilinearForm,
     OrderingOperator,
     TensorSquare,
     apply_equivalence,
-    hbar_coefficient,
     jacobi_defect,
     minus_i_hbar,
     n_operator,

@@ -71,6 +71,27 @@ def _seminorm_exponent(text):
     return v
 
 
+# options whose value may start with '-': argparse takes "-1/2,1/3" for an
+# option (only plain negative numbers pass as values), so main rewrites
+# "--v -1/2,1/3" as "--v=-1/2,1/3" first
+_SIGNED_VALUE_OPTIONS = ("--v", "--w", "--alpha")
+
+
+def _join_signed_values(argv):
+    out = []
+    for arg in argv:
+        if (
+            out
+            and out[-1] in _SIGNED_VALUE_OPTIONS
+            and arg.startswith("-")
+            and not arg.startswith("--")
+        ):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _common_flags(parser, suppress):
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
@@ -474,7 +495,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(
+        _join_signed_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         ses = _load_session(args)
         return _HANDLERS[args.command](args, ses)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import IncompatibleError, StarWeylError, TruncationError
 from .parse import RESERVED_NAMES
-from .poly import Generators, Polynomial
+from .poly import Generators, Polynomial, accumulate, merge_terms
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
@@ -26,6 +26,8 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    join_terms,
+    term_text,
 )
 
 
@@ -220,31 +222,21 @@ class LieAlgebra:
         else:
             a = mono[0]
             rest = mono[1:]
-            out = {}
             # xi_j xi_a = xi_a xi_j + i*h [xi_j, xi_a]
-            for m1, g1 in self._leftmul_raw(j, rest).items():
-                for m2, g2 in self._leftmul_raw(a, m1).items():
-                    g = g1 * g2
-                    prev = out.get(m2)
-                    g = g if prev is None else prev + g
-                    if g:
-                        out[m2] = g
-                    else:
-                        out.pop(m2, None)
+            out = accumulate({}, (
+                (m2, g1 * g2)
+                for m1, g1 in self._leftmul_raw(j, rest).items()
+                for m2, g2 in self._leftmul_raw(a, m1).items()
+            ))
             row = self._c[j][a]
             for k in range(self.dim):
                 ck = row[k]
                 if not ck:
                     continue
                 f = GR_I * ck
-                for m1, g1 in self._leftmul_raw(k, rest).items():
-                    g = f * g1
-                    prev = out.get(m1)
-                    g = g if prev is None else prev + g
-                    if g:
-                        out[m1] = g
-                    else:
-                        out.pop(m1, None)
+                accumulate(out, (
+                    (m1, f * g1) for m1, g1 in self._leftmul_raw(k, rest).items()
+                ))
         self._cache_leftmul[key] = out
         return out
 
@@ -256,17 +248,11 @@ class LieAlgebra:
             return hit
         out = {m2: GR_ONE}
         for j in reversed(m1):
-            new = {}
-            for m, g in out.items():
-                for mm, gg in self._leftmul_raw(j, m).items():
-                    v = g * gg
-                    prev = new.get(mm)
-                    v = v if prev is None else prev + v
-                    if v:
-                        new[mm] = v
-                    else:
-                        new.pop(mm, None)
-            out = new
+            out = accumulate({}, (
+                (mm, g * gg)
+                for m, g in out.items()
+                for mm, gg in self._leftmul_raw(j, m).items()
+            ))
         self._cache_monomul[key] = out
         return out
 
@@ -290,15 +276,11 @@ class LieAlgebra:
                     continue
                 sub = alpha[:j] + (aj - 1,) + alpha[j + 1 :]
                 f = GaussianRational(aj * inv_k)
-                for m, g in self._sym_raw(sub).items():
-                    for mm, gg in self._leftmul_raw(j, m).items():
-                        v = f * g * gg
-                        prev = out.get(mm)
-                        v = v if prev is None else prev + v
-                        if v:
-                            out[mm] = v
-                        else:
-                            out.pop(mm, None)
+                accumulate(out, (
+                    (mm, f * g * gg)
+                    for m, g in self._sym_raw(sub).items()
+                    for mm, gg in self._leftmul_raw(j, m).items()
+                ))
         self._cache_sym[alpha] = out
         return out
 
@@ -307,7 +289,9 @@ class LieAlgebra:
 
         u_raw must be weight-homogeneous; sigma is unit upper triangular
         against word length, so greedy elimination from the longest monomial
-        terminates.
+        terminates. Every other monomial of sigma(x^alpha) is shorter than
+        the one eliminated, so each monomial leaves the worklist once and
+        each alpha is written once.
         """
         d = self.dim
         work = dict(u_raw)
@@ -319,26 +303,13 @@ class LieAlgebra:
             for idx in m:
                 alpha[idx] += 1
             alpha = tuple(alpha)
-            prev = out.get(alpha)
-            s = g if prev is None else prev + g
-            if s:
-                out[alpha] = s
-            else:
-                out.pop(alpha, None)
-            for mm, gg in self._sym_raw(alpha).items():
-                if mm == m:
-                    # unit-triangular: leading coefficient is exactly 1 and
-                    # already left the worklist with the pop above
-                    if gg != GR_ONE:
-                        raise StarWeylError("PBW leading coefficient is not 1")
-                    continue
-                v = g * gg
-                prev = work.get(mm)
-                v = (-v) if prev is None else prev - v
-                if v:
-                    work[mm] = v
-                else:
-                    work.pop(mm, None)
+            out[alpha] = g
+            sym = self._sym_raw(alpha)
+            # unit-triangular: the leading coefficient is exactly 1 and
+            # already left the worklist with the pop above
+            if sym.get(m) != GR_ONE:
+                raise StarWeylError("PBW leading coefficient is not 1")
+            accumulate(work, ((mm, -(g * gg)) for mm, gg in sym.items() if mm != m))
         return out
 
     def _gutt_mono_raw(self, alpha, beta):
@@ -353,14 +324,9 @@ class LieAlgebra:
         for m1, g1 in sa.items():
             for m2, g2 in sb.items():
                 f = g1 * g2
-                for m, g in self._mono_mul_raw(m1, m2).items():
-                    v = f * g
-                    prev = u.get(m)
-                    v = v if prev is None else prev + v
-                    if v:
-                        u[m] = v
-                    else:
-                        u.pop(m, None)
+                accumulate(u, (
+                    (m, f * g) for m, g in self._mono_mul_raw(m1, m2).items()
+                ))
         out = self._sym_inverse_raw(u)
         self._cache_guttmono[key] = out
         return out
@@ -397,6 +363,7 @@ class UEElement:
     """
 
     __slots__ = ("algebra", "trunc", "terms")
+    domain = "formal"  # for poly.merge_terms: coefficients are FormalScalars
 
     def __init__(self, algebra, terms=None, trunc=DEFAULT_TRUNCATION, _clean=False):
         if terms is None:
@@ -404,8 +371,7 @@ class UEElement:
         if _clean:
             cl = terms
         else:
-            cl = {}
-            for m, c in terms.items():
+            def checked(m, c):
                 m = tuple(m)
                 if any(not (0 <= idx < algebra.dim) for idx in m):
                     raise ValueError(f"monomial index out of range in {m!r}")
@@ -415,13 +381,9 @@ class UEElement:
                     c = FormalScalar.constant(c, trunc)
                 elif c.trunc != trunc:
                     c = c.truncate(trunc)
-                if c:
-                    prev = cl.get(m)
-                    s = c if prev is None else prev + c
-                    if s:
-                        cl[m] = s
-                    else:
-                        del cl[m]
+                return m, c
+
+            cl = accumulate({}, (checked(m, c) for m, c in terms.items()))
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "terms", cl)
@@ -449,18 +411,8 @@ class UEElement:
         if not isinstance(other, UEElement):
             return NotImplemented
         self._check(other)
-        n = min(self.trunc, other.trunc)
-        out = {m: c.truncate(n) if c.trunc != n else c for m, c in self.terms.items()}
-        out = {m: c for m, c in out.items() if c}
-        for m, c in other.terms.items():
-            c = c.truncate(n) if c.trunc != n else c
-            prev = out.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return UEElement(self.algebra, out, n, _clean=True)
+        out, trunc = merge_terms(self, other)
+        return UEElement(self.algebra, out, trunc, _clean=True)
 
     def __neg__(self):
         return UEElement(
@@ -492,19 +444,11 @@ class UEElement:
                 if not c:
                     continue
                 w = len(m1) + len(m2)
-                for m, g in self.algebra._mono_mul_raw(m1, m2).items():
-                    r = w - len(m)
-                    if r > n:
-                        continue
-                    v = c * FormalScalar({r: g}, n)
-                    if not v:
-                        continue
-                    prev = out.get(m)
-                    v = v if prev is None else prev + v
-                    if v:
-                        out[m] = v
-                    else:
-                        out.pop(m, None)
+                accumulate(out, (
+                    (m, c * FormalScalar({w - len(m): g}, n))
+                    for m, g in self.algebra._mono_mul_raw(m1, m2).items()
+                    if w - len(m) <= n
+                ))
         return UEElement(self.algebra, out, n, _clean=True)
 
     __rmul__ = __mul__
@@ -516,9 +460,7 @@ class UEElement:
 
     __hash__ = None
 
-    def _term_text(self, m, c):
-        from .scalars import _coeff_factor
-
+    def _monomial_text(self, m):
         counts = {}
         for idx in m:
             counts[idx] = counts.get(idx, 0) + 1
@@ -527,40 +469,13 @@ class UEElement:
             nm = self.algebra.basis[idx]
             k = counts[idx]
             mono.append(nm if k == 1 else f"{nm}^{k}")
-        mono_txt = "*".join(mono)
-        orders = sorted(c.coeffs)
-        if len(orders) > 1:
-            txt = f"({c.canonical()})"
-            return False, f"{txt}*{mono_txt}" if mono_txt else txt
-        r = orders[0]
-        neg, mag = _coeff_factor(c.coeffs[r])
-        factors = []
-        if mag is not None:
-            factors.append(mag)
-        if r == 1:
-            factors.append("h")
-        elif r > 1:
-            factors.append(f"h^{r}")
-        if mono_txt:
-            factors.append(mono_txt)
-        if not factors:
-            factors.append("1")
-        return neg, "*".join(factors)
+        return "*".join(mono)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         items = sorted(
             self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]), reverse=True
         )
-        chunks = []
-        for idx, (m, c) in enumerate(items):
-            neg, text = self._term_text(m, c)
-            if idx == 0:
-                chunks.append(f"-{text}" if neg else text)
-            else:
-                chunks.append(f" - {text}" if neg else f" + {text}")
-        return "".join(chunks)
+        return join_terms(term_text(c, self._monomial_text(m)) for m, c in items)
 
     def __repr__(self):
         return f"<UEElement {self}>"
@@ -583,7 +498,7 @@ def ue_normal_order(algebra: LieAlgebra, word, trunc=DEFAULT_TRUNCATION,
     one = FormalScalar.constant(1, trunc)
     ih = FormalScalar({1: GR_I}, trunc)
     work = [(word, one)]
-    out = {}
+    normal = []
     while work:
         w, c = work.pop()
         if not c:
@@ -597,12 +512,7 @@ def ue_normal_order(algebra: LieAlgebra, word, trunc=DEFAULT_TRUNCATION,
                 pos = t
                 break
         if pos < 0:
-            prev = out.get(w)
-            s = c if prev is None else prev + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+            normal.append((w, c))
             continue
         a, b = w[pos], w[pos + 1]
         swapped = w[:pos] + (b, a) + w[pos + 2 :]
@@ -612,7 +522,7 @@ def ue_normal_order(algebra: LieAlgebra, word, trunc=DEFAULT_TRUNCATION,
             if row[k]:
                 shorter = w[:pos] + (k,) + w[pos + 2 :]
                 work.append((shorter, c * (ih * row[k])))
-    return UEElement(algebra, out, trunc, _clean=True)
+    return UEElement(algebra, accumulate({}, normal), trunc, _clean=True)
 
 
 def _check_coords(algebra: LieAlgebra, f: Polynomial):
@@ -632,19 +542,11 @@ def pbw_symmetrize(algebra: LieAlgebra, f: Polynomial) -> UEElement:
     out = {}
     for alpha, c in f.terms.items():
         w = sum(alpha)
-        for m, g in algebra._sym_raw(alpha).items():
-            r = w - len(m)
-            if r > n:
-                continue
-            v = c * FormalScalar({r: g}, n)
-            if not v:
-                continue
-            prev = out.get(m)
-            v = v if prev is None else prev + v
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+        accumulate(out, (
+            (m, c * FormalScalar({w - len(m): g}, n))
+            for m, g in algebra._sym_raw(alpha).items()
+            if w - len(m) <= n
+        ))
     return UEElement(algebra, out, n, _clean=True)
 
 
@@ -653,40 +555,19 @@ def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
     if u.algebra != algebra:
         raise IncompatibleError("envelope element over a different algebra")
     n = u.trunc
-    d = algebra.dim
-    work = dict(u.terms)
+    # the coefficient of h^r on monomial m has weight len(m) + r, and
+    # sigma^{-1} maps each weight-homogeneous part on its own
+    by_weight = {}
+    for m, c in u.terms.items():
+        for r, g in c.coeffs.items():
+            by_weight.setdefault(len(m) + r, {})[m] = g
     out = {}
-    while work:
-        m = max(work, key=lambda w: (len(w), w))
-        c = work.pop(m)
-        if not c:
-            continue
-        alpha = [0] * d
-        for idx in m:
-            alpha[idx] += 1
-        alpha = tuple(alpha)
-        prev = out.get(alpha)
-        s = c if prev is None else prev + c
-        if s:
-            out[alpha] = s
-        else:
-            out.pop(alpha, None)
-        w = sum(alpha)
-        for mm, gg in algebra._sym_raw(alpha).items():
-            if mm == m:
-                continue
-            r = w - len(mm)
-            if r > n:
-                continue
-            v = c * FormalScalar({r: gg}, n)
-            if not v:
-                continue
-            prev = work.get(mm)
-            v = (-v) if prev is None else prev - v
-            if v:
-                work[mm] = v
-            else:
-                work.pop(mm, None)
+    for w, raw in by_weight.items():
+        accumulate(out, (
+            (alpha, FormalScalar({w - sum(alpha): g}, n))
+            for alpha, g in algebra._sym_inverse_raw(raw).items()
+            if w - sum(alpha) <= n
+        ))
     return Polynomial(algebra.coords, out, "formal", n, _clean=True)
 
 
@@ -702,19 +583,11 @@ def gutt_star(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
             if not c:
                 continue
             w = sum(alpha) + sum(beta)
-            for gamma, g in algebra._gutt_mono_raw(alpha, beta).items():
-                r = w - sum(gamma)
-                if r > n:
-                    continue
-                v = c * FormalScalar({r: g}, n)
-                if not v:
-                    continue
-                prev = out.get(gamma)
-                v = v if prev is None else prev + v
-                if v:
-                    out[gamma] = v
-                else:
-                    out.pop(gamma, None)
+            accumulate(out, (
+                (gamma, c * FormalScalar({w - sum(gamma): g}, n))
+                for gamma, g in algebra._gutt_mono_raw(alpha, beta).items()
+                if w - sum(gamma) <= n
+            ))
     return Polynomial(algebra.coords, out, "formal", n, _clean=True)
 
 
@@ -797,33 +670,12 @@ class LieSeries:
         return out
 
     def __str__(self):
-        from .scalars import _coeff_factor
-
-        if not self.terms:
-            return "0"
-        chunks = []
-        first = True
-        for w in sorted(self.terms):
-            vec = self.terms[w]
-            for k, g in enumerate(vec):
-                if not g:
-                    continue
-                neg, mag = _coeff_factor(g)
-                factors = []
-                if mag is not None:
-                    factors.append(mag)
-                if w == 1:
-                    factors.append("h")
-                elif w > 1:
-                    factors.append(f"h^{w}")
-                factors.append(self.algebra.basis[k])
-                text = "*".join(factors)
-                if first:
-                    chunks.append(f"-{text}" if neg else text)
-                    first = False
-                else:
-                    chunks.append(f" - {text}" if neg else f" + {text}")
-        return "".join(chunks)
+        return join_terms(
+            term_text(FormalScalar({w: g}, w, _clean=True), self.algebra.basis[k])
+            for w in sorted(self.terms)
+            for k, g in enumerate(self.terms[w])
+            if g
+        )
 
     def __repr__(self):
         return f"<LieSeries {self}>"

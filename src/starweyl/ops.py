@@ -13,8 +13,15 @@ from __future__ import annotations
 import math
 
 from .errors import IncompatibleError
-from .poly import Generators, Polynomial, _coerce_coeff, merge_terms
-from .scalars import DEFAULT_TRUNCATION
+from .poly import (
+    Generators,
+    Polynomial,
+    _coerce_coeff,
+    accumulate,
+    exponent_tuple,
+    merge_terms,
+)
+from .scalars import DEFAULT_TRUNCATION, join_terms, term_text
 from .star import minus_i_hbar, n_operator
 
 
@@ -45,21 +52,13 @@ class DifferentialOperator:
         if _clean:
             cl = terms
         else:
-            cl = {}
-            for (a, d), c in terms.items():
-                a, d = tuple(a), tuple(d)
-                if len(a) != n or len(d) != n:
-                    raise ValueError("exponent tuple length mismatch")
-                if any(x < 0 for x in a) or any(x < 0 for x in d):
-                    raise ValueError("negative exponent")
-                cc = _coerce_coeff(c, domain, trunc)
-                if cc:
-                    prev = cl.get((a, d))
-                    s = cc if prev is None else prev + cc
-                    if s:
-                        cl[(a, d)] = s
-                    else:
-                        cl.pop((a, d), None)
+            cl = accumulate({}, (
+                (
+                    (exponent_tuple(a, n), exponent_tuple(d, n)),
+                    _coerce_coeff(c, domain, trunc),
+                )
+                for (a, d), c in terms.items()
+            ))
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "trunc", trunc)
@@ -123,92 +122,76 @@ class DifferentialOperator:
         if p.gens != self.gens or p.domain != self.domain:
             raise IncompatibleError("operator and operand over different algebras")
         n = len(self.gens)
-        out = {}
-        for (a, d), c in self.terms.items():
-            for g, pc in p.terms.items():
-                if any(g[i] < d[i] for i in range(n)):
-                    continue
-                fall = 1
-                for i in range(n):
-                    if d[i]:
-                        fall *= _falling(g[i], d[i])
-                key = tuple(g[i] - d[i] + a[i] for i in range(n))
-                v = pc * c
-                if fall != 1:
-                    v = v * fall
-                if not v:
-                    continue
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return Polynomial(self.gens, out, self.domain,
+
+        def products():
+            for (a, d), c in self.terms.items():
+                for g, pc in p.terms.items():
+                    if any(g[i] < d[i] for i in range(n)):
+                        continue
+                    fall = 1
+                    for i in range(n):
+                        if d[i]:
+                            fall *= _falling(g[i], d[i])
+                    v = pc * c
+                    if fall != 1:
+                        v = v * fall
+                    yield tuple(g[i] - d[i] + a[i] for i in range(n)), v
+
+        return Polynomial(self.gens, accumulate({}, products()), self.domain,
                           min(self.trunc, p.trunc), _clean=True)
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         """Operator product self o other (apply other first)."""
         self._check(other)
         n = len(self.gens)
-        out = {}
-        for (a1, d1), c1 in self.terms.items():
-            for (a2, d2), c2 in other.terms.items():
-                # commute d^{d1} past x^{a2}: Leibniz over e <= min(d1, a2)
-                ranges = [range(min(d1[i], a2[i]) + 1) for i in range(n)]
-                for e in _iter_box(ranges):
-                    coef = 1
-                    for i in range(n):
-                        if e[i]:
-                            coef *= math.comb(d1[i], e[i]) * _falling(a2[i], e[i])
-                    key = (
-                        tuple(a1[i] + a2[i] - e[i] for i in range(n)),
-                        tuple(d1[i] - e[i] + d2[i] for i in range(n)),
-                    )
-                    v = c1 * c2
-                    if coef != 1:
-                        v = v * coef
-                    if not v:
-                        continue
-                    prev = out.get(key)
-                    v = v if prev is None else prev + v
-                    if v:
-                        out[key] = v
-                    else:
-                        out.pop(key, None)
+
+        def products():
+            for (a1, d1), c1 in self.terms.items():
+                for (a2, d2), c2 in other.terms.items():
+                    # commute d^{d1} past x^{a2}: Leibniz over e <= min(d1, a2)
+                    ranges = [range(min(d1[i], a2[i]) + 1) for i in range(n)]
+                    for e in _iter_box(ranges):
+                        coef = 1
+                        for i in range(n):
+                            if e[i]:
+                                coef *= math.comb(d1[i], e[i]) * _falling(a2[i], e[i])
+                        key = (
+                            tuple(a1[i] + a2[i] - e[i] for i in range(n)),
+                            tuple(d1[i] - e[i] + d2[i] for i in range(n)),
+                        )
+                        v = c1 * c2
+                        if coef != 1:
+                            v = v * coef
+                        yield key, v
+
         return DifferentialOperator(
-            self.gens, out, self.domain, min(self.trunc, other.trunc), _clean=True
+            self.gens, accumulate({}, products()), self.domain,
+            min(self.trunc, other.trunc), _clean=True
         )
 
     def formal_adjoint(self) -> "DifferentialOperator":
         """(c x^a d^d)^dagger = (-1)^{|d|} d^d o conj(c) x^a, normal-ordered."""
         n = len(self.gens)
-        out = {}
-        for (a, d), c in self.terms.items():
-            cc = c.conjugate()
-            if sum(d) % 2:
-                cc = -cc
-            ranges = [range(min(d[i], a[i]) + 1) for i in range(n)]
-            for e in _iter_box(ranges):
-                coef = 1
-                for i in range(n):
-                    if e[i]:
-                        coef *= math.comb(d[i], e[i]) * _falling(a[i], e[i])
-                key = (
-                    tuple(a[i] - e[i] for i in range(n)),
-                    tuple(d[i] - e[i] for i in range(n)),
-                )
-                v = cc if coef == 1 else cc * coef
-                if not v:
-                    continue
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return DifferentialOperator(self.gens, out, self.domain, self.trunc,
-                                    _clean=True)
+
+        def terms():
+            for (a, d), c in self.terms.items():
+                cc = c.conjugate()
+                if sum(d) % 2:
+                    cc = -cc
+                ranges = [range(min(d[i], a[i]) + 1) for i in range(n)]
+                for e in _iter_box(ranges):
+                    coef = 1
+                    for i in range(n):
+                        if e[i]:
+                            coef *= math.comb(d[i], e[i]) * _falling(a[i], e[i])
+                    key = (
+                        tuple(a[i] - e[i] for i in range(n)),
+                        tuple(d[i] - e[i] for i in range(n)),
+                    )
+                    yield key, cc if coef == 1 else cc * coef
+
+        return DifferentialOperator(self.gens, accumulate({}, terms()),
+                                    self.domain, self.trunc, _clean=True)
 
     def __eq__(self, other):
         if not isinstance(other, DifferentialOperator):
@@ -222,9 +205,7 @@ class DifferentialOperator:
     __hash__ = None
 
     # -- text / JSON ---------------------------------------------------------
-    def _term_text(self, a, d, c):
-        from .scalars import _coeff_factor
-
+    def _monomial_text(self, a, d):
         mono = []
         for name, k in zip(self.gens.names, a):
             if k == 1:
@@ -236,41 +217,12 @@ class DifferentialOperator:
                 mono.append(f"D[{name}]")
             elif k > 1:
                 mono.append(f"D[{name}]^{k}")
-        mono_txt = "*".join(mono)
-        if self.domain == "numeric":
-            txt = f"({c.val.real!r}{c.val.imag:+}j)"
-            return False, f"{txt}*{mono_txt}" if mono_txt else txt
-        orders = sorted(c.coeffs)
-        if len(orders) > 1:
-            txt = f"({c.canonical()})"
-            return False, f"{txt}*{mono_txt}" if mono_txt else txt
-        r = orders[0]
-        neg, mag = _coeff_factor(c.coeffs[r])
-        factors = []
-        if mag is not None:
-            factors.append(mag)
-        if r == 1:
-            factors.append("h")
-        elif r > 1:
-            factors.append(f"h^{r}")
-        if mono_txt:
-            factors.append(mono_txt)
-        if not factors:
-            factors.append("1")
-        return neg, "*".join(factors)
+        return "*".join(mono)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         items = sorted(self.terms.items(), key=_pairs_key, reverse=True)
-        chunks = []
-        for idx, ((a, d), c) in enumerate(items):
-            neg, text = self._term_text(a, d, c)
-            if idx == 0:
-                chunks.append(f"-{text}" if neg else text)
-            else:
-                chunks.append(f" - {text}" if neg else f" + {text}")
-        return "".join(chunks)
+        return join_terms(term_text(c, self._monomial_text(a, d))
+                          for (a, d), c in items)
 
     def __repr__(self):
         return f"<DifferentialOperator {self} over {list(self.gens.names)}>"
@@ -312,18 +264,12 @@ def std_rep(f: Polynomial) -> DifferentialOperator:
     """Standard-ordered representation: q^a p^b -> (-i*h)^{|b|} q^a d^b."""
     n, qgens = _split_phase(f.gens)
     z = minus_i_hbar(f.domain, f.trunc)
-    out = {}
-    for exp, c in f.terms.items():
-        a, b = exp[:n], exp[n:]
-        v = c * z ** sum(b)
-        if not v:
-            continue
-        prev = out.get((a, b))
-        v = v if prev is None else prev + v
-        if v:
-            out[(a, b)] = v
-        else:
-            out.pop((a, b), None)
+    # (exp[:n], exp[n:]) is exp cut in two, so no two terms share a key
+    out = {
+        (exp[:n], exp[n:]): v
+        for exp, c in f.terms.items()
+        if (v := c * z ** sum(exp[n:]))
+    }
     return DifferentialOperator(qgens, out, f.domain, f.trunc, _clean=True)
 
 

@@ -4,7 +4,7 @@ Grammar (whitespace insignificant, '*' mandatory, no juxtaposition):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := '-' factor | atom ('^' uint)?
+    factor   := '-' factor | atom ('^' uint)?     uint <= MAX_EXPONENT
     atom     := rational | 'i' | 'h' | identifier | '(' expr ')'
     rational := integer ('/' integer)?
 
@@ -30,6 +30,10 @@ _SYMBOLS = "+-*^()/"
 
 # identifiers the grammar claims for itself; generators cannot use them
 RESERVED_NAMES = ("h", "i")
+
+# largest exponent after '^'; a larger one is a ParseError at its position,
+# so a typo like q^99999999 cannot start an expansion that never ends
+MAX_EXPONENT = 100
 
 
 class _Token:
@@ -152,7 +156,14 @@ class _Parser:
                     "exponent must be a nonnegative integer", caret.line, caret.col
                 )
             self.advance()
-            node = ("pow", node, int(nt.text))
+            k = int(nt.text)
+            if k > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {k} exceeds the limit {MAX_EXPONENT}",
+                    nt.line,
+                    nt.col,
+                )
+            node = ("pow", node, k)
         return node
 
     def atom(self):

@@ -20,7 +20,8 @@ from .scalars import (
     FormalScalar,
     GaussianRational,
     NumericScalar,
-    _coeff_factor,
+    join_terms,
+    term_text,
 )
 
 
@@ -111,6 +112,14 @@ def accumulate(out, items):
     return out
 
 
+def exponent_tuple(exp, n):
+    """exp as a tuple of n nonnegative ints; ValueError otherwise."""
+    exp = tuple(exp)
+    if len(exp) != n or any((not isinstance(e, int)) or e < 0 for e in exp):
+        raise ValueError(f"bad exponent tuple {exp!r} for {n} generators")
+    return exp
+
+
 def merge_terms(x, y):
     """(terms, trunc) of the sum of two term containers of one domain.
 
@@ -150,24 +159,10 @@ class Polynomial:
         if _clean:
             cl = terms
         else:
-            cl = {}
-            for exp, c in terms.items():
-                exp = tuple(exp)
-                if len(exp) != n or any(
-                    (not isinstance(e, int)) or e < 0 for e in exp
-                ):
-                    raise ValueError(f"bad exponent tuple {exp!r} for {n} generators")
-                cc = _coerce_coeff(c, domain, trunc)
-                if cc:
-                    prev = cl.get(exp)
-                    if prev is None:
-                        cl[exp] = cc
-                    else:
-                        s = prev + cc
-                        if s:
-                            cl[exp] = s
-                        else:
-                            del cl[exp]
+            cl = accumulate({}, (
+                (exponent_tuple(exp, n), _coerce_coeff(c, domain, trunc))
+                for exp, c in terms.items()
+            ))
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "trunc", trunc)
@@ -318,17 +313,12 @@ class Polynomial:
         i = which if isinstance(which, int) else self.gens.index(which)
         if not 0 <= i < len(self.gens):
             raise IndexError(f"generator index {i} out of range")
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                key = e[:i] + (k - 1,) + e[i + 1 :]
-                v = c * k
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if v:
-                    out[key] = v
-        return self._wrap(out)
+        # distinct monomials stay distinct, and c * k never vanishes
+        return self._wrap({
+            e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i]
+            for e, c in self.terms.items()
+            if e[i]
+        })
 
     def translate(self, shifts) -> "Polynomial":
         """Substitute x_i -> x_i + shifts[i] (shifts are scalars)."""
@@ -337,9 +327,10 @@ class Polynomial:
             raise ValueError("shift vector length mismatch")
         sh = [self.coerce_scalar(s) for s in shifts]
         one = self.scalar_one()
-        out = self._zero_like()
+        out = {}
         for e, c in self.terms.items():
-            # expand prod_i (x_i + s_i)^(e_i) one variable at a time
+            # expand prod_i (x_i + s_i)^(e_i) one variable at a time; slot i
+            # of every key in acc is still 0, so no two products collide
             acc = {(0,) * n: c}
             for i in range(n):
                 k = e[i]
@@ -347,29 +338,22 @@ class Polynomial:
                     continue
                 if not sh[i]:
                     acc = {
-                        key[:i] + (key[i] + k,) + key[i + 1 :]: v
+                        key[:i] + (k,) + key[i + 1 :]: v
                         for key, v in acc.items()
                     }
                     continue
                 powers = [one]
                 for _ in range(k):
                     powers.append(powers[-1] * sh[i])
-                new = {}
-                for key, v in acc.items():
-                    for j in range(k + 1):
-                        w = v * (powers[k - j] * math.comb(k, j))
-                        if not w:
-                            continue
-                        kk = key[:i] + (key[i] + j,) + key[i + 1 :]
-                        prev = new.get(kk)
-                        w = w if prev is None else prev + w
-                        if w:
-                            new[kk] = w
-                        else:
-                            new.pop(kk, None)
-                acc = new
-            out = out + self._wrap(acc)
-        return out
+                binom = [powers[k - j] * math.comb(k, j) for j in range(k + 1)]
+                acc = {
+                    key[:i] + (j,) + key[i + 1 :]: w
+                    for key, v in acc.items()
+                    for j in range(k + 1)
+                    if (w := v * binom[j])
+                }
+            accumulate(out, acc.items())
+        return self._wrap(out)
 
     def evaluate(self, point):
         """Evaluate at a point (scalar per generator); returns a scalar."""
@@ -434,43 +418,10 @@ class Polynomial:
                 parts.append(f"{name}^{k}")
         return "*".join(parts)
 
-    def _term_pieces(self, exp, c):
-        """(negated, text) for one term, grammar-round-trippable."""
-        mono = self._monomial_text(exp)
-        if self.domain == "numeric":
-            txt = f"({c.val.real!r}{c.val.imag:+}j)"
-            return False, f"{txt}*{mono}" if mono else txt
-        orders = sorted(c.coeffs)
-        if len(orders) > 1:
-            txt = f"({c.canonical()})"
-            return False, f"{txt}*{mono}" if mono else txt
-        r = orders[0]
-        g = c.coeffs[r]
-        neg, mag = _coeff_factor(g)
-        factors = []
-        if mag is not None:
-            factors.append(mag)
-        if r == 1:
-            factors.append("h")
-        elif r > 1:
-            factors.append(f"h^{r}")
-        if mono:
-            factors.append(mono)
-        if not factors:
-            factors.append("1")
-        return neg, "*".join(factors)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for idx, (exp, c) in enumerate(self.sorted_terms()):
-            neg, text = self._term_pieces(exp, c)
-            if idx == 0:
-                chunks.append(f"-{text}" if neg else text)
-            else:
-                chunks.append(f" - {text}" if neg else f" + {text}")
-        return "".join(chunks)
+        return join_terms(
+            term_text(c, self._monomial_text(exp)) for exp, c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"<Polynomial {self} over {list(self.gens.names)}>"
@@ -498,23 +449,19 @@ class Polynomial:
         gens = Generators(d["generators"])
         domain = d.get("scalar_domain", "formal")
         trunc = d.get("truncation", DEFAULT_TRUNCATION)
-        terms = {}
-        for t in d["terms"]:
-            exp = tuple(t["exp"])
-            raw = t["coeff"]
+
+        def coeff(raw):
             if domain == "formal":
-                c = scalar_from_text(raw, "formal", trunc)
-            elif isinstance(raw, (list, tuple)):
-                c = NumericScalar(raw[0], raw[1])
-            else:
-                c = scalar_from_text(str(raw), "numeric", trunc)
-            prev = terms.get(exp)
-            terms[exp] = c if prev is None else prev + c
+                return scalar_from_text(raw, "formal", trunc)
+            if isinstance(raw, (list, tuple)):
+                return NumericScalar(raw[0], raw[1])
+            return scalar_from_text(str(raw), "numeric", trunc)
+
+        n = len(gens)
+        terms = accumulate({}, (
+            (exponent_tuple(t["exp"], n), coeff(t["coeff"])) for t in d["terms"]
+        ))
         return cls(gens, terms, domain, trunc)
-
-
-def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a * b
 
 
 def poly_from_ast(ast, gens: Generators, domain="formal",

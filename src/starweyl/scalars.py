@@ -389,8 +389,6 @@ class FormalScalar:
     # -- text -----------------------------------------------------------------------
     def canonical(self) -> str:
         """Canonical text "c0 + c1*h + c2*h^2" with ascending orders."""
-        if not self.coeffs:
-            return "0"
         parts = []
         for r in sorted(self.coeffs):
             c = self.coeffs[r]
@@ -400,13 +398,7 @@ class FormalScalar:
             h = "h" if r == 1 else f"h^{r}"
             neg, mag = _coeff_factor(c)
             parts.append((neg, h if mag is None else f"{mag}*{h}"))
-        chunks = []
-        for idx, (neg, text) in enumerate(parts):
-            if idx == 0:
-                chunks.append(f"-{text}" if neg else text)
-            else:
-                chunks.append(f" - {text}" if neg else f" + {text}")
-        return "".join(chunks)
+        return join_terms(parts)
 
     def __str__(self):
         return self.canonical()
@@ -438,6 +430,39 @@ def _coeff_factor(c: GaussianRational):
         t = frac_text(m)
         return neg, f"{t}*i" if m.denominator == 1 else f"({t})*i"
     return False, f"({c.canonical()})"
+
+
+def term_text(c, mono: str):
+    """(negated, text) of the term c * mono in the expression grammar.
+
+    c is a FormalScalar or a NumericScalar and mono the text of the
+    monomial, "" for the unit; the text parses back to the same term.
+    """
+    if isinstance(c, NumericScalar):
+        txt = f"({c.val.real!r}{c.val.imag:+}j)"
+        return False, f"{txt}*{mono}" if mono else txt
+    if len(c.coeffs) > 1:
+        txt = f"({c.canonical()})"
+        return False, f"{txt}*{mono}" if mono else txt
+    ((r, g),) = c.coeffs.items()
+    neg, mag = _coeff_factor(g)
+    factors = [] if mag is None else [mag]
+    if r:
+        factors.append("h" if r == 1 else f"h^{r}")
+    if mono:
+        factors.append(mono)
+    return neg, "*".join(factors) or "1"
+
+
+def join_terms(pieces) -> str:
+    """Join (negated, text) pieces into "a - b + c"; "0" for no pieces."""
+    chunks = []
+    for neg, text in pieces:
+        if chunks:
+            chunks.append(f" - {text}" if neg else f" + {text}")
+        else:
+            chunks.append(f"-{text}" if neg else text)
+    return "".join(chunks) or "0"
 
 
 class NumericScalar:

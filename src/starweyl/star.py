@@ -303,7 +303,8 @@ def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
     if form.gens != t.gens or form.domain != t.domain:
         raise IncompatibleError("form and tensor square over different algebras")
     out = kernels.p_lambda_terms(_plain_entries(form), t.terms)
-    return TensorSquare(t.gens, out, t.domain, t.trunc, _clean=True)
+    return TensorSquare(t.gens, out, t.domain, min(t.trunc, form.trunc),
+                        _clean=True)
 
 
 # -- the integer encoding of the formal domain ----------------------------------
@@ -452,14 +453,15 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     a._check_compatible(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
-    trunc = min(a.trunc, b.trunc)
+    # the coefficients are exact only up to the smallest truncation in play
+    trunc = min(a.trunc, b.trunc, form.trunc)
     if not a.terms or not b.terms:
         return Polynomial.zero(a.gens, a.domain, trunc)
     rmax = min(a.degree(), b.degree())
     if a.domain == "formal":
         out = _star_formal(form, z, a, b, rmax)
     else:
-        zfacts = _z_factors(z, min(trunc, form.trunc), rmax)
+        zfacts = _z_factors(z, trunc, rmax)
         out = kernels.star_terms(
             _plain_entries(form), zfacts, a.terms, b.terms, len(zfacts) - 1
         )
@@ -518,7 +520,7 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
     a._check_compatible(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
-    trunc = min(a.trunc, b.trunc)
+    trunc = min(a.trunc, b.trunc, form.trunc)
     if a.domain == "formal":
         t, (dl, entries), (da, ea), (db, eb) = _encode_operands(form, 1, a, b)
         out = _decode(_bracket_terms(entries, ea, eb), dl * da * db, len(a.gens), t)
@@ -552,11 +554,6 @@ def jacobi_defect(bracket, f: Polynomial, g: Polynomial, h: Polynomial) -> Polyn
         + bracket(bracket(g, h), f)
         + bracket(bracket(h, f), g)
     )
-
-
-def hbar_coefficient(a: Polynomial, r: int) -> Polynomial:
-    """Coefficient of h^r of a formal polynomial (constant coefficients)."""
-    return a.hbar_coefficient(r)
 
 
 class OrderingOperator:

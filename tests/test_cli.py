@@ -256,6 +256,7 @@ BAD_ARGUMENTS = [
     (["frobnicate", "q"], 2),
     (["star", "p"], 2),
     (["star", "q +", "p"], 1),
+    (["star", "q^99999999", "p"], 1),
     (["bch", "--order", "9", "X", "Y"], 1),
 ]
 
@@ -272,6 +273,32 @@ def test_bad_arguments_exit_without_a_traceback(argv, code, capsys):
     assert rc == code
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expcheck", "--v", "-1/2,1/3", "--alpha", "1"],
+        ["expcheck", "--v", "1/2,-1/3", "--alpha", "-3/2", "--json"],
+        ["weylrel", "--v", "-1,0", "--w", "-1/2,1", "--degree", "2",
+         "--orders", "2"],
+    ],
+)
+def test_vector_values_may_start_with_minus(argv, capsys):
+    from starweyl.cli import main
+
+    # the same call with every option value attached by '='
+    attached = []
+    for arg in argv:
+        if attached and attached[-1] in ("--v", "--w", "--alpha"):
+            attached[-1] += "=" + arg
+        else:
+            attached.append(arg)
+    rc = main(argv)
+    spaced = capsys.readouterr()
+    assert rc == 0, spaced.err
+    assert main(attached) == 0
+    assert capsys.readouterr().out == spaced.out != ""
 
 
 def test_nonlinear_bch_argument_is_computation_error():

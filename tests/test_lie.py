@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
+    FormalScalar,
     GaussianRational,
     LieAlgebra,
     Polynomial,
@@ -16,7 +17,6 @@ from starweyl import (
     bch_exponential,
     check_bch_property,
     gutt_star,
-    hbar_coefficient,
     hbar_exponential,
     heisenberg3,
     kks_bracket,
@@ -30,6 +30,7 @@ from starweyl import (
 
 H3 = heisenberg3()
 SL2 = sl2()
+AXB = LieAlgebra(("A", "B"), {(0, 1): (0, 1)}, coords=("a", "b"))
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -139,6 +140,34 @@ def test_pbw_inverse_sl2(f):
     assert pbw_symmetrize_inverse(SL2, pbw_symmetrize(SL2, f)) == f
 
 
+@st.composite
+def ue_sums(draw, algebra):
+    """Sums of normal-ordered words times h-dependent coefficients, each
+    summand at its own truncation."""
+    total = None
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        trunc = draw(st.integers(min_value=0, max_value=8))
+        word = draw(st.lists(st.integers(0, algebra.dim - 1), max_size=4))
+        orders = draw(st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
+        u = ue_normal_order(algebra, word, trunc) * FormalScalar(orders, trunc)
+        total = u if total is None else total + u
+    if total is None:
+        total = UEElement.zero(algebra, draw(st.integers(0, 8)))
+    return total
+
+
+@pytest.mark.parametrize("algebra", [H3, SL2, AXB], ids=["h3", "sl2", "axb"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pbw_symmetrize_undoes_the_inverse(algebra, data):
+    u = data.draw(ue_sums(algebra))
+    f = pbw_symmetrize_inverse(algebra, u)
+    assert f.trunc == u.trunc
+    back = pbw_symmetrize(algebra, f)
+    assert back == u
+    assert back.trunc == u.trunc
+
+
 def test_pbw_symmetrize_linear_is_identity():
     v = poly_from_text("x - 2*z", H3.coords, trunc=6)
     u = pbw_symmetrize(H3, v)
@@ -172,7 +201,7 @@ def test_gutt_first_order_is_kks(f, g):
     s = gutt_star(SL2, f, g) - gutt_star(SL2, g, f)
     i = GaussianRational(0, 1)
     expected = kks_bracket(SL2, f, g).map_coefficients(lambda c: c * i)
-    assert hbar_coefficient(s, 1) == expected
+    assert s.hbar_coefficient(1) == expected
 
 
 def test_kks_on_coordinates_returns_structure_constants():
@@ -245,4 +274,4 @@ def test_exponential_helpers_agree():
     )
     rhs = bch_exponential(bch(H3, (1, 0, 0), (0, 1, 0), order), trunc=order)
     for r in range(order + 1):
-        assert hbar_coefficient(lhs, r) == hbar_coefficient(rhs, r)
+        assert lhs.hbar_coefficient(r) == rhs.hbar_coefficient(r)

@@ -74,6 +74,19 @@ def test_error_carries_position():
     assert "column 5" in str(exc.value)
 
 
+def test_exponent_limit():
+    from starweyl.parse import MAX_EXPONENT
+
+    assert parse(f"q^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    for src, col in ((f"q^{MAX_EXPONENT + 1}", 3), ("p + (q+1)^99999999", 11)):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert "exceeds the limit" in str(exc.value)
+        assert f"column {col})" in str(exc.value)
+    with pytest.raises(ParseError):
+        scalar_from_text("h^99999999")
+
+
 def test_scalar_parser_rejects_generators():
     with pytest.raises(ParseError):
         scalar_from_text("q + 1")

@@ -106,6 +106,32 @@ def test_translate_matches_substitution():
     assert shifted == expected
 
 
+shifts = st.one_of(
+    st.just(0),
+    gaussians,
+    st.builds(
+        lambda c, d: FormalScalar({0: c, 1: d}, 5), gaussians, gaussians
+    ),
+)
+
+
+@given(polys(GENS3, max_deg=3), st.tuples(shifts, shifts, shifts))
+@settings(max_examples=60, deadline=None)
+def test_translate_is_substitution(f, s):
+    # sum_e c_e prod_i (x_i + s_i)^(e_i) through Polynomial arithmetic
+    one = Polynomial.one(GENS3)
+    moved = [Polynomial.generator(GENS3, i) + one * s[i] for i in range(3)]
+    expected = Polynomial.zero(GENS3)
+    for e, c in f.terms.items():
+        term = one * c
+        for i, k in enumerate(e):
+            term = term * moved[i] ** k
+        expected = expected + term
+    got = f.translate(s)
+    assert got == expected
+    assert got.trunc == expected.trunc
+
+
 @given(polys())
 @settings(max_examples=60)
 def test_json_roundtrip(f):
@@ -133,14 +159,14 @@ def test_linear_and_constant_helpers():
 
 
 def test_hbar_coefficient_reassembles():
-    from starweyl import hbar_coefficient, scalar_from_text
+    from starweyl import scalar_from_text
 
     f = poly_from_text("q^2 + i*h*q*p + (1/2)*h^2", GENS2)
     h = Polynomial.constant(GENS2, scalar_from_text("h"))
     total = Polynomial.zero(GENS2)
     hpow = Polynomial.one(GENS2)
     for r in range(f.trunc + 1):
-        total = total + hbar_coefficient(f, r) * hpow
+        total = total + f.hbar_coefficient(r) * hpow
         hpow = hpow * h
     assert total == f
 

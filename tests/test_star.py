@@ -18,8 +18,8 @@ from starweyl import (
     Generators,
     Polynomial,
     TensorSquare,
+    TruncationError,
     apply_equivalence,
-    hbar_coefficient,
     jacobi_defect,
     minus_i_hbar,
     n_operator,
@@ -111,14 +111,14 @@ def test_n_operator_value_and_direction():
 @given(polys(), polys())
 @settings(max_examples=40)
 def test_order_zero_is_the_pointwise_product(f, g):
-    assert hbar_coefficient(star_standard(f, g), 0) == f * g
+    assert star_standard(f, g).hbar_coefficient(0) == f * g
 
 
 @given(polys(), polys(), forms())
 @settings(max_examples=40, deadline=None)
 def test_first_order_commutator_is_the_poisson_bracket(f, g, lam):
     s = star(lam, Z, f, g) - star(lam, Z, g, f)
-    lhs = hbar_coefficient(s, 1)
+    lhs = s.hbar_coefficient(1)
     pb = poisson_bracket(lam.transpose(), f, g)
     assert lhs == pb.map_coefficients(lambda c: c * I)
 
@@ -129,8 +129,8 @@ def test_unit_is_neutral_and_kills_higher_orders(f):
     assert star_standard(one, f) == f
     assert star_standard(f, one) == f
     for r in range(1, 9):
-        assert hbar_coefficient(star_standard(one, f), r) == Polynomial.zero(G)
-        assert hbar_coefficient(star_standard(f, one), r) == Polynomial.zero(G)
+        assert star_standard(one, f).hbar_coefficient(r) == Polynomial.zero(G)
+        assert star_standard(f, one).hbar_coefficient(r) == Polynomial.zero(G)
 
 
 @given(polys(max_deg=2), polys(max_deg=2), polys(max_deg=2), forms())
@@ -156,9 +156,27 @@ def test_degree_drop_per_order(f, g, lam):
     s = star(lam, Z, f, g)
     d = f.degree() + g.degree() if f and g else -1
     for r in range(9):
-        c = hbar_coefficient(s, r)
+        c = s.hbar_coefficient(r)
         if c:
             assert c.degree() == d - 2 * r
+
+
+def test_result_truncation_counts_the_form():
+    # a form truncated at 2 limits the result to h^2 even when the operands
+    # and z are carried to h^8
+    form = standard_form(G, "formal", 2)
+    z = minus_i_hbar("formal", 8)
+    a, b = pf("p^3"), pf("q^3")
+    s = star(form, z, a, b)
+    assert s.trunc == 2
+    assert str(s) == "q^3*p^3 - 9*i*h*q^2*p^2 - 18*h^2*q*p"
+    assert s.hbar_coefficient(2) == pf("-18*q*p")
+    with pytest.raises(TruncationError):
+        s.hbar_coefficient(3)
+    assert star(form, z, Polynomial.zero(G), b).trunc == 2
+    assert poisson_bracket(form, a, b).trunc == 2
+    assert p_lambda(form, TensorSquare.of(a, b)).trunc == 2
+    assert poisson_bracket(standard_form(G, "formal", 8), a, b).trunc == 8
 
 
 def test_series_terminates_at_min_degree():
@@ -277,9 +295,9 @@ def test_star_equals_the_naive_oracle(case):
     form, ztext, a, b = case
     z = scalar_from_text(ztext, "formal", form.trunc)
     out = star(form, z, a, b)
-    assert out.trunc == min(a.trunc, b.trunc)
     # coefficients are exact up to the smallest truncation in play
     t = min(a.trunc, b.trunc, form.trunc)
+    assert out.trunc == t
     lam = [[form.entry(i, j) for j in range(2)] for i in range(2)]
     dense = naive_star(
         lam, z,

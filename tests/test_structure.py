@@ -1,0 +1,136 @@
+"""Source-structure checks on src/starweyl.
+
+Every sparse term sum goes through poly.accumulate. The hand-written
+accumulate idiom (read a dict slot with .get, add to it when it was there,
+drop it when the sum vanishes) may appear only in:
+
+- accumulate itself;
+- the kernels, kernels.py: routed through accumulate, the integer star
+  product measured 4-5% slower;
+- the naive oracles, bruteforce.py, kept naive on purpose;
+- FormalScalar.__add__ and __mul__, the h-series arithmetic that every
+  coefficient operation in the kernels runs (scalars.py sits below poly.py
+  and cannot import it).
+"""
+
+import ast
+import os
+
+import starweyl
+
+PACKAGE = os.path.dirname(starweyl.__file__)
+EXEMPT_FILES = {"kernels.py", "bruteforce.py"}
+EXEMPT_FUNCTIONS = {
+    ("poly.py", "accumulate"),
+    ("scalars.py", "FormalScalar.__add__"),
+    ("scalars.py", "FormalScalar.__mul__"),
+}
+
+
+def _method(node):
+    """(dict name, method name) for d.get(...) / d.pop(...), else None."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+    ):
+        return node.func.value.id, node.func.attr
+    return None
+
+
+def _none_tested(node):
+    """x for a test `x is None` / `x is not None`, else None."""
+    if (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Name)
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+    ):
+        return node.left.id
+    return None
+
+
+def _has_idiom(fn):
+    """True when fn (nested functions included) reads slot = d.get(k),
+    tests slot against None and adds to slot, or calls d.get and
+    d.pop(k, None) on one dict d."""
+    got, popped, slots, tested, summed = set(), set(), set(), set(), set()
+    for node in ast.walk(fn):
+        call = _method(node)
+        if call and call[1] == "get":
+            got.add(call[0])
+        if call and call[1] == "pop" and len(node.args) == 2:
+            popped.add(call[0])
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and (_method(node.value) or ("", ""))[1] == "get"
+        ):
+            slots.add(node.targets[0].id)
+        if isinstance(node, (ast.If, ast.IfExp)):
+            tested.add(_none_tested(node.test))
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Add, ast.Sub))
+            and isinstance(node.left, ast.Name)
+        ):
+            summed.add(node.left.id)
+    return bool(got & popped or slots & tested & summed)
+
+
+def accumulate_idioms(tree, filename):
+    """(filename, qualified name) of each function or method in a module
+    that holds the idiom, minus the exempt ones."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            fns = [(f"{node.name}.{f.name}", f) for f in node.body
+                   if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            fns = [(node.name, node)]
+        else:
+            continue
+        for name, fn in fns:
+            if (filename, name) not in EXEMPT_FUNCTIONS and _has_idiom(fn):
+                found.append((filename, name))
+    return found
+
+
+IDIOM = (
+    "def f(out, items):\n"
+    "    for key, c in items:\n"
+    "        prev = out.get(key)\n"
+    "        s = c if prev is None else prev + c\n"
+    "        if s:\n"
+    "            out[key] = s\n"
+    "        else:\n"
+    "            del out[key]\n"
+)
+
+
+def test_detector_sees_the_idiom():
+    assert accumulate_idioms(ast.parse(IDIOM), "x.py") == [("x.py", "f")]
+    # the same loop in a method, pruning with pop instead of del
+    method = "class T:\n" + "".join(
+        "    " + line + "\n"
+        for line in IDIOM.replace("del out[key]", "out.pop(key, None)").splitlines()
+    )
+    assert accumulate_idioms(ast.parse(method), "x.py") == [("x.py", "T.f")]
+    named = IDIOM.replace("def f", "def accumulate")
+    assert accumulate_idioms(ast.parse(named), "poly.py") == []
+    # a config lookup with a default is not an accumulation
+    lookup = "def g(cfg):\n    v = cfg.get('z')\n    if v is None:\n        v = 1\n"
+    assert accumulate_idioms(ast.parse(lookup), "x.py") == []
+
+
+def test_no_hand_written_accumulate_outside_the_helper_and_kernels():
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py") or name in EXEMPT_FILES:
+            continue
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            found += accumulate_idioms(ast.parse(fh.read()), name)
+    assert found == []
