@@ -26,7 +26,6 @@ from .seminorms import (
 )
 from .session import ConfigError, Session, _form_from_matrix
 from .star import (
-    BilinearForm,
     apply_equivalence,
     ordering_operator,
     poisson_bracket,

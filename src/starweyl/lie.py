@@ -12,13 +12,12 @@ argument and the exp/BCH bookkeeping.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
 from .errors import IncompatibleError, StarWeylError, TruncationError
 from .parse import RESERVED_NAMES
-from .poly import Generators, Polynomial, accumulate, merge_terms
+from .poly import Generators, Polynomial, TermSum, accumulate, monomial_text
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
@@ -29,6 +28,7 @@ from .scalars import (
     join_terms,
     term_text,
 )
+from .seminorms import truncated_exponential
 
 
 def _gr(x):
@@ -356,40 +356,28 @@ def sl2() -> LieAlgebra:
     )
 
 
-class UEElement:
+class UEElement(TermSum):
     """Element of the rescaled universal envelope in PBW normal form.
 
     terms maps sorted index tuples to FormalScalar coefficients.
     """
 
-    __slots__ = ("algebra", "trunc", "terms")
-    domain = "formal"  # for poly.merge_terms: coefficients are FormalScalars
+    __slots__ = ("algebra",)
+    _space = ("algebra",)
+    _mismatch = "envelope elements over different algebras"
+    domain = "formal"  # the coefficients are FormalScalars
 
     def __init__(self, algebra, terms=None, trunc=DEFAULT_TRUNCATION, _clean=False):
-        if terms is None:
-            terms = {}
-        if _clean:
-            cl = terms
-        else:
-            def checked(m, c):
-                m = tuple(m)
-                if any(not (0 <= idx < algebra.dim) for idx in m):
-                    raise ValueError(f"monomial index out of range in {m!r}")
-                if tuple(sorted(m)) != m:
-                    raise ValueError(f"monomial {m!r} is not in PBW order")
-                if not isinstance(c, FormalScalar):
-                    c = FormalScalar.constant(c, trunc)
-                elif c.trunc != trunc:
-                    c = c.truncate(trunc)
-                return m, c
-
-            cl = accumulate({}, (checked(m, c) for m, c in terms.items()))
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", cl)
+        self._fill(terms, trunc, _clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("UEElement is immutable")
+    def _key(self, m):
+        m = tuple(m)
+        if any(not (0 <= idx < self.algebra.dim) for idx in m):
+            raise ValueError(f"monomial index out of range in {m!r}")
+        if tuple(sorted(m)) != m:
+            raise ValueError(f"monomial {m!r} is not in PBW order")
+        return m
 
     @classmethod
     def zero(cls, algebra, trunc=DEFAULT_TRUNCATION):
@@ -400,41 +388,12 @@ class UEElement:
         k = which if isinstance(which, int) else algebra.basis.index(which)
         return cls(algebra, {(k,): 1}, trunc)
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _check(self, other):
-        if self.algebra != other.algebra:
-            raise IncompatibleError("envelope elements over different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, UEElement):
-            return NotImplemented
-        self._check(other)
-        out, trunc = merge_terms(self, other)
-        return UEElement(self.algebra, out, trunc, _clean=True)
-
-    def __neg__(self):
-        return UEElement(
-            self.algebra, {m: -c for m, c in self.terms.items()}, self.trunc,
-            _clean=True
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, UEElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, FormalScalar)):
-            out = {}
-            for m, c in self.terms.items():
-                v = c * other
-                if v:
-                    out[m] = v
-            return UEElement(self.algebra, out, self.trunc, _clean=True)
         if not isinstance(other, UEElement):
-            return NotImplemented
+            try:
+                return self.scale(other)
+            except TypeError:
+                return NotImplemented
         self._check(other)
         n = min(self.trunc, other.trunc)
         out = {}
@@ -453,76 +412,34 @@ class UEElement:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, UEElement):
-            return NotImplemented
-        return self.algebra == other.algebra and self.terms == other.terms
-
-    __hash__ = None
+    @staticmethod
+    def _sort_key(m):
+        return (len(m), m)
 
     def _monomial_text(self, m):
-        counts = {}
-        for idx in m:
-            counts[idx] = counts.get(idx, 0) + 1
-        mono = []
-        for idx in sorted(counts):
-            nm = self.algebra.basis[idx]
-            k = counts[idx]
-            mono.append(nm if k == 1 else f"{nm}^{k}")
-        return "*".join(mono)
-
-    def __str__(self):
-        items = sorted(
-            self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]), reverse=True
-        )
-        return join_terms(term_text(c, self._monomial_text(m)) for m, c in items)
+        basis = self.algebra.basis
+        return monomial_text(basis, [m.count(k) for k in range(len(basis))])
 
     def __repr__(self):
         return f"<UEElement {self}>"
 
 
-def ue_normal_order(algebra: LieAlgebra, word, trunc=DEFAULT_TRUNCATION,
-                    strategy="leftmost") -> UEElement:
-    """Straighten an arbitrary word of generator indices into PBW form.
-
-    strategy picks which descent to rewrite first ("leftmost" or
-    "rightmost"); confluence makes the result identical.
-    """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+def ue_normal_order(algebra: LieAlgebra, word,
+                    trunc=DEFAULT_TRUNCATION) -> UEElement:
+    """Straighten an arbitrary word of generator indices into PBW form."""
     word = tuple(
         w if isinstance(w, int) else algebra.basis.index(w) for w in word
     )
     if any(not (0 <= idx < algebra.dim) for idx in word):
         raise ValueError("word index out of range")
-    one = FormalScalar.constant(1, trunc)
-    ih = FormalScalar({1: GR_I}, trunc)
-    work = [(word, one)]
-    normal = []
-    while work:
-        w, c = work.pop()
-        if not c:
-            continue
-        pos = -1
-        rng = range(len(w) - 1)
-        if strategy == "rightmost":
-            rng = reversed(rng)
-        for t in rng:
-            if w[t] > w[t + 1]:
-                pos = t
-                break
-        if pos < 0:
-            normal.append((w, c))
-            continue
-        a, b = w[pos], w[pos + 1]
-        swapped = w[:pos] + (b, a) + w[pos + 2 :]
-        work.append((swapped, c))
-        row = algebra._c[a][b]
-        for k in range(algebra.dim):
-            if row[k]:
-                shorter = w[:pos] + (k,) + w[pos + 2 :]
-                work.append((shorter, c * (ih * row[k])))
-    return UEElement(algebra, accumulate({}, normal), trunc, _clean=True)
+    # the word times the empty monomial, straightened by the cached left
+    # multiplication; the raw result has weight len(word)
+    w = len(word)
+    return UEElement(algebra, {
+        m: FormalScalar({w - len(m): g}, trunc)
+        for m, g in algebra._mono_mul_raw(word, ()).items()
+        if w - len(m) <= trunc
+    }, trunc, _clean=True)
 
 
 def _check_coords(algebra: LieAlgebra, f: Polynomial):
@@ -657,18 +574,6 @@ class LieSeries:
 
     __hash__ = None
 
-    def to_polynomial(self, trunc=None) -> Polynomial:
-        """sum_w h^w (linear polynomial of Z_w) over the coordinates."""
-        n = self.order if trunc is None else trunc
-        gens = self.algebra.coords
-        out = Polynomial.zero(gens, "formal", n)
-        for w, vec in self.terms.items():
-            if w > n:
-                continue
-            lin = Polynomial.linear(gens, vec, "formal", n)
-            out = out + lin * FormalScalar({w: GR_ONE}, n)
-        return out
-
     def __str__(self):
         return join_terms(
             term_text(FormalScalar({w: g}, w, _clean=True), self.algebra.basis[k])
@@ -738,18 +643,9 @@ def hbar_exponential(algebra: LieAlgebra, vec, cutoff: int,
     """exp(h * v~) truncated at Sym-degree cutoff, v~ the linear coordinate
     function of vec."""
     n = cutoff if trunc is None else trunc
-    gens = algebra.coords
-    lin = Polynomial.linear(gens, [_gr(v) for v in vec], "formal", n)
-    out = Polynomial.one(gens, "formal", n)
-    power = Polynomial.one(gens, "formal", n)
-    for k in range(1, cutoff + 1):
-        power = power * lin
-        coeff = FormalScalar({k: GaussianRational(Fraction(1, math.factorial(k)))}, n)
-        term = power * coeff
-        if not term:
-            break
-        out = out + term
-    return out
+    return truncated_exponential(
+        algebra.coords, vec, FormalScalar.hbar(n), cutoff, "formal", n
+    ).base
 
 
 def bch_exponential(z: LieSeries, trunc=None) -> Polynomial:

@@ -16,12 +16,12 @@ from .errors import IncompatibleError
 from .poly import (
     Generators,
     Polynomial,
-    _coerce_coeff,
+    TermSum,
     accumulate,
     exponent_tuple,
-    merge_terms,
+    monomial_text,
 )
-from .scalars import DEFAULT_TRUNCATION, join_terms, term_text
+from .scalars import DEFAULT_TRUNCATION
 from .star import minus_i_hbar, n_operator
 
 
@@ -32,40 +32,25 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def _pairs_key(item):
-    (a, d), _ = item
-    return (sum(d), d, sum(a), a)
-
-
-class DifferentialOperator:
+class DifferentialOperator(TermSum):
     """Finite-order operator sum_{a,d} c_{a,d} x^a d^d on polynomials."""
 
-    __slots__ = ("gens", "domain", "trunc", "terms")
+    __slots__ = ("gens", "domain")
+    _space = ("gens", "domain")
+    _mismatch = "operators over different algebras"
 
     def __init__(self, gens, terms=None, domain="formal",
                  trunc=DEFAULT_TRUNCATION, _clean=False):
         if not isinstance(gens, Generators):
             gens = Generators(gens)
-        n = len(gens)
-        if terms is None:
-            terms = {}
-        if _clean:
-            cl = terms
-        else:
-            cl = accumulate({}, (
-                (
-                    (exponent_tuple(a, n), exponent_tuple(d, n)),
-                    _coerce_coeff(c, domain, trunc),
-                )
-                for (a, d), c in terms.items()
-            ))
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", cl)
+        self._fill(terms, trunc, _clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DifferentialOperator is immutable")
+    def _key(self, key):
+        n = len(self.gens)
+        a, d = key
+        return exponent_tuple(a, n), exponent_tuple(d, n)
 
     @classmethod
     def zero(cls, gens, domain="formal", trunc=DEFAULT_TRUNCATION):
@@ -77,45 +62,6 @@ class DifferentialOperator:
             gens = Generators(gens)
         z = (0,) * len(gens)
         return cls(gens, {(z, z): 1}, domain, trunc)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _check(self, other):
-        if self.gens != other.gens or self.domain != other.domain:
-            raise IncompatibleError("operators over different algebras")
-
-    def __add__(self, other):
-        if not isinstance(other, DifferentialOperator):
-            return NotImplemented
-        self._check(other)
-        out, trunc = merge_terms(self, other)
-        return DifferentialOperator(self.gens, out, self.domain, trunc, _clean=True)
-
-    def __neg__(self):
-        return DifferentialOperator(
-            self.gens,
-            {k: -c for k, c in self.terms.items()},
-            self.domain,
-            self.trunc,
-            _clean=True,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, DifferentialOperator):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "DifferentialOperator":
-        cc = _coerce_coeff(c, self.domain, self.trunc)
-        out = {}
-        if cc:
-            for k, v in self.terms.items():
-                p = v * cc
-                if p:
-                    out[k] = p
-        return DifferentialOperator(self.gens, out, self.domain, self.trunc,
-                                    _clean=True)
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Act on a polynomial in the configuration generators."""
@@ -193,43 +139,26 @@ class DifferentialOperator:
         return DifferentialOperator(self.gens, accumulate({}, terms()),
                                     self.domain, self.trunc, _clean=True)
 
-    def __eq__(self, other):
-        if not isinstance(other, DifferentialOperator):
-            return NotImplemented
-        return (
-            self.gens == other.gens
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
     # -- text / JSON ---------------------------------------------------------
-    def _monomial_text(self, a, d):
-        mono = []
-        for name, k in zip(self.gens.names, a):
-            if k == 1:
-                mono.append(name)
-            elif k > 1:
-                mono.append(f"{name}^{k}")
-        for name, k in zip(self.gens.names, d):
-            if k == 1:
-                mono.append(f"D[{name}]")
-            elif k > 1:
-                mono.append(f"D[{name}]^{k}")
-        return "*".join(mono)
+    @staticmethod
+    def _sort_key(key):
+        a, d = key
+        return (sum(d), d, sum(a), a)
 
-    def __str__(self):
-        items = sorted(self.terms.items(), key=_pairs_key, reverse=True)
-        return join_terms(term_text(c, self._monomial_text(a, d))
-                          for (a, d), c in items)
+    def _monomial_text(self, key):
+        a, d = key
+        names = self.gens.names
+        return "*".join(filter(None, (
+            monomial_text(names, a),
+            monomial_text([f"D[{nm}]" for nm in names], d),
+        )))
 
     def __repr__(self):
         return f"<DifferentialOperator {self} over {list(self.gens.names)}>"
 
     def to_json(self) -> dict:
         terms = []
-        for (a, d), c in sorted(self.terms.items(), key=_pairs_key, reverse=True):
+        for (a, d), c in self.sorted_terms():
             coeff = c.canonical() if self.domain == "formal" else [
                 c.val.real, c.val.imag
             ]

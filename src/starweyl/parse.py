@@ -205,38 +205,15 @@ def parse_expression(src: str):
     return _Parser(src).parse()
 
 
-def eval_constant(ast, domain: str = "formal", trunc: int = 8):
-    """Evaluate a generator-free AST into a scalar of the given domain.
-
-    Used for coefficient strings in JSON forms and for z/config values.
-    """
-    if domain == "formal":
-        one = FormalScalar.constant(1, trunc)
-    elif domain == "numeric":
-        one = NumericScalar(1.0)
-    else:
-        raise ValueError(f"unknown scalar domain {domain!r}")
+def eval_ast(ast, leaf):
+    """Evaluate an AST: leaf(node) gives the value of each "num", "i", "h"
+    and "gen" node, and the values combine by -, +, * and ** as the other
+    nodes say. Operands evaluate left to right."""
 
     def ev(node):
         kind = node[0]
-        if kind == "num":
-            return one * node[1]
-        if kind == "i":
-            if domain == "formal":
-                return one * GR_I
-            return NumericScalar(0.0, 1.0)
-        if kind == "h":
-            if domain == "formal":
-                return FormalScalar.hbar(trunc)
-            line, col = node[1]
-            raise ParseError("'h' is not available in the numeric domain", line, col)
-        if kind == "gen":
-            line, col = node[2]
-            raise ParseError(
-                f"unknown identifier {node[1]!r} in a constant expression",
-                line,
-                col,
-            )
+        if kind in ("num", "i", "h", "gen"):
+            return leaf(node)
         if kind == "neg":
             return -ev(node[1])
         if kind == "add":
@@ -250,6 +227,41 @@ def eval_constant(ast, domain: str = "formal", trunc: int = 8):
         raise ValueError(f"bad AST node {node!r}")
 
     return ev(ast)
+
+
+def h_unavailable(node):
+    line, col = node[1]
+    return ParseError("'h' is not available in the numeric domain", line, col)
+
+
+def eval_constant(ast, domain: str = "formal", trunc: int = 8):
+    """Evaluate a generator-free AST into a scalar of the given domain.
+
+    Used for coefficient strings in JSON forms and for z/config values.
+    """
+    if domain == "formal":
+        one = FormalScalar.constant(1, trunc)
+    elif domain == "numeric":
+        one = NumericScalar(1.0)
+    else:
+        raise ValueError(f"unknown scalar domain {domain!r}")
+
+    def leaf(node):
+        kind = node[0]
+        if kind == "num":
+            return one * node[1]
+        if kind == "i":
+            return one * GR_I if domain == "formal" else NumericScalar(0.0, 1.0)
+        if kind == "h":
+            if domain == "formal":
+                return FormalScalar.hbar(trunc)
+            raise h_unavailable(node)
+        line, col = node[2]
+        raise ParseError(
+            f"unknown identifier {node[1]!r} in a constant expression", line, col
+        )
+
+    return eval_ast(ast, leaf)
 
 
 def scalar_from_text(text: str, domain: str = "formal", trunc: int = 8):

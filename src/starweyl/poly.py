@@ -13,10 +13,11 @@ import math
 from fractions import Fraction
 
 from . import kernels
-from .errors import IncompatibleError, TruncationError
-from .parse import scalar_from_text
+from .errors import IncompatibleError, ParseError, TruncationError
+from .parse import eval_ast, h_unavailable, parse_expression, scalar_from_text
 from .scalars import (
     DEFAULT_TRUNCATION,
+    GR_I,
     FormalScalar,
     GaussianRational,
     NumericScalar,
@@ -82,9 +83,11 @@ def total_degree(exp) -> int:
 
 
 def _coerce_coeff(c, domain, trunc):
+    """c as a coefficient of the domain, cut to h-order trunc; a formal
+    coefficient known to fewer orders keeps its own truncation."""
     if domain == "formal":
         if isinstance(c, FormalScalar):
-            return c if c.trunc == trunc else c.truncate(trunc)
+            return c if c.trunc <= trunc else c.truncate(trunc)
         if isinstance(c, (int, Fraction, GaussianRational)):
             return FormalScalar.constant(c, trunc)
         raise TypeError(f"bad formal coefficient {c!r}")
@@ -97,6 +100,22 @@ def _coerce_coeff(c, domain, trunc):
             return NumericScalar(c.to_complex())
         raise TypeError(f"bad numeric coefficient {c!r}")
     raise ValueError(f"unknown scalar domain {domain!r}")
+
+
+def coerce_coeffs(values, domain, trunc):
+    """(coefficients, truncation) of values in the domain.
+
+    The truncation is the smallest of trunc and those of the formal values,
+    and every coefficient is cut to it: nothing built from a value known to
+    h^n claims to know h^(n+1).
+    """
+    cs = [_coerce_coeff(c, domain, trunc) for c in values]
+    if domain == "formal":
+        low = min((c.trunc for c in cs), default=trunc)
+        if low < trunc:
+            trunc = low
+            cs = [c if c.trunc == low else c.truncate(low) for c in cs]
+    return cs, trunc
 
 
 def accumulate(out, items):
@@ -120,56 +139,138 @@ def exponent_tuple(exp, n):
     return exp
 
 
-def merge_terms(x, y):
-    """(terms, trunc) of the sum of two term containers of one domain.
-
-    The sum keeps the smaller truncation, and no coefficient is kept above
-    it: formal coefficients that came from the operand with the larger
-    truncation are cut down to it.
-    """
-    trunc = min(x.trunc, y.trunc)
-    out = accumulate(dict(x.terms), y.terms.items())
-    if x.domain == "formal" and x.trunc != y.trunc:
-        cut = {}
-        for key, c in out.items():
-            if c.trunc > trunc:
-                c = c.truncate(trunc)
-            if c:
-                cut[key] = c
-        out = cut
-    return out, trunc
-
-
 def monomial_sort_key(exp):
     return (total_degree(exp), exp)
 
 
-class Polynomial:
+def monomial_text(names, exp):
+    """Text of the monomial prod names[i]^exp[i]; "" for the unit."""
+    return "*".join(
+        nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, exp) if k
+    )
+
+
+class TermSum:
+    """Immutable finite sum of terms, key -> nonzero coefficient.
+
+    The attributes named in _space (with the domain) say where the terms
+    live; two sums combine only over the same space. trunc is the h-order
+    the formal coefficients are known to: a sum, a scaling or a constructor
+    that meets a coefficient of smaller truncation takes that truncation,
+    and no coefficient is kept above it. A subclass supplies its __init__
+    (which calls _fill), _key, _check or _mismatch, _sort_key and
+    _monomial_text, its products and its JSON.
+    """
+
+    __slots__ = ("trunc", "terms")
+
+    def _fill(self, terms, trunc, clean):
+        """Set trunc and terms; unless clean, validate every key with _key,
+        coerce every coefficient and drop the vanishing sums."""
+        if terms is None:
+            terms = {}
+        if not clean:
+            coeffs, trunc = coerce_coeffs(terms.values(), self.domain, trunc)
+            terms = accumulate({}, zip(map(self._key, terms), coeffs))
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "terms", terms)
+
+    def _wrap(self, terms, trunc=None):
+        """A sum over the space of self with clean terms (trunc defaults to
+        self.trunc)."""
+        new = object.__new__(type(self))
+        for name in self._space:
+            object.__setattr__(new, name, getattr(self, name))
+        object.__setattr__(new, "trunc", self.trunc if trunc is None else trunc)
+        object.__setattr__(new, "terms", terms)
+        return new
+
+    def _cut(self, trunc):
+        """self with every formal coefficient cut to h-order trunc."""
+        if trunc >= self.trunc:
+            return self
+        terms = self.terms
+        if self.domain == "formal":
+            terms = {k: t for k, c in terms.items() if (t := c.truncate(trunc))}
+        return self._wrap(terms, trunc)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _check(self, other):
+        if any(getattr(self, n) != getattr(other, n) for n in self._space):
+            raise IncompatibleError(self._mismatch)
+
+    def coerce_scalar(self, c):
+        return _coerce_coeff(c, self.domain, self.trunc)
+
+    # -- linear structure ----------------------------------------------------
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        trunc = min(self.trunc, other.trunc)
+        out = accumulate(dict(self._cut(trunc).terms),
+                         other._cut(trunc).terms.items())
+        return self._wrap(out, trunc)
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c):
+        """self times the scalar c (TypeError when c is not one)."""
+        c = self.coerce_scalar(c)
+        trunc = c.trunc if self.domain == "formal" else self.trunc
+        return self._wrap(
+            {k: p for k, v in self.terms.items() if (p := v * c)}, trunc
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(
+            getattr(self, n) == getattr(other, n) for n in self._space
+        ) and self.terms == other.terms
+
+    __hash__ = None
+
+    # -- text ----------------------------------------------------------------
+    def sorted_terms(self):
+        """Terms in print order, the largest _sort_key first."""
+        return sorted(
+            self.terms.items(), key=lambda kv: self._sort_key(kv[0]), reverse=True
+        )
+
+    def __str__(self):
+        return join_terms(
+            term_text(c, self._monomial_text(k)) for k, c in self.sorted_terms()
+        )
+
+
+class Polynomial(TermSum):
     """Element of the symmetric algebra over n generators."""
 
-    __slots__ = ("gens", "domain", "trunc", "terms")
+    __slots__ = ("gens", "domain")
+    _space = ("gens", "domain")
 
     def __init__(self, gens, terms=None, domain="formal",
                  trunc=DEFAULT_TRUNCATION, _clean=False):
         if not isinstance(gens, Generators):
             gens = Generators(gens)
-        n = len(gens)
-        if terms is None:
-            terms = {}
-        if _clean:
-            cl = terms
-        else:
-            cl = accumulate({}, (
-                (exponent_tuple(exp, n), _coerce_coeff(c, domain, trunc))
-                for exp, c in terms.items()
-            ))
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", cl)
+        self._fill(terms, trunc, _clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+    def _key(self, exp):
+        return exponent_tuple(exp, len(self.gens))
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -208,31 +309,19 @@ class Polynomial:
             terms[exp] = c
         return cls(gens, terms, domain, trunc)
 
-    def _zero_like(self):
-        return Polynomial(self.gens, {}, self.domain, self.trunc, _clean=True)
-
-    def _wrap(self, terms):
-        return Polynomial(self.gens, terms, self.domain, self.trunc, _clean=True)
-
     def scalar_one(self):
         if self.domain == "formal":
             return FormalScalar.constant(1, self.trunc)
         return NumericScalar(1.0)
 
-    def coerce_scalar(self, c):
-        return _coerce_coeff(c, self.domain, self.trunc)
-
     # -- predicates ---------------------------------------------------------
-    def __bool__(self):
-        return bool(self.terms)
-
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def _check_compatible(self, other):
+    def _check(self, other):
         if self.gens != other.gens:
             raise IncompatibleError(
                 f"generator mismatch: {self.gens.names} vs {other.gens.names}"
@@ -243,24 +332,9 @@ class Polynomial:
             )
 
     # -- ring operations -------------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out, trunc = merge_terms(self, other)
-        return Polynomial(self.gens, out, self.domain, trunc, _clean=True)
-
-    def __neg__(self):
-        return self._wrap({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            self._check_compatible(other)
+            self._check(other)
             return Polynomial(
                 self.gens,
                 kernels.mul_terms(self.terms, other.terms),
@@ -269,17 +343,9 @@ class Polynomial:
                 _clean=True,
             )
         try:
-            c = self.coerce_scalar(other)
+            return self.scale(other)
         except TypeError:
             return NotImplemented
-        if not c:
-            return self._zero_like()
-        out = {}
-        for e, v in self.terms.items():
-            p = v * c
-            if p:
-                out[e] = p
-        return self._wrap(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -296,17 +362,6 @@ class Polynomial:
             if k:
                 base = base * base
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (
-            self.gens == other.gens
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
 
     # -- calculus ------------------------------------------------------------
     def partial_derivative(self, which) -> "Polynomial":
@@ -325,10 +380,11 @@ class Polynomial:
         n = len(self.gens)
         if len(shifts) != n:
             raise ValueError("shift vector length mismatch")
-        sh = [self.coerce_scalar(s) for s in shifts]
-        one = self.scalar_one()
+        sh, trunc = coerce_coeffs(shifts, self.domain, self.trunc)
+        src = self._cut(trunc)
+        one = src.scalar_one()
         out = {}
-        for e, c in self.terms.items():
+        for e, c in src.terms.items():
             # expand prod_i (x_i + s_i)^(e_i) one variable at a time; slot i
             # of every key in acc is still 0, so no two products collide
             acc = {(0,) * n: c}
@@ -353,23 +409,23 @@ class Polynomial:
                     if (w := v * binom[j])
                 }
             accumulate(out, acc.items())
-        return self._wrap(out)
+        return self._wrap(out, trunc)
 
     def evaluate(self, point):
         """Evaluate at a point (scalar per generator); returns a scalar."""
         n = len(self.gens)
         if len(point) != n:
             raise ValueError("point length mismatch")
-        pt = [self.coerce_scalar(p) for p in point]
+        pt, trunc = coerce_coeffs(point, self.domain, self.trunc)
         total = None
-        for e, c in self.terms.items():
+        for e, c in self._cut(trunc).terms.items():
             v = c
             for i, k in enumerate(e):
                 if k:
                     v = v * pt[i] ** k
             total = v if total is None else total + v
         if total is None:
-            total = self.coerce_scalar(0)
+            total = _coerce_coeff(0, self.domain, trunc)
         return total
 
     def graded_component(self, k: int) -> "Polynomial":
@@ -386,42 +442,20 @@ class Polynomial:
             raise TruncationError(
                 f"order {r} outside truncation {self.trunc}"
             )
-        out = {}
-        for e, c in self.terms.items():
-            g = c.coefficient(r)
-            if g:
-                out[e] = FormalScalar.constant(g, self.trunc)
-        return self._wrap(out)
+        return self._wrap({
+            e: FormalScalar.constant(g, self.trunc)
+            for e, c in self.terms.items()
+            if (g := c.coefficient(r))
+        })
 
     def map_coefficients(self, fn) -> "Polynomial":
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return self._wrap(out)
-
-    # -- views ------------------------------------------------------------------
-    def sorted_terms(self):
-        """Terms in canonical print order (degree desc, exponents lex desc)."""
-        return sorted(
-            self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]), reverse=True
-        )
+        return self._wrap({e: v for e, c in self.terms.items() if (v := fn(c))})
 
     # -- text ---------------------------------------------------------------------
-    def _monomial_text(self, exp):
-        parts = []
-        for name, k in zip(self.gens.names, exp):
-            if k == 1:
-                parts.append(name)
-            elif k > 1:
-                parts.append(f"{name}^{k}")
-        return "*".join(parts)
+    _sort_key = staticmethod(monomial_sort_key)
 
-    def __str__(self):
-        return join_terms(
-            term_text(c, self._monomial_text(exp)) for exp, c in self.sorted_terms()
-        )
+    def _monomial_text(self, exp):
+        return monomial_text(self.gens.names, exp)
 
     def __repr__(self):
         return f"<Polynomial {self} over {list(self.gens.names)}>"
@@ -467,51 +501,29 @@ class Polynomial:
 def poly_from_ast(ast, gens: Generators, domain="formal",
                   trunc=DEFAULT_TRUNCATION) -> Polynomial:
     """Evaluate a parsed expression AST into a polynomial."""
-    from .errors import ParseError
-    from .scalars import GR_I
 
-    one = Polynomial.one(gens, domain, trunc)
-
-    def ev(node):
+    def leaf(node):
         kind = node[0]
         if kind == "num":
             return Polynomial.constant(gens, node[1], domain, trunc)
         if kind == "i":
-            if domain == "formal":
-                return Polynomial.constant(gens, GR_I, domain, trunc)
-            return Polynomial.constant(gens, 1j, domain, trunc)
+            i = GR_I if domain == "formal" else 1j
+            return Polynomial.constant(gens, i, domain, trunc)
         if kind == "h":
             if domain != "formal":
-                line, col = node[1]
-                raise ParseError(
-                    "'h' is not available in the numeric domain", line, col
-                )
-            return one * FormalScalar.hbar(trunc)
-        if kind == "gen":
-            name = node[1]
-            if name not in gens:
-                line, col = node[2]
-                raise ParseError(f"unknown identifier {name!r}", line, col)
-            return Polynomial.generator(gens, name, domain, trunc)
-        if kind == "neg":
-            return -ev(node[1])
-        if kind == "add":
-            return ev(node[1]) + ev(node[2])
-        if kind == "sub":
-            return ev(node[1]) - ev(node[2])
-        if kind == "mul":
-            return ev(node[1]) * ev(node[2])
-        if kind == "pow":
-            return ev(node[1]) ** node[2]
-        raise ValueError(f"bad AST node {node!r}")
+                raise h_unavailable(node)
+            return Polynomial.constant(gens, FormalScalar.hbar(trunc), domain, trunc)
+        name = node[1]
+        if name not in gens:
+            line, col = node[2]
+            raise ParseError(f"unknown identifier {name!r}", line, col)
+        return Polynomial.generator(gens, name, domain, trunc)
 
-    return ev(ast)
+    return eval_ast(ast, leaf)
 
 
 def poly_from_text(text: str, gens, domain="formal",
                    trunc=DEFAULT_TRUNCATION) -> Polynomial:
-    from .parse import parse_expression
-
     if not isinstance(gens, Generators):
         gens = Generators(gens)
     return poly_from_ast(parse_expression(text), gens, domain, trunc)

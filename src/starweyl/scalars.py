@@ -48,9 +48,6 @@ class GaussianRational:
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 
-    def is_rational(self):
-        return not self.im
-
     # -- arithmetic -------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
@@ -217,10 +214,6 @@ class FormalScalar:
         return cls({1: 1}, trunc)
 
     @classmethod
-    def i_unit(cls, trunc: int = DEFAULT_TRUNCATION) -> "FormalScalar":
-        return cls({0: GR_I}, trunc)
-
-    @classmethod
     def minus_i_hbar(cls, trunc: int = DEFAULT_TRUNCATION) -> "FormalScalar":
         """The physics deformation parameter z = -i*h."""
         return cls({1: GaussianRational(0, -1)}, trunc)
@@ -228,9 +221,6 @@ class FormalScalar:
     # -- predicates ----------------------------------------------------------
     def __bool__(self):
         return bool(self.coeffs)
-
-    def is_constant(self):
-        return not self.coeffs or set(self.coeffs) == {0}
 
     def coefficient(self, r: int) -> GaussianRational:
         if r > self.trunc:

@@ -20,7 +20,7 @@ from .errors import (
     TruncationError,
 )
 from .poly import Generators, Polynomial
-from .scalars import DEFAULT_TRUNCATION, FormalScalar, GaussianRational
+from .scalars import DEFAULT_TRUNCATION, FormalScalar
 from .star import BilinearForm, star
 
 

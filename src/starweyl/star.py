@@ -14,8 +14,17 @@ from fractions import Fraction
 from operator import add
 
 from . import kernels
-from .errors import IncompatibleError, TruncationError
-from .poly import Generators, Polynomial, _coerce_coeff, accumulate, merge_terms
+from .errors import IncompatibleError
+from .poly import (
+    Generators,
+    Polynomial,
+    TermSum,
+    _coerce_coeff,
+    accumulate,
+    coerce_coeffs,
+    exponent_tuple,
+    monomial_text,
+)
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
@@ -36,17 +45,17 @@ class BilinearForm:
         if not isinstance(gens, Generators):
             gens = Generators(gens)
         n = len(gens)
-        rows = []
-        if len(matrix) != n:
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(f"matrix must be {n}x{n}")
-        for row in matrix:
-            if len(row) != n:
-                raise ValueError(f"matrix must be {n}x{n}")
-            rows.append(tuple(_coerce_coeff(c, domain, trunc) for c in row))
+        cells, trunc = coerce_coeffs(
+            [c for row in matrix for c in row], domain, trunc
+        )
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "matrix", tuple(rows))
+        object.__setattr__(
+            self, "matrix", tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("BilinearForm is immutable")
@@ -203,73 +212,41 @@ class BilinearForm:
         return f"<BilinearForm [{rows}] over {list(self.gens.names)}>"
 
 
-class TensorSquare:
+class TensorSquare(TermSum):
     """Element of Sym(V) (x) Sym(V), sparse over exponent-tuple pairs."""
 
-    __slots__ = ("gens", "domain", "trunc", "terms")
+    __slots__ = ("gens", "domain")
+    _space = ("gens", "domain")
+    _mismatch = "tensor squares over different algebras"
 
     def __init__(self, gens, terms, domain="formal", trunc=DEFAULT_TRUNCATION,
                  _clean=False):
         if not isinstance(gens, Generators):
             gens = Generators(gens)
-        if _clean:
-            cl = terms
-        else:
-            cl = {}
-            for key, c in terms.items():
-                ea, eb = tuple(key[0]), tuple(key[1])
-                cc = _coerce_coeff(c, domain, trunc)
-                if cc:
-                    cl[(ea, eb)] = cc
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", cl)
+        self._fill(terms, trunc, _clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorSquare is immutable")
+    def _key(self, key):
+        n = len(self.gens)
+        ea, eb = key
+        return exponent_tuple(ea, n), exponent_tuple(eb, n)
 
     @classmethod
     def of(cls, a: Polynomial, b: Polynomial) -> "TensorSquare":
-        a._check_compatible(b)
+        a._check(b)
         return cls(a.gens, _tensor_terms(a.terms, b.terms), a.domain,
                    min(a.trunc, b.trunc), _clean=True)
 
-    def __bool__(self):
-        return bool(self.terms)
+    @staticmethod
+    def _sort_key(key):
+        ea, eb = key
+        return (sum(ea) + sum(eb), ea, eb)
 
-    def __add__(self, other):
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        if self.gens != other.gens or self.domain != other.domain:
-            raise IncompatibleError("tensor squares over different algebras")
-        out, trunc = merge_terms(self, other)
-        return TensorSquare(self.gens, out, self.domain, trunc, _clean=True)
-
-    def __neg__(self):
-        return TensorSquare(
-            self.gens,
-            {k: -c for k, c in self.terms.items()},
-            self.domain,
-            self.trunc,
-            _clean=True,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorSquare):
-            return NotImplemented
-        return (
-            self.gens == other.gens
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
+    def _monomial_text(self, key):
+        """Text "a (x) b" of the key (a, b); a unit factor prints as 1."""
+        names = self.gens.names
+        return " (x) ".join(monomial_text(names, e) or "1" for e in key)
 
     def mu(self) -> Polynomial:
         """Multiplication map a (x) b -> a*b."""
@@ -397,22 +374,16 @@ def _decode(out, den, n, trunc):
     return terms
 
 
-def _encode_operands(form, z, a, b):
-    """trunc, (den, entries) of z * Lambda, and (den, terms) of a and of b,
-    encoded at trunc, the smallest truncation in play."""
-    trunc = min(a.trunc, b.trunc, form.trunc)
-    return (
-        trunc,
-        _fold(form, _coerce_coeff(z, "formal", trunc), trunc),
-        _encode(a.terms, trunc),
-        _encode(b.terms, trunc),
-    )
+def _encode_operands(form, z, a, b, trunc):
+    """(den, entries) of z * Lambda, and (den, terms) of a and of b, encoded
+    at trunc."""
+    return _fold(form, z, trunc), _encode(a.terms, trunc), _encode(b.terms, trunc)
 
 
-def _star_formal(form, z, a, b, rmax):
+def _star_formal(form, z, a, b, rmax, trunc):
     """Term dict of the formal star product, on integer coefficients."""
     n = len(a.gens)
-    trunc, (dz, entries), (da, ea), (db, eb) = _encode_operands(form, z, a, b)
+    (dz, entries), (da, ea), (db, eb) = _encode_operands(form, z, a, b, trunc)
     if not ea or not eb:
         return {}
     room = trunc - min(key[n] for key in ea) - min(key[n] for key in eb)
@@ -450,16 +421,20 @@ def _z_factors(z, trunc, rmax):
 
 def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b deformed by exp(z P_Lambda); exact, terminating series."""
-    a._check_compatible(b)
+    a._check(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
-    # the coefficients are exact only up to the smallest truncation in play
+    # the coefficients are exact only up to the smallest truncation in play,
+    # z's among them
     trunc = min(a.trunc, b.trunc, form.trunc)
+    if a.domain == "formal":
+        z = _coerce_coeff(z, "formal", trunc)
+        trunc = z.trunc
     if not a.terms or not b.terms:
         return Polynomial.zero(a.gens, a.domain, trunc)
     rmax = min(a.degree(), b.degree())
     if a.domain == "formal":
-        out = _star_formal(form, z, a, b, rmax)
+        out = _star_formal(form, z, a, b, rmax, trunc)
     else:
         zfacts = _z_factors(z, trunc, rmax)
         out = kernels.star_terms(
@@ -517,13 +492,16 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
     On linear elements {v, w} = Lambda(v, w) - Lambda(w, v); only the
     antisymmetric part of Lambda contributes.
     """
-    a._check_compatible(b)
+    a._check(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
     trunc = min(a.trunc, b.trunc, form.trunc)
     if a.domain == "formal":
-        t, (dl, entries), (da, ea), (db, eb) = _encode_operands(form, 1, a, b)
-        out = _decode(_bracket_terms(entries, ea, eb), dl * da * db, len(a.gens), t)
+        (dl, entries), (da, ea), (db, eb) = _encode_operands(
+            form, FormalScalar.constant(1, trunc), a, b, trunc
+        )
+        out = _decode(_bracket_terms(entries, ea, eb), dl * da * db, len(a.gens),
+                      trunc)
     else:
         out = _bracket_terms(_plain_entries(form), a.terms, b.terms)
     return Polynomial(a.gens, out, a.domain, trunc, _clean=True)

@@ -27,6 +27,7 @@ from starweyl import (
     sl2,
     ue_normal_order,
 )
+from starweyl.bruteforce import _straighten
 
 H3 = heisenberg3()
 SL2 = sl2()
@@ -106,12 +107,20 @@ def test_normal_order_base_case():
     assert str(u) == "X*Y - i*h*Z"
 
 
-def test_normal_order_strategy_independence():
-    words = [(1, 0, 1, 0), (2, 1, 0), (1, 1, 0, 0), (2, 0, 1, 0, 2)]
-    for w in words:
-        left = ue_normal_order(SL2, w, trunc=6, strategy="leftmost")
-        right = ue_normal_order(SL2, w, trunc=6, strategy="rightmost")
-        assert left == right
+@pytest.mark.parametrize("algebra", [H3, SL2, AXB], ids=["h3", "sl2", "axb"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normal_order_matches_the_bruteforce_straightening(algebra, data):
+    word = tuple(data.draw(st.lists(st.integers(0, algebra.dim - 1), max_size=6)))
+    trunc = data.draw(st.sampled_from([0, 2, 8]))
+    naive = _straighten(word, algebra._c, algebra.dim, {})
+    expected = UEElement(algebra, {
+        m: FormalScalar(orders, trunc) for m, orders in naive.items()
+    }, trunc)
+    u = ue_normal_order(algebra, word, trunc)
+    assert u == expected
+    assert u.trunc == trunc
+    assert str(u) == str(expected)
 
 
 def test_normal_order_weight_grading():
@@ -123,6 +132,22 @@ def test_normal_order_weight_grading():
         for r, c in coeff.coeffs.items():
             if c:
                 assert len(mono) + r == weight
+
+
+def test_envelope_coefficient_of_smaller_truncation_lowers_the_truncation():
+    c2 = FormalScalar({0: 1, 1: 1}, 2)
+    u = ue_normal_order(SL2, (2, 1), trunc=8) * c2
+    assert u.trunc == 2
+    assert str(u) == "(1 + h)*E*F + (-i*h - i*h^2)*H"
+    cube = u * u * u
+    assert cube.trunc == 2
+    for c in cube.terms.values():
+        assert c.trunc <= 2 and max(c.coeffs) <= 2
+    with pytest.raises(TruncationError):
+        pbw_symmetrize_inverse(SL2, cube).hbar_coefficient(3)
+    built = UEElement(SL2, {(1, 2): c2, (0,): 1}, 8)
+    assert built.trunc == 2
+    assert (c2 * UEElement.generator(SL2, "E")).trunc == 2
 
 
 # ------------------------------------------------------------ pbw

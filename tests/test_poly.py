@@ -13,6 +13,7 @@ from starweyl import (
     Generators,
     Polynomial,
     TensorSquare,
+    TruncationError,
     poly_from_text,
     total_degree,
 )
@@ -121,7 +122,8 @@ def test_translate_is_substitution(f, s):
     # sum_e c_e prod_i (x_i + s_i)^(e_i) through Polynomial arithmetic
     one = Polynomial.one(GENS3)
     moved = [Polynomial.generator(GENS3, i) + one * s[i] for i in range(3)]
-    expected = Polynomial.zero(GENS3)
+    # the empty sum is the zero of the ring the substitution lands in
+    expected = Polynomial.zero(GENS3, trunc=min(m.trunc for m in moved))
     for e, c in f.terms.items():
         term = one * c
         for i, k in enumerate(e):
@@ -248,6 +250,51 @@ def test_sum_drops_orders_above_the_smaller_truncation():
     assert str(s) == "p"
     assert Polynomial.from_json(s.to_json()) == s
     assert not s.hbar_coefficient(4)
+
+
+def test_a_coefficient_of_smaller_truncation_lowers_the_truncation():
+    # a factor known only to h^2 cannot determine h^3 of any power
+    c2 = FormalScalar({0: 1, 1: 1}, 2)
+    f = poly_from_text("q", GENS2, trunc=8) * c2
+    assert f.trunc == 2
+    cube = f**3
+    assert cube.trunc == 2
+    assert str(cube) == "(1 + 3*h + 3*h^2)*q^3"
+    with pytest.raises(TruncationError):
+        cube.hbar_coefficient(3)
+    assert (c2 * poly_from_text("q", GENS2)) == f
+    built = Polynomial(GENS2, {(1, 0): c2, (0, 1): 1}, "formal", 8)
+    assert built.trunc == 2
+    _check_truncation_invariant(built)
+    op = DifferentialOperator.identity(GENS2).scale(c2)
+    assert op.trunc == 2 and str(op) == "(1 + h)"
+
+
+@given(mixed_pairs(), st.integers(min_value=0, max_value=8), gaussians)
+@settings(max_examples=60)
+def test_scaling_takes_the_smaller_truncation(pair, t, g):
+    f, _ = pair
+    c = FormalScalar({0: 1, 1: g}, t)
+    for s in (f * c, c * f):
+        assert s.trunc == min(f.trunc, t)
+        _check_truncation_invariant(s)
+
+
+def test_translation_or_evaluation_at_smaller_truncation_lowers_the_truncation():
+    f = poly_from_text("q^3 + h^5*p", GENS2, trunc=8)
+    moved = f.translate((FormalScalar({0: 1, 1: 1}, 2), 0))
+    assert moved.trunc == 2
+    _check_truncation_invariant(moved)
+    with pytest.raises(TruncationError):
+        moved.hbar_coefficient(3)
+    expected = poly_from_text("(q + 1 + h)^3", GENS2, trunc=2)
+    assert moved == expected
+    assert str(moved) == str(expected)
+    # evaluation at such a point is known to h^2 only, whatever f is
+    point = (FormalScalar({0: 1, 1: 1}, 2), 1)
+    for g in (f, poly_from_text("p", GENS2), Polynomial.zero(GENS2)):
+        assert g.evaluate(point).trunc == 2
+    assert f.evaluate(point) == FormalScalar({0: 1, 1: 3, 2: 3}, 2)
 
 
 @given(mixed_pairs())

@@ -152,13 +152,16 @@ def test_bilinearity(f, g, c):
 @given(polys(max_deg=4), polys(max_deg=4), forms())
 @settings(max_examples=30, deadline=None)
 def test_degree_drop_per_order(f, g, lam):
-    # each order contracts one derivative on each side
-    s = star(lam, Z, f, g)
-    d = f.degree() + g.degree() if f and g else -1
-    for r in range(9):
-        c = s.hbar_coefficient(r)
-        if c:
-            assert c.degree() == d - 2 * r
+    # each order contracts one derivative on each side, so on homogeneous
+    # parts of degrees a and b the h^r coefficient has degree a + b - 2r
+    # (on whole polynomials the top parts' contraction can vanish)
+    for a in range(f.degree() + 1):
+        for b in range(g.degree() + 1):
+            s = star(lam, Z, f.graded_component(a), g.graded_component(b))
+            for r in range(9):
+                c = s.hbar_coefficient(r)
+                if c:
+                    assert c.degree() == a + b - 2 * r
 
 
 def test_result_truncation_counts_the_form():
@@ -177,6 +180,26 @@ def test_result_truncation_counts_the_form():
     assert poisson_bracket(form, a, b).trunc == 2
     assert p_lambda(form, TensorSquare.of(a, b)).trunc == 2
     assert poisson_bracket(standard_form(G, "formal", 8), a, b).trunc == 8
+
+
+def test_a_parameter_or_form_entry_of_smaller_truncation_lowers_the_result():
+    # z, an entry of Lambda or the parameter of an ordering operator known
+    # only to h^2 cannot determine the h^3 coefficient of a product
+    a, b = pf("p^3"), pf("q^3")
+    z2 = FormalScalar({1: GaussianRational(0, -1)}, 2)
+    s = star(standard_form(G, "formal", 8), z2, a, b)
+    assert s.trunc == 2
+    assert str(s) == "q^3*p^3 - 9*i*h*q^2*p^2 - 18*h^2*q*p"
+    with pytest.raises(TruncationError):
+        s.hbar_coefficient(3)
+    form = BilinearForm(G, ((0, 0), (FormalScalar({0: 1, 3: 1}, 2), 0)), "formal", 8)
+    assert form.trunc == 2
+    assert all(c.trunc == 2 for row in form.matrix for c in row)
+    assert star(form, minus_i_hbar("formal", 8), a, b).trunc == 2
+    t = ordering_operator(standard_form(G, "formal", 8).symmetric_part(), z2)
+    moved = t.apply(pf("q^2*p^2"))
+    assert moved.trunc == 2
+    assert moved == n_operator(G, "formal", 2).apply(pf("q^2*p^2"))
 
 
 def test_series_terminates_at_min_degree():

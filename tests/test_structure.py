@@ -1,6 +1,7 @@
 """Source-structure checks on src/starweyl.
 
-Every sparse term sum goes through poly.accumulate. The hand-written
+Every sparse term sum goes through poly.accumulate, and the four term
+containers share one base class (see the end of this file). The hand-written
 accumulate idiom (read a dict slot with .get, add to it when it was there,
 drop it when the sum vanishes) may appear only in:
 
@@ -134,3 +135,65 @@ def test_no_hand_written_accumulate_outside_the_helper_and_kernels():
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             found += accumulate_idioms(ast.parse(fh.read()), name)
     assert found == []
+
+
+# -- one term container --------------------------------------------------------
+#
+# Polynomial, TensorSquare, DifferentialOperator and UEElement inherit the
+# container (immutability, truth, equality, sums, negation, text) from
+# poly.TermSum and keep only what differs between them.
+
+TERM_SUMS = {
+    "poly.py": "Polynomial",
+    "star.py": "TensorSquare",
+    "ops.py": "DifferentialOperator",
+    "lie.py": "UEElement",
+}
+CONTAINER_METHODS = {
+    "__setattr__", "__bool__", "__add__", "__sub__", "__neg__", "__eq__",
+    "__str__",
+}
+
+
+def own_container_methods(tree, class_name):
+    """Container methods the class defines or assigns in its own body."""
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == class_name]
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names & CONTAINER_METHODS
+
+
+def test_detector_sees_a_container_method():
+    src = (
+        "class Polynomial(TermSum):\n"
+        "    def __neg__(self):\n"
+        "        pass\n"
+        "    __bool__ = lambda self: True\n"
+        "    def degree(self):\n"
+        "        pass\n"
+    )
+    assert own_container_methods(ast.parse(src), "Polynomial") == {
+        "__neg__", "__bool__"
+    }
+
+
+def test_term_sums_inherit_the_container():
+    found = {}
+    for filename, class_name in TERM_SUMS.items():
+        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+            own = own_container_methods(ast.parse(fh.read()), class_name)
+        if own:
+            found[class_name] = sorted(own)
+    assert found == {}
+
+
+def test_merge_terms_stays_gone():
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                assert "merge_terms" not in fh.read(), name

@@ -1,5 +1,6 @@
 """Frozen text of every term printer: Polynomial (formal and numeric),
-DifferentialOperator (formal and numeric), UEElement and LieSeries.
+DifferentialOperator (formal and numeric), TensorSquare, UEElement and
+LieSeries.
 
 Each row pins one branch of the shared term printer: a negative leading
 term, a coefficient with several h-orders in parentheses, h and h^r, a
@@ -17,6 +18,7 @@ from starweyl import (
     Generators,
     LieSeries,
     Polynomial,
+    TensorSquare,
     UEElement,
     bch,
     poly_from_text,
@@ -103,6 +105,10 @@ CASES = [
         }),
         "-H + 2*F + (1/2)*h*H + i*h*E - 2*i*h*F + (1/1+1/1*i)*h^2*E"
         " - (3/5)*h^2*F + h^3*F",
+    ),
+    (
+        TensorSquare.of(pf("q^2 - h"), pf("2*p + i")),
+        "2*q^2 (x) p + i*q^2 (x) 1 - 2*h*1 (x) p - i*h*1 (x) 1",
     ),
 ]
 
