@@ -207,18 +207,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- helpers -----------------------------------------------------------------
 
+def _read_json(path, what):
+    """The JSON value in the file path, read as the user's what."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} {path!r}: {exc}") from None
+    except ValueError as exc:  # bad JSON or UTF-8, or an int too long to read
+        raise UsageError(f"{what} {path!r} is not valid JSON: {exc}") from None
+
+
 def _load_session(args) -> Session:
     trunc = getattr(args, "truncation", None)
     path = getattr(args, "config", None)
     if path is None:
         return Session.default(truncation=trunc)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path!r} is not valid JSON: {exc}") from None
+    cfg = _read_json(path, "config")
     try:
         return Session.from_config(cfg, truncation=trunc)
     except ConfigError as exc:
@@ -231,18 +236,10 @@ def _load_algebra(name: str) -> LieAlgebra:
     if name == "sl2":
         return sl2()
     if name.endswith(".json") or os.path.exists(name):
-        try:
-            with open(name, "r", encoding="utf-8") as fh:
-                d = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read algebra {name!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"algebra file {name!r} is not valid JSON: {exc}"
-            ) from None
+        d = _read_json(name, "algebra file")
         try:
             return LieAlgebra.from_json(d)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, StarWeylError) as exc:
             raise UsageError(f"bad algebra file {name!r}: {exc}") from None
     raise UsageError(
         f"unknown algebra {name!r}: use h3, sl2, or a JSON file path"
@@ -279,10 +276,7 @@ def _poly_payload(p: Polynomial) -> dict:
 
 
 def _linear_vector(algebra: LieAlgebra, text: str, trunc: int):
-    from .poly import Generators
-
-    gens = Generators(algebra.basis)
-    p = poly_from_text(text, gens, "formal", trunc)
+    p = poly_from_text(text, algebra.basis, "formal", trunc)
     if p.degree() > 1:
         raise StarWeylError(
             f"expected a linear expression in {algebra.basis}, got degree "
@@ -290,16 +284,11 @@ def _linear_vector(algebra: LieAlgebra, text: str, trunc: int):
         )
     vec = []
     for k in range(algebra.dim):
-        e = tuple(1 if t == k else 0 for t in range(algebra.dim))
-        c = p.terms.get(e)
-        if c is None:
-            vec.append(0)
-        else:
-            if any(r != 0 for r in c.coeffs):
-                raise StarWeylError("basis coefficients must be h-free")
-            vec.append(c.coefficient(0))
-    const = p.terms.get((0,) * algebra.dim)
-    if const:
+        c = p.terms.get(tuple(int(t == k) for t in range(algebra.dim)))
+        if c and c.coeffs.keys() - {0}:
+            raise StarWeylError("basis coefficients must be h-free")
+        vec.append(c.coefficient(0) if c else 0)
+    if p.terms.get((0,) * algebra.dim):
         raise StarWeylError("linear expression must have no constant term")
     return vec
 
@@ -358,13 +347,7 @@ def _cmd_bch(args, ses):
 
 
 def _cmd_equiv(args, ses):
-    try:
-        with open(args.sym, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.sym!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.sym!r} is not valid JSON: {exc}") from None
+    d = _read_json(args.sym, "symmetric form")
     if isinstance(d, dict) and "matrix" in d:
         sform = _form_from_matrix(d["matrix"], ses.gens, ses.domain, ses.trunc)
     else:

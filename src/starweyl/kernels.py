@@ -4,7 +4,8 @@ All three functions work on plain dicts keyed by exponent tuples, with
 coefficient objects that support +, *, unary bool (zero test) and
 multiplication by int. Polynomial products pass FormalScalar or
 NumericScalar coefficients; the formal star product and Poisson bracket
-pass plain ints (star.py encodes the operands and decodes the result).
+pass plain ints (star.py encodes the operands and decodes the result with
+the integer codec in scalars.py).
 """
 
 from operator import add

@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import IncompatibleError, StarWeylError, TruncationError
-from .parse import RESERVED_NAMES
+from .errors import IncompatibleError, ParseError, StarWeylError, TruncationError
+from .parse import RESERVED_NAMES, eval_ast, parse_expression, scalar_from_json
 from .poly import Generators, Polynomial, TermSum, accumulate, monomial_text
 from .scalars import (
     DEFAULT_TRUNCATION,
@@ -35,6 +35,14 @@ def _gr(x):
     if isinstance(x, GaussianRational):
         return x
     return GaussianRational(x)
+
+
+def _refuse_h(node):
+    """An eval_ast leaf that raises at an h, which truncation 0 would drop
+    from a structure constant; every other leaf reads as 0."""
+    if node[0] == "h":
+        raise ParseError("a structure constant must not depend on h", *node[1])
+    return 0
 
 
 class LieAlgebra:
@@ -184,8 +192,8 @@ class LieAlgebra:
 
     @classmethod
     def from_json(cls, d: dict) -> "LieAlgebra":
-        from .parse import parse_expression, eval_constant
-
+        """The algebra of a to_json() dict. A structure constant is a string
+        or an integer, and its text must not mention h."""
         dim = d["dim"]
         basis = d["basis"]
         if len(basis) != dim:
@@ -195,10 +203,8 @@ class LieAlgebra:
             vec = []
             for s in b["coeffs"]:
                 if isinstance(s, str):
-                    fs = eval_constant(parse_expression(s), "formal", 0)
-                    vec.append(fs.coefficient(0))
-                else:
-                    vec.append(_gr(s))
+                    eval_ast(parse_expression(s), _refuse_h)
+                vec.append(scalar_from_json(s, "formal", 0).coefficient(0))
             key = (b["i"], b["j"])
             if key in brackets or (key[1], key[0]) in brackets:
                 raise ValueError(f"duplicate bracket entry for {key}")
@@ -395,20 +401,15 @@ class UEElement(TermSum):
             except TypeError:
                 return NotImplemented
         self._check(other)
-        n = min(self.trunc, other.trunc)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 c = c1 * c2
-                if not c:
-                    continue
-                w = len(m1) + len(m2)
-                accumulate(out, (
-                    (m, c * FormalScalar({w - len(m): g}, n))
-                    for m, g in self.algebra._mono_mul_raw(m1, m2).items()
-                    if w - len(m) <= n
-                ))
-        return UEElement(self.algebra, out, n, _clean=True)
+                if c:
+                    raw = self.algebra._mono_mul_raw(m1, m2)
+                    accumulate(out, _lift(c, raw, len(m1) + len(m2), len))
+        return UEElement(self.algebra, out, min(self.trunc, other.trunc),
+                         _clean=True)
 
     __rmul__ = __mul__
 
@@ -424,6 +425,20 @@ class UEElement(TermSum):
         return f"<UEElement {self}>"
 
 
+def _lift(c, raw, w, size):
+    """Pairs (key, c * g * h^(w - size(key))) of the raw terms key -> g of
+    weight w: c's h-orders shift by the implied one, and orders above c's
+    truncation (the container's) drop."""
+    n = c.trunc
+    cs = c.coeffs.items()
+    for key, g in raw.items():
+        s = w - size(key)
+        if s <= n:
+            yield key, FormalScalar(
+                {r + s: x * g for r, x in cs if r + s <= n}, n, _clean=True
+            )
+
+
 def ue_normal_order(algebra: LieAlgebra, word,
                     trunc=DEFAULT_TRUNCATION) -> UEElement:
     """Straighten an arbitrary word of generator indices into PBW form."""
@@ -434,12 +449,10 @@ def ue_normal_order(algebra: LieAlgebra, word,
         raise ValueError("word index out of range")
     # the word times the empty monomial, straightened by the cached left
     # multiplication; the raw result has weight len(word)
-    w = len(word)
-    return UEElement(algebra, {
-        m: FormalScalar({w - len(m): g}, trunc)
-        for m, g in algebra._mono_mul_raw(word, ()).items()
-        if w - len(m) <= trunc
-    }, trunc, _clean=True)
+    raw = algebra._mono_mul_raw(word, ())
+    one = FormalScalar.constant(1, trunc)
+    return UEElement(algebra, dict(_lift(one, raw, len(word), len)), trunc,
+                     _clean=True)
 
 
 def _check_coords(algebra: LieAlgebra, f: Polynomial):
@@ -455,16 +468,10 @@ def _check_coords(algebra: LieAlgebra, f: Polynomial):
 def pbw_symmetrize(algebra: LieAlgebra, f: Polynomial) -> UEElement:
     """sigma(f): symmetric algebra -> envelope, 1/k! symmetrization."""
     _check_coords(algebra, f)
-    n = f.trunc
     out = {}
     for alpha, c in f.terms.items():
-        w = sum(alpha)
-        accumulate(out, (
-            (m, c * FormalScalar({w - len(m): g}, n))
-            for m, g in algebra._sym_raw(alpha).items()
-            if w - len(m) <= n
-        ))
-    return UEElement(algebra, out, n, _clean=True)
+        accumulate(out, _lift(c, algebra._sym_raw(alpha), sum(alpha), len))
+    return UEElement(algebra, out, f.trunc, _clean=True)
 
 
 def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
@@ -478,13 +485,10 @@ def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
     for m, c in u.terms.items():
         for r, g in c.coeffs.items():
             by_weight.setdefault(len(m) + r, {})[m] = g
+    one = FormalScalar.constant(1, n)
     out = {}
     for w, raw in by_weight.items():
-        accumulate(out, (
-            (alpha, FormalScalar({w - sum(alpha): g}, n))
-            for alpha, g in algebra._sym_inverse_raw(raw).items()
-            if w - sum(alpha) <= n
-        ))
+        accumulate(out, _lift(one, algebra._sym_inverse_raw(raw), w, sum))
     return Polynomial(algebra.coords, out, "formal", n, _clean=True)
 
 
@@ -492,20 +496,15 @@ def gutt_star(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
     """Gutt product sigma^{-1}(sigma(f) sigma(h)) on polynomials over the dual."""
     _check_coords(algebra, f)
     _check_coords(algebra, h)
-    n = min(f.trunc, h.trunc)
     out = {}
     for alpha, cf in f.terms.items():
         for beta, ch in h.terms.items():
             c = cf * ch
-            if not c:
-                continue
-            w = sum(alpha) + sum(beta)
-            accumulate(out, (
-                (gamma, c * FormalScalar({w - sum(gamma): g}, n))
-                for gamma, g in algebra._gutt_mono_raw(alpha, beta).items()
-                if w - sum(gamma) <= n
-            ))
-    return Polynomial(algebra.coords, out, "formal", n, _clean=True)
+            if c:
+                raw = algebra._gutt_mono_raw(alpha, beta)
+                accumulate(out, _lift(c, raw, sum(alpha) + sum(beta), sum))
+    return Polynomial(algebra.coords, out, "formal", min(f.trunc, h.trunc),
+                      _clean=True)
 
 
 def kks_bracket(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:

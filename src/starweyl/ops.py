@@ -157,16 +157,13 @@ class DifferentialOperator(TermSum):
         return f"<DifferentialOperator {self} over {list(self.gens.names)}>"
 
     def to_json(self) -> dict:
-        terms = []
-        for (a, d), c in self.sorted_terms():
-            coeff = c.canonical() if self.domain == "formal" else [
-                c.val.real, c.val.imag
-            ]
-            terms.append({"coef_exp": list(a), "deriv_exp": list(d), "coeff": coeff})
         d = {
             "generators": list(self.gens.names),
             "scalar_domain": self.domain,
-            "terms": terms,
+            "terms": [
+                {"coef_exp": list(a), "deriv_exp": list(d), "coeff": c.to_json()}
+                for (a, d), c in self.sorted_terms()
+            ],
         }
         if self.domain == "formal":
             d["truncation"] = self.trunc

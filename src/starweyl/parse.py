@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
-from .scalars import FormalScalar, GR_I, NumericScalar
+from .errors import NonFiniteError, ParseError, StarWeylError
+from .scalars import FormalScalar, GR_I, NumericScalar, coerce_coeff
 
 _SYMBOLS = "+-*^()/"
 
@@ -235,23 +235,15 @@ def h_unavailable(node):
 
 
 def eval_constant(ast, domain: str = "formal", trunc: int = 8):
-    """Evaluate a generator-free AST into a scalar of the given domain.
-
-    Used for coefficient strings in JSON forms and for z/config values.
-    """
-    if domain == "formal":
-        one = FormalScalar.constant(1, trunc)
-    elif domain == "numeric":
-        one = NumericScalar(1.0)
-    else:
-        raise ValueError(f"unknown scalar domain {domain!r}")
+    """Evaluate a generator-free AST into a scalar of the given domain."""
+    one = coerce_coeff(1, domain, trunc)
 
     def leaf(node):
         kind = node[0]
         if kind == "num":
             return one * node[1]
         if kind == "i":
-            return one * GR_I if domain == "formal" else NumericScalar(0.0, 1.0)
+            return one * GR_I
         if kind == "h":
             if domain == "formal":
                 return FormalScalar.hbar(trunc)
@@ -267,3 +259,31 @@ def eval_constant(ast, domain: str = "formal", trunc: int = 8):
 def scalar_from_text(text: str, domain: str = "formal", trunc: int = 8):
     """Parse a canonical scalar string ("1/2", "0+1/1*i", "1 - h^2", ...)."""
     return eval_constant(parse_expression(text), domain, trunc)
+
+
+def is_json_number(x):
+    """Whether x is a JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def scalar_from_json(raw, domain: str, trunc: int):
+    """A coefficient of the domain read from a JSON value.
+
+    Both domains take a string in the expression grammar and an integer;
+    the numeric domain also takes any other number and an [re, im] pair.
+    Anything else, booleans and integers beyond the float range included, is
+    a StarWeylError.
+    """
+    if isinstance(raw, str):
+        return scalar_from_text(raw, domain, trunc)
+    numeric = domain == "numeric"
+    try:
+        if is_json_number(raw) and (numeric or isinstance(raw, int)):
+            return coerce_coeff(raw, domain, trunc)
+        if numeric and isinstance(raw, (list, tuple)) and len(raw) == 2 and all(
+            map(is_json_number, raw)
+        ):
+            return NumericScalar(*raw)
+    except OverflowError:
+        raise NonFiniteError("numeric coefficient beyond the float range") from None
+    raise StarWeylError(f"bad {domain} coefficient {raw!r}")

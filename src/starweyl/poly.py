@@ -10,17 +10,16 @@ lexicographic on exponent tuples, both descending.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import kernels
 from .errors import IncompatibleError, ParseError, TruncationError
-from .parse import eval_ast, h_unavailable, parse_expression, scalar_from_text
+from .parse import eval_ast, h_unavailable, parse_expression, scalar_from_json
 from .scalars import (
     DEFAULT_TRUNCATION,
     GR_I,
     FormalScalar,
-    GaussianRational,
-    NumericScalar,
+    coerce_coeff,
+    coerce_coeffs,
     join_terms,
     term_text,
 )
@@ -80,42 +79,6 @@ class Generators:
 
 def total_degree(exp) -> int:
     return sum(exp)
-
-
-def _coerce_coeff(c, domain, trunc):
-    """c as a coefficient of the domain, cut to h-order trunc; a formal
-    coefficient known to fewer orders keeps its own truncation."""
-    if domain == "formal":
-        if isinstance(c, FormalScalar):
-            return c if c.trunc <= trunc else c.truncate(trunc)
-        if isinstance(c, (int, Fraction, GaussianRational)):
-            return FormalScalar.constant(c, trunc)
-        raise TypeError(f"bad formal coefficient {c!r}")
-    if domain == "numeric":
-        if isinstance(c, NumericScalar):
-            return c
-        if isinstance(c, (int, float, complex, Fraction)):
-            return NumericScalar(complex(c))
-        if isinstance(c, GaussianRational):
-            return NumericScalar(c.to_complex())
-        raise TypeError(f"bad numeric coefficient {c!r}")
-    raise ValueError(f"unknown scalar domain {domain!r}")
-
-
-def coerce_coeffs(values, domain, trunc):
-    """(coefficients, truncation) of values in the domain.
-
-    The truncation is the smallest of trunc and those of the formal values,
-    and every coefficient is cut to it: nothing built from a value known to
-    h^n claims to know h^(n+1).
-    """
-    cs = [_coerce_coeff(c, domain, trunc) for c in values]
-    if domain == "formal":
-        low = min((c.trunc for c in cs), default=trunc)
-        if low < trunc:
-            trunc = low
-            cs = [c if c.trunc == low else c.truncate(low) for c in cs]
-    return cs, trunc
 
 
 def accumulate(out, items):
@@ -205,7 +168,7 @@ class TermSum:
             raise IncompatibleError(self._mismatch)
 
     def coerce_scalar(self, c):
-        return _coerce_coeff(c, self.domain, self.trunc)
+        return coerce_coeff(c, self.domain, self.trunc)
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
@@ -309,11 +272,6 @@ class Polynomial(TermSum):
             terms[exp] = c
         return cls(gens, terms, domain, trunc)
 
-    def scalar_one(self):
-        if self.domain == "formal":
-            return FormalScalar.constant(1, self.trunc)
-        return NumericScalar(1.0)
-
     # -- predicates ---------------------------------------------------------
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
@@ -382,7 +340,7 @@ class Polynomial(TermSum):
             raise ValueError("shift vector length mismatch")
         sh, trunc = coerce_coeffs(shifts, self.domain, self.trunc)
         src = self._cut(trunc)
-        one = src.scalar_one()
+        one = coerce_coeff(1, self.domain, trunc)
         out = {}
         for e, c in src.terms.items():
             # expand prod_i (x_i + s_i)^(e_i) one variable at a time; slot i
@@ -425,7 +383,7 @@ class Polynomial(TermSum):
                     v = v * pt[i] ** k
             total = v if total is None else total + v
         if total is None:
-            total = _coerce_coeff(0, self.domain, trunc)
+            total = coerce_coeff(0, self.domain, trunc)
         return total
 
     def graded_component(self, k: int) -> "Polynomial":
@@ -462,17 +420,11 @@ class Polynomial(TermSum):
 
     # -- JSON -------------------------------------------------------------------
     def to_json(self) -> dict:
-        terms = []
-        for exp, c in self.sorted_terms():
-            if self.domain == "formal":
-                coeff = c.canonical()
-            else:
-                coeff = [c.val.real, c.val.imag]
-            terms.append({"exp": list(exp), "coeff": coeff})
         d = {
             "generators": list(self.gens.names),
             "scalar_domain": self.domain,
-            "terms": terms,
+            "terms": [{"exp": list(exp), "coeff": c.to_json()}
+                      for exp, c in self.sorted_terms()],
         }
         if self.domain == "formal":
             d["truncation"] = self.trunc
@@ -483,17 +435,11 @@ class Polynomial(TermSum):
         gens = Generators(d["generators"])
         domain = d.get("scalar_domain", "formal")
         trunc = d.get("truncation", DEFAULT_TRUNCATION)
-
-        def coeff(raw):
-            if domain == "formal":
-                return scalar_from_text(raw, "formal", trunc)
-            if isinstance(raw, (list, tuple)):
-                return NumericScalar(raw[0], raw[1])
-            return scalar_from_text(str(raw), "numeric", trunc)
-
         n = len(gens)
         terms = accumulate({}, (
-            (exponent_tuple(t["exp"], n), coeff(t["coeff"])) for t in d["terms"]
+            (exponent_tuple(t["exp"], n),
+             scalar_from_json(t["coeff"], domain, trunc))
+            for t in d["terms"]
         ))
         return cls(gens, terms, domain, trunc)
 
@@ -507,8 +453,7 @@ def poly_from_ast(ast, gens: Generators, domain="formal",
         if kind == "num":
             return Polynomial.constant(gens, node[1], domain, trunc)
         if kind == "i":
-            i = GR_I if domain == "formal" else 1j
-            return Polynomial.constant(gens, i, domain, trunc)
+            return Polynomial.constant(gens, GR_I, domain, trunc)
         if kind == "h":
             if domain != "formal":
                 raise h_unavailable(node)

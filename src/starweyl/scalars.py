@@ -5,6 +5,10 @@ Every coefficient in the package is one of these three. The formal series
 scalar is the default: arithmetic is exact, hbar ("h" in text form) is a
 nilpotent-beyond-truncation bookkeeping parameter, and conjugation fixes h
 while flipping i.
+
+Only this module knows how the "formal" and "numeric" domains build
+(coerce_coeff), write (to_json, term_text) and integer-encode
+(int_encode/int_decode) a coefficient; parse.py reads one back.
 """
 
 from __future__ import annotations
@@ -393,6 +397,9 @@ class FormalScalar:
     def __str__(self):
         return self.canonical()
 
+    def to_json(self) -> str:
+        return self.canonical()
+
     def __repr__(self):
         return f"FormalScalar({self.coeffs!r}, trunc={self.trunc})"
 
@@ -562,5 +569,104 @@ class NumericScalar:
     def __str__(self):
         return repr(self.val)
 
+    def to_json(self) -> list:
+        return [self.val.real, self.val.imag]
+
     def __repr__(self):
         return f"NumericScalar({self.val!r})"
+
+
+# -- coefficients of a domain ---------------------------------------------------
+
+
+def coerce_coeff(c, domain, trunc):
+    """c as a coefficient of the domain, cut to h-order trunc; a formal
+    coefficient known to fewer orders keeps its own truncation."""
+    if domain == "formal":
+        if isinstance(c, FormalScalar):
+            return c if c.trunc <= trunc else c.truncate(trunc)
+        if isinstance(c, (int, Fraction, GaussianRational)):
+            return FormalScalar.constant(c, trunc)
+        raise TypeError(f"bad formal coefficient {c!r}")
+    if domain == "numeric":
+        if isinstance(c, NumericScalar):
+            return c
+        if isinstance(c, (int, float, complex, Fraction)):
+            return NumericScalar(complex(c))
+        if isinstance(c, GaussianRational):
+            return NumericScalar(c.to_complex())
+        raise TypeError(f"bad numeric coefficient {c!r}")
+    raise ValueError(f"unknown scalar domain {domain!r}")
+
+
+def coerce_coeffs(values, domain, trunc):
+    """(coefficients, truncation) of values in the domain.
+
+    The truncation is the smallest of trunc and those of the formal values,
+    and every coefficient is cut to it: nothing built from a value known to
+    h^n claims to know h^(n+1).
+    """
+    cs = [coerce_coeff(c, domain, trunc) for c in values]
+    if domain == "formal":
+        low = min((c.trunc for c in cs), default=trunc)
+        if low < trunc:
+            trunc = low
+            cs = [c if c.trunc == low else c.truncate(low) for c in cs]
+    return cs, trunc
+
+
+# -- the integer encoding of the formal domain ----------------------------------
+#
+# A formal coefficient sum_r (x_r + y_r i) h^r is stored as integer terms
+# under one denominator per operand: the monomial's exponent tuple gets two
+# extra slots, the power of h and the power of i, so x_r h^r becomes the key
+# exp + (r, 0) and y_r i h^r the key exp + (r, 1). The kernels add slots
+# when they multiply, like any exponent. Z[i] = Z[x]/(x^2 + 1) and
+# Z[h]/(h^(T+1)) are quotient rings, so reducing the power of i mod 4 and
+# dropping h-orders above T once, when the result is decoded, gives what
+# reducing after every step would.
+
+
+def int_parts(c, trunc):
+    """(h-order, i-power, rational) parts of a formal scalar up to trunc."""
+    out = []
+    for r, g in c.coeffs.items():
+        if r <= trunc:
+            if g.re:
+                out.append((r, 0, g.re))
+            if g.im:
+                out.append((r, 1, g.im))
+    return out
+
+
+def int_encode(terms, trunc):
+    """(den, {exp + (r, q): n}) with terms = sum n/den h^r i^q x^exp."""
+    parts = [(e, int_parts(c, trunc)) for e, c in terms.items()]
+    den = math.lcm(*(x.denominator for _, ps in parts for _, _, x in ps))
+    out = {}
+    for e, ps in parts:
+        for r, q, x in ps:
+            out[e + (r, q)] = x.numerator * (den // x.denominator)
+    return den, out
+
+
+def int_decode(out, den, n, trunc):
+    """Formal term dict of the integer terms out, read over den."""
+    parts = {}
+    for key, v in out.items():
+        r = key[n]
+        if r > trunc:
+            continue
+        q = key[n + 1] & 3
+        slot = parts.setdefault(key[:n], {}).setdefault(r, [0, 0])
+        slot[q & 1] += -v if q & 2 else v
+    terms = {}
+    for e, orders in parts.items():
+        coeffs = {
+            r: GaussianRational(Fraction(re, den), Fraction(im, den))
+            for r, (re, im) in orders.items()
+            if re or im
+        }
+        if coeffs:
+            terms[e] = FormalScalar(coeffs, trunc, _clean=True)
+    return terms

@@ -20,7 +20,7 @@ from .errors import (
     TruncationError,
 )
 from .poly import Generators, Polynomial
-from .scalars import DEFAULT_TRUNCATION, FormalScalar
+from .scalars import DEFAULT_TRUNCATION
 from .star import BilinearForm, star
 
 
@@ -108,12 +108,6 @@ def _factorial_pow(k: int, r: float) -> float:
         return math.inf
 
 
-def _coeff_abs(c, hbar: float) -> float:
-    if isinstance(c, FormalScalar):
-        return abs(c.eval_at(hbar))
-    return abs(c)
-
-
 def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
     """p_R(a): formal coefficients are evaluated at the given hbar first."""
     if isinstance(a, TruncatedElement):
@@ -130,7 +124,7 @@ def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
     w = spec.weights
     total = 0.0
     for e, c in a.terms.items():
-        mag = _coeff_abs(c, hbar)
+        mag = abs(c.eval_at(hbar))
         if not mag:
             continue
         for i, k in enumerate(e):
@@ -150,7 +144,7 @@ def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
     alpha = lin.coerce_scalar(alpha)
     out = Polynomial.one(gens, domain, trunc)
     power = Polynomial.one(gens, domain, trunc)
-    scale = lin.scalar_one()
+    scale = lin.coerce_scalar(1)
     for k in range(1, cutoff + 1):
         power = power * lin
         if not power:
@@ -161,6 +155,13 @@ def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
             break
         out = out + term
     return TruncatedElement(out, cutoff)
+
+
+def _csv_lines(report):
+    """The header K,partial_sum, then one line per partial sum of a report."""
+    return ["K,partial_sum"] + [
+        f"{k},{s!r}" for k, s in enumerate(report.partial_sums)
+    ]
 
 
 class ConvergenceReport:
@@ -188,11 +189,7 @@ class ConvergenceReport:
     def convergent(self) -> bool:
         return self.verdict == "convergent"
 
-    def csv_lines(self):
-        lines = ["K,partial_sum"]
-        for k, s in enumerate(self.partial_sums):
-            lines.append(f"{k},{s!r}")
-        return lines
+    csv_lines = _csv_lines
 
     def to_json(self) -> dict:
         return {
@@ -313,7 +310,7 @@ def _window_defect(diff: Polynomial, degree: int, orders: int):
             if sum(e) > degree:
                 continue
             exact = False
-            worst = max(worst, _coeff_abs(c, 1.0))
+            worst = max(worst, abs(c.eval_at(1.0)))
     return exact, ("0" if exact else repr(worst))
 
 
@@ -353,8 +350,7 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
             "scalar exponential does not terminate: z*L(v,w) has an h-order-0 "
             "part"
         )
-    pref = ev.scalar_one()
-    term = ev.scalar_one()
+    pref = term = ev.coerce_scalar(1)
     for j in range(1, nt + 1):
         term = term * (arg * Fraction(1, j))
         if not term:
@@ -462,11 +458,7 @@ class ContinuityReport:
     def __setattr__(self, name, value):
         raise AttributeError("ContinuityReport is immutable")
 
-    def csv_lines(self):
-        lines = ["K,partial_sum"]
-        for k, s in enumerate(self.partial_sums):
-            lines.append(f"{k},{s!r}")
-        return lines
+    csv_lines = _csv_lines
 
     def to_json(self) -> dict:
         return {

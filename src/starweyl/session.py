@@ -8,8 +8,13 @@ expressions can always spell the formal parameter and the imaginary unit.
 
 from __future__ import annotations
 
-from .errors import ParseError, StarWeylError
-from .parse import RESERVED_NAMES, scalar_from_text
+from .errors import StarWeylError
+from .parse import (
+    RESERVED_NAMES,
+    is_json_number,
+    scalar_from_json,
+    scalar_from_text,
+)
 from .poly import Generators, Polynomial, poly_from_text
 from .scalars import DEFAULT_TRUNCATION
 from .seminorms import SeminormSpec
@@ -113,7 +118,7 @@ class Session:
         if zraw is None:
             z = minus_i_hbar(domain, trunc)
         else:
-            z = _scalar_from_config(zraw, domain, trunc, "z")
+            z = _config_scalar("z", zraw, domain, trunc)
 
         sem = cfg.get("seminorm")
         if sem is None:
@@ -128,9 +133,10 @@ class Session:
             ws = sem["weights"]
             _require(
                 isinstance(ws, list) and len(ws) == len(gens.names)
-                and all(isinstance(w, (int, float)) for w in ws),
+                and all(map(is_json_number, ws)),
                 "seminorm weights must be a number per generator",
             )
+            _require(is_json_number(sem["R"]), "seminorm R must be a number")
             try:
                 spec = SeminormSpec(tuple(ws), sem["R"])
             except ValueError as exc:
@@ -151,27 +157,20 @@ class Session:
             "domain": self.domain,
             "truncation": self.trunc,
             "lambda": self.form.to_json(),
-            "z": self.z.canonical() if self.domain == "formal" else
-                 [self.z.val.real, self.z.val.imag],
+            "z": self.z.to_json(),
             "seminorm": self.seminorm.to_json(),
         }
 
 
-def _scalar_from_config(raw, domain, trunc, what):
-    if isinstance(raw, str):
-        try:
-            return scalar_from_text(raw, domain, trunc)
-        except ParseError as exc:
-            raise ConfigError(f"bad {what} entry: {exc}") from None
-    if isinstance(raw, (int, float)):
-        from .poly import _coerce_coeff
-
-        return _coerce_coeff(raw, domain, trunc)
-    if isinstance(raw, list) and len(raw) == 2 and domain == "numeric":
-        from .poly import _coerce_coeff
-
-        return _coerce_coeff(complex(raw[0], raw[1]), domain, trunc)
-    raise ConfigError(f"bad {what} entry: {raw!r}")
+def _config_scalar(what, raw, domain, trunc):
+    """The scalar of a config entry, a StarWeylError reported as a bad
+    entry. An [re, im] pair reads as complex(re, im) + 0j: its zeros are
+    unsigned, where a Polynomial's or BilinearForm's JSON keeps the sign."""
+    try:
+        c = scalar_from_json(raw, domain, trunc)
+    except StarWeylError as exc:
+        raise ConfigError(f"bad {what} entry: {exc}") from None
+    return c + 0 if isinstance(raw, list) else c
 
 
 def _form_from_matrix(matrix, gens, domain, trunc) -> BilinearForm:
@@ -181,9 +180,6 @@ def _form_from_matrix(matrix, gens, domain, trunc) -> BilinearForm:
         and all(isinstance(row, list) and len(row) == n for row in matrix),
         f"lambda matrix must be {n}x{n}",
     )
-    rows = []
-    for row in matrix:
-        rows.append(
-            [_scalar_from_config(x, domain, trunc, "lambda matrix") for x in row]
-        )
+    rows = [[_config_scalar("lambda matrix", x, domain, trunc) for x in row]
+            for row in matrix]
     return BilinearForm(gens, rows, domain, trunc)

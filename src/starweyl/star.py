@@ -15,21 +15,24 @@ from operator import add
 
 from . import kernels
 from .errors import IncompatibleError
+from .parse import scalar_from_json
 from .poly import (
     Generators,
     Polynomial,
     TermSum,
-    _coerce_coeff,
     accumulate,
-    coerce_coeffs,
     exponent_tuple,
     monomial_text,
 )
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
-    GaussianRational,
     NumericScalar,
+    coerce_coeff,
+    coerce_coeffs,
+    int_decode,
+    int_encode,
+    int_parts,
 )
 
 
@@ -102,9 +105,9 @@ class BilinearForm:
         n = len(self.gens)
         if len(v) != n or len(w) != n:
             raise ValueError("vector length mismatch")
-        vv = [_coerce_coeff(x, self.domain, self.trunc) for x in v]
-        ww = [_coerce_coeff(x, self.domain, self.trunc) for x in w]
-        total = _coerce_coeff(0, self.domain, self.trunc)
+        vv = [coerce_coeff(x, self.domain, self.trunc) for x in v]
+        ww = [coerce_coeff(x, self.domain, self.trunc) for x in w]
+        total = coerce_coeff(0, self.domain, self.trunc)
         for i, j, lam in self.nonzero_entries():
             total = total + vv[i] * lam * ww[j]
         return total
@@ -138,14 +141,11 @@ class BilinearForm:
     def __neg__(self):
         return self._map(lambda c, i, j: -c)
 
-    def _half(self, c):
-        return c * Fraction(1, 2) if self.domain == "formal" else c * 0.5
-
     def symmetric_part(self):
-        return self._map(lambda c, i, j: self._half(c + self.matrix[j][i]))
+        return self._map(lambda c, i, j: (c + self.matrix[j][i]) * Fraction(1, 2))
 
     def antisymmetric_part(self):
-        return self._map(lambda c, i, j: self._half(c - self.matrix[j][i]))
+        return self._map(lambda c, i, j: (c - self.matrix[j][i]) * Fraction(1, 2))
 
     def is_symmetric(self):
         n = len(self.gens)
@@ -178,31 +178,17 @@ class BilinearForm:
 
     # -- JSON ---------------------------------------------------------------------
     def to_json(self) -> dict:
-        if self.domain == "formal":
-            mat = [[c.canonical() for c in row] for row in self.matrix]
-        else:
-            mat = [[[c.val.real, c.val.imag] for c in row] for row in self.matrix]
-        return {"generators": list(self.gens.names), "matrix": mat}
+        return {
+            "generators": list(self.gens.names),
+            "matrix": [[c.to_json() for c in row] for row in self.matrix],
+        }
 
     @classmethod
     def from_json(cls, d, gens=None, domain="formal", trunc=DEFAULT_TRUNCATION):
-        from .parse import scalar_from_text
-
         if gens is None:
             gens = Generators(d["generators"])
-        elif not isinstance(gens, Generators):
-            gens = Generators(gens)
-        rows = []
-        for row in d["matrix"]:
-            cells = []
-            for c in row:
-                if isinstance(c, str):
-                    cells.append(scalar_from_text(c, domain, trunc))
-                elif isinstance(c, (list, tuple)):
-                    cells.append(NumericScalar(c[0], c[1]))
-                else:
-                    cells.append(c)
-            rows.append(cells)
+        rows = [[scalar_from_json(c, domain, trunc) for c in row]
+                for row in d["matrix"]]
         return cls(gens, rows, domain, trunc)
 
     def __repr__(self):
@@ -284,41 +270,6 @@ def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
                         _clean=True)
 
 
-# -- the integer encoding of the formal domain ----------------------------------
-#
-# A formal coefficient sum_r (x_r + y_r i) h^r is stored as integer terms
-# under one denominator per operand: the monomial's exponent tuple gets two
-# extra slots, the power of h and the power of i, so x_r h^r becomes the key
-# exp + (r, 0) and y_r i h^r the key exp + (r, 1). The kernels add slots
-# when they multiply, like any exponent. Z[i] = Z[x]/(x^2 + 1) and
-# Z[h]/(h^(T+1)) are quotient rings, so reducing the power of i mod 4 and
-# dropping h-orders above T once, when the result is decoded, gives what
-# reducing after every step would.
-
-
-def _parts(c, trunc):
-    """(h-order, i-power, rational) parts of a formal scalar up to trunc."""
-    out = []
-    for r, g in c.coeffs.items():
-        if r <= trunc:
-            if g.re:
-                out.append((r, 0, g.re))
-            if g.im:
-                out.append((r, 1, g.im))
-    return out
-
-
-def _encode(terms, trunc):
-    """(den, {exp + (r, q): n}) with terms = sum n/den h^r i^q x^exp."""
-    parts = [(e, _parts(c, trunc)) for e, c in terms.items()]
-    den = math.lcm(*(x.denominator for _, ps in parts for _, _, x in ps))
-    out = {}
-    for e, ps in parts:
-        for r, q, x in ps:
-            out[e + (r, q)] = x.numerator * (den // x.denominator)
-    return den, out
-
-
 def _fold(form, z, trunc):
     """(den, entries): kernel entries of z * Lambda in the integer encoding.
 
@@ -328,10 +279,10 @@ def _fold(form, z, trunc):
     i slot rises by 0 or 1. Parts above h-order trunc cannot reach the
     result and are dropped.
     """
-    zparts = _parts(z, trunc)
+    zparts = int_parts(z, trunc)
     acc = {}
     for i, j, lam in form.nonzero_entries():
-        for r1, q1, x in _parts(lam, trunc):
+        for r1, q1, x in int_parts(lam, trunc):
             for r2, q2, y in zparts:
                 r, q, v = r1 + r2, q1 + q2, x * y
                 if r > trunc:
@@ -352,32 +303,11 @@ def _fold(form, z, trunc):
     return den, entries
 
 
-def _decode(out, den, n, trunc):
-    """Formal term dict of the integer terms out, read over den."""
-    parts = {}
-    for key, v in out.items():
-        r = key[n]
-        if r > trunc:
-            continue
-        q = key[n + 1] & 3
-        slot = parts.setdefault(key[:n], {}).setdefault(r, [0, 0])
-        slot[q & 1] += -v if q & 2 else v
-    terms = {}
-    for e, orders in parts.items():
-        coeffs = {
-            r: GaussianRational(Fraction(re, den), Fraction(im, den))
-            for r, (re, im) in orders.items()
-            if re or im
-        }
-        if coeffs:
-            terms[e] = FormalScalar(coeffs, trunc, _clean=True)
-    return terms
-
-
 def _encode_operands(form, z, a, b, trunc):
     """(den, entries) of z * Lambda, and (den, terms) of a and of b, encoded
     at trunc."""
-    return _fold(form, z, trunc), _encode(a.terms, trunc), _encode(b.terms, trunc)
+    return (_fold(form, z, trunc), int_encode(a.terms, trunc),
+            int_encode(b.terms, trunc))
 
 
 def _star_formal(form, z, a, b, rmax, trunc):
@@ -403,12 +333,12 @@ def _star_formal(form, z, a, b, rmax, trunc):
         for r in range(rmax + 1)
     ]
     out = kernels.star_terms(entries, weights, ea, eb, rmax)
-    return _decode(out, da * db * weights[0], n, trunc)
+    return int_decode(out, da * db * weights[0], n, trunc)
 
 
 def _z_factors(z, trunc, rmax):
     """[z^r / r! for r in 0..rmax] in the numeric domain."""
-    zz = _coerce_coeff(z, "numeric", trunc)
+    zz = coerce_coeff(z, "numeric", trunc)
     facts = [NumericScalar(1.0)]
     zp = facts[0]
     for r in range(1, rmax + 1):
@@ -428,7 +358,7 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     # z's among them
     trunc = min(a.trunc, b.trunc, form.trunc)
     if a.domain == "formal":
-        z = _coerce_coeff(z, "formal", trunc)
+        z = coerce_coeff(z, "formal", trunc)
         trunc = z.trunc
     if not a.terms or not b.terms:
         return Polynomial.zero(a.gens, a.domain, trunc)
@@ -500,8 +430,8 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
         (dl, entries), (da, ea), (db, eb) = _encode_operands(
             form, FormalScalar.constant(1, trunc), a, b, trunc
         )
-        out = _decode(_bracket_terms(entries, ea, eb), dl * da * db, len(a.gens),
-                      trunc)
+        out = int_decode(_bracket_terms(entries, ea, eb), dl * da * db,
+                         len(a.gens), trunc)
     else:
         out = _bracket_terms(_plain_entries(form), a.terms, b.terms)
     return Polynomial(a.gens, out, a.domain, trunc, _clean=True)
@@ -547,7 +477,7 @@ class OrderingOperator:
     def __init__(self, sym_form: BilinearForm, z):
         if not sym_form.is_symmetric():
             raise IncompatibleError("ordering operator needs a symmetric form")
-        zz = _coerce_coeff(z, sym_form.domain, sym_form.trunc)
+        zz = coerce_coeff(z, sym_form.domain, sym_form.trunc)
         object.__setattr__(self, "sym_form", sym_form)
         object.__setattr__(self, "z", zz)
 
@@ -556,11 +486,10 @@ class OrderingOperator:
 
     def _delta(self, f: Polynomial) -> Polynomial:
         out = Polynomial.zero(f.gens, f.domain, f.trunc)
-        half = Fraction(1, 2) if f.domain == "formal" else 0.5
         for i, j, s in self.sym_form.nonzero_entries():
             d = f.partial_derivative(i).partial_derivative(j)
             if d:
-                out = out + d * (s * half)
+                out = out + d * (s * Fraction(1, 2))
         return out
 
     def apply(self, f: Polynomial) -> Polynomial:
@@ -569,7 +498,7 @@ class OrderingOperator:
         out = f
         term = f
         k = 0
-        zk = f.scalar_one()
+        zk = f.coerce_scalar(1)
         while True:
             term = self._delta(term)
             if not term:
@@ -578,11 +507,10 @@ class OrderingOperator:
             zk = zk * self.z
             if not zk:
                 break
-            if f.domain == "formal":
-                coeff = zk * GaussianRational(Fraction(1, math.factorial(k)))
-            else:
-                coeff = zk * (1.0 / math.factorial(k))
-            out = out + term * coeff
+            # 1/k! as the domain's inverse of k!: exact when formal, and
+            # 1.0/k! when numeric, which for k = 23, 26, ... is not the
+            # float nearest to 1/k!
+            out = out + term * (zk * f.coerce_scalar(math.factorial(k)).invert())
         return out
 
     def inverse(self) -> "OrderingOperator":

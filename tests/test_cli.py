@@ -201,6 +201,13 @@ def test_config_errors_are_usage_errors(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert run("--config", str(notjson), "star", "q", "p").returncode == 2
+    # not UTF-8, and an integer beyond the interpreter's digit limit
+    for name, data in (("latin1.json", b'{"z": "\xff"}'),
+                       ("digits.json", b'{"z": 1' + b"0" * 5000 + b"}")):
+        path = tmp_path / name
+        path.write_bytes(data)
+        r = run("--config", str(path), "star", "q", "p")
+        assert r.returncode == 2 and "Traceback" not in r.stderr
 
 
 def test_custom_algebra_file(tmp_path):
@@ -234,6 +241,7 @@ def test_wrong_vector_length_is_usage_error():
 
 # Bad argument vectors and the exit code each must give. main runs in
 # process, so an exception that escapes it (a traceback) fails the test.
+ALGEBRA = {"dim": 2, "basis": ["A", "B"], "coords": ["a", "b"]}
 BAD_ARGUMENTS = [
     (["bch", "--order", "-1", "X", "Y"], 2),
     (["bch", "--order", "two", "X", "Y"], 2),
@@ -258,13 +266,36 @@ BAD_ARGUMENTS = [
     (["star", "q +", "p"], 1),
     (["star", "q^99999999", "p"], 1),
     (["bch", "--order", "9", "X", "Y"], 1),
+    # a dict stands for a JSON file with that content
+    (["--config", {"z": 0.5}, "star", "q", "p"], 2),
+    (["--config", {"lambda": {"matrix": [[0, 0.5], [1, 0]]}}, "star", "q", "p"], 2),
+    (["--config", {"z": True}, "star", "q", "p"], 2),
+    (["--config", {"z": [0, -1]}, "star", "q", "p"], 2),
+    (["--config", {"domain": "numeric", "z": [True, 1]}, "star", "q", "p"], 2),
+    (["--config", {"domain": "numeric", "z": 10**400}, "star", "q", "p"], 2),
+    (["--config", {"seminorm": {"weights": [True, 1], "R": 1.0}}, "seminorm", "q"], 2),
+    (["--config", {"seminorm": {"weights": [1, 1], "R": [1]}}, "seminorm", "q"], 2),
+    (["bch", "--algebra", {**ALGEBRA, "brackets": [
+        {"i": 0, "j": 1, "coeffs": ["h", "1+h"]}]}, "--order", "2", "A", "B"], 2),
+    (["bch", "--algebra", {**ALGEBRA, "brackets": [
+        {"i": 0, "j": 1, "coeffs": [0.5, 1]}]}, "--order", "2", "A", "B"], 2),
+    (["gutt", "--algebra", {**ALGEBRA, "brackets": [
+        {"i": 0, "j": 1, "coeffs": ["0", "1 +"]}]}, "a", "b"], 2),
+    (["bch", "--algebra", {**ALGEBRA, "brackets": [
+        {"i": 0, "j": 1, "coeffs": ["0", "1 + h^100*h"]}]}, "--order", "2",
+      "A", "B"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv,code", BAD_ARGUMENTS)
-def test_bad_arguments_exit_without_a_traceback(argv, code, capsys):
+def test_bad_arguments_exit_without_a_traceback(argv, code, capsys, tmp_path):
     from starweyl.cli import main
 
+    for k, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"arg{k}.json"
+            path.write_text(json.dumps(arg))
+            argv = argv[:k] + [str(path)] + argv[k + 1:]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects the vector itself

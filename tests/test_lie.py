@@ -11,6 +11,7 @@ from starweyl import (
     GaussianRational,
     LieAlgebra,
     Polynomial,
+    StarWeylError,
     TruncationError,
     UEElement,
     bch,
@@ -96,6 +97,25 @@ def test_algebra_json_roundtrip():
         f = poly_from_text("x*y", alg.coords)
         g = poly_from_text("y + z", alg.coords)
         assert gutt_star(again, f, g) == gutt_star(alg, f, g)
+
+
+def test_algebra_json_structure_constants():
+    def load(coeffs):
+        return LieAlgebra.from_json({
+            "dim": 2, "basis": ["A", "B"], "coords": ["a", "b"],
+            "brackets": [{"i": 0, "j": 1, "coeffs": coeffs}],
+        })
+
+    assert load(["0", "1/2 + i"]) == load([0, "i + 1/2"])
+    # h would be dropped at truncation 0, however high its order; a text
+    # that mentions h is refused even where the h-orders cancel
+    for coeffs in (["h", "1+h"], ["0", "1 + h^100"], ["0", "h - 2*h"],
+                   ["0", "1 + h^100*h"], ["0", "(h^2)^60"], ["0", "h - h"]):
+        with pytest.raises(StarWeylError):
+            load(coeffs)
+    for coeffs in ([0.5, 1], [True, 1], ["0", None]):
+        with pytest.raises(StarWeylError):
+            load(coeffs)
 
 
 # ------------------------------------------------------------ normal order

@@ -6,7 +6,14 @@ roundtrip property itself lives in test_poly.py. Here we pin the grammar.
 
 import pytest
 
-from starweyl import Generators, ParseError, poly_from_text, scalar_from_text
+from starweyl import (
+    Generators,
+    ParseError,
+    StarWeylError,
+    poly_from_text,
+    scalar_from_text,
+)
+from starweyl.parse import scalar_from_json
 
 G = Generators(("q", "p"))
 
@@ -96,3 +103,43 @@ def test_scalar_parser_rejects_generators():
 
 def test_whitespace_insensitive():
     assert parse(" q\t+  p ") == parse("q+p")
+
+
+@pytest.mark.parametrize(
+    "raw,domain,text",
+    [
+        ("1/2 - i*h", "formal", "1/2 - i*h"),
+        (-3, "formal", "-3"),
+        ("1/4", "numeric", "(0.25+0j)"),
+        (-3, "numeric", "(-3+0j)"),
+        (0.5, "numeric", "(0.5+0j)"),
+        ([0.25, -1], "numeric", "(0.25-1j)"),
+        ([-0.0, -1.0], "numeric", "(-0-1j)"),
+    ],
+)
+def test_scalar_from_json_accepts(raw, domain, text):
+    assert str(scalar_from_json(raw, domain, 8)) == text
+
+
+@pytest.mark.parametrize(
+    "raw,domain",
+    [
+        (0.5, "formal"),
+        (True, "formal"),
+        (True, "numeric"),
+        ([0, -1], "formal"),
+        ([True, 1], "numeric"),
+        (["1", "0"], "numeric"),
+        ([1, 2, 3], "numeric"),
+        (None, "numeric"),
+        ({"re": 1}, "formal"),
+        ("1 +", "formal"),
+        ("h", "numeric"),
+        (float("nan"), "numeric"),
+        (10**400, "numeric"),
+        ([1, -10**400], "numeric"),
+    ],
+)
+def test_scalar_from_json_rejects(raw, domain):
+    with pytest.raises(StarWeylError):
+        scalar_from_json(raw, domain, 8)

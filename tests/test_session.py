@@ -1,5 +1,7 @@
 """Session configuration: defaults, validation, JSON round-trip."""
 
+import math
+
 import pytest
 
 from starweyl import ConfigError, RESERVED_NAMES, Session
@@ -65,6 +67,12 @@ def test_reserved_names():
         {"seminorm": {"weights": [1.0], "R": 0.5}},  # wrong arity
         {"seminorm": {"weights": [1.0, -1.0], "R": 0.5}},
         {"seminorm": {"weights": [1.0, 1.0], "R": 0.1}},
+        {"z": 0.5},  # the formal domain takes no floats
+        {"z": True},
+        {"lambda": {"matrix": [[0, 0.5], [0, 0]]}},
+        {"domain": "numeric", "z": [True, 0]},
+        {"seminorm": {"weights": [True, 1.0], "R": 0.5}},
+        {"seminorm": {"weights": [1.0, 1.0], "R": [1]}},
     ],
 )
 def test_rejected_configs(cfg):
@@ -108,3 +116,17 @@ def test_numeric_session_json_roundtrip():
     assert again.z == ses.z
     assert again.form.matrix == ses.form.matrix
     assert again.to_json() == d
+
+
+def test_numeric_config_pairs_carry_no_signed_zero():
+    # a config [re, im] pair reads as complex(re, im) + 0j; a Polynomial's or
+    # a BilinearForm's JSON keeps its signed zeros (see tests/test_text.py)
+    ses = Session.from_config({
+        "domain": "numeric",
+        "lambda": {"matrix": [[0, [-0.0, -0.0]], [[-0.0, 1], 0]]},
+        "z": [-0.0, -1],
+    })
+    zeros = [x for c in (ses.z, ses.form.matrix[0][1], ses.form.matrix[1][0])
+             for x in (c.val.real, c.val.imag) if x == 0]
+    assert [math.copysign(1, x) for x in zeros] == [1.0] * 4
+    assert ses.to_json()["z"] == [0.0, -1.0]

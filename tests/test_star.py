@@ -5,6 +5,7 @@ deformation, associativity for random rational forms, and the equivalence
 machinery connecting different orderings.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -363,3 +364,13 @@ def test_numeric_domain_keeps_float_coefficients():
     assert set(s.terms) == set(exact.terms)
     for e, c in exact.terms.items():
         assert s.terms[e].val == pytest.approx(c.eval_at(1.0))
+
+
+def test_numeric_ordering_operator_keeps_the_float_factorial():
+    # level k of exp(z Delta_S) carries 1.0/k!; for k = 23 that is not the
+    # float nearest to 1/23!, and the constant term below shows which is used
+    s = BilinearForm(("q", "p"), [[0, 1], [1, 0]], "numeric")
+    f = poly_from_text("q^23*p^23", ("q", "p"), "numeric")
+    assert 1.0 / math.factorial(23) != float(Fraction(1, math.factorial(23)))
+    out = ordering_operator(s, 1).apply(f)
+    assert repr(out.terms[(0, 0)]) == "NumericScalar((2.5852016738884974e+22+0j))"

@@ -1,9 +1,10 @@
 """Source-structure checks on src/starweyl.
 
-Every sparse term sum goes through poly.accumulate, and the four term
-containers share one base class (see the end of this file). The hand-written
-accumulate idiom (read a dict slot with .get, add to it when it was there,
-drop it when the sum vanishes) may appear only in:
+Every sparse term sum goes through poly.accumulate, the four term
+containers share one base class, and coefficients cross one boundary (see
+the end of this file). The hand-written accumulate idiom (read a dict slot
+with .get, add to it when it was there, drop it when the sum vanishes) may
+appear only in:
 
 - accumulate itself;
 - the kernels, kernels.py: routed through accumulate, the integer star
@@ -82,22 +83,24 @@ def _has_idiom(fn):
     return bool(got & popped or slots & tested & summed)
 
 
-def accumulate_idioms(tree, filename):
-    """(filename, qualified name) of each function or method in a module
-    that holds the idiom, minus the exempt ones."""
-    found = []
+def qualified_parts(tree):
+    """(qualified name, node) of each function, method and other top-level
+    statement of a module: "f", "C.m", "C" for a class body statement that
+    is not a function, "<module>" for a module statement."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            fns = [(f"{node.name}.{f.name}", f) for f in node.body
-                   if isinstance(f, ast.FunctionDef)]
-        elif isinstance(node, ast.FunctionDef):
-            fns = [(node.name, node)]
+            for item in node.body:
+                name = getattr(item, "name", None)
+                yield (f"{node.name}.{name}" if name else node.name), item
         else:
-            continue
-        for name, fn in fns:
-            if (filename, name) not in EXEMPT_FUNCTIONS and _has_idiom(fn):
-                found.append((filename, name))
-    return found
+            yield getattr(node, "name", "<module>"), node
+
+
+def accumulate_idioms(tree, filename):
+    """(filename, qualified name) of each part of a module that holds the
+    idiom, minus the exempt ones."""
+    return [(filename, name) for name, node in qualified_parts(tree)
+            if (filename, name) not in EXEMPT_FUNCTIONS and _has_idiom(node)]
 
 
 IDIOM = (
@@ -197,3 +200,69 @@ def test_merge_terms_stays_gone():
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 assert "merge_terms" not in fh.read(), name
+
+
+# -- one coefficient boundary --------------------------------------------------
+#
+# scalars.py alone reads a numeric coefficient's value (.val): everything
+# else writes coefficients through to_json or term_text. parse.py alone
+# evaluates coefficient text; outside it, Session.parse_scalar, which reads
+# the user's scalar, is the one caller, and JSON goes through
+# parse.scalar_from_json.
+
+TEXT_READERS = {"scalar_from_text", "eval_constant"}
+TEXT_READER_CALLERS = {("session.py", "Session.parse_scalar")}
+
+
+def boundary_crossings(tree, filename):
+    """(filename, qualified name, what) for each read of .val outside
+    scalars.py and each call of a text reader outside parse.py, minus the
+    allowed callers."""
+    found = []
+    for name, node in qualified_parts(tree):
+        for sub in ast.walk(node):
+            if (filename != "scalars.py" and isinstance(sub, ast.Attribute)
+                    and sub.attr == "val"):
+                found.append((filename, name, ".val"))
+            if isinstance(sub, ast.Call):
+                called = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                if (called in TEXT_READERS and filename != "parse.py"
+                        and (filename, name) not in TEXT_READER_CALLERS):
+                    found.append((filename, name, called))
+    return found
+
+
+def test_detector_sees_a_boundary_crossing():
+    src = (
+        "class Session:\n"
+        "    def parse_scalar(self, text):\n"
+        "        return scalar_from_text(text)\n"
+        "    def to_json(self):\n"
+        "        return [self.z.val.real, parse.eval_constant(ast)]\n"
+        "def read(raw):\n"
+        "    return scalar_from_text(raw)\n"
+    )
+    tree = ast.parse(src)
+    assert sorted(boundary_crossings(tree, "session.py")) == [
+        ("session.py", "Session.to_json", ".val"),
+        ("session.py", "Session.to_json", "eval_constant"),
+        ("session.py", "read", "scalar_from_text"),
+    ]
+    assert boundary_crossings(tree, "parse.py") == [
+        ("parse.py", "Session.to_json", ".val"),
+    ]
+    # the allowed caller is Session.parse_scalar in session.py
+    assert sorted(boundary_crossings(tree, "scalars.py")) == [
+        ("scalars.py", "Session.parse_scalar", "scalar_from_text"),
+        ("scalars.py", "Session.to_json", "eval_constant"),
+        ("scalars.py", "read", "scalar_from_text"),
+    ]
+
+
+def test_coefficients_cross_one_boundary():
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                found += boundary_crossings(ast.parse(fh.read()), name)
+    assert found == []

@@ -1,12 +1,13 @@
 """Frozen text of every term printer: Polynomial (formal and numeric),
 DifferentialOperator (formal and numeric), TensorSquare, UEElement and
-LieSeries.
+LieSeries; and frozen JSON of the coefficient writers.
 
 Each row pins one branch of the shared term printer: a negative leading
 term, a coefficient with several h-orders in parentheses, h and h^r, a
 constant 1, Gaussian and numeric coefficients, and the zero element.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from starweyl import (
     Generators,
     LieSeries,
     Polynomial,
+    Session,
     TensorSquare,
     UEElement,
     bch,
@@ -25,6 +27,7 @@ from starweyl import (
     sl2,
     std_rep,
     ue_normal_order,
+    weyl_form,
 )
 
 G = ("q", "p")
@@ -116,3 +119,76 @@ CASES = [
 @pytest.mark.parametrize("value,text", CASES)
 def test_frozen_text(value, text):
     assert str(value) == text
+
+
+# Frozen JSON of the coefficient writers, compared as text so that a float
+# -0.0 and 0.0 differ. The numeric polynomial read back from JSON keeps the
+# signed zeros of its pairs.
+NUMERIC_PAIRS = {
+    "generators": ["q", "p"],
+    "scalar_domain": "numeric",
+    "terms": [{"exp": [1, 0], "coeff": [-0.0, -1.0]},
+              {"exp": [0, 0], "coeff": [0.5, -0.0]}],
+}
+JSON_CASES = [
+    (
+        pf("(1 + 2*h)*q - h*p + (1/2)*i*q*p - 3"),
+        '{"generators": ["q", "p"], "scalar_domain": "formal", "terms": ['
+        '{"exp": [1, 1], "coeff": "0/1+1/2*i"}, {"exp": [1, 0], "coeff": "1 + 2*h"}, '
+        '{"exp": [0, 1], "coeff": "-h"}, {"exp": [0, 0], "coeff": "-3"}], '
+        '"truncation": 8}',
+    ),
+    (
+        pf("2*q - 1 + 1/2*i*p - i*q*p", "numeric"),
+        '{"generators": ["q", "p"], "scalar_domain": "numeric", "terms": ['
+        '{"exp": [1, 1], "coeff": [0.0, -1.0]}, {"exp": [1, 0], "coeff": [2.0, 0.0]}, '
+        '{"exp": [0, 1], "coeff": [0.0, 0.5]}, {"exp": [0, 0], "coeff": [-1.0, 0.0]}]}',
+    ),
+    (
+        Polynomial.from_json(NUMERIC_PAIRS),
+        '{"generators": ["q", "p"], "scalar_domain": "numeric", "terms": ['
+        '{"exp": [1, 0], "coeff": [-0.0, -1.0]}, {"exp": [0, 0], "coeff": [0.5, -0.0]}]}',
+    ),
+    (
+        std_rep(pf("q*p^2 + i*q - h")),
+        '{"generators": ["q"], "scalar_domain": "formal", "terms": ['
+        '{"coef_exp": [1], "deriv_exp": [2], "coeff": "-h^2"}, '
+        '{"coef_exp": [1], "deriv_exp": [0], "coeff": "0/1+1/1*i"}, '
+        '{"coef_exp": [0], "deriv_exp": [0], "coeff": "-h"}], "truncation": 8}',
+    ),
+    (
+        std_rep(pf("q*p^2 - 1/4*q + i", "numeric")),
+        '{"generators": ["q"], "scalar_domain": "numeric", "terms": ['
+        '{"coef_exp": [1], "deriv_exp": [2], "coeff": [-1.0, 0.0]}, '
+        '{"coef_exp": [1], "deriv_exp": [0], "coeff": [-0.25, 0.0]}, '
+        '{"coef_exp": [0], "deriv_exp": [0], "coeff": [0.0, 1.0]}]}',
+    ),
+    (
+        weyl_form(G),
+        '{"generators": ["q", "p"], "matrix": [["0", "-1/2"], ["1/2", "0"]]}',
+    ),
+    (
+        weyl_form(G, "numeric"),
+        '{"generators": ["q", "p"], "matrix": '
+        '[[[0.0, 0.0], [-0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]}',
+    ),
+    (
+        Session.default(),
+        '{"generators": ["q", "p"], "domain": "formal", "truncation": 8, '
+        '"lambda": {"generators": ["q", "p"], "matrix": [["0", "0"], ["1", "0"]]}, '
+        '"z": "-i*h", "seminorm": {"weights": [1.0, 1.0], "R": 0.5}}',
+    ),
+    (
+        Session.from_config({"generators": ["q", "p"], "domain": "numeric",
+                             "z": "-i"}),
+        '{"generators": ["q", "p"], "domain": "numeric", "truncation": 8, '
+        '"lambda": {"generators": ["q", "p"], "matrix": '
+        '[[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}, '
+        '"z": [0.0, -1.0], "seminorm": {"weights": [1.0, 1.0], "R": 0.5}}',
+    ),
+]
+
+
+@pytest.mark.parametrize("value,text", JSON_CASES)
+def test_frozen_json(value, text):
+    assert json.dumps(value.to_json()) == text
