@@ -74,7 +74,12 @@ from .seminorms import (
     truncated_exponential,
     weyl_relation_defect,
 )
-from .bruteforce import DensePolynomial, naive_bch_via_ue, naive_star
+from .bruteforce import (
+    DensePolynomial,
+    naive_bch_dynkin,
+    naive_bch_via_ue,
+    naive_star,
+)
 from .session import RESERVED_NAMES, ConfigError, Session
 from .verify import CRITERIA, SUITES, VerifyResult, run_suite
 

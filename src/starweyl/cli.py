@@ -348,11 +348,14 @@ def _cmd_bch(args, ses):
 
 def _cmd_equiv(args, ses):
     d = _read_json(args.sym, "symmetric form")
-    if isinstance(d, dict) and "matrix" in d:
-        sform = _form_from_matrix(d["matrix"], ses.gens, ses.domain, ses.trunc)
-    else:
+    if not (isinstance(d, dict) and "matrix" in d):
         raise UsageError(f"{args.sym!r} must contain a 'matrix' key")
-    t = ordering_operator(sform, ses.z)
+    try:
+        sform = _form_from_matrix(d["matrix"], ses.gens, ses.domain,
+                                  ses.trunc, "matrix")
+        t = ordering_operator(sform, ses.z)
+    except StarWeylError as exc:
+        raise UsageError(f"bad symmetric form {args.sym!r}: {exc}") from None
     a, b = ses.parse_poly(args.a), ses.parse_poly(args.b)
     out = apply_equivalence(t, ses.form, ses.z, a, b)
     _emit(args, _poly_payload(out), str(out))

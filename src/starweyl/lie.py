@@ -585,56 +585,87 @@ class LieSeries:
         return f"<LieSeries {self}>"
 
 
-def _dynkin_blocks(weight):
-    """Yield block sequences [(p1,q1),...] with all p+q >= 1 summing to weight."""
-    if weight == 0:
-        yield []
-        return
-    for b in range(1, weight + 1):
-        for rest in _dynkin_blocks(weight - b):
-            for p in range(b + 1):
-                yield [(p, b - p)] + rest
+# The largest order bch accepts. The recursion runs about order^3/6
+# brackets, but its exact coefficients grow with the order: on the dense sl2
+# vectors H + 2E - F and E + 3F, order 24 takes about 0.5 s and order 30
+# about 1.1 s (2 cores, Python 3.11). At 24 a call stays near 1 s while the
+# host runs at half speed.
+MAX_BCH_ORDER = 24
+
+
+def bernoulli_numbers(n: int):
+    """[B_0, ..., B_n] as exact Fractions, by the Akiyama-Tanigawa
+    algorithm (Kaneko, J. Integer Sequences 3 (2000) 00.2.9); B_1 = +1/2."""
+    row = []
+    out = []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
+def _add_scaled(acc, v, c=None):
+    """acc + c*v (acc + v when c is None) for coefficient vectors."""
+    if c is None:
+        return tuple(a + b if b else a for a, b in zip(acc, v))
+    return tuple(a + c * b if b else a for a, b in zip(acc, v))
 
 
 def bch(algebra: LieAlgebra, x, y, order: int) -> LieSeries:
-    """BCH(h*x, h*y) through h^order via the Dynkin expansion in the algebra.
+    """BCH(h*x, h*y) through h^order: the components Z_1..Z_order in the
+    algebra, by the Goldberg-Varadarajan recursion (Varadarajan, Lie Groups,
+    Lie Algebras, and Their Representations, 2.15; Casas and Murua, J. Math.
+    Phys. 50, 033513, 2009):
 
-    Orders above 8 are refused (the term count explodes combinatorially).
+        Z_1 = x + y,
+        (n+1) Z_{n+1} = (1/2)[x - y, Z_n]
+                        + sum_{p >= 1, 2p <= n} B_2p/(2p)! W[2p][n],
+
+    where W[j][m] sums the nested brackets [Z_k1, [..., [Z_kj, x + y]...]]
+    over k1 + ... + kj = m, so W[0][0] = x + y and
+    W[j][m] = sum_k [Z_k, W[j-1][m-k]]. About order^3/6 brackets, each
+    skipped when an argument is zero. Orders above MAX_BCH_ORDER raise
+    TruncationError before any work.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if order > 8:
-        raise TruncationError("bch order capped at 8")
+    if order > MAX_BCH_ORDER:
+        raise TruncationError(
+            f"bch order {order} is above the limit {MAX_BCH_ORDER}"
+        )
     xv = tuple(_gr(v) for v in x)
     yv = tuple(_gr(v) for v in y)
     if len(xv) != algebra.dim or len(yv) != algebra.dim:
         raise ValueError("vector length mismatch")
+    if order == 0:
+        return LieSeries(algebra, 0)
+    bracket = algebra.bracket_vec
+
+    def add_bracket(acc, u, v):
+        return _add_scaled(acc, bracket(u, v)) if any(u) and any(v) else acc
+
     zero = tuple(GR_ZERO for _ in range(algebra.dim))
-    series = {}
-    for w in range(1, order + 1):
-        total = list(zero)
-        for blocks in _dynkin_blocks(w):
-            n = len(blocks)
-            denom = n * w
-            letters = []
-            for p, q in blocks:
-                denom *= math.factorial(p) * math.factorial(q)
-                letters.extend([xv] * p)
-                letters.extend([yv] * q)
-            # right-nested bracket [l1,[l2,[...[l_{m-1}, l_m]...]]]
-            v = letters[-1]
-            for letter in letters[-2::-1]:
-                if not any(v):
-                    break
-                v = algebra.bracket_vec(letter, v)
-            if not any(v):
-                continue
-            coeff = GaussianRational(Fraction(-1 if n % 2 == 0 else 1, denom))
-            for k in range(algebra.dim):
-                if v[k]:
-                    total[k] = total[k] + coeff * v[k]
-        series[w] = tuple(total)
-    return LieSeries(algebra, order, series)
+    s = tuple(a + b for a, b in zip(xv, yv))
+    half_diff = tuple((a - b) * Fraction(1, 2) for a, b in zip(xv, yv))
+    bern = bernoulli_numbers(order - 1)
+    # z[k] = Z_k and w[j][m] = W[j][m] for m < order; W[j][m] = 0 for j > m
+    z = [zero, s]
+    w = [[s] + [zero] * (order - 1)]
+    for n in range(1, order):
+        w.append([zero] * order)
+        for j in range(1, n + 1):
+            acc = zero
+            for k in range(1, n - j + 2):
+                acc = add_bracket(acc, z[k], w[j - 1][n - k])
+            w[j][n] = acc
+        acc = add_bracket(zero, half_diff, z[n])
+        for p in range(1, n // 2 + 1):
+            c = GaussianRational(bern[2 * p] / math.factorial(2 * p))
+            acc = _add_scaled(acc, w[2 * p][n], c)
+        z.append(_add_scaled(zero, acc, GaussianRational(Fraction(1, n + 1))))
+    return LieSeries(algebra, order, dict(enumerate(z[1:], 1)))
 
 
 def hbar_exponential(algebra: LieAlgebra, vec, cutoff: int,

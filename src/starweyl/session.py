@@ -173,13 +173,16 @@ def _config_scalar(what, raw, domain, trunc):
     return c + 0 if isinstance(raw, list) else c
 
 
-def _form_from_matrix(matrix, gens, domain, trunc) -> BilinearForm:
+def _form_from_matrix(matrix, gens, domain, trunc,
+                      what="lambda matrix") -> BilinearForm:
+    """The form of a JSON matrix, a malformed one a ConfigError that names
+    it as what."""
     n = len(gens.names)
     _require(
         isinstance(matrix, list) and len(matrix) == n
         and all(isinstance(row, list) and len(row) == n for row in matrix),
-        f"lambda matrix must be {n}x{n}",
+        f"{what} must be {n}x{n}",
     )
-    rows = [[_config_scalar("lambda matrix", x, domain, trunc) for x in row]
+    rows = [[_config_scalar(what, x, domain, trunc) for x in row]
             for row in matrix]
     return BilinearForm(gens, rows, domain, trunc)

@@ -327,7 +327,7 @@ def check_gutt_product(seed: int):
                 return False, f"BCH oracle disagrees on {label} at order {w}"
     return True, (
         "h3+sl2: 20 assoc triples, 30+9 bracket pairs, BCH property "
-        "(orders 6/5), Dynkin vs envelope log at order 5"
+        "(orders 6/5), BCH recursion vs envelope log at order 5"
     )
 
 

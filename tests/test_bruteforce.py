@@ -1,8 +1,8 @@
 """Cross-checks between the reference oracle and the optimized kernel.
 
 bruteforce shares only the scalar layer with the code under test: dense
-storage, derivatives, the star sum, the UE straightening and the log series
-are all independent implementations.
+storage, derivatives, the star sum, the UE straightening, the log series
+and Dynkin's BCH formula are all independent implementations.
 """
 
 from fractions import Fraction
@@ -17,10 +17,13 @@ from starweyl import (
     DensePolynomial,
     GaussianRational,
     Generators,
+    LieAlgebra,
+    LieSeries,
     Polynomial,
     bch,
     heisenberg3,
     minus_i_hbar,
+    naive_bch_dynkin,
     naive_bch_via_ue,
     naive_star,
     sl2,
@@ -128,12 +131,44 @@ def _constants(algebra):
 
 
 @pytest.mark.parametrize("algebra", [heisenberg3(), sl2()], ids=["h3", "sl2"])
-def test_ue_log_matches_dynkin(algebra):
+def test_ue_log_matches_bch(algebra):
     order = 4
     naive = naive_bch_via_ue(_constants(algebra), algebra.dim, order)
     direct = bch(algebra, algebra.basis_vector(0), algebra.basis_vector(1), order)
     for w in range(1, order + 1):
         assert tuple(naive[w]) == direct.component(w)
+
+
+BCH_ALGEBRAS = {
+    "h3": heisenberg3(),
+    "sl2": sl2(),
+    "axb": LieAlgebra(("A", "B"), {(0, 1): (0, 1)}, coords=("a", "b")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bch_matches_dynkin_oracle(data):
+    name = data.draw(st.sampled_from(sorted(BCH_ALGEBRAS)))
+    algebra = BCH_ALGEBRAS[name]
+    vectors = st.tuples(*[gaussians] * algebra.dim)
+    x, y = data.draw(vectors), data.draw(vectors)
+    order = data.draw(st.integers(min_value=0, max_value=6))
+    naive = naive_bch_dynkin(_constants(algebra), x, y, order)
+    direct = bch(algebra, x, y, order)
+    assert sorted(naive) == list(range(1, order + 1))
+    assert direct == LieSeries(algebra, order, naive)
+
+
+@pytest.mark.parametrize("name,x,y", [
+    ("sl2", (2, 0, 0), (0, -3, 0)),
+    ("sl2", (0, 0, Fraction(1, 2)), (3, 2, 0)),
+    ("axb", (3, 0), (0, -2)),
+], ids=["sl2-HE", "sl2-F-HE", "axb"])
+def test_bch_matches_dynkin_oracle_at_order_8(name, x, y):
+    algebra = BCH_ALGEBRAS[name]
+    naive = naive_bch_dynkin(_constants(algebra), x, y, 8)
+    assert bch(algebra, x, y, 8) == LieSeries(algebra, 8, naive)
 
 
 def test_ue_log_h3_truncates_immediately():

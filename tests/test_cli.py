@@ -12,6 +12,7 @@ import sys
 import jsonschema
 import pytest
 
+from starweyl.lie import MAX_BCH_ORDER
 from starweyl.schemas import (
     BCH_PAYLOAD_SCHEMA,
     CONVERGENCE_REPORT_SCHEMA,
@@ -265,7 +266,7 @@ BAD_ARGUMENTS = [
     (["star", "p"], 2),
     (["star", "q +", "p"], 1),
     (["star", "q^99999999", "p"], 1),
-    (["bch", "--order", "9", "X", "Y"], 1),
+    (["bch", "--order", str(MAX_BCH_ORDER + 1), "X", "Y"], 1),
     # a dict stands for a JSON file with that content
     (["--config", {"z": 0.5}, "star", "q", "p"], 2),
     (["--config", {"lambda": {"matrix": [[0, 0.5], [1, 0]]}}, "star", "q", "p"], 2),
@@ -284,6 +285,10 @@ BAD_ARGUMENTS = [
     (["bch", "--algebra", {**ALGEBRA, "brackets": [
         {"i": 0, "j": 1, "coeffs": ["0", "1 + h^100*h"]}]}, "--order", "2",
       "A", "B"], 2),
+    # refused before any work
+    (["bch", "--order", "1000000000", "X", "Y"], 1),
+    (["equiv", "--sym", {"matrix": [[0.5, 0], [0, 1]]}, "q", "p"], 2),
+    (["equiv", "--sym", {"matrix": [[0, 1], [0, 0]]}, "q", "p"], 2),
 ]
 
 
@@ -330,6 +335,22 @@ def test_vector_values_may_start_with_minus(argv, capsys):
     assert rc == 0, spaced.err
     assert main(attached) == 0
     assert capsys.readouterr().out == spaced.out != ""
+
+
+@pytest.mark.parametrize("matrix,reason", [
+    ([[0.5, 0], [0, 1]], "bad matrix entry"),
+    ([[0, 1], [0, 0]], "needs a symmetric form"),
+])
+def test_bad_symmetric_form_file_is_usage_error(matrix, reason, capsys,
+                                                tmp_path):
+    from starweyl.cli import main
+
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    assert main(["equiv", "--sym", str(path), "q", "p"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: bad symmetric form {str(path)!r}")
+    assert reason in err
 
 
 def test_nonlinear_bch_argument_is_computation_error():

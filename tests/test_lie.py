@@ -1,5 +1,6 @@
 """Linear Poisson structures: enveloping algebra, PBW, Gutt product, BCH."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from starweyl import (
     FormalScalar,
     GaussianRational,
     LieAlgebra,
+    LieSeries,
     Polynomial,
     StarWeylError,
     TruncationError,
@@ -29,6 +31,7 @@ from starweyl import (
     ue_normal_order,
 )
 from starweyl.bruteforce import _straighten
+from starweyl.lie import MAX_BCH_ORDER, bernoulli_numbers
 
 H3 = heisenberg3()
 SL2 = sl2()
@@ -294,8 +297,62 @@ def test_bch_antisymmetry_under_swap():
 
 
 def test_bch_order_cap():
-    with pytest.raises(TruncationError):
-        bch(H3, (1, 0, 0), (0, 1, 0), 9)
+    assert bch(H3, (1, 0, 0), (0, 1, 0), MAX_BCH_ORDER).order == MAX_BCH_ORDER
+    # refused before any work, however large the order
+    for order in (MAX_BCH_ORDER + 1, 10**9):
+        with pytest.raises(TruncationError):
+            bch(H3, (1, 0, 0), (0, 1, 0), order)
+
+
+def test_bch_orders_zero_and_one():
+    # the recursion starts from Z_1 = x + y, which order 0 must not return
+    for alg, x, y in ((H3, (1, 2, 0), (0, 1, 3)), (SL2, (1, 2, -1), (0, 1, 3)),
+                      (AXB, (2, 0), (1, -1))):
+        assert bch(alg, x, y, 0) == LieSeries(alg, 0)
+        assert str(bch(alg, x, y, 0)) == "0"
+        s = tuple(a + b for a, b in zip(x, y))
+        assert bch(alg, x, y, 1) == LieSeries(alg, 1, {1: s})
+    assert bch(H3, (1, 0, 0), (-1, 0, 0), 1).terms == {}
+
+
+# B_0..B_24 with B_1 = +1/2, written out so the checks below do not rest on
+# the package's own Bernoulli numbers
+BERNOULLI_PLUS = [
+    Fraction(1), Fraction(1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0,
+    Fraction(1, 42), 0, Fraction(-1, 30), 0, Fraction(5, 66), 0,
+    Fraction(-691, 2730), 0, Fraction(7, 6), 0, Fraction(-3617, 510), 0,
+    Fraction(43867, 798), 0, Fraction(-174611, 330), 0,
+    Fraction(854513, 138), 0, Fraction(-236364091, 2730),
+]
+
+
+def test_bernoulli_numbers_akiyama_tanigawa():
+    assert bernoulli_numbers(24) == BERNOULLI_PLUS
+    assert bernoulli_numbers(0) == [1]
+    assert all(isinstance(b, Fraction) for b in bernoulli_numbers(24))
+
+
+@pytest.mark.parametrize("alg,x,y,lam", [
+    (SL2, (1, 0, 0), (0, 1, 0), 2),   # [H, E] = 2E
+    (AXB, (1, 0), (0, 1), 1),         # [A, B] = B
+], ids=["sl2", "axb"])
+def test_bch_closed_form_through_order_24(alg, x, y, lam):
+    # where [x, y] = lam*y, BCH(hx, hy) = hx + sum_w lam^w B_w/w! h^(w+1) y
+    order = 24
+    want = {1: tuple(a + b for a, b in zip(x, y))}
+    for w in range(1, order):
+        want[w + 1] = tuple(
+            Fraction(lam**w) * BERNOULLI_PLUS[w] / math.factorial(w) * b
+            for b in y
+        )
+    assert bch(alg, x, y, order) == LieSeries(alg, order, want)
+
+
+def test_bch_h3_stops_at_order_two_at_order_24():
+    z = bch(H3, (1, 2, 0), (-3, 1, 5), 24)
+    assert sorted(z.terms) == [1, 2]
+    assert z.component(2) == tuple(GaussianRational(Fraction(v, 2))
+                                   for v in (0, 0, 7))
 
 
 def test_bch_property_reports():
@@ -306,6 +363,15 @@ def test_bch_property_reports():
     assert r2.ok
     with pytest.raises(TruncationError):
         check_bch_property(H3, (1, 0, 0), (0, 1, 0), 4, cutoff=2)
+
+
+@pytest.mark.parametrize("alg,x,y", [
+    (H3, (1, 0, 0), (0, 1, 0)),
+    (SL2, (1, 0, 0), (0, 1, 0)),
+], ids=["h3", "sl2"])
+def test_bch_property_at_order_ten(alg, x, y):
+    r = check_bch_property(alg, x, y, 10)
+    assert r.ok and r.max_agreed_order == 10
 
 
 def test_exponential_helpers_agree():

@@ -1,10 +1,11 @@
 """Seminorm family p_R, exponential growth regimes, exactness windows."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
@@ -58,11 +59,29 @@ def test_triangle_inequality(f, g):
     assert seminorm_pR(SPEC, f + g) <= seminorm_pR(SPEC, f) + seminorm_pR(SPEC, g) + 1e-12
 
 
+# Float roundings per term of seminorm_pR: the real and the imaginary part
+# of the exact coefficient read as floats, the modulus, a power and a product
+# for each of the two generator weights, and the product with k!^R.
+PER_TERM_ROUNDINGS = 8
+
+
 @given(polys(), st.integers(min_value=-6, max_value=6))
 @settings(max_examples=50)
+@example(Polynomial(G, {(0, 0): GaussianRational(1, Fraction(3, 2)),
+                        (4, 4): GaussianRational(Fraction(21, 4),
+                                                 Fraction(11, 3))}), 3)
 def test_homogeneity_integer_scalars(f, k):
     scaled = f.map_coefficients(lambda c: c * k)
-    assert seminorm_pR(SPEC, scaled) == pytest.approx(abs(k) * seminorm_pR(SPEC, f), abs=1e-12)
+    want = abs(k) * seminorm_pR(SPEC, f)
+    # Each side sums nonnegative terms. A term is off by at most
+    # PER_TERM_ROUNDINGS relative roundings of eps/2 (k!^R is the same float
+    # on both sides), and the running sum by one per term, so each side is
+    # within (terms + PER_TERM_ROUNDINGS) * eps/2 of its exact value,
+    # relatively, to first order; |k| * p_R(f) rounds once more. The
+    # tolerance is twice that first-order bound on the difference.
+    eps = sys.float_info.epsilon
+    tol = 2 * (len(f.terms) + PER_TERM_ROUNDINGS + 1) * eps * want
+    assert abs(seminorm_pR(SPEC, scaled) - want) <= tol
 
 
 def test_zero_and_unit():
