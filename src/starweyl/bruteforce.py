@@ -3,7 +3,8 @@
 Everything here recomputes results straight from the defining formulas with
 flat arrays and literal index loops, sharing only the scalar types with the
 rest of the package. Slow on purpose; used to cross-check the optimized
-kernels and the BCH recursion, which two oracles recompute: the logarithm
+kernels, the Gutt product (recomputed from symmetrized words in the
+envelope) and the BCH recursion, which two oracles recompute: the logarithm
 of a product of exponentials in the envelope, and Dynkin's formula. Do not
 "improve" this module.
 """
@@ -402,6 +403,93 @@ def naive_bch_via_ue(c, dim: int, order: int):
             # strip the rescaling factor i^(w-1): i^-1 = -i
             out[w][k] = out[w][k] + g * GR_I.conjugate() ** (w - 1)
     return {w: tuple(vec) for w, vec in out.items()}
+
+
+# -- naive Gutt product through the enveloping algebra ---------------------------
+#
+# Envelope elements are dense dicts word -> {h_order: GaussianRational}.
+
+
+def _add_series(out, word, r, g, trunc):
+    """out[word][r] += g, dropping orders above trunc and zero entries."""
+    if r > trunc:
+        return
+    dst = out.setdefault(word, {})
+    s = dst.get(r, GaussianRational(0)) + g
+    if s:
+        dst[r] = s
+    else:
+        dst.pop(r, None)
+        if not dst:
+            del out[word]
+
+
+def _series(c):
+    """{h_order: GaussianRational} of a coefficient."""
+    if isinstance(c, FormalScalar):
+        return dict(c.coeffs)
+    return {0: _gr_const(c)}
+
+
+def _naive_sym(alpha, c, dim, memo, trunc):
+    """sigma(x^alpha): the average over every ordering of the word of
+    alpha, each straightened."""
+    word = tuple(k for k in range(dim) for _ in range(alpha[k]))
+    orderings = list(itertools.permutations(word))
+    weight = GaussianRational(Fraction(1, len(orderings)))
+    out = {}
+    for o in orderings:
+        for m, orders in _straighten(o, c, dim, memo).items():
+            for r, g in orders.items():
+                _add_series(out, m, r, g * weight, trunc)
+    return out
+
+
+def naive_gutt(c, dim: int, f, g, trunc: int):
+    """Gutt product sigma^-1(sigma(f) sigma(g)) from the definitions.
+
+    c[i][j][k] are the structure constants; f and g map exponent tuples to
+    coefficients (FormalScalar or exact constants). sigma(x^alpha) is the
+    average of the straightened orderings of its word, the envelope product
+    concatenates words, and sigma^-1 eliminates the longest word first.
+    Returns dict[exponent tuple -> FormalScalar] cut at h-order trunc.
+    """
+    memo = {}
+
+    def sigma(poly):
+        out = {}
+        for alpha, coeff in poly.items():
+            for r1, g1 in _series(coeff).items():
+                for m, orders in _naive_sym(alpha, c, dim, memo, trunc).items():
+                    for r2, g2 in orders.items():
+                        _add_series(out, m, r1 + r2, g1 * g2, trunc)
+        return out
+
+    u = sigma(f)
+    v = sigma(g)
+    prod = {}
+    for m1, o1 in u.items():
+        for m2, o2 in v.items():
+            for m, o3 in _straighten(m1 + m2, c, dim, memo).items():
+                for r1, g1 in o1.items():
+                    for r2, g2 in o2.items():
+                        for r3, g3 in o3.items():
+                            _add_series(prod, m, r1 + r2 + r3, g1 * g2 * g3,
+                                        trunc)
+    out = {}
+    while prod:
+        m = max(prod, key=lambda w: (len(w), w))
+        series = dict(prod[m])
+        alpha = tuple(m.count(k) for k in range(dim))
+        for r, g in series.items():
+            _add_series(out, alpha, r, g, trunc)
+        for mm, orders in _naive_sym(alpha, c, dim, memo, trunc).items():
+            for r1, g1 in series.items():
+                for r2, g2 in orders.items():
+                    _add_series(prod, mm, r1 + r2, -(g1 * g2), trunc)
+    return {
+        alpha: FormalScalar(orders, trunc) for alpha, orders in out.items()
+    }
 
 
 # -- naive BCH by Dynkin's formula ----------------------------------------------

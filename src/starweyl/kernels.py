@@ -1,11 +1,14 @@
-"""The sparse kernels behind polynomial and star products.
+"""The sparse kernels behind polynomial, star and envelope products.
 
-All three functions work on plain dicts keyed by exponent tuples, with
+The functions work on plain dicts keyed by exponent tuples, with
 coefficient objects that support +, *, unary bool (zero test) and
-multiplication by int. Polynomial products pass FormalScalar or
-NumericScalar coefficients; the formal star product and Poisson bracket
-pass plain ints (star.py encodes the operands and decodes the result with
-the integer codec in scalars.py).
+multiplication by int. In the formal domain every caller passes plain ints
+in the integer codec of scalars.py (keys end in the powers of h and i, one
+denominator per operand, encoded before and decoded after the kernel): the
+formal products of poly.py (mul_terms), the star product and Poisson
+bracket of star.py (star_terms, p_lambda_terms), and the envelope products
+of lie.py (lift_terms). Only numeric-domain polynomial products pass
+coefficient objects (NumericScalar) to mul_terms.
 """
 
 from operator import add
@@ -89,4 +92,43 @@ def star_terms(entries, zfacts, a, b, rmax):
         if r > rmax:
             break
         t = p_lambda_terms(entries, t)
+    return out
+
+
+def lift_terms(a, b, raws, size, trunc):
+    """Integer terms of sum a[ea] * b[eb] * scale * raw over the pairs of
+    terms of a and b whose h-orders sum to at most trunc.
+
+    a and b are encoded term dicts (keys x + (h-order, i-power));
+    (scale, w, raw) = raws[xa, xb] is the raw product of the pair's
+    monomials: raw maps y + (i-power,) to ints, has weight w, and its term
+    y carries the implied h^(w - size(y)). Orders above trunc are skipped;
+    the i-power is left unreduced for int_decode.
+    """
+    out = {}
+    for ea, ca in a.items():
+        xa = ea[:-2]
+        ra = ea[-2]
+        qa = ea[-1]
+        for eb, cb in b.items():
+            r0 = ra + eb[-2]
+            if r0 > trunc:
+                continue
+            scale, w, raw = raws[xa, eb[:-2]]
+            c = ca * cb * scale
+            q0 = qa + eb[-1]
+            rw = r0 + w
+            for key, g in raw.items():
+                y = key[:-1]
+                r = rw - size(y)
+                if r > trunc:
+                    continue
+                k = y + (r, q0 + key[-1])
+                v = c * g
+                prev = out.get(k)
+                v = v if prev is None else prev + v
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
     return out

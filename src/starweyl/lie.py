@@ -3,11 +3,15 @@ PBW symmetrization, the Gutt star product and BCH machinery.
 
 The envelope carries the relations xi_i xi_j - xi_j xi_i = i*h*[xi_i, xi_j],
 so the PBW symmetrizer sigma (plain 1/k! normalisation) is degree-preserving
-and invertible order by order. Everything internal runs on exact Gaussian
-rationals with the h-power implied by the weight grading
-w = word length + h-order, which every rewrite preserves; h only
-materialises at the API boundary. See docs/conventions.md for the grading
-argument and the exp/BCH bookkeeping.
+and invertible order by order. The envelope engine (the _*_raw methods and
+their caches) runs on integers: each entry is one denominator and a dict
+from a monomial plus an i slot to ints, with the h-power implied by the
+weight grading w = word length + h-order, which every rewrite preserves.
+The envelope operations encode their operands with the integer codec of
+scalars.py, and h only materialises when the result is decoded at the API
+boundary. bch and LieSeries stay on exact Gaussian rationals. See
+docs/conventions.md for the grading argument, the raw form and the exp/BCH
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import kernels
 from .errors import IncompatibleError, ParseError, StarWeylError, TruncationError
 from .parse import RESERVED_NAMES, eval_ast, parse_expression, scalar_from_json
 from .poly import Generators, Polynomial, TermSum, accumulate, monomial_text
@@ -25,6 +30,8 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    int_decode,
+    int_encode,
     join_terms,
     term_text,
 )
@@ -53,8 +60,9 @@ class LieAlgebra:
     polynomial coordinates on the dual (default: lowercased basis names).
     """
 
-    __slots__ = ("dim", "basis", "coords", "_c", "_cache_leftmul",
-                 "_cache_sym", "_cache_monomul", "_cache_guttmono")
+    __slots__ = ("dim", "basis", "coords", "_c", "_ic_den", "_ic",
+                 "_cache_leftmul", "_cache_sym", "_cache_monomul",
+                 "_cache_guttmono")
 
     def __init__(self, basis, brackets, coords=None):
         basis = tuple(basis)
@@ -106,6 +114,19 @@ class LieAlgebra:
                 )
         object.__setattr__(self, "coords", Generators(coords))
         self._check_jacobi()
+        # i * c[j][a] in the raw form: (k, i-power, n) parts with value
+        # n / _ic_den, since i * (x + y i) = -y + x i
+        den = math.lcm(*(x.denominator for row in c for vec in row
+                         for g in vec for x in (g.re, g.im)))
+        object.__setattr__(self, "_ic_den", den)
+        object.__setattr__(self, "_ic", tuple(
+            tuple(tuple(
+                (k, q, int(x * den))
+                for k, g in enumerate(vec)
+                for q, x in ((0, -g.im), (1, g.re))
+                if x
+            ) for vec in row) for row in c
+        ))
         object.__setattr__(self, "_cache_leftmul", {})
         object.__setattr__(self, "_cache_sym", {})
         object.__setattr__(self, "_cache_monomul", {})
@@ -212,58 +233,57 @@ class LieAlgebra:
         return cls(basis, brackets, coords=d.get("coords"))
 
     # -- internal raw envelope arithmetic -----------------------------------------
-    # Raw dicts map PBW monomials (sorted index tuples) to GaussianRational;
-    # the h-order of a term is implied by the weight of the enclosing
-    # computation minus the monomial length, and each implied i*h picked up a
-    # factor i into the stored coefficient.
+    # A raw entry is (den, terms): terms maps a key, a PBW monomial (sorted
+    # index tuple) or an exponent tuple followed by the power of i (0 or 1),
+    # to an int, and the value is terms / den with den reduced against the
+    # terms. An entry is weight-homogeneous: the h-order of a term is the
+    # weight of the computation minus the size of its monomial, and each
+    # implied i*h put a factor i into the key's last slot.
 
     def _leftmul_raw(self, j, mono):
-        """xi_j * xi_mono as a raw dict (weight len(mono) + 1)."""
+        """xi_j * xi_mono as a raw entry (weight len(mono) + 1)."""
         key = (j, mono)
         hit = self._cache_leftmul.get(key)
         if hit is not None:
             return hit
         if not mono or j <= mono[0]:
-            out = {(j,) + mono: GR_ONE}
+            out = (1, {(j,) + mono + (0,): 1})
         else:
             a = mono[0]
             rest = mono[1:]
             # xi_j xi_a = xi_a xi_j + i*h [xi_j, xi_a]
-            out = accumulate({}, (
-                (m2, g1 * g2)
-                for m1, g1 in self._leftmul_raw(j, rest).items()
-                for m2, g2 in self._leftmul_raw(a, m1).items()
-            ))
-            row = self._c[j][a]
-            for k in range(self.dim):
-                ck = row[k]
-                if not ck:
-                    continue
-                f = GR_I * ck
-                accumulate(out, (
-                    (m1, f * g1) for m1, g1 in self._leftmul_raw(k, rest).items()
-                ))
-        self._cache_leftmul[key] = out
-        return out
+            d1, t1 = self._leftmul_raw(j, rest)
+            parts = [
+                (d1 * d2, _times(g1, m1[-1], t2))
+                for m1, g1 in t1.items()
+                for d2, t2 in [self._leftmul_raw(a, m1[:-1])]
+            ]
+            parts += [
+                (self._ic_den * d3, _times(x, q, t3))
+                for k, q, x in self._ic[j][a]
+                for d3, t3 in [self._leftmul_raw(k, rest)]
+            ]
+            out = _raw_sum(parts)
+        return _store(self._cache_leftmul, key, out)
 
     def _mono_mul_raw(self, m1, m2):
-        """xi_m1 * xi_m2 as a raw dict (weight len(m1) + len(m2))."""
+        """xi_m1 * xi_m2 as a raw entry (weight len(m1) + len(m2))."""
         key = (m1, m2)
         hit = self._cache_monomul.get(key)
         if hit is not None:
             return hit
-        out = {m2: GR_ONE}
+        out = (1, {m2 + (0,): 1})
         for j in reversed(m1):
-            out = accumulate({}, (
-                (mm, g * gg)
-                for m, g in out.items()
-                for mm, gg in self._leftmul_raw(j, m).items()
-            ))
-        self._cache_monomul[key] = out
-        return out
+            d, t = out
+            out = _raw_sum([
+                (d * dl, _times(g, m[-1], tl))
+                for m, g in t.items()
+                for dl, tl in [self._leftmul_raw(j, m[:-1])]
+            ])
+        return _store(self._cache_monomul, key, out)
 
     def _sym_raw(self, alpha):
-        """sigma(x^alpha) as a raw dict (weight |alpha|).
+        """sigma(x^alpha) as a raw entry (weight |alpha|).
 
         Recursion sigma(x^a) = (1/k) sum_j a_j xi_j sigma(x^(a - e_j)).
         """
@@ -272,70 +292,124 @@ class LieAlgebra:
             return hit
         k = sum(alpha)
         if k == 0:
-            out = {(): GR_ONE}
+            out = (1, {(0,): 1})
         else:
-            out = {}
-            inv_k = Fraction(1, k)
+            parts = []
             for j in range(self.dim):
                 aj = alpha[j]
                 if not aj:
                     continue
-                sub = alpha[:j] + (aj - 1,) + alpha[j + 1 :]
-                f = GaussianRational(aj * inv_k)
-                accumulate(out, (
-                    (mm, f * g * gg)
-                    for m, g in self._sym_raw(sub).items()
-                    for mm, gg in self._leftmul_raw(j, m).items()
-                ))
-        self._cache_sym[alpha] = out
-        return out
+                ds, ts = self._sym_raw(alpha[:j] + (aj - 1,) + alpha[j + 1 :])
+                parts += [
+                    (k * ds * dl, _times(aj * g, m[-1], tl))
+                    for m, g in ts.items()
+                    for dl, tl in [self._leftmul_raw(j, m[:-1])]
+                ]
+            out = _raw_sum(parts)
+        return _store(self._cache_sym, alpha, out)
 
-    def _sym_inverse_raw(self, u_raw):
-        """Invert sigma on a raw dict; returns dict[exponent tuple -> g].
+    def _sym_inverse_raw(self, terms):
+        """Invert sigma on raw terms (PBW monomial + (i-power,) -> int);
+        returns the raw entry (den, {exponent + (i-power,): int}).
 
-        u_raw must be weight-homogeneous; sigma is unit upper triangular
+        terms must be weight-homogeneous; sigma is unit upper triangular
         against word length, so greedy elimination from the longest monomial
         terminates. Every other monomial of sigma(x^alpha) is shorter than
-        the one eliminated, so each monomial leaves the worklist once and
-        each alpha is written once.
+        the one eliminated, so each key leaves the worklist once and each
+        alpha + (i-power,) is written once. A step whose sigma(x^alpha)
+        has a denominator the popped value does not cancel scales the
+        worklist and the result by the missing factor; one gcd at the end
+        reduces the denominator.
         """
         d = self.dim
-        work = dict(u_raw)
+        work = dict(terms)
         out = {}
+        den = 1
         while work:
-            m = max(work, key=lambda w: (len(w), w))
-            g = work.pop(m)
+            key = max(work, key=lambda w: (len(w), w))
+            g = work.pop(key)
+            m = key[:-1]
             alpha = [0] * d
             for idx in m:
                 alpha[idx] += 1
-            alpha = tuple(alpha)
-            out[alpha] = g
-            sym = self._sym_raw(alpha)
+            out[tuple(alpha) + key[-1:]] = g
+            ds, sym = self._sym_raw(tuple(alpha))
             # unit-triangular: the leading coefficient is exactly 1 and
             # already left the worklist with the pop above
-            if sym.get(m) != GR_ONE:
+            if sym.get(m + (0,)) != ds or m + (1,) in sym:
                 raise StarWeylError("PBW leading coefficient is not 1")
-            accumulate(work, ((mm, -(g * gg)) for mm, gg in sym.items() if mm != m))
-        return out
+            t = math.gcd(g, ds)
+            f = ds // t
+            if f != 1:
+                den *= f
+                work = {mm: f * v for mm, v in work.items()}
+                out = {mm: f * v for mm, v in out.items()}
+            accumulate(work, (
+                (mm, -v) for mm, v in _times(g // t, key[-1], sym)
+                if mm[:-1] != m
+            ))
+        return _reduced(den, out)
 
     def _gutt_mono_raw(self, alpha, beta):
-        """x^alpha *_G x^beta as dict[exponent -> g] (weight |alpha|+|beta|)."""
+        """x^alpha *_G x^beta as a raw entry over exponent tuples (weight
+        |alpha| + |beta|)."""
         key = (alpha, beta)
         hit = self._cache_guttmono.get(key)
         if hit is not None:
             return hit
-        u = {}
-        sa = self._sym_raw(alpha)
-        sb = self._sym_raw(beta)
-        for m1, g1 in sa.items():
-            for m2, g2 in sb.items():
-                f = g1 * g2
-                accumulate(u, (
-                    (m, f * g) for m, g in self._mono_mul_raw(m1, m2).items()
-                ))
-        out = self._sym_inverse_raw(u)
-        self._cache_guttmono[key] = out
-        return out
+        da, sa = self._sym_raw(alpha)
+        db, sb = self._sym_raw(beta)
+        du, u = _raw_sum([
+            (da * db * dm, _times(g1 * g2, m1[-1] + m2[-1], tm))
+            for m1, g1 in sa.items()
+            for m2, g2 in sb.items()
+            for dm, tm in [self._mono_mul_raw(m1[:-1], m2[:-1])]
+        ])
+        di, out = self._sym_inverse_raw(u)
+        return _store(self._cache_guttmono, key, _reduced(du * di, out))
+
+
+# The most entries each of the four per-algebra caches holds. A full cache is
+# cleared before its next store, so results never depend on it; one round of
+# the gutt-bch benchmark needs at most 1,837 entries in one cache.
+MAX_CACHE_ENTRIES = 2**15
+
+
+def _store(cache, key, value):
+    """cache[key] = value, clearing the cache first when it is full."""
+    if len(cache) >= MAX_CACHE_ENTRIES:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def _times(c, q, terms):
+    """Pairs (key, c * i^q * value) of raw terms, with the i-power in the
+    key's last slot reduced to 0 or 1 (q <= 2)."""
+    neg = -c
+    for key, g in terms.items():
+        p = key[-1] + q
+        yield key[:-1] + (p & 1,), (neg if p & 2 else c) * g
+
+
+def _reduced(den, terms):
+    """The raw entry terms / den with den and the terms divided by their
+    gcd."""
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return den, terms
+    return den // g, {key: v // g for key, v in terms.items()}
+
+
+def _raw_sum(parts):
+    """The reduced raw entry of the sum of parts (den, pairs), each brought
+    to the lcm of their denominators."""
+    den = math.lcm(*(d for d, _ in parts))
+    out = {}
+    for d, pairs in parts:
+        f = den // d
+        accumulate(out, ((key, f * v) for key, v in pairs))
+    return _reduced(den, out)
 
 
 def heisenberg3() -> LieAlgebra:
@@ -401,15 +475,10 @@ class UEElement(TermSum):
             except TypeError:
                 return NotImplemented
         self._check(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                if c:
-                    raw = self.algebra._mono_mul_raw(m1, m2)
-                    accumulate(out, _lift(c, raw, len(m1) + len(m2), len))
-        return UEElement(self.algebra, out, min(self.trunc, other.trunc),
-                         _clean=True)
+        n = min(self.trunc, other.trunc)
+        out = _envelope_product(self.terms, other.terms,
+                                self.algebra._mono_mul_raw, len, len, n)
+        return UEElement(self.algebra, out, n, _clean=True)
 
     __rmul__ = __mul__
 
@@ -425,18 +494,29 @@ class UEElement(TermSum):
         return f"<UEElement {self}>"
 
 
-def _lift(c, raw, w, size):
-    """Pairs (key, c * g * h^(w - size(key))) of the raw terms key -> g of
-    weight w: c's h-orders shift by the implied one, and orders above c's
-    truncation (the container's) drop."""
-    n = c.trunc
-    cs = c.coeffs.items()
-    for key, g in raw.items():
-        s = w - size(key)
-        if s <= n:
-            yield key, FormalScalar(
-                {r + s: x * g for r, x in cs if r + s <= n}, n, _clean=True
-            )
+def _envelope_product(a_terms, b_terms, raw, size, raw_size, trunc):
+    """Formal term dict of sum_{x, y} a[x] * b[y] * raw(x, y), cut at
+    h-order trunc, on ints.
+
+    raw(x, y) is a raw entry of weight size(x) + size(y) whose monomials
+    have the size raw_size. The operands are encoded once, each pair of
+    monomials whose lowest h-orders fit under trunc fetches its raw entry,
+    the entries are brought to one denominator, and kernels.lift_terms
+    moves their implied h-orders into the h slot.
+    """
+    da, a = int_encode(a_terms, trunc)
+    db, b = int_encode(b_terms, trunc)
+    found = {
+        (x, y): raw(x, y)
+        for x, cx in a_terms.items()
+        for y, cy in b_terms.items()
+        if min(cx.coeffs) + min(cy.coeffs) <= trunc
+    }
+    den = math.lcm(*(d for d, _ in found.values()))
+    raws = {(x, y): (den // d, size(x) + size(y), t)
+            for (x, y), (d, t) in found.items()}
+    return int_decode(kernels.lift_terms(a, b, raws, raw_size, trunc),
+                      da * db * den, trunc)
 
 
 def ue_normal_order(algebra: LieAlgebra, word,
@@ -448,11 +528,11 @@ def ue_normal_order(algebra: LieAlgebra, word,
     if any(not (0 <= idx < algebra.dim) for idx in word):
         raise ValueError("word index out of range")
     # the word times the empty monomial, straightened by the cached left
-    # multiplication; the raw result has weight len(word)
-    raw = algebra._mono_mul_raw(word, ())
+    # multiplication
     one = FormalScalar.constant(1, trunc)
-    return UEElement(algebra, dict(_lift(one, raw, len(word), len)), trunc,
-                     _clean=True)
+    out = _envelope_product({word: one}, {(): one}, algebra._mono_mul_raw,
+                            len, len, trunc)
+    return UEElement(algebra, out, trunc, _clean=True)
 
 
 def _check_coords(algebra: LieAlgebra, f: Polynomial):
@@ -468,9 +548,10 @@ def _check_coords(algebra: LieAlgebra, f: Polynomial):
 def pbw_symmetrize(algebra: LieAlgebra, f: Polynomial) -> UEElement:
     """sigma(f): symmetric algebra -> envelope, 1/k! symmetrization."""
     _check_coords(algebra, f)
-    out = {}
-    for alpha, c in f.terms.items():
-        accumulate(out, _lift(c, algebra._sym_raw(alpha), sum(alpha), len))
+    out = _envelope_product(
+        f.terms, {(): FormalScalar.constant(1, f.trunc)},
+        lambda alpha, _: algebra._sym_raw(alpha), sum, len, f.trunc,
+    )
     return UEElement(algebra, out, f.trunc, _clean=True)
 
 
@@ -479,32 +560,33 @@ def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
     if u.algebra != algebra:
         raise IncompatibleError("envelope element over a different algebra")
     n = u.trunc
-    # the coefficient of h^r on monomial m has weight len(m) + r, and
-    # sigma^{-1} maps each weight-homogeneous part on its own
+    den, encoded = int_encode(u.terms, n)
+    # the h^r part of monomial m has weight len(m) + r, and sigma^{-1} maps
+    # each weight-homogeneous part on its own; the h-order of alpha in the
+    # weight-w result is w - |alpha|, so no two weights share a key
     by_weight = {}
-    for m, c in u.terms.items():
-        for r, g in c.coeffs.items():
-            by_weight.setdefault(len(m) + r, {})[m] = g
-    one = FormalScalar.constant(1, n)
-    out = {}
-    for w, raw in by_weight.items():
-        accumulate(out, _lift(one, algebra._sym_inverse_raw(raw), w, sum))
-    return Polynomial(algebra.coords, out, "formal", n, _clean=True)
+    for key, v in encoded.items():
+        m = key[:-2]
+        by_weight.setdefault(len(m) + key[-2], {})[m + key[-1:]] = v
+    inverses = {w: algebra._sym_inverse_raw(t) for w, t in by_weight.items()}
+    common = math.lcm(*(d for d, _ in inverses.values()))
+    out = {
+        key[:-1] + (w - sum(key[:-1]), key[-1]): v * (common // d)
+        for w, (d, t) in inverses.items()
+        for key, v in t.items()
+    }
+    return Polynomial(algebra.coords, int_decode(out, den * common, n),
+                      "formal", n, _clean=True)
 
 
 def gutt_star(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
     """Gutt product sigma^{-1}(sigma(f) sigma(h)) on polynomials over the dual."""
     _check_coords(algebra, f)
     _check_coords(algebra, h)
-    out = {}
-    for alpha, cf in f.terms.items():
-        for beta, ch in h.terms.items():
-            c = cf * ch
-            if c:
-                raw = algebra._gutt_mono_raw(alpha, beta)
-                accumulate(out, _lift(c, raw, sum(alpha) + sum(beta), sum))
-    return Polynomial(algebra.coords, out, "formal", min(f.trunc, h.trunc),
-                      _clean=True)
+    n = min(f.trunc, h.trunc)
+    out = _envelope_product(f.terms, h.terms, algebra._gutt_mono_raw,
+                            sum, sum, n)
+    return Polynomial(algebra.coords, out, "formal", n, _clean=True)
 
 
 def kks_bracket(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
@@ -513,21 +595,25 @@ def kks_bracket(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial
     _check_coords(algebra, h)
     d = algebra.dim
     n = min(f.trunc, h.trunc)
-    out = Polynomial.zero(algebra.coords, "formal", n)
+    dh = [h.partial_derivative(ell) for ell in range(d)]
+    out = {}
     for k in range(d):
         dfk = f.partial_derivative(k)
         if not dfk:
             continue
         for ell in range(d):
-            dhl = h.partial_derivative(ell)
-            if not dhl:
-                continue
             row = algebra._c[k][ell]
-            for i in range(d):
-                if row[i]:
-                    xi = Polynomial.generator(algebra.coords, i, "formal", n)
-                    out = out + xi * (dfk * dhl) * row[i]
-    return out
+            if not dh[ell] or not any(row):
+                continue
+            prod = (dfk * dh[ell]).terms
+            for i, ci in enumerate(row):
+                if ci:
+                    # x_i times the product: slot i of each exponent rises
+                    accumulate(out, (
+                        (e[:i] + (e[i] + 1,) + e[i + 1 :], c * ci)
+                        for e, c in prod.items()
+                    ))
+    return Polynomial(algebra.coords, out, "formal", n, _clean=True)
 
 
 class LieSeries:

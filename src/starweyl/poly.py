@@ -20,6 +20,8 @@ from .scalars import (
     FormalScalar,
     coerce_coeff,
     coerce_coeffs,
+    int_decode,
+    int_encode,
     join_terms,
     term_text,
 )
@@ -293,13 +295,15 @@ class Polynomial(TermSum):
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
-            return Polynomial(
-                self.gens,
-                kernels.mul_terms(self.terms, other.terms),
-                self.domain,
-                min(self.trunc, other.trunc),
-                _clean=True,
-            )
+            n = min(self.trunc, other.trunc)
+            if self.domain == "formal":
+                # on ints: one denominator per operand, h and i in key slots
+                da, a = int_encode(self.terms, n)
+                db, b = int_encode(other.terms, n)
+                terms = int_decode(kernels.mul_terms(a, b), da * db, n)
+            else:
+                terms = kernels.mul_terms(self.terms, other.terms)
+            return Polynomial(self.gens, terms, self.domain, n, _clean=True)
         try:
             return self.scale(other)
         except TypeError:

@@ -650,15 +650,17 @@ def int_encode(terms, trunc):
     return den, out
 
 
-def int_decode(out, den, n, trunc):
-    """Formal term dict of the integer terms out, read over den."""
+def int_decode(out, den, trunc):
+    """Formal term dict of the integer terms out, read over den. The last
+    two slots of a key are the h and i powers, so the term keys before them
+    may have any length (PBW monomials do)."""
     parts = {}
     for key, v in out.items():
-        r = key[n]
+        r = key[-2]
         if r > trunc:
             continue
-        q = key[n + 1] & 3
-        slot = parts.setdefault(key[:n], {}).setdefault(r, [0, 0])
+        q = key[-1] & 3
+        slot = parts.setdefault(key[:-2], {}).setdefault(r, [0, 0])
         slot[q & 1] += -v if q & 2 else v
     terms = {}
     for e, orders in parts.items():

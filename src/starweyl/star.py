@@ -333,7 +333,7 @@ def _star_formal(form, z, a, b, rmax, trunc):
         for r in range(rmax + 1)
     ]
     out = kernels.star_terms(entries, weights, ea, eb, rmax)
-    return int_decode(out, da * db * weights[0], n, trunc)
+    return int_decode(out, da * db * weights[0], trunc)
 
 
 def _z_factors(z, trunc, rmax):
@@ -430,8 +430,7 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
         (dl, entries), (da, ea), (db, eb) = _encode_operands(
             form, FormalScalar.constant(1, trunc), a, b, trunc
         )
-        out = int_decode(_bracket_terms(entries, ea, eb), dl * da * db,
-                         len(a.gens), trunc)
+        out = int_decode(_bracket_terms(entries, ea, eb), dl * da * db, trunc)
     else:
         out = _bracket_terms(_plain_entries(form), a.terms, b.terms)
     return Polynomial(a.gens, out, a.domain, trunc, _clean=True)

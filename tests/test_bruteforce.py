@@ -15,20 +15,25 @@ from starweyl import (
     BilinearForm,
     BoxOverflowError,
     DensePolynomial,
+    FormalScalar,
     GaussianRational,
     Generators,
     LieAlgebra,
     LieSeries,
     Polynomial,
     bch,
+    gutt_star,
     heisenberg3,
     minus_i_hbar,
     naive_bch_dynkin,
     naive_bch_via_ue,
     naive_star,
+    pbw_symmetrize,
+    pbw_symmetrize_inverse,
     sl2,
     star,
 )
+from starweyl.bruteforce import naive_gutt
 
 G = Generators(("q", "p"))
 Z = minus_i_hbar()
@@ -110,6 +115,92 @@ def test_naive_star_agrees_on_random_forms(da, db, m):
     got = naive_star(_lam_matrix(form), Z, a, b)
     want = star(form, Z, Polynomial(G, dict(da)), Polynomial(G, dict(db)))
     assert got.to_dict() == want.terms
+
+
+# ------------------------------------------------------------- formal products
+#
+# A formal polynomial product is the star product with the zero form.
+
+
+def formal_coeffs(max_order=2):
+    """FormalScalars with Gaussian coefficients at h-orders 0..max_order."""
+    return st.dictionaries(
+        st.integers(min_value=0, max_value=max_order), gaussians,
+        min_size=1, max_size=2,
+    ).map(lambda d: FormalScalar(d, 8))
+
+
+def formal_polys(gens, max_deg=3, max_terms=3):
+    """(polynomial, truncation): Gaussian, h-dependent coefficients on
+    exponents of total degree at most max_deg, at a truncation of 1-6."""
+    n = len(gens)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=max_deg)] * n).filter(
+        lambda e: sum(e) <= max_deg)
+    return st.builds(
+        lambda terms, t: Polynomial(gens, terms, trunc=t),
+        st.dictionaries(exps, formal_coeffs(), max_size=max_terms),
+        st.integers(min_value=1, max_value=6),
+    )
+
+
+def _orders_within(f):
+    return all(max(c.coeffs) <= f.trunc for c in f.terms.values())
+
+
+@given(formal_polys(G, max_deg=4, max_terms=4), formal_polys(G, max_deg=4, max_terms=4))
+@settings(max_examples=60, deadline=None)
+def test_formal_product_is_the_zero_form_star(f, g):
+    zero = [[0, 0], [0, 0]]
+    a = DensePolynomial.from_dict(2, f.terms, trunc=f.trunc, box=10)
+    b = DensePolynomial.from_dict(2, g.terms, trunc=g.trunc, box=10)
+    got = f * g
+    assert got.terms == naive_star(zero, Z, a, b).to_dict()
+    assert got.trunc == min(f.trunc, g.trunc)
+    assert _orders_within(got)
+    empty = Polynomial.zero(G, trunc=3)
+    assert f * empty == empty * f == Polynomial.zero(G, trunc=min(3, f.trunc))
+
+
+# ------------------------------------------------------------- gutt oracle
+
+# [A, B] = (2/3 + i) B: a complex structure constant with a denominator
+COMPLEX_AXB = LieAlgebra.from_json({
+    "dim": 2, "basis": ["A", "B"],
+    "brackets": [{"i": 0, "j": 1, "coeffs": ["0", "2/3+i"]}],
+})
+GUTT_ALGEBRAS = {
+    "h3": heisenberg3(),
+    "sl2": sl2(),
+    "axb": LieAlgebra(("A", "B"), {(0, 1): (0, 1)}, coords=("a", "b")),
+    "complex-axb": COMPLEX_AXB,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gutt_matches_naive_oracle(data):
+    name = data.draw(st.sampled_from(sorted(GUTT_ALGEBRAS)))
+    algebra = GUTT_ALGEBRAS[name]
+    f = data.draw(formal_polys(algebra.coords))
+    g = data.draw(formal_polys(algebra.coords))
+    got = gutt_star(algebra, f, g)
+    n = min(f.trunc, g.trunc)
+    assert got.trunc == n
+    assert got.terms == naive_gutt(_constants(algebra), algebra.dim,
+                                   f.terms, g.terms, n)
+    assert _orders_within(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pbw_round_trip(data):
+    name = data.draw(st.sampled_from(sorted(GUTT_ALGEBRAS)))
+    algebra = GUTT_ALGEBRAS[name]
+    f = data.draw(formal_polys(algebra.coords))
+    u = pbw_symmetrize(algebra, f)
+    assert u.trunc == f.trunc
+    back = pbw_symmetrize_inverse(algebra, u)
+    assert back == f and back.trunc == f.trunc
 
 
 # ------------------------------------------------------------- bch oracle

@@ -30,6 +30,7 @@ from starweyl import (
     sl2,
     ue_normal_order,
 )
+from starweyl import lie
 from starweyl.bruteforce import _straighten
 from starweyl.lie import MAX_BCH_ORDER, bernoulli_numbers
 
@@ -265,6 +266,48 @@ def test_gutt_unit():
     f = poly_from_text("x^2*y*z", H3.coords)
     assert gutt_star(H3, one, f) == f
     assert gutt_star(H3, f, one) == f
+
+
+# ------------------------------------------------------------ cache bound
+
+CACHE_SLOTS = ("_cache_leftmul", "_cache_sym", "_cache_monomul",
+               "_cache_guttmono")
+
+
+class _WatchedCache(dict):
+    """A dict that remembers the most entries it ever held."""
+
+    largest = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+
+def _envelope_work(algebra):
+    f = poly_from_text("(x + 2*y - z + 1)^3", algebra.coords)
+    g = poly_from_text("(x - y + 3*z)^2 + h*y", algebra.coords, trunc=5)
+    u = UEElement.generator(algebra, 2) * UEElement.generator(algebra, 0)
+    return [
+        gutt_star(algebra, f, g),
+        gutt_star(algebra, g, f),
+        pbw_symmetrize_inverse(algebra, pbw_symmetrize(algebra, f * g)),
+        pbw_symmetrize(algebra, g) * u,
+        ue_normal_order(algebra, (2, 1, 0, 2), trunc=4),
+    ]
+
+
+@pytest.mark.parametrize("make", [heisenberg3, sl2], ids=["h3", "sl2"])
+def test_bounded_caches_keep_the_results(make, monkeypatch):
+    want = _envelope_work(make())
+    monkeypatch.setattr(lie, "MAX_CACHE_ENTRIES", 8)
+    algebra = make()
+    for slot in CACHE_SLOTS:
+        object.__setattr__(algebra, slot, _WatchedCache())
+    got = _envelope_work(algebra)
+    assert [str(x) for x in got] == [str(x) for x in want]
+    assert got == want
+    assert [getattr(algebra, slot).largest for slot in CACHE_SLOTS] == [8] * 4
 
 
 # ------------------------------------------------------------ bch

@@ -1,8 +1,9 @@
 """Source-structure checks on src/starweyl.
 
 Every sparse term sum goes through poly.accumulate, the four term
-containers share one base class, and coefficients cross one boundary (see
-the end of this file). The hand-written accumulate idiom (read a dict slot
+containers share one base class, coefficients cross one boundary, and the
+envelope engine and the formal product run on ints (see the end of this
+file). The hand-written accumulate idiom (read a dict slot
 with .get, add to it when it was there, drop it when the sum vanishes) may
 appear only in:
 
@@ -266,3 +267,124 @@ def test_coefficients_cross_one_boundary():
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 found += boundary_crossings(ast.parse(fh.read()), name)
     assert found == []
+
+
+# -- one representation in the raw engine ---------------------------------------
+#
+# The envelope engine, the kernel that lifts its results and the formal
+# polynomial product run on ints in the codec of scalars.py; the scalar
+# types appear only where operands are encoded and results decoded.
+
+SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ONE", "GR_I", "Fraction"}
+INT_ONLY = {
+    ("lie.py", "LieAlgebra._leftmul_raw"),
+    ("lie.py", "LieAlgebra._mono_mul_raw"),
+    ("lie.py", "LieAlgebra._sym_raw"),
+    ("lie.py", "LieAlgebra._sym_inverse_raw"),
+    ("lie.py", "LieAlgebra._gutt_mono_raw"),
+    ("kernels.py", "lift_terms"),
+}
+
+
+def scalar_names(node):
+    """Scalar-type names a node mentions, as a name or an attribute."""
+    return sorted({
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and n.id in SCALAR_NAMES)
+        or (isinstance(n, ast.Attribute) and n.attr in SCALAR_NAMES)
+    })
+
+
+def formal_branch(tree):
+    """The body of the `if self.domain == "formal"` test in
+    Polynomial.__mul__, as a module."""
+    parts = dict(qualified_parts(tree))
+    (branch,) = [
+        node for node in ast.walk(parts["Polynomial.__mul__"])
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value == "formal"
+                for c in node.test.comparators)
+    ]
+    return ast.Module(body=branch.body, type_ignores=[])
+
+
+def int_only_offenders(sources):
+    """(filename, part, names) for each integer-only part of the sources
+    ({filename: source}) that mentions a scalar type; a missing part is an
+    offender too."""
+    found = []
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    for filename, part in sorted(INT_ONLY):
+        node = dict(qualified_parts(trees[filename])).get(part)
+        names = ["<missing>"] if node is None else scalar_names(node)
+        if names:
+            found.append((filename, part, names))
+    names = scalar_names(formal_branch(trees["poly.py"]))
+    if names:
+        found.append(("poly.py", "Polynomial.__mul__ (formal)", names))
+    return found
+
+
+# _leftmul_raw as it was on GaussianRational
+OLD_LEFTMUL = '''
+class LieAlgebra:
+    def _leftmul_raw(self, j, mono):
+        key = (j, mono)
+        hit = self._cache_leftmul.get(key)
+        if hit is not None:
+            return hit
+        if not mono or j <= mono[0]:
+            out = {(j,) + mono: GR_ONE}
+        else:
+            a = mono[0]
+            rest = mono[1:]
+            out = accumulate({}, (
+                (m2, g1 * g2)
+                for m1, g1 in self._leftmul_raw(j, rest).items()
+                for m2, g2 in self._leftmul_raw(a, m1).items()
+            ))
+            row = self._c[j][a]
+            for k in range(self.dim):
+                ck = row[k]
+                if not ck:
+                    continue
+                f = GR_I * ck
+                accumulate(out, (
+                    (m1, f * g1) for m1, g1 in self._leftmul_raw(k, rest).items()
+                ))
+        self._cache_leftmul[key] = out
+        return out
+'''
+
+
+def _sources():
+    out = {}
+    for name in ("lie.py", "kernels.py", "poly.py"):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            out[name] = fh.read()
+    return out
+
+
+def test_detector_sees_a_scalar_in_the_raw_engine():
+    sources = _sources()
+    old = ast.parse(OLD_LEFTMUL).body[0].body[0]
+    tree = ast.parse(sources["lie.py"])
+    (cls,) = [n for n in tree.body
+              if isinstance(n, ast.ClassDef) and n.name == "LieAlgebra"]
+    cls.body = [old if getattr(n, "name", None) == "_leftmul_raw" else n
+                for n in cls.body]
+    sources["lie.py"] = ast.unparse(tree)
+    assert int_only_offenders(sources) == [
+        ("lie.py", "LieAlgebra._leftmul_raw", ["GR_I", "GR_ONE"]),
+    ]
+    poly = sources["poly.py"].replace("int_encode(self.terms, n)",
+                                      "int_encode(self.terms, Fraction(n))")
+    assert int_only_offenders({**_sources(), "poly.py": poly}) == [
+        ("poly.py", "Polynomial.__mul__ (formal)", ["Fraction"]),
+    ]
+
+
+def test_raw_engine_runs_on_ints():
+    assert int_only_offenders(_sources()) == []
