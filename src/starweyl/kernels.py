@@ -1,16 +1,23 @@
 """The sparse kernels behind polynomial, star and envelope products.
 
 The functions work on plain dicts keyed by exponent tuples, with
-coefficient objects that support +, *, unary bool (zero test) and
-multiplication by int. In the formal domain every caller passes plain ints
-in the integer codec of scalars.py (keys end in the powers of h and i, one
-denominator per operand, encoded before and decoded after the kernel): the
-formal products of poly.py (mul_terms), the star product and Poisson
-bracket of star.py (star_terms, p_lambda_terms), and the envelope products
-of lie.py (lift_terms). Only numeric-domain polynomial products pass
-coefficient objects (NumericScalar) to mul_terms.
+coefficients that support +, *, unary bool (zero test) and
+multiplication by int. Every caller encodes its operands once before the
+kernel and decodes the result once after it, with a codec of scalars.py:
+
+- formal domain, plain ints in the integer codec (keys end in the powers
+  of h and i, one denominator per operand): the formal products of poly.py
+  (mul_terms), translations (shift_terms) and scalings (scale_terms), the
+  star product and Poisson bracket of star.py (star_terms,
+  p_lambda_terms), and the envelope products of lie.py (lift_terms);
+- numeric domain, plain complex floats in the complex codec: polynomial
+  products (mul_terms), translations (shift_terms), the star product and
+  Poisson bracket (star_terms, p_lambda_terms).
+
+Only the public p_lambda on a TensorSquare passes coefficient objects.
 """
 
+from math import comb
 from operator import add
 
 # One implementation; the name is kept because benchmark results record it.
@@ -132,3 +139,100 @@ def lift_terms(a, b, raws, size, trunc):
                 else:
                     out.pop(k, None)
     return out
+
+
+def scale_terms(a, s, trunc):
+    """Integer terms of a times the scalar s.
+
+    a is an encoded term dict (keys x + (h-order, i-power)) and s the
+    encoded scalar {(h-order, i-power): n}. Orders above trunc are dropped;
+    the i-power is left unreduced for int_decode.
+    """
+    out = {}
+    for ea, ca in a.items():
+        x = ea[:-2]
+        ra = ea[-2]
+        qa = ea[-1]
+        for (r, q), cs in s.items():
+            h = ra + r
+            if h > trunc:
+                continue
+            key = x + (h, qa + q)
+            v = ca * cs
+            prev = out.get(key)
+            v = v if prev is None else prev + v
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _binomial_rows(d, s, k_max, trunc):
+    """rows[k][j] = C(k, j) * d^(k_max - k + j) * (d s)^(k - j) as encoded
+    scalars, for k <= k_max: the coefficient of x^j in (x + s)^k brought
+    over d^k_max."""
+    powers = [{(0, 0): 1}]
+    for _ in range(k_max):
+        powers.append(scale_terms(powers[-1], s, trunc))
+    return [
+        [{rq: v * d ** (k_max - k + j) * comb(k, j)
+          for rq, v in powers[k - j].items()}
+         for j in range(k + 1)]
+        for k in range(k_max + 1)
+    ]
+
+
+def shift_terms(a, shifts, trunc):
+    """(den, out): a with x_i replaced by x_i + s_i, out over den.
+
+    a is an encoded term dict (keys x + (h-order, i-power)). shifts[i] is
+    None to leave x_i alone, else (d, s) with s_i = s / d for an encoded
+    scalar s ({(h-order, i-power): n}). Each term is expanded one variable
+    at a time, and every term of variable i is brought over d^K, K the
+    largest exponent of x_i in a; den is the product of those powers.
+    Orders above trunc are dropped; the i-power is left unreduced for
+    int_decode.
+    """
+    den = 1
+    tables = []
+    for i, sh in enumerate(shifts):
+        k_max = max((ea[i] for ea in a), default=0)
+        if sh is None or not k_max:
+            continue
+        d, s = sh
+        den *= d ** k_max
+        tables.append((i, _binomial_rows(d, s, k_max, trunc)))
+    out = {}
+    for ea, ca in a.items():
+        acc = {ea: ca}
+        for i, rows in tables:
+            row = rows[ea[i]]
+            nxt = {}
+            for e, c in acc.items():
+                head = e[:i]
+                mid = e[i + 1 : -2]
+                he = e[-2]
+                qe = e[-1]
+                for j, fac in enumerate(row):
+                    for (r, q), f in fac.items():
+                        h = he + r
+                        if h > trunc:
+                            continue
+                        key = head + (j,) + mid + (h, qe + q)
+                        v = c * f
+                        prev = nxt.get(key)
+                        v = v if prev is None else prev + v
+                        if v:
+                            nxt[key] = v
+                        else:
+                            nxt.pop(key, None)
+            acc = nxt
+        for key, v in acc.items():
+            prev = out.get(key)
+            v = v if prev is None else prev + v
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
+    return den, out

@@ -9,8 +9,6 @@ lexicographic on exponent tuples, both descending.
 
 from __future__ import annotations
 
-import math
-
 from . import kernels
 from .errors import IncompatibleError, ParseError, TruncationError
 from .parse import eval_ast, h_unavailable, parse_expression, scalar_from_json
@@ -20,6 +18,8 @@ from .scalars import (
     FormalScalar,
     coerce_coeff,
     coerce_coeffs,
+    complex_decode,
+    complex_encode,
     int_decode,
     int_encode,
     join_terms,
@@ -193,10 +193,14 @@ class TermSum:
     def scale(self, c):
         """self times the scalar c (TypeError when c is not one)."""
         c = self.coerce_scalar(c)
-        trunc = c.trunc if self.domain == "formal" else self.trunc
-        return self._wrap(
-            {k: p for k, v in self.terms.items() if (p := v * c)}, trunc
-        )
+        if self.domain == "formal":
+            # on ints: the terms over one denominator, c over another
+            trunc = c.trunc
+            da, a = int_encode(self.terms, trunc)
+            dc, s = int_encode({(): c}, trunc)
+            out = kernels.scale_terms(a, s, trunc)
+            return self._wrap(int_decode(out, da * dc, trunc), trunc)
+        return self._wrap({k: p for k, v in self.terms.items() if (p := v * c)})
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -302,7 +306,8 @@ class Polynomial(TermSum):
                 db, b = int_encode(other.terms, n)
                 terms = int_decode(kernels.mul_terms(a, b), da * db, n)
             else:
-                terms = kernels.mul_terms(self.terms, other.terms)
+                terms = complex_decode(kernels.mul_terms(
+                    complex_encode(self.terms), complex_encode(other.terms)))
             return Polynomial(self.gens, terms, self.domain, n, _clean=True)
         try:
             return self.scale(other)
@@ -344,34 +349,23 @@ class Polynomial(TermSum):
             raise ValueError("shift vector length mismatch")
         sh, trunc = coerce_coeffs(shifts, self.domain, self.trunc)
         src = self._cut(trunc)
-        one = coerce_coeff(1, self.domain, trunc)
-        out = {}
-        for e, c in src.terms.items():
-            # expand prod_i (x_i + s_i)^(e_i) one variable at a time; slot i
-            # of every key in acc is still 0, so no two products collide
-            acc = {(0,) * n: c}
-            for i in range(n):
-                k = e[i]
-                if k == 0:
-                    continue
-                if not sh[i]:
-                    acc = {
-                        key[:i] + (k,) + key[i + 1 :]: v
-                        for key, v in acc.items()
-                    }
-                    continue
-                powers = [one]
-                for _ in range(k):
-                    powers.append(powers[-1] * sh[i])
-                binom = [powers[k - j] * math.comb(k, j) for j in range(k + 1)]
-                acc = {
-                    key[:i] + (j,) + key[i + 1 :]: w
-                    for key, v in acc.items()
-                    for j in range(k + 1)
-                    if (w := v * binom[j])
-                }
-            accumulate(out, acc.items())
-        return self._wrap(out, trunc)
+        if not any(sh):
+            return src
+        # expanded by the kernel on plain numbers; a zero shift leaves x_i
+        if self.domain == "formal":
+            da, a = int_encode(src.terms, trunc)
+            ds, out = kernels.shift_terms(
+                a, [int_encode({(): s}, trunc) if s else None for s in sh],
+                trunc)
+            terms = int_decode(out, da * ds, trunc)
+        else:
+            # the kernel's keys end in h and i slots, which stay 0 here
+            a = {e + (0, 0): v for e, v in complex_encode(src.terms).items()}
+            _, out = kernels.shift_terms(
+                a, [(1, complex_encode({(0, 0): s})) if s else None
+                    for s in sh], trunc)
+            terms = complex_decode({k[:-2]: v for k, v in out.items()})
+        return self._wrap(terms, trunc)
 
     def evaluate(self, point):
         """Evaluate at a point (scalar per generator); returns a scalar."""

@@ -7,8 +7,9 @@ nilpotent-beyond-truncation bookkeeping parameter, and conjugation fixes h
 while flipping i.
 
 Only this module knows how the "formal" and "numeric" domains build
-(coerce_coeff), write (to_json, term_text) and integer-encode
-(int_encode/int_decode) a coefficient; parse.py reads one back.
+(coerce_coeff), write (to_json, term_text) and encode a coefficient for the
+kernels (int_encode/int_decode, complex_encode/complex_decode); parse.py
+reads one back.
 """
 
 from __future__ import annotations
@@ -672,3 +673,25 @@ def int_decode(out, den, trunc):
         if coeffs:
             terms[e] = FormalScalar(coeffs, trunc, _clean=True)
     return terms
+
+
+# -- the complex encoding of the numeric domain ---------------------------------
+#
+# The kernels run numeric coefficients as plain complex floats; decoding
+# wraps each result in NumericScalar, which raises NonFiniteError on an inf
+# or nan part and writes a -0.0 part as +0.0. IEEE sums and products of
+# finite values depend on the sign of a zero only when they are zero, and a
+# non-finite value stays non-finite through them, so decoding once gives
+# what wrapping every intermediate would, except that an overflow in a term
+# that never reaches the result is not raised (docs/conventions.md
+# section 14).
+
+
+def complex_encode(terms):
+    """{key: complex} of a numeric term dict."""
+    return {k: c.val for k, c in terms.items()}
+
+
+def complex_decode(terms):
+    """Numeric term dict of {key: complex}; NonFiniteError on inf or nan."""
+    return {k: NumericScalar(v) for k, v in terms.items()}

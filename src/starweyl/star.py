@@ -30,6 +30,8 @@ from .scalars import (
     NumericScalar,
     coerce_coeff,
     coerce_coeffs,
+    complex_decode,
+    complex_encode,
     int_decode,
     int_encode,
     int_parts,
@@ -261,6 +263,12 @@ def _plain_entries(form):
     return [(i, j, lam, None) for i, j, lam in form.nonzero_entries()]
 
 
+def _complex_entries(form):
+    """Kernel entries of a numeric form, as complex floats."""
+    cells = complex_encode({(i, j): lam for i, j, lam in form.nonzero_entries()})
+    return [(i, j, lam, None) for (i, j), lam in cells.items()]
+
+
 def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
     """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j."""
     if form.gens != t.gens or form.domain != t.domain:
@@ -337,9 +345,9 @@ def _star_formal(form, z, a, b, rmax, trunc):
 
 
 def _z_factors(z, trunc, rmax):
-    """[z^r / r! for r in 0..rmax] in the numeric domain."""
-    zz = coerce_coeff(z, "numeric", trunc)
-    facts = [NumericScalar(1.0)]
+    """[z^r / r! for r in 0..rmax] as complex floats."""
+    zz = complex_encode({0: coerce_coeff(z, "numeric", trunc)})[0]
+    facts = [1 + 0j]
     zp = facts[0]
     for r in range(1, rmax + 1):
         zp = zp * zz
@@ -367,9 +375,10 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
         out = _star_formal(form, z, a, b, rmax, trunc)
     else:
         zfacts = _z_factors(z, trunc, rmax)
-        out = kernels.star_terms(
-            _plain_entries(form), zfacts, a.terms, b.terms, len(zfacts) - 1
-        )
+        out = complex_decode(kernels.star_terms(
+            _complex_entries(form), zfacts, complex_encode(a.terms),
+            complex_encode(b.terms), len(zfacts) - 1
+        ))
     return Polynomial(a.gens, out, a.domain, trunc, _clean=True)
 
 
@@ -432,7 +441,9 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
         )
         out = int_decode(_bracket_terms(entries, ea, eb), dl * da * db, trunc)
     else:
-        out = _bracket_terms(_plain_entries(form), a.terms, b.terms)
+        out = complex_decode(_bracket_terms(
+            _complex_entries(form), complex_encode(a.terms),
+            complex_encode(b.terms)))
     return Polynomial(a.gens, out, a.domain, trunc, _clean=True)
 
 

@@ -289,6 +289,11 @@ BAD_ARGUMENTS = [
     (["bch", "--order", "1000000000", "X", "Y"], 1),
     (["equiv", "--sym", {"matrix": [[0.5, 0], [0, 1]]}, "q", "p"], 2),
     (["equiv", "--sym", {"matrix": [[0, 1], [0, 0]]}, "q", "p"], 2),
+    # a numeric result beyond the float range is a computation error
+    (["--config", {"domain": "numeric"}, "star", "10^80*10^80*q",
+      "10^80*10^80*p"], 1),
+    (["--config", {"domain": "numeric"}, "poisson", "10^80*10^80*q",
+      "10^80*10^80*p"], 1),
 ]
 
 

@@ -14,12 +14,16 @@ from starweyl import (
     Polynomial,
     TensorSquare,
     TruncationError,
+    UEElement,
     poly_from_text,
+    sl2,
     total_degree,
 )
 
 GENS2 = Generators(("q", "p"))
 GENS3 = Generators(("x", "y", "z"))
+GENS4 = Generators(("a", "b", "c", "d"))
+SL2 = sl2()
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -116,22 +120,87 @@ shifts = st.one_of(
 )
 
 
-@given(polys(GENS3, max_deg=3), st.tuples(shifts, shifts, shifts))
-@settings(max_examples=60, deadline=None)
-def test_translate_is_substitution(f, s):
-    # sum_e c_e prod_i (x_i + s_i)^(e_i) through Polynomial arithmetic
-    one = Polynomial.one(GENS3)
-    moved = [Polynomial.generator(GENS3, i) + one * s[i] for i in range(3)]
+def _substituted(f, s):
+    """sum_e c_e prod_i (x_i + s_i)^(e_i) through Polynomial arithmetic."""
+    gens, domain = f.gens, f.domain
+    one = Polynomial.one(gens, domain, f.trunc)
+    moved = [Polynomial.generator(gens, i, domain, f.trunc) + one * s[i]
+             for i in range(len(gens))]
     # the empty sum is the zero of the ring the substitution lands in
-    expected = Polynomial.zero(GENS3, trunc=min(m.trunc for m in moved))
+    out = Polynomial.zero(gens, domain, min(m.trunc for m in moved))
     for e, c in f.terms.items():
         term = one * c
         for i, k in enumerate(e):
             term = term * moved[i] ** k
-        expected = expected + term
+        out = out + term
+    return out
+
+
+@given(polys(GENS3, max_deg=3), st.tuples(shifts, shifts, shifts))
+@settings(max_examples=60, deadline=None)
+def test_translate_is_substitution(f, s):
     got = f.translate(s)
+    expected = _substituted(f, s)
     assert got == expected
     assert got.trunc == expected.trunc
+
+
+def _wide_case(n):
+    """(f, shifts) on n generators: exponents up to 6 and coefficients at
+    several h-orders at a truncation T; shifts that are 0, imaginary
+    Gaussian (powers reach i^3) or h-dependent at a truncation that may be
+    below T; one more shift set to 0 when zero_at is drawn."""
+    gens = GENS3 if n == 3 else GENS4
+
+    def case(t, terms, shifts, zero_at):
+        f = Polynomial(gens, {e: FormalScalar(c, t) for e, c in terms},
+                       "formal", t)
+        if zero_at is not None:
+            shifts[zero_at] = 0
+        return f, tuple(shifts)
+
+    coeff = st.dictionaries(st.integers(0, 4), gaussians, min_size=1,
+                            max_size=2)
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    shift = st.one_of(
+        st.just(0),
+        st.builds(GaussianRational, fractions,
+                  fractions.filter(bool)),
+        st.builds(lambda t, d: FormalScalar(d, t), st.integers(0, 4),
+                  st.dictionaries(st.integers(0, 3), gaussians, max_size=3)),
+    )
+    return st.builds(case, st.integers(0, 6),
+                     st.lists(st.tuples(exps, coeff), max_size=3),
+                     st.lists(shift, min_size=n, max_size=n),
+                     st.none() | st.integers(0, n - 1))
+
+
+@given(st.sampled_from((3, 4)).flatmap(_wide_case))
+@settings(max_examples=40, deadline=None)
+def test_translate_is_substitution_on_wide_shifts(case):
+    f, s = case
+    got = f.translate(s)
+    expected = _substituted(f, s)
+    assert got == expected
+    assert got.trunc == expected.trunc
+    _check_truncation_invariant(got)
+
+
+def test_translate_reaches_the_third_power_of_i():
+    q = Polynomial.generator(GENS2, 0)
+    got = (q**3).translate((GaussianRational(0, 1), 0))
+    assert got == poly_from_text("q^3 + 3*i*q^2 - 3*q - i", GENS2)
+
+
+def test_numeric_translate_is_substitution():
+    # small Gaussian integers and halves: every float step below is exact
+    f = poly_from_text("(2 - i)*q^3*p^2 + i*q*p^4 - 3*p + (1/2)*q^5",
+                       GENS2, "numeric")
+    for s in ((0.5 - 1j, 2j), (0, -1 + 1j), (-1.5, 0)):
+        got = f.translate(s)
+        assert got == _substituted(f, s)
+        assert got.domain == "numeric"
+    assert f.translate((0, 0)) == f
 
 
 @given(polys())
@@ -273,11 +342,26 @@ def test_a_coefficient_of_smaller_truncation_lowers_the_truncation():
 @given(mixed_pairs(), st.integers(min_value=0, max_value=8), gaussians)
 @settings(max_examples=60)
 def test_scaling_takes_the_smaller_truncation(pair, t, g):
-    f, _ = pair
+    f, h = pair
     c = FormalScalar({0: 1, 1: g}, t)
     for s in (f * c, c * f):
         assert s.trunc == min(f.trunc, t)
         _check_truncation_invariant(s)
+    # every term sum, pair keys and PBW keys too, scales term by term
+    sums = (
+        f,
+        TensorSquare.of(f, h),
+        DifferentialOperator(GENS2, {(e, e): v for e, v in h.terms.items()},
+                             "formal", h.trunc),
+        UEElement(SL2, {(0,) * e[0] + (2,) * e[1]: v
+                        for e, v in f.terms.items()}, f.trunc),
+    )
+    for x in sums:
+        for k in (c, g, 0, Fraction(-3, 2), FormalScalar({1: g, 3: 2}, t)):
+            got = x.scale(k)
+            assert got.trunc == min(x.trunc, getattr(k, "trunc", x.trunc))
+            assert got.terms == {key: p for key, v in x.terms.items()
+                                 if (p := v * k)}
 
 
 def test_translation_or_evaluation_at_smaller_truncation_lowers_the_truncation():

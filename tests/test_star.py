@@ -39,6 +39,9 @@ from starweyl import (
     weyl_form,
 )
 from starweyl.bruteforce import DensePolynomial
+from starweyl.errors import NonFiniteError
+from starweyl.kernels import mul_terms
+from starweyl.scalars import complex_encode
 
 G = Generators(("q", "p"))
 Z = minus_i_hbar()
@@ -364,6 +367,57 @@ def test_numeric_domain_keeps_float_coefficients():
     assert set(s.terms) == set(exact.terms)
     for e, c in exact.terms.items():
         assert s.terms[e].val == pytest.approx(c.eval_at(1.0))
+
+
+BIG = 1e160  # its square is beyond the float range
+
+
+def test_numeric_products_refuse_to_overflow():
+    f = Polynomial(G, {(1, 0): BIG}, "numeric")
+    g = Polynomial(G, {(0, 1): BIG}, "numeric")
+    form = standard_form(G, "numeric")
+    with pytest.raises(NonFiniteError):
+        f * g
+    with pytest.raises(NonFiniteError):
+        star(form, minus_i_hbar("numeric"), f, g)
+    with pytest.raises(NonFiniteError):
+        poisson_bracket(form.transpose(), f, g)
+    # only the first-order term of p * q overflows here
+    big = BilinearForm(G, [[0, 0], [BIG, 0]], "numeric")
+    p = Polynomial.generator(G, "p", "numeric")
+    q = Polynomial.generator(G, "q", "numeric")
+    assert star(big, BIG, q, p) == q * p
+    with pytest.raises(NonFiniteError):
+        star(big, BIG, p, q)
+    # an overflowing term of f (x) f that P_Lambda contracts to nothing
+    # does not reach the bracket
+    assert not poisson_bracket(form.transpose(), f, f)
+
+
+def _negative_zeros(f):
+    return [(e, part) for e, c in f.terms.items() for part in c.to_json()
+            if part == 0 and math.copysign(1.0, part) < 0]
+
+
+def test_numeric_results_carry_no_negative_zero():
+    def npf(text):
+        return poly_from_text(text, G, "numeric")
+
+    form = standard_form(G, "numeric")
+    z = minus_i_hbar("numeric")
+    mq, ip = npf("-q"), npf("i*p")
+    # the kernels, on complex floats, give (-1) * i a real part -0.0 ...
+    raw = mul_terms(complex_encode(mq.terms), complex_encode(ip.terms))
+    assert math.copysign(1.0, raw[(1, 1)].real) < 0
+    # ... which decoding turns into +0.0, as every NumericScalar did
+    pairs = [(mq, ip), (ip, mq), (npf("(1 + i)*q - i*p"), npf("(1 - i)*p^2 + q")),
+             (npf("-i*q^2*p"), npf("-q*p^2 + i"))]
+    for a, b in pairs:
+        for out in (a * b, star(form, z, a, b), star(form, z, b, a),
+                    poisson_bracket(form.transpose(), a, b),
+                    a.translate((-1, 1j)), b.translate((0, -1j))):
+            assert _negative_zeros(out) == []
+    assert (mq * ip).terms[(1, 1)].to_json() == [0.0, -1.0]
 
 
 def test_numeric_ordering_operator_keeps_the_float_factorial():

@@ -271,9 +271,10 @@ def test_coefficients_cross_one_boundary():
 
 # -- one representation in the raw engine ---------------------------------------
 #
-# The envelope engine, the kernel that lifts its results and the formal
-# polynomial product run on ints in the codec of scalars.py; the scalar
-# types appear only where operands are encoded and results decoded.
+# The envelope engine, the kernels that lift, shift and scale encoded terms,
+# and the formal branches of the polynomial product, translation and
+# scaling run on ints in the codec of scalars.py; the scalar types appear
+# only where operands are encoded and results decoded.
 
 SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ONE", "GR_I", "Fraction"}
 INT_ONLY = {
@@ -283,7 +284,12 @@ INT_ONLY = {
     ("lie.py", "LieAlgebra._sym_inverse_raw"),
     ("lie.py", "LieAlgebra._gutt_mono_raw"),
     ("kernels.py", "lift_terms"),
+    ("kernels.py", "scale_terms"),
+    ("kernels.py", "shift_terms"),
+    ("kernels.py", "_binomial_rows"),
 }
+# methods of poly.py whose `if self.domain == "formal"` branch runs on ints
+FORMAL_BRANCHES = ("Polynomial.__mul__", "Polynomial.translate", "TermSum.scale")
 
 
 def scalar_names(node):
@@ -296,18 +302,20 @@ def scalar_names(node):
     })
 
 
-def formal_branch(tree):
-    """The body of the `if self.domain == "formal"` test in
-    Polynomial.__mul__, as a module."""
-    parts = dict(qualified_parts(tree))
-    (branch,) = [
-        node for node in ast.walk(parts["Polynomial.__mul__"])
-        if isinstance(node, ast.If)
-        and isinstance(node.test, ast.Compare)
+def formal_branch(tree, part):
+    """The body of the one `if self.domain == "formal"` test in the part,
+    as a module; None when the part or the test is missing."""
+    node = dict(qualified_parts(tree)).get(part)
+    branches = [] if node is None else [
+        sub for sub in ast.walk(node)
+        if isinstance(sub, ast.If)
+        and isinstance(sub.test, ast.Compare)
         and any(isinstance(c, ast.Constant) and c.value == "formal"
-                for c in node.test.comparators)
+                for c in sub.test.comparators)
     ]
-    return ast.Module(body=branch.body, type_ignores=[])
+    if len(branches) != 1:
+        return None
+    return ast.Module(body=branches[0].body, type_ignores=[])
 
 
 def int_only_offenders(sources):
@@ -321,9 +329,11 @@ def int_only_offenders(sources):
         names = ["<missing>"] if node is None else scalar_names(node)
         if names:
             found.append((filename, part, names))
-    names = scalar_names(formal_branch(trees["poly.py"]))
-    if names:
-        found.append(("poly.py", "Polynomial.__mul__ (formal)", names))
+    for part in FORMAL_BRANCHES:
+        branch = formal_branch(trees["poly.py"], part)
+        names = ["<missing>"] if branch is None else scalar_names(branch)
+        if names:
+            found.append(("poly.py", f"{part} (formal)", names))
     return found
 
 
@@ -358,6 +368,49 @@ class LieAlgebra:
         return out
 '''
 
+# Polynomial.translate as it was, one FormalScalar product per term
+OLD_TRANSLATE = '''
+class Polynomial:
+    def translate(self, shifts):
+        n = len(self.gens)
+        sh, trunc = coerce_coeffs(shifts, self.domain, self.trunc)
+        src = self._cut(trunc)
+        one = coerce_coeff(1, self.domain, trunc)
+        out = {}
+        for e, c in src.terms.items():
+            acc = {(0,) * n: c}
+            for i in range(n):
+                k = e[i]
+                if k == 0:
+                    continue
+                if not sh[i]:
+                    acc = {key[:i] + (k,) + key[i + 1:]: v
+                           for key, v in acc.items()}
+                    continue
+                powers = [one]
+                for _ in range(k):
+                    powers.append(powers[-1] * sh[i])
+                binom = [powers[k - j] * math.comb(k, j) for j in range(k + 1)]
+                acc = {key[:i] + (j,) + key[i + 1:]: w
+                       for key, v in acc.items()
+                       for j in range(k + 1)
+                       if (w := v * binom[j])}
+            accumulate(out, acc.items())
+        return self._wrap(out, trunc)
+'''
+
+
+def _replace_method(source, class_name, old_source):
+    """source with the method of class_name that old_source defines (in a
+    class of its own) put in place of the current one."""
+    old = ast.parse(old_source).body[0].body[0]
+    tree = ast.parse(source)
+    (cls,) = [n for n in tree.body
+              if isinstance(n, ast.ClassDef) and n.name == class_name]
+    cls.body = [old if getattr(n, "name", None) == old.name else n
+                for n in cls.body]
+    return ast.unparse(tree)
+
 
 def _sources():
     out = {}
@@ -369,20 +422,33 @@ def _sources():
 
 def test_detector_sees_a_scalar_in_the_raw_engine():
     sources = _sources()
-    old = ast.parse(OLD_LEFTMUL).body[0].body[0]
-    tree = ast.parse(sources["lie.py"])
-    (cls,) = [n for n in tree.body
-              if isinstance(n, ast.ClassDef) and n.name == "LieAlgebra"]
-    cls.body = [old if getattr(n, "name", None) == "_leftmul_raw" else n
-                for n in cls.body]
-    sources["lie.py"] = ast.unparse(tree)
-    assert int_only_offenders(sources) == [
+    lie = _replace_method(sources["lie.py"], "LieAlgebra", OLD_LEFTMUL)
+    assert int_only_offenders({**sources, "lie.py": lie}) == [
         ("lie.py", "LieAlgebra._leftmul_raw", ["GR_I", "GR_ONE"]),
     ]
     poly = sources["poly.py"].replace("int_encode(self.terms, n)",
                                       "int_encode(self.terms, Fraction(n))")
-    assert int_only_offenders({**_sources(), "poly.py": poly}) == [
+    assert int_only_offenders({**sources, "poly.py": poly}) == [
         ("poly.py", "Polynomial.__mul__ (formal)", ["Fraction"]),
+    ]
+
+
+def test_detector_sees_a_translation_or_scaling_off_the_codec():
+    sources = _sources()
+    # the per-term FormalScalar expansion has no integer formal branch
+    poly = _replace_method(sources["poly.py"], "Polynomial", OLD_TRANSLATE)
+    assert int_only_offenders({**sources, "poly.py": poly}) == [
+        ("poly.py", "Polynomial.translate (formal)", ["<missing>"]),
+    ]
+    poly = sources["poly.py"].replace("int_encode({(): c}, trunc)",
+                                      "int_encode({(): c * GR_ONE}, trunc)")
+    assert int_only_offenders({**sources, "poly.py": poly}) == [
+        ("poly.py", "TermSum.scale (formal)", ["GR_ONE"]),
+    ]
+    kernels = sources["kernels.py"].replace("powers = [{(0, 0): 1}]",
+                                            "powers = [{(0, 0): Fraction(1)}]")
+    assert int_only_offenders({**sources, "kernels.py": kernels}) == [
+        ("kernels.py", "_binomial_rows", ["Fraction"]),
     ]
 
 
