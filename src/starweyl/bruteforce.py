@@ -92,8 +92,9 @@ class DensePolynomial:
         return c
 
     def iter_terms(self):
-        for e in itertools.product(range(self.box), repeat=self.nvars):
-            c = self.data[self._index(e)]
+        # product() runs the last slot fastest, the row-major order of _index
+        cells = itertools.product(range(self.box), repeat=self.nvars)
+        for e, c in zip(cells, self.data):
             if c is not None:
                 yield e, c
 

@@ -282,13 +282,14 @@ def _linear_vector(algebra: LieAlgebra, text: str, trunc: int):
             f"expected a linear expression in {algebra.basis}, got degree "
             f"{p.degree()}"
         )
+    terms = p.terms
     vec = []
     for k in range(algebra.dim):
-        c = p.terms.get(tuple(int(t == k) for t in range(algebra.dim)))
+        c = terms.get(tuple(int(t == k) for t in range(algebra.dim)))
         if c and c.coeffs.keys() - {0}:
             raise StarWeylError("basis coefficients must be h-free")
         vec.append(c.coefficient(0) if c else 0)
-    if p.terms.get((0,) * algebra.dim):
+    if terms.get((0,) * algebra.dim):
         raise StarWeylError("linear expression must have no constant term")
     return vec
 

@@ -2,17 +2,19 @@
 
 The functions work on plain dicts keyed by exponent tuples, with
 coefficients that support +, *, unary bool (zero test) and
-multiplication by int. Every caller encodes its operands once before the
-kernel and decodes the result once after it, with a codec of scalars.py:
+multiplication by int. They run on a codec of scalars.py:
 
 - formal domain, plain ints in the integer codec (keys end in the powers
-  of h and i, one denominator per operand): the formal products of poly.py
-  (mul_terms), translations (shift_terms) and scalings (scale_terms), the
-  star product and Poisson bracket of star.py (star_terms,
-  p_lambda_terms), and the envelope products of lie.py (lift_terms);
-- numeric domain, plain complex floats in the complex codec: polynomial
-  products (mul_terms), translations (shift_terms), the star product and
-  Poisson bracket (star_terms, p_lambda_terms).
+  of h and i, one denominator per operand), the form a formal term sum
+  stores, with each result brought to canonical form once by
+  scalars.int_canonical: the formal products of poly.py (mul_terms),
+  translations (shift_terms) and scalings (scale_terms), the star product
+  and Poisson bracket of star.py (star_terms, p_lambda_terms), and the
+  envelope products of lie.py (lift_terms);
+- numeric domain, plain complex floats in the complex codec, encoded
+  before the kernel and decoded after it: polynomial products (mul_terms),
+  translations (shift_terms), the star product and Poisson bracket
+  (star_terms, p_lambda_terms).
 
 Only the public p_lambda on a TensorSquare passes coefficient objects.
 """
@@ -110,7 +112,7 @@ def lift_terms(a, b, raws, size, trunc):
     (scale, w, raw) = raws[xa, xb] is the raw product of the pair's
     monomials: raw maps y + (i-power,) to ints, has weight w, and its term
     y carries the implied h^(w - size(y)). Orders above trunc are skipped;
-    the i-power is left unreduced for int_decode.
+    the i-power is left unreduced for int_canonical.
     """
     out = {}
     for ea, ca in a.items():
@@ -146,7 +148,7 @@ def scale_terms(a, s, trunc):
 
     a is an encoded term dict (keys x + (h-order, i-power)) and s the
     encoded scalar {(h-order, i-power): n}. Orders above trunc are dropped;
-    the i-power is left unreduced for int_decode.
+    the i-power is left unreduced for int_canonical.
     """
     out = {}
     for ea, ca in a.items():
@@ -192,7 +194,7 @@ def shift_terms(a, shifts, trunc):
     at a time, and every term of variable i is brought over d^K, K the
     largest exponent of x_i in a; den is the product of those powers.
     Orders above trunc are dropped; the i-power is left unreduced for
-    int_decode.
+    int_canonical.
     """
     den = 1
     tables = []

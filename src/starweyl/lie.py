@@ -7,11 +7,11 @@ and invertible order by order. The envelope engine (the _*_raw methods and
 their caches) runs on integers: each entry is one denominator and a dict
 from a monomial plus an i slot to ints, with the h-power implied by the
 weight grading w = word length + h-order, which every rewrite preserves.
-The envelope operations encode their operands with the integer codec of
-scalars.py, and h only materialises when the result is decoded at the API
-boundary. bch and LieSeries stay on exact Gaussian rationals. See
-docs/conventions.md for the grading argument, the raw form and the exp/BCH
-bookkeeping.
+The envelope operations read their operands' stored integer form (see
+poly.TermSum) and write the result's, so h and the Gaussian rationals only
+materialise when a result's .terms, text or JSON is read. bch and
+LieSeries stay on exact Gaussian rationals. See docs/conventions.md for
+the grading argument, the raw form and the exp/BCH bookkeeping.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
-    int_decode,
-    int_encode,
+    int_canonical,
+    int_reduce,
     join_terms,
     term_text,
 )
@@ -348,7 +348,7 @@ class LieAlgebra:
                 (mm, -v) for mm, v in _times(g // t, key[-1], sym)
                 if mm[:-1] != m
             ))
-        return _reduced(den, out)
+        return int_reduce(den, out)
 
     def _gutt_mono_raw(self, alpha, beta):
         """x^alpha *_G x^beta as a raw entry over exponent tuples (weight
@@ -366,7 +366,7 @@ class LieAlgebra:
             for dm, tm in [self._mono_mul_raw(m1[:-1], m2[:-1])]
         ])
         di, out = self._sym_inverse_raw(u)
-        return _store(self._cache_guttmono, key, _reduced(du * di, out))
+        return _store(self._cache_guttmono, key, int_reduce(du * di, out))
 
 
 # The most entries each of the four per-algebra caches holds. A full cache is
@@ -392,15 +392,6 @@ def _times(c, q, terms):
         yield key[:-1] + (p & 1,), (neg if p & 2 else c) * g
 
 
-def _reduced(den, terms):
-    """The raw entry terms / den with den and the terms divided by their
-    gcd."""
-    g = math.gcd(den, *terms.values())
-    if g == 1:
-        return den, terms
-    return den // g, {key: v // g for key, v in terms.items()}
-
-
 def _raw_sum(parts):
     """The reduced raw entry of the sum of parts (den, pairs), each brought
     to the lcm of their denominators."""
@@ -409,7 +400,7 @@ def _raw_sum(parts):
     for d, pairs in parts:
         f = den // d
         accumulate(out, ((key, f * v) for key, v in pairs))
-    return _reduced(den, out)
+    return int_reduce(den, out)
 
 
 def heisenberg3() -> LieAlgebra:
@@ -476,9 +467,9 @@ class UEElement(TermSum):
                 return NotImplemented
         self._check(other)
         n = min(self.trunc, other.trunc)
-        out = _envelope_product(self.terms, other.terms,
-                                self.algebra._mono_mul_raw, len, len, n)
-        return UEElement(self.algebra, out, n, _clean=True)
+        return self._like(n, *_envelope_product(
+            (self._den, self._data), (other._den, other._data),
+            self.algebra._mono_mul_raw, len, len, n))
 
     __rmul__ = __mul__
 
@@ -494,29 +485,45 @@ class UEElement(TermSum):
         return f"<UEElement {self}>"
 
 
-def _envelope_product(a_terms, b_terms, raw, size, raw_size, trunc):
-    """Formal term dict of sum_{x, y} a[x] * b[y] * raw(x, y), cut at
-    h-order trunc, on ints.
+# The stored form of 1, the empty monomial at h-order 0.
+_ONE = (1, {(0, 0): 1})
+
+
+def _lowest_orders(ints):
+    """{term key: its lowest h-order} of stored ints."""
+    low = {}
+    for key in ints:
+        x = key[:-2]
+        r = key[-2]
+        if x not in low or r < low[x]:
+            low[x] = r
+    return low
+
+
+def _envelope_product(a, b, raw, size, raw_size, trunc):
+    """Stored form (den, ints) of sum_{x, y} a[x] * b[y] * raw(x, y), cut at
+    h-order trunc, for operands a and b in the stored form.
 
     raw(x, y) is a raw entry of weight size(x) + size(y) whose monomials
-    have the size raw_size. The operands are encoded once, each pair of
-    monomials whose lowest h-orders fit under trunc fetches its raw entry,
-    the entries are brought to one denominator, and kernels.lift_terms
-    moves their implied h-orders into the h slot.
+    have the size raw_size. Each pair of monomials whose lowest h-orders
+    fit under trunc fetches its raw entry, the entries are brought to one
+    denominator, and kernels.lift_terms moves their implied h-orders into
+    the h slot.
     """
-    da, a = int_encode(a_terms, trunc)
-    db, b = int_encode(b_terms, trunc)
+    da, ta = a
+    db, tb = b
+    low_b = _lowest_orders(tb)
     found = {
         (x, y): raw(x, y)
-        for x, cx in a_terms.items()
-        for y, cy in b_terms.items()
-        if min(cx.coeffs) + min(cy.coeffs) <= trunc
+        for x, ra in _lowest_orders(ta).items()
+        for y, rb in low_b.items()
+        if ra + rb <= trunc
     }
     den = math.lcm(*(d for d, _ in found.values()))
     raws = {(x, y): (den // d, size(x) + size(y), t)
             for (x, y), (d, t) in found.items()}
-    return int_decode(kernels.lift_terms(a, b, raws, raw_size, trunc),
-                      da * db * den, trunc)
+    return int_canonical(kernels.lift_terms(ta, tb, raws, raw_size, trunc),
+                         da * db * den, trunc)
 
 
 def ue_normal_order(algebra: LieAlgebra, word,
@@ -529,10 +536,8 @@ def ue_normal_order(algebra: LieAlgebra, word,
         raise ValueError("word index out of range")
     # the word times the empty monomial, straightened by the cached left
     # multiplication
-    one = FormalScalar.constant(1, trunc)
-    out = _envelope_product({word: one}, {(): one}, algebra._mono_mul_raw,
-                            len, len, trunc)
-    return UEElement(algebra, out, trunc, _clean=True)
+    return UEElement._build((algebra,), trunc, *_envelope_product(
+        (1, {word + (0, 0): 1}), _ONE, algebra._mono_mul_raw, len, len, trunc))
 
 
 def _check_coords(algebra: LieAlgebra, f: Polynomial):
@@ -548,11 +553,9 @@ def _check_coords(algebra: LieAlgebra, f: Polynomial):
 def pbw_symmetrize(algebra: LieAlgebra, f: Polynomial) -> UEElement:
     """sigma(f): symmetric algebra -> envelope, 1/k! symmetrization."""
     _check_coords(algebra, f)
-    out = _envelope_product(
-        f.terms, {(): FormalScalar.constant(1, f.trunc)},
-        lambda alpha, _: algebra._sym_raw(alpha), sum, len, f.trunc,
-    )
-    return UEElement(algebra, out, f.trunc, _clean=True)
+    return UEElement._build((algebra,), f.trunc, *_envelope_product(
+        (f._den, f._data), _ONE, lambda alpha, _: algebra._sym_raw(alpha),
+        sum, len, f.trunc))
 
 
 def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
@@ -560,12 +563,11 @@ def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
     if u.algebra != algebra:
         raise IncompatibleError("envelope element over a different algebra")
     n = u.trunc
-    den, encoded = int_encode(u.terms, n)
     # the h^r part of monomial m has weight len(m) + r, and sigma^{-1} maps
     # each weight-homogeneous part on its own; the h-order of alpha in the
     # weight-w result is w - |alpha|, so no two weights share a key
     by_weight = {}
-    for key, v in encoded.items():
+    for key, v in u._data.items():
         m = key[:-2]
         by_weight.setdefault(len(m) + key[-2], {})[m + key[-1:]] = v
     inverses = {w: algebra._sym_inverse_raw(t) for w, t in by_weight.items()}
@@ -575,8 +577,8 @@ def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
         for w, (d, t) in inverses.items()
         for key, v in t.items()
     }
-    return Polynomial(algebra.coords, int_decode(out, den * common, n),
-                      "formal", n, _clean=True)
+    return Polynomial._build((algebra.coords, "formal"), n,
+                             *int_canonical(out, u._den * common, n))
 
 
 def gutt_star(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
@@ -584,9 +586,9 @@ def gutt_star(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
     _check_coords(algebra, f)
     _check_coords(algebra, h)
     n = min(f.trunc, h.trunc)
-    out = _envelope_product(f.terms, h.terms, algebra._gutt_mono_raw,
-                            sum, sum, n)
-    return Polynomial(algebra.coords, out, "formal", n, _clean=True)
+    return f._like(n, *_envelope_product(
+        (f._den, f._data), (h._den, h._data), algebra._gutt_mono_raw,
+        sum, sum, n))
 
 
 def kks_bracket(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:

@@ -21,7 +21,7 @@ from .poly import (
     exponent_tuple,
     monomial_text,
 )
-from .scalars import DEFAULT_TRUNCATION
+from .scalars import DEFAULT_TRUNCATION, int_canonical
 from .star import minus_i_hbar, n_operator
 
 
@@ -68,10 +68,13 @@ class DifferentialOperator(TermSum):
         if p.gens != self.gens or p.domain != self.domain:
             raise IncompatibleError("operator and operand over different algebras")
         n = len(self.gens)
+        # keys end in the h and i slots, which add (see TermSum._slotted)
+        ds, ops = self._slotted()
+        dp, src = p._slotted()
 
         def products():
-            for (a, d), c in self.terms.items():
-                for g, pc in p.terms.items():
+            for (a, d, r, q), c in ops.items():
+                for g, pc in src.items():
                     if any(g[i] < d[i] for i in range(n)):
                         continue
                     fall = 1
@@ -81,19 +84,23 @@ class DifferentialOperator(TermSum):
                     v = pc * c
                     if fall != 1:
                         v = v * fall
-                    yield tuple(g[i] - d[i] + a[i] for i in range(n)), v
+                    yield tuple(g[i] - d[i] + a[i] for i in range(n)) + (
+                        g[n] + r, g[n + 1] + q), v
 
-        return Polynomial(self.gens, accumulate({}, products()), self.domain,
-                          min(self.trunc, p.trunc), _clean=True)
+        trunc = min(self.trunc, p.trunc)
+        return p._like(trunc, *p._unslotted(accumulate({}, products()),
+                                            ds * dp, trunc))
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         """Operator product self o other (apply other first)."""
         self._check(other)
         n = len(self.gens)
+        d1s, t1 = self._slotted()
+        d2s, t2 = other._slotted()
 
         def products():
-            for (a1, d1), c1 in self.terms.items():
-                for (a2, d2), c2 in other.terms.items():
+            for (a1, d1, r1, q1), c1 in t1.items():
+                for (a2, d2, r2, q2), c2 in t2.items():
                     # commute d^{d1} past x^{a2}: Leibniz over e <= min(d1, a2)
                     ranges = [range(min(d1[i], a2[i]) + 1) for i in range(n)]
                     for e in _iter_box(ranges):
@@ -104,24 +111,28 @@ class DifferentialOperator(TermSum):
                         key = (
                             tuple(a1[i] + a2[i] - e[i] for i in range(n)),
                             tuple(d1[i] - e[i] + d2[i] for i in range(n)),
+                            r1 + r2,
+                            q1 + q2,
                         )
                         v = c1 * c2
                         if coef != 1:
                             v = v * coef
                         yield key, v
 
-        return DifferentialOperator(
-            self.gens, accumulate({}, products()), self.domain,
-            min(self.trunc, other.trunc), _clean=True
-        )
+        trunc = min(self.trunc, other.trunc)
+        return self._like(trunc, *self._unslotted(
+            accumulate({}, products()), d1s * d2s, trunc))
 
     def formal_adjoint(self) -> "DifferentialOperator":
         """(c x^a d^d)^dagger = (-1)^{|d|} d^d o conj(c) x^a, normal-ordered."""
         n = len(self.gens)
+        # conjugation negates the i^1 slot of a formal term
+        den, src = self._slotted()
+        formal = self.domain == "formal"
 
         def terms():
-            for (a, d), c in self.terms.items():
-                cc = c.conjugate()
+            for (a, d, r, q), c in src.items():
+                cc = (-c if q else c) if formal else c.conjugate()
                 if sum(d) % 2:
                     cc = -cc
                 ranges = [range(min(d[i], a[i]) + 1) for i in range(n)]
@@ -133,11 +144,13 @@ class DifferentialOperator(TermSum):
                     key = (
                         tuple(a[i] - e[i] for i in range(n)),
                         tuple(d[i] - e[i] for i in range(n)),
+                        r,
+                        q,
                     )
                     yield key, cc if coef == 1 else cc * coef
 
-        return DifferentialOperator(self.gens, accumulate({}, terms()),
-                                    self.domain, self.trunc, _clean=True)
+        return self._like(self.trunc, *self._unslotted(
+            accumulate({}, terms()), den, self.trunc))
 
     # -- text / JSON ---------------------------------------------------------
     @staticmethod
@@ -189,14 +202,24 @@ def _split_phase(gens: Generators):
 def std_rep(f: Polynomial) -> DifferentialOperator:
     """Standard-ordered representation: q^a p^b -> (-i*h)^{|b|} q^a d^b."""
     n, qgens = _split_phase(f.gens)
-    z = minus_i_hbar(f.domain, f.trunc)
+    space = (qgens, f.domain)
     # (exp[:n], exp[n:]) is exp cut in two, so no two terms share a key
+    if f.domain == "formal":
+        # (-i*h)^k = h^k i^(3k): k more in the h slot and 3k in the i slot
+        out = {
+            (e[:n], e[n:-2], e[-2] + k, e[-1] + 3 * k): v
+            for e, v in f._data.items()
+            for k in [sum(e[n:-2])]
+        }
+        return DifferentialOperator._build(
+            space, f.trunc, *int_canonical(out, f._den, f.trunc))
+    z = minus_i_hbar(f.domain, f.trunc)
     out = {
         (exp[:n], exp[n:]): v
-        for exp, c in f.terms.items()
+        for exp, c in f._data.items()
         if (v := c * z ** sum(exp[n:]))
     }
-    return DifferentialOperator(qgens, out, f.domain, f.trunc, _clean=True)
+    return DifferentialOperator._build(space, f.trunc, 1, out)
 
 
 def weyl_rep(f: Polynomial) -> DifferentialOperator:

@@ -9,6 +9,8 @@ lexicographic on exponent tuples, both descending.
 
 from __future__ import annotations
 
+import math
+
 from . import kernels
 from .errors import IncompatibleError, ParseError, TruncationError
 from .parse import eval_ast, h_unavailable, parse_expression, scalar_from_json
@@ -20,8 +22,10 @@ from .scalars import (
     coerce_coeffs,
     complex_decode,
     complex_encode,
+    int_canonical,
     int_decode,
     int_encode,
+    int_reduce,
     join_terms,
     term_text,
 )
@@ -125,45 +129,87 @@ class TermSum:
     and no coefficient is kept above it. A subclass supplies its __init__
     (which calls _fill), _key, _check or _mismatch, _sort_key and
     _monomial_text, its products and its JSON.
+
+    A formal sum stores one pair (_den, _data) in the integer codec of
+    scalars.py: _data maps key + (h-order, i-power) to a nonzero int, the
+    value is _data / _den, and the pair is canonical (int_canonical), so
+    equal sums store equal pairs. The operations read and write that pair;
+    .terms decodes it into FormalScalar coefficients on each access. A
+    numeric sum stores its {key: NumericScalar} dict as _data over _den 1.
     """
 
-    __slots__ = ("trunc", "terms")
+    __slots__ = ("trunc", "_den", "_data")
 
     def _fill(self, terms, trunc, clean):
-        """Set trunc and terms; unless clean, validate every key with _key,
-        coerce every coefficient and drop the vanishing sums."""
+        """Store terms (a {key: coefficient} dict); unless clean, validate
+        every key with _key, coerce every coefficient and drop the vanishing
+        sums."""
         if terms is None:
             terms = {}
         if not clean:
             coeffs, trunc = coerce_coeffs(terms.values(), self.domain, trunc)
             terms = accumulate({}, zip(map(self._key, terms), coeffs))
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "terms", terms)
+        if self.domain == "formal":
+            self._store(trunc, *int_encode(terms, trunc))
+        else:
+            self._store(trunc, 1, terms)
 
-    def _wrap(self, terms, trunc=None):
-        """A sum over the space of self with clean terms (trunc defaults to
-        self.trunc)."""
-        new = object.__new__(type(self))
-        for name in self._space:
-            object.__setattr__(new, name, getattr(self, name))
-        object.__setattr__(new, "trunc", self.trunc if trunc is None else trunc)
-        object.__setattr__(new, "terms", terms)
+    def _store(self, trunc, den, data):
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _build(cls, space, trunc, den, data):
+        """A sum over the space (the values of _space) storing (den, data),
+        which must be in the stored form."""
+        new = object.__new__(cls)
+        for name, value in zip(cls._space, space):
+            object.__setattr__(new, name, value)
+        new._store(trunc, den, data)
         return new
+
+    def _like(self, trunc, den, data):
+        """A sum over the space of self storing (den, data)."""
+        return self._build([getattr(self, n) for n in self._space],
+                           trunc, den, data)
+
+    @property
+    def terms(self):
+        """The terms as a new {key: coefficient} dict."""
+        if self.domain == "formal":
+            return int_decode(self._data, self._den, self.trunc)
+        return dict(self._data)
+
+    def _slotted(self):
+        """(den, {key + (h-order, i-power): coefficient}): the stored ints of
+        a formal sum, or the numeric coefficients with both slots 0 over
+        den 1, for loops that serve both domains."""
+        if self.domain == "formal":
+            return self._den, self._data
+        return 1, {k + (0, 0): c for k, c in self._data.items()}
+
+    def _unslotted(self, out, den, trunc):
+        """The stored form in the domain of self of slotted terms out (as
+        _slotted gives them, zero sums dropped) over den."""
+        if self.domain == "formal":
+            return int_canonical(out, den, trunc)
+        return 1, {k[:-2]: c for k, c in out.items()}
 
     def _cut(self, trunc):
         """self with every formal coefficient cut to h-order trunc."""
         if trunc >= self.trunc:
             return self
-        terms = self.terms
         if self.domain == "formal":
-            terms = {k: t for k, c in terms.items() if (t := c.truncate(trunc))}
-        return self._wrap(terms, trunc)
+            return self._like(trunc, *int_canonical(self._data, self._den,
+                                                    trunc))
+        return self._like(trunc, 1, self._data)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._data)
 
     def _check(self, other):
         if any(getattr(self, n) != getattr(other, n) for n in self._space):
@@ -178,12 +224,22 @@ class TermSum:
             return NotImplemented
         self._check(other)
         trunc = min(self.trunc, other.trunc)
-        out = accumulate(dict(self._cut(trunc).terms),
-                         other._cut(trunc).terms.items())
-        return self._wrap(out, trunc)
+        a = self._cut(trunc)
+        b = other._cut(trunc)
+        if self.domain == "formal":
+            # both over the lcm of the denominators
+            den = math.lcm(a._den, b._den)
+            fa = den // a._den
+            fb = den // b._den
+            out = accumulate({k: fa * v for k, v in a._data.items()},
+                             ((k, fb * v) for k, v in b._data.items()))
+            return self._like(trunc, *int_reduce(den, out))
+        return self._like(trunc, 1, accumulate(dict(a._data),
+                                               b._data.items()))
 
     def __neg__(self):
-        return self._wrap({k: -c for k, c in self.terms.items()})
+        return self._like(self.trunc, self._den,
+                          {k: -c for k, c in self._data.items()})
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -196,18 +252,19 @@ class TermSum:
         if self.domain == "formal":
             # on ints: the terms over one denominator, c over another
             trunc = c.trunc
-            da, a = int_encode(self.terms, trunc)
             dc, s = int_encode({(): c}, trunc)
-            out = kernels.scale_terms(a, s, trunc)
-            return self._wrap(int_decode(out, da * dc, trunc), trunc)
-        return self._wrap({k: p for k, v in self.terms.items() if (p := v * c)})
+            out = kernels.scale_terms(self._data, s, trunc)
+            return self._like(trunc, *int_canonical(out, self._den * dc, trunc))
+        return self._like(self.trunc, 1, {
+            k: p for k, v in self._data.items() if (p := v * c)
+        })
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         return all(
             getattr(self, n) == getattr(other, n) for n in self._space
-        ) and self.terms == other.terms
+        ) and self._den == other._den and self._data == other._data
 
     __hash__ = None
 
@@ -281,9 +338,10 @@ class Polynomial(TermSum):
     # -- predicates ---------------------------------------------------------
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._data:
             return -1
-        return max(sum(e) for e in self.terms)
+        cut = -2 if self.domain == "formal" else None
+        return max(sum(e[:cut]) for e in self._data)
 
     def _check(self, other):
         if self.gens != other.gens:
@@ -301,14 +359,13 @@ class Polynomial(TermSum):
             self._check(other)
             n = min(self.trunc, other.trunc)
             if self.domain == "formal":
-                # on ints: one denominator per operand, h and i in key slots
-                da, a = int_encode(self.terms, n)
-                db, b = int_encode(other.terms, n)
-                terms = int_decode(kernels.mul_terms(a, b), da * db, n)
-            else:
-                terms = complex_decode(kernels.mul_terms(
-                    complex_encode(self.terms), complex_encode(other.terms)))
-            return Polynomial(self.gens, terms, self.domain, n, _clean=True)
+                # on the stored ints: h and i in key slots
+                a = self._cut(n)
+                b = other._cut(n)
+                out = kernels.mul_terms(a._data, b._data)
+                return self._like(n, *int_canonical(out, a._den * b._den, n))
+            return self._like(n, 1, complex_decode(kernels.mul_terms(
+                complex_encode(self._data), complex_encode(other._data))))
         try:
             return self.scale(other)
         except TypeError:
@@ -336,11 +393,14 @@ class Polynomial(TermSum):
         if not 0 <= i < len(self.gens):
             raise IndexError(f"generator index {i} out of range")
         # distinct monomials stay distinct, and c * k never vanishes
-        return self._wrap({
+        out = {
             e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i]
-            for e, c in self.terms.items()
+            for e, c in self._data.items()
             if e[i]
-        })
+        }
+        if self.domain == "formal":
+            return self._like(self.trunc, *int_reduce(self._den, out))
+        return self._like(self.trunc, 1, out)
 
     def translate(self, shifts) -> "Polynomial":
         """Substitute x_i -> x_i + shifts[i] (shifts are scalars)."""
@@ -353,19 +413,17 @@ class Polynomial(TermSum):
             return src
         # expanded by the kernel on plain numbers; a zero shift leaves x_i
         if self.domain == "formal":
-            da, a = int_encode(src.terms, trunc)
             ds, out = kernels.shift_terms(
-                a, [int_encode({(): s}, trunc) if s else None for s in sh],
-                trunc)
-            terms = int_decode(out, da * ds, trunc)
-        else:
-            # the kernel's keys end in h and i slots, which stay 0 here
-            a = {e + (0, 0): v for e, v in complex_encode(src.terms).items()}
-            _, out = kernels.shift_terms(
-                a, [(1, complex_encode({(0, 0): s})) if s else None
-                    for s in sh], trunc)
-            terms = complex_decode({k[:-2]: v for k, v in out.items()})
-        return self._wrap(terms, trunc)
+                src._data,
+                [int_encode({(): s}, trunc) if s else None for s in sh], trunc)
+            return self._like(trunc, *int_canonical(out, src._den * ds, trunc))
+        # the kernel's keys end in h and i slots, which stay 0 here
+        a = {e + (0, 0): v for e, v in complex_encode(src._data).items()}
+        _, out = kernels.shift_terms(
+            a, [(1, complex_encode({(0, 0): s})) if s else None for s in sh],
+            trunc)
+        return self._like(trunc, 1,
+                          complex_decode({k[:-2]: v for k, v in out.items()}))
 
     def evaluate(self, point):
         """Evaluate at a point (scalar per generator); returns a scalar."""
@@ -385,10 +443,12 @@ class Polynomial(TermSum):
         return total
 
     def graded_component(self, k: int) -> "Polynomial":
-        return self._wrap({e: c for e, c in self.terms.items() if sum(e) == k})
+        terms = {e: c for e, c in self.terms.items() if sum(e) == k}
+        return Polynomial(self.gens, terms, self.domain, self.trunc, _clean=True)
 
     def conjugate(self) -> "Polynomial":
-        return self._wrap({e: c.conjugate() for e, c in self.terms.items()})
+        terms = {e: c.conjugate() for e, c in self.terms.items()}
+        return Polynomial(self.gens, terms, self.domain, self.trunc, _clean=True)
 
     def hbar_coefficient(self, r: int) -> "Polynomial":
         """Coefficient of h^r as a polynomial with constant coefficients."""
@@ -398,14 +458,14 @@ class Polynomial(TermSum):
             raise TruncationError(
                 f"order {r} outside truncation {self.trunc}"
             )
-        return self._wrap({
-            e: FormalScalar.constant(g, self.trunc)
-            for e, c in self.terms.items()
-            if (g := c.coefficient(r))
-        })
+        # the h^r slot, moved to h^0
+        return self._like(self.trunc, *int_reduce(self._den, {
+            k[:-2] + (0, k[-1]): v for k, v in self._data.items() if k[-2] == r
+        }))
 
     def map_coefficients(self, fn) -> "Polynomial":
-        return self._wrap({e: v for e, c in self.terms.items() if (v := fn(c))})
+        terms = {e: v for e, c in self.terms.items() if (v := fn(c))}
+        return Polynomial(self.gens, terms, self.domain, self.trunc, _clean=True)
 
     # -- text ---------------------------------------------------------------------
     _sort_key = staticmethod(monomial_sort_key)

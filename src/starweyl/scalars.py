@@ -8,8 +8,8 @@ while flipping i.
 
 Only this module knows how the "formal" and "numeric" domains build
 (coerce_coeff), write (to_json, term_text) and encode a coefficient for the
-kernels (int_encode/int_decode, complex_encode/complex_decode); parse.py
-reads one back.
+kernels (int_encode/int_canonical/int_decode, complex_encode/complex_decode);
+parse.py reads one back.
 """
 
 from __future__ import annotations
@@ -469,10 +469,12 @@ class NumericScalar:
     __slots__ = ("val",)
 
     def __init__(self, re=0.0, im=0.0):
+        # adding +0.0 writes a -0.0 part as +0.0 (docs/conventions.md
+        # section 14), however the value was given
         if isinstance(re, complex):
             v = re + 1j * im
         else:
-            v = complex(float(re), float(im))
+            v = complex(float(re) + 0.0, float(im) + 0.0)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise NonFiniteError(f"non-finite numeric scalar {v!r}")
         object.__setattr__(self, "val", v)
@@ -624,8 +626,9 @@ def coerce_coeffs(values, domain, trunc):
 # exp + (r, 0) and y_r i h^r the key exp + (r, 1). The kernels add slots
 # when they multiply, like any exponent. Z[i] = Z[x]/(x^2 + 1) and
 # Z[h]/(h^(T+1)) are quotient rings, so reducing the power of i mod 4 and
-# dropping h-orders above T once, when the result is decoded, gives what
-# reducing after every step would.
+# dropping h-orders above T once, when a kernel's result is brought to the
+# canonical form (int_canonical), gives what reducing after every step
+# would. A formal term sum of poly.py stores its terms in that form.
 
 
 def int_parts(c, trunc):
@@ -651,28 +654,46 @@ def int_encode(terms, trunc):
     return den, out
 
 
-def int_decode(out, den, trunc):
-    """Formal term dict of the integer terms out, read over den. The last
-    two slots of a key are the h and i powers, so the term keys before them
-    may have any length (PBW monomials do)."""
-    parts = {}
+def int_reduce(den, terms):
+    """(den, terms) with den and the ints divided by their gcd."""
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return den, terms
+    return den // g, {key: v // g for key, v in terms.items()}
+
+
+def int_canonical(out, den, trunc):
+    """The canonical form (den, ints) of the integer terms out read over
+    den: i-powers folded mod 4 to 0 or 1, h-orders above trunc and zero
+    sums dropped, den and the ints divided by their gcd. int_encode writes
+    this form, and two term sums are equal exactly when their forms are."""
+    t = {}
     for key, v in out.items():
-        r = key[-2]
-        if r > trunc:
+        if key[-2] > trunc:
             continue
-        q = key[-1] & 3
-        slot = parts.setdefault(key[:-2], {}).setdefault(r, [0, 0])
-        slot[q & 1] += -v if q & 2 else v
-    terms = {}
-    for e, orders in parts.items():
-        coeffs = {
+        q = key[-1]
+        if q > 1:
+            if q & 2:
+                v = -v
+            key = key[:-1] + (q & 1,)
+        t[key] = t.get(key, 0) + v
+    return int_reduce(den, {key: v for key, v in t.items() if v})
+
+
+def int_decode(ints, den, trunc):
+    """Formal term dict of the canonical form (den, ints). The last two
+    slots of a key are the h and i powers, so the term keys before them may
+    have any length (PBW monomials do)."""
+    parts = {}
+    for key, v in ints.items():
+        parts.setdefault(key[:-2], {}).setdefault(key[-2], [0, 0])[key[-1]] = v
+    return {
+        e: FormalScalar({
             r: GaussianRational(Fraction(re, den), Fraction(im, den))
             for r, (re, im) in orders.items()
-            if re or im
-        }
-        if coeffs:
-            terms[e] = FormalScalar(coeffs, trunc, _clean=True)
-    return terms
+        }, trunc, _clean=True)
+        for e, orders in parts.items()
+    }
 
 
 # -- the complex encoding of the numeric domain ---------------------------------

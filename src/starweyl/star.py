@@ -32,8 +32,7 @@ from .scalars import (
     coerce_coeffs,
     complex_decode,
     complex_encode,
-    int_decode,
-    int_encode,
+    int_canonical,
     int_parts,
 )
 
@@ -312,21 +311,23 @@ def _fold(form, z, trunc):
 
 
 def _encode_operands(form, z, a, b, trunc):
-    """(den, entries) of z * Lambda, and (den, terms) of a and of b, encoded
-    at trunc."""
-    return (_fold(form, z, trunc), int_encode(a.terms, trunc),
-            int_encode(b.terms, trunc))
+    """(den, entries) of z * Lambda, and the stored (den, ints) of a and of
+    b, cut at trunc."""
+    a = a._cut(trunc)
+    b = b._cut(trunc)
+    return _fold(form, z, trunc), (a._den, a._data), (b._den, b._data)
 
 
 def _star_formal(form, z, a, b, rmax, trunc):
-    """Term dict of the formal star product, on integer coefficients."""
+    """Stored form (den, ints) of the formal star product, on integer
+    coefficients."""
     n = len(a.gens)
     (dz, entries), (da, ea), (db, eb) = _encode_operands(form, z, a, b, trunc)
     if not ea or not eb:
-        return {}
+        return 1, {}
     room = trunc - min(key[n] for key in ea) - min(key[n] for key in eb)
     if room < 0:
-        return {}
+        return 1, {}
     if not entries:
         rmax = 0
     else:
@@ -341,7 +342,20 @@ def _star_formal(form, z, a, b, rmax, trunc):
         for r in range(rmax + 1)
     ]
     out = kernels.star_terms(entries, weights, ea, eb, rmax)
-    return int_decode(out, da * db * weights[0], trunc)
+    return int_canonical(out, da * db * weights[0], trunc)
+
+
+def _inverse_factorial(k, domain):
+    """1/k! as a factor for the domain's scalars: an exact Fraction when
+    formal; when numeric, 1.0/k! up to k = 170, which for k = 23, 26, ...
+    is not the float nearest to 1/k! but is what earlier versions printed,
+    and beyond that, where k! has no float, the correctly rounded 1/k!
+    (subnormal, then 0.0)."""
+    if domain == "formal":
+        return Fraction(1, math.factorial(k))
+    if k <= 170:
+        return 1.0 / math.factorial(k)
+    return 1 / math.factorial(k)
 
 
 def _z_factors(z, trunc, rmax):
@@ -351,7 +365,7 @@ def _z_factors(z, trunc, rmax):
     zp = facts[0]
     for r in range(1, rmax + 1):
         zp = zp * zz
-        facts.append(zp * (1.0 / math.factorial(r)))
+        facts.append(zp * _inverse_factorial(r, "numeric"))
     while facts and not facts[-1]:
         facts.pop()
     return facts
@@ -368,18 +382,16 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     if a.domain == "formal":
         z = coerce_coeff(z, "formal", trunc)
         trunc = z.trunc
-    if not a.terms or not b.terms:
+    if not a or not b:
         return Polynomial.zero(a.gens, a.domain, trunc)
     rmax = min(a.degree(), b.degree())
     if a.domain == "formal":
-        out = _star_formal(form, z, a, b, rmax, trunc)
-    else:
-        zfacts = _z_factors(z, trunc, rmax)
-        out = complex_decode(kernels.star_terms(
-            _complex_entries(form), zfacts, complex_encode(a.terms),
-            complex_encode(b.terms), len(zfacts) - 1
-        ))
-    return Polynomial(a.gens, out, a.domain, trunc, _clean=True)
+        return a._like(trunc, *_star_formal(form, z, a, b, rmax, trunc))
+    zfacts = _z_factors(z, trunc, rmax)
+    return a._like(trunc, 1, complex_decode(kernels.star_terms(
+        _complex_entries(form), zfacts, complex_encode(a._data),
+        complex_encode(b._data), len(zfacts) - 1
+    )))
 
 
 def star_term_count(form: BilinearForm, a: Polynomial, b: Polynomial) -> int:
@@ -439,12 +451,11 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
         (dl, entries), (da, ea), (db, eb) = _encode_operands(
             form, FormalScalar.constant(1, trunc), a, b, trunc
         )
-        out = int_decode(_bracket_terms(entries, ea, eb), dl * da * db, trunc)
-    else:
-        out = complex_decode(_bracket_terms(
-            _complex_entries(form), complex_encode(a.terms),
-            complex_encode(b.terms)))
-    return Polynomial(a.gens, out, a.domain, trunc, _clean=True)
+        return a._like(trunc, *int_canonical(
+            _bracket_terms(entries, ea, eb), dl * da * db, trunc))
+    return a._like(trunc, 1, complex_decode(_bracket_terms(
+        _complex_entries(form), complex_encode(a._data),
+        complex_encode(b._data))))
 
 
 def _bracket_terms(entries, a, b):
@@ -517,10 +528,7 @@ class OrderingOperator:
             zk = zk * self.z
             if not zk:
                 break
-            # 1/k! as the domain's inverse of k!: exact when formal, and
-            # 1.0/k! when numeric, which for k = 23, 26, ... is not the
-            # float nearest to 1/k!
-            out = out + term * (zk * f.coerce_scalar(math.factorial(k)).invert())
+            out = out + term * (zk * _inverse_factorial(k, f.domain))
         return out
 
     def inverse(self) -> "OrderingOperator":

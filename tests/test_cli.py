@@ -316,6 +316,21 @@ def test_bad_arguments_exit_without_a_traceback(argv, code, capsys, tmp_path):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("a,b,code,stdout", [
+    # levels r >= 171 weigh 1/r!, which has no float for r! itself
+    ("q^90*q^90", "p^90*p^90", 0, "(1.0+0.0j)*q^180*p^180"),
+    ("p^90*p^90", "q^90*q^90", 1, ""),
+])
+def test_numeric_star_of_high_degree_exits_without_a_traceback(
+        a, b, code, stdout, tmp_path):
+    cfg = tmp_path / "numeric.json"
+    cfg.write_text(json.dumps({"domain": "numeric"}))
+    r = run("--config", str(cfg), "star", a, b)
+    assert r.returncode == code
+    assert r.stdout.strip() == stdout
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -114,7 +114,8 @@ def test_whitespace_insensitive():
         (-3, "numeric", "(-3+0j)"),
         (0.5, "numeric", "(0.5+0j)"),
         ([0.25, -1], "numeric", "(0.25-1j)"),
-        ([-0.0, -1.0], "numeric", "(-0-1j)"),
+        # a -0.0 part reads as +0.0 (docs/conventions.md section 14)
+        ([-0.0, -1.0], "numeric", "-1j"),
     ],
 )
 def test_scalar_from_json_accepts(raw, domain, text):

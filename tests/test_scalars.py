@@ -1,5 +1,6 @@
 """Scalar ring laws: Gaussian rationals, truncated formal series, floats."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,9 @@ from starweyl import (
     NotInvertibleError,
     scalar_from_text,
 )
+from starweyl.parse import scalar_from_json
+from starweyl.scalars import coerce_coeff
+from starweyl.star import _inverse_factorial
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -136,6 +140,28 @@ def test_numeric_scalar_arithmetic():
     assert (a * b).val == pytest.approx(2.0 - 1.0j)
     assert (a + b).val == pytest.approx(1.0 + 1.0j)
     assert a.conjugate().val == pytest.approx(1.0 - 2.0j)
+
+
+@pytest.mark.parametrize("re,im", [(-0.0, -1.0), (-0.0, -0.0), (2.5, -0.0),
+                                   (-0.0, 0.0)])
+def test_numeric_negative_zero_reads_as_positive_zero(re, im):
+    want = complex(re + 0.0, im + 0.0)
+    for s in (NumericScalar(re, im), NumericScalar(complex(re, im)),
+              coerce_coeff(complex(re, im), "numeric", 8),
+              scalar_from_json([re, im], "numeric", 8)):
+        assert math.copysign(1, s.val.real) == math.copysign(1, want.real)
+        assert math.copysign(1, s.val.imag) == math.copysign(1, want.imag)
+        assert s.val == want
+        assert str(s) == repr(want)
+
+
+def test_numeric_inverse_factorials_stay_finite():
+    # up to 170 the float that earlier versions used, then correctly rounded
+    for k in (0, 1, 23, 26, 170):
+        assert _inverse_factorial(k, "numeric") == 1.0 / math.factorial(k)
+    assert 0.0 < _inverse_factorial(171, "numeric") == 1 / math.factorial(171)
+    assert _inverse_factorial(200, "numeric") == 0.0
+    assert _inverse_factorial(200, "formal") == Fraction(1, math.factorial(200))
 
 
 @given(fractions, fractions)

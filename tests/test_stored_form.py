@@ -1,0 +1,219 @@
+"""The stored form of formal term sums.
+
+Polynomial, TensorSquare, DifferentialOperator and UEElement keep one
+canonical (den, ints) pair in the integer codec of scalars.py, and .terms,
+text and JSON decode it. These properties pin the form on constructors and
+operations, with mixed truncations and h-dependent Gaussian coefficients.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from starweyl import (
+    DifferentialOperator,
+    FormalScalar,
+    GaussianRational,
+    Generators,
+    Polynomial,
+    TensorSquare,
+    UEElement,
+    formal_adjoint,
+    gutt_star,
+    pbw_symmetrize,
+    pbw_symmetrize_inverse,
+    poisson_standard,
+    sl2,
+    star_standard,
+    std_rep,
+)
+
+GENS = Generators(("q", "p"))
+QGENS = Generators(("q",))
+SL2 = sl2()
+
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+gaussians = st.builds(GaussianRational, fractions, fractions)
+truncs = st.integers(min_value=0, max_value=5)
+
+
+def coeffs(cap=5):
+    """h-dependent Gaussian coefficients, each of its own truncation."""
+    return st.tuples(
+        st.dictionaries(st.integers(0, cap), gaussians, max_size=3),
+        st.integers(0, cap),
+    ).map(lambda p: FormalScalar(p[0], p[1]))
+
+
+exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+qexps = st.tuples(st.integers(0, 2))
+
+
+def polys(gens=GENS, keys=exps):
+    return st.tuples(st.dictionaries(keys, coeffs(), max_size=4), truncs).map(
+        lambda p: Polynomial(gens, p[0], "formal", p[1]))
+
+
+def tensors():
+    return st.tuples(
+        st.dictionaries(st.tuples(exps, exps), coeffs(), max_size=4), truncs
+    ).map(lambda p: TensorSquare(GENS, p[0], "formal", p[1]))
+
+
+def operators():
+    return st.tuples(
+        st.dictionaries(st.tuples(qexps, qexps), coeffs(), max_size=4), truncs
+    ).map(lambda p: DifferentialOperator(QGENS, p[0], "formal", p[1]))
+
+
+pbw_keys = st.lists(st.integers(0, 2), max_size=3).map(lambda m: tuple(sorted(m)))
+
+
+def envelope():
+    return st.tuples(st.dictionaries(pbw_keys, coeffs(), max_size=3),
+                     truncs).map(lambda p: UEElement(SL2, p[0], p[1]))
+
+
+KINDS = {"Polynomial": polys(), "TensorSquare": tensors(),
+         "DifferentialOperator": operators(), "UEElement": envelope()}
+# a key outside what the strategies above draw
+SPARE_KEY = {"Polynomial": (4, 4), "TensorSquare": ((4, 4), (4, 4)),
+             "DifferentialOperator": ((3,), (3,)), "UEElement": (0, 0, 1, 2)}
+
+
+def assert_canonical(x):
+    den, data = x._den, x._data
+    assert isinstance(den, int) and den > 0
+    assert math.gcd(den, *data.values()) == 1
+    for key, v in data.items():
+        assert isinstance(v, int) and v
+        assert key[-1] in (0, 1)
+        assert 0 <= key[-2] <= x.trunc
+
+
+def build(like, terms, trunc):
+    """A sum over the space of like with terms, through the constructor."""
+    if isinstance(like, UEElement):
+        return UEElement(like.algebra, terms, trunc)
+    return type(like)(like.gens, terms, like.domain, trunc)
+
+
+def rebuilt(x):
+    """x built again through the constructor from its decoded terms."""
+    return build(x, x.terms, x.trunc)
+
+
+def results(kind, a, b):
+    """Values of the operations that kind supports, from a and b."""
+    c = FormalScalar({0: 2, 1: GaussianRational(0, 1)}, 3)
+    out = [a + b, a - b, -a, a.scale(c), a.scale(Fraction(1, 3)),
+           a._cut(a.trunc - 1) if a.trunc else a]
+    if kind == "Polynomial":
+        out += [a * b, a.partial_derivative(0), a.hbar_coefficient(a.trunc),
+                a.translate((FormalScalar({0: 1, 1: 1}, 4), Fraction(1, 2))),
+                star_standard(a, b), poisson_standard(a, b), std_rep(a),
+                formal_adjoint(std_rep(a))]
+    if kind == "TensorSquare":
+        out.append(a.mu())
+    if kind == "DifferentialOperator":
+        out += [a.compose(b), a.formal_adjoint(),
+                a.apply(Polynomial(QGENS, {(2,): FormalScalar({0: 1, 1: 3})}))]
+    if kind == "UEElement":
+        fa = pbw_symmetrize_inverse(SL2, a)
+        fb = pbw_symmetrize_inverse(SL2, b)
+        out += [a * b, fa, pbw_symmetrize(SL2, fa), gutt_star(SL2, fa, fb)]
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_constructors_and_operations_store_the_canonical_form(kind, data):
+    a = data.draw(KINDS[kind])
+    b = data.draw(KINDS[kind])
+    for x in [a, b] + results(kind, a, b):
+        assert_canonical(x)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_two_routes_to_one_value_store_one_form(kind, data):
+    a, b, c = (data.draw(KINDS[kind]) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert (a + b) - b == a._cut(min(a.trunc, b.trunc))
+    half = Fraction(1, 2)
+    assert a.scale(half) + a.scale(half) == a
+    if kind == "Polynomial":
+        assert (a + b) * c == a * c + b * c
+    if kind == "DifferentialOperator":
+        assert (a + b).compose(c) == a.compose(c) + b.compose(c)
+    if kind == "UEElement":
+        assert (a + b) * c == a * c + b * c
+    if kind == "TensorSquare":
+        assert (a + b).mu() == a.mu() + b.mu()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_smallest_coefficient_truncation_wins(kind, data):
+    x = data.draw(KINDS[kind])
+    low = data.draw(st.integers(0, 5))
+    c = FormalScalar({0: 1, 1: 1}, low)
+    # x's coefficients times one known to h^low, and a constant known to
+    # h^5 under a key x cannot have, built at truncation 5
+    terms = {k: v * c for k, v in x.terms.items()}
+    terms[SPARE_KEY[kind]] = FormalScalar.constant(1, 5)
+    z = build(x, terms, 5)
+    assert z.trunc == (min(x.trunc, low) if x else 5)
+    assert_canonical(z)
+    for v in z.terms.values():
+        assert v.trunc == z.trunc and max(v.coeffs) <= z.trunc
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stored_sums_are_immutable(kind, data):
+    x = data.draw(KINDS[kind])
+    before = rebuilt(x)
+    terms = x.terms
+    terms.clear()
+    assert x == before
+    for name in ("terms", "trunc", "_den", "_data"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_decoded_views_round_trip(kind, data):
+    x = data.draw(KINDS[kind])
+    y = rebuilt(x)
+    assert y == x
+    assert (y._den, y._data) == (x._den, x._data)
+    assert str(y) == str(x)
+    for c in x.terms.values():
+        assert c.trunc == x.trunc
+    if hasattr(x, "to_json"):
+        assert x.to_json() == y.to_json()
+    if hasattr(x, "from_json"):
+        assert type(x).from_json(x.to_json()) == x
+
+
+def test_terms_is_a_decoded_view_of_one_denominator():
+    f = Polynomial(GENS, {(1, 0): Fraction(1, 2), (0, 1): FormalScalar(
+        {0: GaussianRational(0, Fraction(1, 3)), 2: 1})})
+    assert f._den == 6
+    assert f._data == {(1, 0, 0, 0): 3, (0, 1, 0, 1): 2, (0, 1, 2, 0): 6}
+    assert f.terms == {(1, 0): FormalScalar.constant(Fraction(1, 2)),
+                       (0, 1): FormalScalar({0: GaussianRational(0, Fraction(1, 3)),
+                                             2: 1})}
+    assert f.terms is not f.terms
+    zero = f - f
+    assert (zero._den, zero._data) == (1, {})

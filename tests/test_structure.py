@@ -2,8 +2,8 @@
 
 Every sparse term sum goes through poly.accumulate, the four term
 containers share one base class, coefficients cross one boundary, and the
-envelope engine and the formal product run on ints (see the end of this
-file). The hand-written accumulate idiom (read a dict slot
+envelope engine and the operations on the stored formal terms run on ints
+(see the end of this file). The hand-written accumulate idiom (read a dict slot
 with .get, add to it when it was there, drop it when the sum vanishes) may
 appear only in:
 
@@ -271,10 +271,11 @@ def test_coefficients_cross_one_boundary():
 
 # -- one representation in the raw engine ---------------------------------------
 #
-# The envelope engine, the kernels that lift, shift and scale encoded terms,
-# and the formal branches of the polynomial product, translation and
-# scaling run on ints in the codec of scalars.py; the scalar types appear
-# only where operands are encoded and results decoded.
+# A formal term sum stores its terms in the integer codec of scalars.py. The
+# envelope engine, the kernels that lift, shift and scale encoded terms, the
+# canonicaliser, and the operations that read and write the stored form run
+# on ints; the scalar types appear only where a scalar operand is encoded
+# and where .terms, text and JSON decode.
 
 SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ONE", "GR_I", "Fraction"}
 INT_ONLY = {
@@ -283,13 +284,37 @@ INT_ONLY = {
     ("lie.py", "LieAlgebra._sym_raw"),
     ("lie.py", "LieAlgebra._sym_inverse_raw"),
     ("lie.py", "LieAlgebra._gutt_mono_raw"),
+    ("lie.py", "UEElement.__mul__"),
+    ("lie.py", "_lowest_orders"),
+    ("lie.py", "_envelope_product"),
+    ("lie.py", "ue_normal_order"),
+    ("lie.py", "pbw_symmetrize"),
+    ("lie.py", "pbw_symmetrize_inverse"),
+    ("lie.py", "gutt_star"),
     ("kernels.py", "lift_terms"),
     ("kernels.py", "scale_terms"),
     ("kernels.py", "shift_terms"),
     ("kernels.py", "_binomial_rows"),
+    ("scalars.py", "int_reduce"),
+    ("scalars.py", "int_canonical"),
+    ("poly.py", "TermSum.__neg__"),
+    ("poly.py", "TermSum._cut"),
+    ("poly.py", "Polynomial.hbar_coefficient"),
+    ("star.py", "_encode_operands"),
+    ("star.py", "_star_formal"),
+    ("ops.py", "DifferentialOperator.apply"),
+    ("ops.py", "DifferentialOperator.compose"),
+    ("ops.py", "DifferentialOperator.formal_adjoint"),
 }
-# methods of poly.py whose `if self.domain == "formal"` branch runs on ints
-FORMAL_BRANCHES = ("Polynomial.__mul__", "Polynomial.translate", "TermSum.scale")
+# parts whose `if self.domain == "formal"` branch runs on ints
+FORMAL_BRANCHES = {
+    ("poly.py", "TermSum.__add__"),
+    ("poly.py", "TermSum.scale"),
+    ("poly.py", "Polynomial.__mul__"),
+    ("poly.py", "Polynomial.partial_derivative"),
+    ("poly.py", "Polynomial.translate"),
+    ("ops.py", "std_rep"),
+}
 
 
 def scalar_names(node):
@@ -329,11 +354,11 @@ def int_only_offenders(sources):
         names = ["<missing>"] if node is None else scalar_names(node)
         if names:
             found.append((filename, part, names))
-    for part in FORMAL_BRANCHES:
-        branch = formal_branch(trees["poly.py"], part)
+    for filename, part in sorted(FORMAL_BRANCHES):
+        branch = formal_branch(trees[filename], part)
         names = ["<missing>"] if branch is None else scalar_names(branch)
         if names:
-            found.append(("poly.py", f"{part} (formal)", names))
+            found.append((filename, f"{part} (formal)", names))
     return found
 
 
@@ -414,7 +439,8 @@ def _replace_method(source, class_name, old_source):
 
 def _sources():
     out = {}
-    for name in ("lie.py", "kernels.py", "poly.py"):
+    for name in ("lie.py", "kernels.py", "poly.py", "scalars.py", "star.py",
+                 "ops.py"):
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             out[name] = fh.read()
     return out
@@ -426,10 +452,17 @@ def test_detector_sees_a_scalar_in_the_raw_engine():
     assert int_only_offenders({**sources, "lie.py": lie}) == [
         ("lie.py", "LieAlgebra._leftmul_raw", ["GR_I", "GR_ONE"]),
     ]
-    poly = sources["poly.py"].replace("int_encode(self.terms, n)",
-                                      "int_encode(self.terms, Fraction(n))")
+    poly = sources["poly.py"].replace(
+        "kernels.mul_terms(a._data, b._data)",
+        "kernels.mul_terms(a._data, {k: Fraction(v) for k, v in b._data.items()})")
     assert int_only_offenders({**sources, "poly.py": poly}) == [
         ("poly.py", "Polynomial.__mul__ (formal)", ["Fraction"]),
+    ]
+    # the canonicaliser folding i on Gaussian rationals
+    scalars = sources["scalars.py"].replace(
+        "t[key] = t.get(key, 0) + v", "t[key] = t.get(key, GR_ONE * 0) + v")
+    assert int_only_offenders({**sources, "scalars.py": scalars}) == [
+        ("scalars.py", "int_canonical", ["GR_ONE"]),
     ]
 
 

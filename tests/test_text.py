@@ -122,8 +122,8 @@ def test_frozen_text(value, text):
 
 
 # Frozen JSON of the coefficient writers, compared as text so that a float
-# -0.0 and 0.0 differ. The numeric polynomial read back from JSON keeps the
-# signed zeros of its pairs.
+# -0.0 and 0.0 differ. The numeric polynomial read back from JSON writes the
+# -0.0 parts of its pairs as +0.0 (docs/conventions.md section 14).
 NUMERIC_PAIRS = {
     "generators": ["q", "p"],
     "scalar_domain": "numeric",
@@ -147,7 +147,7 @@ JSON_CASES = [
     (
         Polynomial.from_json(NUMERIC_PAIRS),
         '{"generators": ["q", "p"], "scalar_domain": "numeric", "terms": ['
-        '{"exp": [1, 0], "coeff": [-0.0, -1.0]}, {"exp": [0, 0], "coeff": [0.5, -0.0]}]}',
+        '{"exp": [1, 0], "coeff": [0.0, -1.0]}, {"exp": [0, 0], "coeff": [0.5, 0.0]}]}',
     ),
     (
         std_rep(pf("q*p^2 + i*q - h")),
