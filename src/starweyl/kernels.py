@@ -1,22 +1,24 @@
 """The sparse kernels behind polynomial, star and envelope products.
 
-The functions work on plain dicts keyed by exponent tuples, with
+The functions take and return plain dicts keyed by exponent tuples, with
 coefficients that support +, *, unary bool (zero test) and
-multiplication by int. They run on a codec of scalars.py:
+multiplication by int; the P_Lambda kernels (star_terms, p_lambda_terms,
+bracket_terms, mu_terms) run on packed keys inside (_Layout). They run on
+a codec of scalars.py:
 
 - formal domain, plain ints in the integer codec (keys end in the powers
   of h and i, one denominator per operand), the form a formal term sum
   stores, with each result brought to canonical form once by
   scalars.int_canonical: the formal products of poly.py (mul_terms),
   translations (shift_terms) and scalings (scale_terms), the star product
-  and Poisson bracket of star.py (star_terms, p_lambda_terms), and the
+  and Poisson bracket of star.py (star_terms, bracket_terms), and the
   envelope products of lie.py (lift_terms);
 - numeric domain, plain complex floats in the complex codec, encoded
   before the kernel and decoded after it: polynomial products (mul_terms),
   translations (shift_terms), the star product and Poisson bracket
-  (star_terms, p_lambda_terms).
+  (star_terms, bracket_terms).
 
-Only the public p_lambda on a TensorSquare passes coefficient objects.
+Only the public p_lambda and TensorSquare.mu pass coefficient objects.
 """
 
 from math import comb
@@ -41,67 +43,211 @@ def mul_terms(a, b):
                 out.pop(key, None)
     return out
 
+
+class _Layout:
+    """Packed monomials for one call of the P_Lambda kernels (Monagan and
+    Pearce, "Sparse polynomial multiplication and division in Maple 14",
+    2009).
+
+    A key of n slots packs into the int sum_k key[k] << k*width, and a
+    tensor-square key (ka, kb) into ka << shift | kb with shift = n*width.
+    The width fits the largest slot value the call can reach: slots start
+    at top or below, each of at most rmax P_Lambda steps raises a left slot
+    by at most inc, and mu adds two keys, so no field exceeds
+    2*top + rmax*inc; one bit more is spare. Packed keys then add field by
+    field without a carry, and mu is (key >> shift) + (key & low).
+
+    A kernel entry (i, j, lam, left) becomes the step (shift + i*width,
+    j*width, lam, delta): the step reads slot i of the left factor and
+    slot j of the right one with a shift and a mask, and its new key is
+    key + delta, which lowers both by one and adds left's raises of the
+    other slots.
+    """
+
+    __slots__ = ("width", "mask", "shift", "low", "steps")
+
+    def __init__(self, entries, keys, rmax):
+        """The layout of a call that starts from keys (a list of tuples of
+        one length) and applies the entries at most rmax times."""
+        top = max(map(max, keys))
+        inc = max([max(e[3]) for e in entries if e[3]] + [0])
+        self.width = w = (2 * top + rmax * inc).bit_length() + 1
+        self.mask = (1 << w) - 1
+        self.shift = s = len(keys[0]) * w
+        self.low = (1 << s) - 1
+        self.steps = [
+            (s + i * w, j * w, lam,
+             (self.key(left) << s if left else -(1 << (s + i * w)))
+             - (1 << (j * w)))
+            for i, j, lam, left in entries
+        ]
+
+    def key(self, e):
+        """The packed key of the tuple e (whose slots may be negative: the
+        int is sum_k e[k] << k*width)."""
+        w = self.width
+        p = 0
+        for v in reversed(e):
+            p = (p << w) + v
+        return p
+
+    def slots(self, p):
+        """The tuple of the packed key p."""
+        m = self.mask
+        return tuple([p >> o & m for o in range(0, self.shift, self.width)])
+
+    def pack(self, terms):
+        return {self.key(e): c for e, c in terms.items()}
+
+    def unpack(self, terms):
+        m = self.mask
+        offsets = range(0, self.shift, self.width)
+        return {tuple([p >> o & m for o in offsets]): c for p, c in terms.items()}
+
+    def pack_tensor(self, t):
+        s = self.shift
+        return {self.key(ea) << s | self.key(eb): c for (ea, eb), c in t.items()}
+
+    def unpack_tensor(self, t):
+        s = self.shift
+        low = self.low
+        return {(self.slots(p >> s), self.slots(p & low)): c
+                for p, c in t.items()}
+
+
+def _step(lay, t):
+    """P_Lambda on the tensor t packed in the layout lay."""
+    mask = lay.mask
+    steps = lay.steps
+    out = {}
+    for key, c in t.items():
+        for si, sj, lam, delta in steps:
+            ai = key >> si & mask
+            if ai:
+                bj = key >> sj & mask
+                if bj:
+                    k = key + delta
+                    v = c * (lam * (ai * bj))
+                    prev = out.get(k)
+                    v = v if prev is None else prev + v
+                    if v:
+                        out[k] = v
+                    else:
+                        out.pop(k, None)
+    return out
+
+
+def _mu(lay, t):
+    """mu of the tensor t packed in the layout lay."""
+    s = lay.shift
+    low = lay.low
+    out = {}
+    for key, c in t.items():
+        k = (key >> s) + (key & low)
+        prev = out.get(k)
+        v = c if prev is None else prev + c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
 def p_lambda_terms(entries, t):
     """One application of P_Lambda to a tensor-square term dict.
 
-    entries: nonzero (i, j, lam_ij, left) of the bilinear form.
-    t: dict[(exp_left, exp_right) -> coeff].
-    Contracts one derivative on each side: coefficient picks up
-    lam_ij * alpha_i * beta_j and both exponents drop by one unit. left is
-    None or a tuple added to the left exponent in place of its drop at i:
-    the -1 at i plus shifts of further slots (the integer star encoding
-    keeps the powers of h and i in two extra slots).
+    Contracts one derivative on each side: the coefficient picks up
+    lam_ij * alpha_i * beta_j and both exponents drop by one unit. entries
+    are the nonzero (i, j, lam_ij, left) of the bilinear form; left is None
+    or a tuple added to the left exponent in place of its drop at i: the -1
+    at i plus raises (>= 0) of further slots (the integer star encoding
+    keeps the powers of h and i in two extra slots). t maps
+    (exp_left, exp_right) to coefficients.
+
+    The step runs on packed keys (_Layout): a tuple-keyed t is packed,
+    stepped and written back. star_terms and bracket_terms, which step a
+    packed tensor, pass their _Layout as entries and the packed t, and get
+    the packed result.
     """
-    out = {}
-    for (ea, eb), c in t.items():
-        for i, j, lam, left in entries:
-            ai = ea[i]
-            bj = eb[j]
-            if ai and bj:
-                if left is None:
-                    ka = ea[:i] + (ai - 1,) + ea[i + 1 :]
-                else:
-                    ka = tuple(map(add, ea, left))
-                key = (ka, eb[:j] + (bj - 1,) + eb[j + 1 :])
-                v = c * (lam * (ai * bj))
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    return out
+    if isinstance(entries, _Layout):
+        return _step(entries, t)
+    if not t:
+        return {}
+    lay = _Layout(entries, [e for pair in t for e in pair], 1)
+    return lay.unpack_tensor(_step(lay, lay.pack_tensor(t)))
+
 
 def star_terms(entries, zfacts, a, b, rmax):
     """Accumulated star product sum_r zfacts[r] * mu(P_Lambda^r(a (x) b)).
 
     zfacts[r] is the weight of level r (z^r / r! with z outside the
     entries, or an integer weight when z is folded into them); rmax bounds
-    the number of P_Lambda applications.
+    the number of P_Lambda applications. The levels run on packed keys
+    (_Layout), each through p_lambda_terms.
     """
+    if not a or not b:
+        return {}
+    lay = _Layout(entries, [*a, *b], rmax)
+    s = lay.shift
+    low = lay.low
+    pb = lay.pack(b).items()
     t = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            t[(ea, eb)] = ca * cb
+    for ka, ca in lay.pack(a).items():
+        ka <<= s
+        for kb, cb in pb:
+            t[ka | kb] = ca * cb
     out = {}
     r = 0
     while t:
         zf = zfacts[r]
         if zf:
-            for (ea, eb), c in t.items():
-                key = tuple(map(add, ea, eb))
+            for key, c in t.items():
+                k = (key >> s) + (key & low)
                 v = c * zf
-                prev = out.get(key)
+                prev = out.get(k)
                 v = v if prev is None else prev + v
                 if v:
-                    out[key] = v
+                    out[k] = v
                 else:
-                    out.pop(key, None)
+                    out.pop(k, None)
         r += 1
         if r > rmax:
             break
-        t = p_lambda_terms(entries, t)
-    return out
+        t = p_lambda_terms(lay, t)
+    return lay.unpack(out)
+
+
+def bracket_terms(entries, a, b):
+    """mu(P_Lambda(a (x) b) - P_Lambda(b (x) a)) for term dicts a and b,
+    on packed keys; zero products of a term of a and one of b are left
+    out of the tensors."""
+    if not a or not b:
+        return {}
+    lay = _Layout(entries, [*a, *b], 1)
+    s = lay.shift
+    pa = lay.pack(a)
+    pb = lay.pack(b)
+    t = p_lambda_terms(lay, {ka << s | kb: v for ka, ca in pa.items()
+                             for kb, cb in pb.items() if (v := ca * cb)})
+    rhs = p_lambda_terms(lay, {kb << s | ka: v for kb, cb in pb.items()
+                               for ka, ca in pa.items() if (v := cb * ca)})
+    for k, c in rhs.items():
+        c = -c
+        prev = t.get(k)
+        v = c if prev is None else prev + c
+        if v:
+            t[k] = v
+        else:
+            t.pop(k, None)
+    return lay.unpack(_mu(lay, t))
+
+
+def mu_terms(t):
+    """Term dict of mu(t) for a tensor-square term dict t, on packed keys."""
+    if not t:
+        return {}
+    lay = _Layout((), [e for pair in t for e in pair], 0)
+    return lay.unpack(_mu(lay, lay.pack_tensor(t)))
 
 
 def lift_terms(a, b, raws, size, trunc):

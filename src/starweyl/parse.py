@@ -33,6 +33,7 @@ RESERVED_NAMES = ("h", "i")
 
 # largest exponent after '^'; a larger one is a ParseError at its position,
 # so a typo like q^99999999 cannot start an expansion that never ends
+# (poly.MAX_POWER_TERMS bounds the size of the expansion itself)
 MAX_EXPONENT = 100
 
 

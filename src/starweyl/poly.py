@@ -12,7 +12,12 @@ from __future__ import annotations
 import math
 
 from . import kernels
-from .errors import IncompatibleError, ParseError, TruncationError
+from .errors import (
+    IncompatibleError,
+    ParseError,
+    StarWeylError,
+    TruncationError,
+)
 from .parse import eval_ast, h_unavailable, parse_expression, scalar_from_json
 from .scalars import (
     DEFAULT_TRUNCATION,
@@ -29,6 +34,12 @@ from .scalars import (
     join_terms,
     term_text,
 )
+
+
+# largest predicted term count of a power; a larger power is a
+# StarWeylError before any work (parse.MAX_EXPONENT bounds the exponent's
+# text, this bounds the expansion)
+MAX_POWER_TERMS = 2**16
 
 
 class Generators:
@@ -377,6 +388,8 @@ class Polynomial(TermSum):
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
+        if k > 1:
+            self._check_power_size(k)
         out = Polynomial.one(self.gens, self.domain, self.trunc)
         base = self
         while k:
@@ -386,6 +399,21 @@ class Polynomial(TermSum):
             if k:
                 base = base * base
         return out
+
+    def _check_power_size(self, k):
+        """StarWeylError when self ** k may have more than MAX_POWER_TERMS
+        terms: m monomials give at most C(m+k-1, k) products of k of them,
+        and degree d in n generators at most C(n+k*d, n) monomials."""
+        cut = -2 if self.domain == "formal" else None
+        m = len({e[:cut] for e in self._data})
+        n = len(self.gens)
+        size = min(math.comb(m + k - 1, k),
+                   math.comb(n + k * max(self.degree(), 0), n))
+        if size > MAX_POWER_TERMS:
+            raise StarWeylError(
+                f"power {k} of {m} monomials may have {size} terms, above "
+                f"the limit {MAX_POWER_TERMS}"
+            )
 
     # -- calculus ------------------------------------------------------------
     def partial_derivative(self, which) -> "Polynomial":

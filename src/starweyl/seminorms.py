@@ -305,12 +305,18 @@ def _window_defect(diff: Polynomial, degree: int, orders: int):
     worst = 0.0
     exact = True
     for r in range(orders + 1):
+        # the stored ints of the h^r slice, real and imaginary part of
+        # each monomial in the window; int / int rounds as float(Fraction)
         slice_r = diff.hbar_coefficient(r)
-        for e, c in slice_r.terms.items():
-            if sum(e) > degree:
-                continue
+        parts = {}
+        for key, v in slice_r._data.items():
+            e = key[:-2]
+            if sum(e) <= degree:
+                parts.setdefault(e, [0, 0])[key[-1]] = v
+        den = slice_r._den
+        for re, im in parts.values():
             exact = False
-            worst = max(worst, abs(c.eval_at(1.0)))
+            worst = max(worst, abs(complex(re / den, im / den)))
     return exact, ("0" if exact else repr(worst))
 
 
@@ -478,6 +484,12 @@ class ContinuityReport:
         )
 
 
+def _degree_cut(p: Polynomial, k: int) -> Polynomial:
+    """The terms of p of total degree <= k."""
+    return Polynomial(p.gens, {e: c for e, c in p.terms.items() if sum(e) <= k},
+                      p.domain, p.trunc, _clean=True)
+
+
 def star_continuity_report(spec: SeminormSpec, form: BilinearForm, z, v, w,
                            kmax: int = 40, tol: float = 1e-10,
                            hbar: float = 1.0) -> ContinuityReport:
@@ -489,11 +501,14 @@ def star_continuity_report(spec: SeminormSpec, form: BilinearForm, z, v, w,
     if form.domain != "numeric":
         raise IncompatibleError("star_continuity_report needs a numeric form")
     gens = form.gens
+    # E_K is the part of E_kmax of degree <= K: its degree-j part does not
+    # depend on the cutoff
+    ev = truncated_exponential(gens, v, 1, max(kmax, 0), "numeric", 0).base
+    ew = truncated_exponential(gens, w, 1, max(kmax, 0), "numeric", 0).base
+    zz = ev.coerce_scalar(z)
     sums = []
     for k in range(kmax + 1):
-        ev = truncated_exponential(gens, v, 1, k, "numeric", 0).base
-        ew = truncated_exponential(gens, w, 1, k, "numeric", 0).base
-        prod = star(form, ev.coerce_scalar(z), ev, ew)
+        prod = star(form, zz, _degree_cut(ev, k), _degree_cut(ew, k))
         sums.append(seminorm_pR(spec, prod, hbar=hbar))
     monotone = all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
     tail = abs(sums[-1] - sums[-2]) if len(sums) >= 2 else math.inf

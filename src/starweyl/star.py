@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 
 from . import kernels
 from .errors import IncompatibleError
@@ -20,7 +19,6 @@ from .poly import (
     Generators,
     Polynomial,
     TermSum,
-    accumulate,
     exponent_tuple,
     monomial_text,
 )
@@ -222,8 +220,10 @@ class TensorSquare(TermSum):
     @classmethod
     def of(cls, a: Polynomial, b: Polynomial) -> "TensorSquare":
         a._check(b)
-        return cls(a.gens, _tensor_terms(a.terms, b.terms), a.domain,
-                   min(a.trunc, b.trunc), _clean=True)
+        terms = {(ea, eb): v for ea, ca in a.terms.items()
+                 for eb, cb in b.terms.items() if (v := ca * cb)}
+        return cls(a.gens, terms, a.domain, min(a.trunc, b.trunc),
+                   _clean=True)
 
     @staticmethod
     def _sort_key(key):
@@ -237,24 +237,8 @@ class TensorSquare(TermSum):
 
     def mu(self) -> Polynomial:
         """Multiplication map a (x) b -> a*b."""
-        return Polynomial(self.gens, _mu_terms(self.terms), self.domain,
+        return Polynomial(self.gens, kernels.mu_terms(self.terms), self.domain,
                           self.trunc, _clean=True)
-
-
-def _tensor_terms(a, b):
-    """Term dict of a (x) b."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            v = ca * cb
-            if v:
-                out[(ea, eb)] = v
-    return out
-
-
-def _mu_terms(t):
-    """Term dict of mu(t) for a tensor-square term dict t."""
-    return accumulate({}, ((tuple(map(add, ea, eb)), c) for (ea, eb), c in t.items()))
 
 
 def _plain_entries(form):
@@ -452,18 +436,10 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
             form, FormalScalar.constant(1, trunc), a, b, trunc
         )
         return a._like(trunc, *int_canonical(
-            _bracket_terms(entries, ea, eb), dl * da * db, trunc))
-    return a._like(trunc, 1, complex_decode(_bracket_terms(
+            kernels.bracket_terms(entries, ea, eb), dl * da * db, trunc))
+    return a._like(trunc, 1, complex_decode(kernels.bracket_terms(
         _complex_entries(form), complex_encode(a._data),
         complex_encode(b._data))))
-
-
-def _bracket_terms(entries, a, b):
-    """Term dict of mu(P(a (x) b) - P(b (x) a))."""
-    t = kernels.p_lambda_terms(entries, _tensor_terms(a, b))
-    rhs = kernels.p_lambda_terms(entries, _tensor_terms(b, a))
-    accumulate(t, ((key, -c) for key, c in rhs.items()))
-    return _mu_terms(t)
 
 
 def poisson_standard(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -294,6 +294,10 @@ BAD_ARGUMENTS = [
       "10^80*10^80*p"], 1),
     (["--config", {"domain": "numeric"}, "poisson", "10^80*10^80*q",
       "10^80*10^80*p"], 1),
+    # a power past poly.MAX_POWER_TERMS is refused before it expands
+    (["star", "(q^50+p^50+q*p+1)^100", "p"], 1),
+    (["--config", {"generators": ["a", "b", "c", "d", "e", "f"]}, "star",
+      "(a+b+c+d+e+f)^100", "a"], 1),
 ]
 
 

@@ -12,6 +12,7 @@ from starweyl import (
     GaussianRational,
     Generators,
     Polynomial,
+    StarWeylError,
     TensorSquare,
     TruncationError,
     UEElement,
@@ -268,6 +269,28 @@ def test_power_equals_repeated_multiplication(k):
     assert f**k == fk
     assert g**k == gk
     assert s**k == sk
+
+
+def test_power_size_limit(monkeypatch):
+    from starweyl import poly
+
+    with pytest.raises(StarWeylError, match="above the limit 65536"):
+        poly_from_text("(a+b+c+d+e+f)^100", "abcdef")
+    monkeypatch.setattr(poly, "MAX_POWER_TERMS", 10)
+    # (q + p)^9 has C(2+9-1, 9) = 10 terms; the h and i parts of a
+    # coefficient make no extra monomial
+    assert len(poly_from_text("(q + (1 + i*h)*p)^9", GENS2).terms) == 10
+    with pytest.raises(StarWeylError, match="may have 11 terms"):
+        poly_from_text("q + p", GENS2) ** 10
+    # 3 monomials could give C(3+4-1, 4) = 15 products, but degree 8 in
+    # one generator leaves room for 9 monomials only
+    assert len((poly_from_text("1 + x + x^2", ["x"]) ** 4).terms) == 9
+    for k in (0, 1, 50):
+        assert Polynomial.zero(GENS2) ** k == (
+            Polynomial.one(GENS2) if k == 0 else Polynomial.zero(GENS2))
+    numeric = Polynomial(GENS2, {(1, 0): 1.5, (0, 1): 2.0}, "numeric")
+    with pytest.raises(StarWeylError):
+        numeric ** 10
 
 
 # ------------------------------------------------------------- truncation

@@ -21,12 +21,14 @@ from starweyl import (
     poly_from_text,
     seminorm_pR,
     standard_form,
+    star,
     star_continuity_report,
     translation_automorphism_defect,
     truncated_exponential,
     weyl_form,
     weyl_relation_defect,
 )
+from starweyl import seminorms
 
 G = Generators(("q", "p"))
 Z = minus_i_hbar()
@@ -211,6 +213,26 @@ def test_every_translation_is_an_automorphism(f, g, a):
     assert rep.status == "pass" and rep.defect_max == "0"
 
 
+@given(polys(max_deg=4), polys(max_deg=4), st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_window_defect_matches_the_decoded_coefficients(f, g, degree, orders):
+    # defect_max read from the stored ints equals the float of the decoded
+    # coefficient with the largest modulus in the window, to the last bit
+    f = f + g * pf("h") + pf("(1/3 + 2/7*i)*h^2*q - (1/7)*h*p")
+    worst = 0.0
+    for r in range(orders + 1):
+        for e, c in f.hbar_coefficient(r).terms.items():
+            if sum(e) <= degree:
+                worst = max(worst, abs(c.eval_at(1.0)))
+    assert seminorms._window_defect(f, degree, orders) == (
+        worst == 0.0, "0" if worst == 0.0 else repr(worst))
+
+
+def test_window_defect_refuses_orders_beyond_the_truncation():
+    with pytest.raises(TruncationError):
+        seminorms._window_defect(poly_from_text("h*q", G, trunc=2), 3, 3)
+
+
 def test_inner_automorphism_window():
     rep = inner_automorphism_defect(weyl_form(G), Z, (1, 0), pf("q*p^2"), orders=3)
     assert rep.status == "pass" and rep.exact
@@ -233,6 +255,26 @@ def test_continuity_partial_sums():
     assert rep.tail < 1e-10
     sums = rep.partial_sums
     assert all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
+
+
+@pytest.mark.parametrize("v,w,kmax", [
+    ((1.0, 0.0), (0.0, 1.0), 12),
+    ((0.5, -1.25), (2.0, 0.75), 9),
+    ((0.0, 0.0), (1.5, 1.0), 4),
+])
+def test_continuity_cuts_one_exponential(v, w, kmax):
+    # the partial sums equal, bit for bit, those of exponentials built
+    # afresh at every cutoff K
+    spec = SeminormSpec((1.0, 2.0), 0.5)
+    nform = standard_form(G, domain="numeric").antisymmetric_part()
+    z = complex(0, -1)
+    want = []
+    for k in range(kmax + 1):
+        ev = truncated_exponential(G, v, 1, k, "numeric", 0).base
+        ew = truncated_exponential(G, w, 1, k, "numeric", 0).base
+        want.append(seminorm_pR(spec, star(nform, z, ev, ew)))
+    rep = star_continuity_report(spec, nform, z, v, w, kmax=kmax)
+    assert list(map(repr, rep.partial_sums)) == list(map(repr, want))
 
 
 def test_continuity_honest_failure_when_cut_short():
