@@ -4,19 +4,18 @@ The functions take and return plain dicts keyed by exponent tuples, with
 coefficients that support +, *, unary bool (zero test) and
 multiplication by int; the P_Lambda kernels (star_terms, p_lambda_terms,
 bracket_terms, mu_terms) run on packed keys inside (_Layout). They run on
-a codec of scalars.py:
+the values a term sum stores (scalars.py), keys ending in the powers of h
+and i, with each result brought to the stored form once by
+scalars.stored_canonical:
 
-- formal domain, plain ints in the integer codec (keys end in the powers
-  of h and i, one denominator per operand), the form a formal term sum
-  stores, with each result brought to canonical form once by
-  scalars.int_canonical: the formal products of poly.py (mul_terms),
-  translations (shift_terms) and scalings (scale_terms), the star product
-  and Poisson bracket of star.py (star_terms, bracket_terms), and the
-  envelope products of lie.py (lift_terms);
-- numeric domain, plain complex floats in the complex codec, encoded
-  before the kernel and decoded after it: polynomial products (mul_terms),
-  translations (shift_terms), the star product and Poisson bracket
-  (star_terms, bracket_terms).
+- formal domain, plain ints, one denominator per operand: the products of
+  poly.py (mul_terms), translations (shift_terms) and scalings
+  (scale_terms), the star product and Poisson bracket of star.py
+  (star_terms, bracket_terms), and the envelope products of lie.py
+  (lift_terms);
+- numeric domain, plain complex floats with both slots 0: the same
+  kernels of poly.py, and the star product (on keys stripped of the zero
+  slots) and Poisson bracket with complex form entries and weights.
 
 Only the public p_lambda and TensorSquare.mu pass coefficient objects.
 """

@@ -10,6 +10,7 @@ normal-ordered back into coefficient-first form.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import IncompatibleError
@@ -21,8 +22,8 @@ from .poly import (
     exponent_tuple,
     monomial_text,
 )
-from .scalars import DEFAULT_TRUNCATION, int_canonical
-from .star import minus_i_hbar, n_operator
+from .scalars import DEFAULT_TRUNCATION, stored_canonical
+from .star import n_operator
 
 
 def _falling(n: int, k: int) -> int:
@@ -68,13 +69,11 @@ class DifferentialOperator(TermSum):
         if p.gens != self.gens or p.domain != self.domain:
             raise IncompatibleError("operator and operand over different algebras")
         n = len(self.gens)
-        # keys end in the h and i slots, which add (see TermSum._slotted)
-        ds, ops = self._slotted()
-        dp, src = p._slotted()
 
         def products():
-            for (a, d, r, q), c in ops.items():
-                for g, pc in src.items():
+            # the stored keys end in the h and i slots, which add
+            for (a, d, r, q), c in self._data.items():
+                for g, pc in p._data.items():
                     if any(g[i] < d[i] for i in range(n)):
                         continue
                     fall = 1
@@ -87,23 +86,20 @@ class DifferentialOperator(TermSum):
                     yield tuple(g[i] - d[i] + a[i] for i in range(n)) + (
                         g[n] + r, g[n + 1] + q), v
 
-        trunc = min(self.trunc, p.trunc)
-        return p._like(trunc, *p._unslotted(accumulate({}, products()),
-                                            ds * dp, trunc))
+        return p._canonical(min(self.trunc, p.trunc),
+                            accumulate({}, products()), self._den * p._den)
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         """Operator product self o other (apply other first)."""
         self._check(other)
         n = len(self.gens)
-        d1s, t1 = self._slotted()
-        d2s, t2 = other._slotted()
 
         def products():
-            for (a1, d1, r1, q1), c1 in t1.items():
-                for (a2, d2, r2, q2), c2 in t2.items():
+            for (a1, d1, r1, q1), c1 in self._data.items():
+                for (a2, d2, r2, q2), c2 in other._data.items():
                     # commute d^{d1} past x^{a2}: Leibniz over e <= min(d1, a2)
                     ranges = [range(min(d1[i], a2[i]) + 1) for i in range(n)]
-                    for e in _iter_box(ranges):
+                    for e in itertools.product(*ranges):
                         coef = 1
                         for i in range(n):
                             if e[i]:
@@ -120,23 +116,21 @@ class DifferentialOperator(TermSum):
                         yield key, v
 
         trunc = min(self.trunc, other.trunc)
-        return self._like(trunc, *self._unslotted(
-            accumulate({}, products()), d1s * d2s, trunc))
+        return self._canonical(trunc, accumulate({}, products()),
+                               self._den * other._den)
 
     def formal_adjoint(self) -> "DifferentialOperator":
         """(c x^a d^d)^dagger = (-1)^{|d|} d^d o conj(c) x^a, normal-ordered."""
         n = len(self.gens)
-        # conjugation negates the i^1 slot of a formal term
-        den, src = self._slotted()
-        formal = self.domain == "formal"
 
         def terms():
-            for (a, d, r, q), c in src.items():
-                cc = (-c if q else c) if formal else c.conjugate()
+            for (a, d, r, q), c in self._data.items():
+                # conjugate: -c on the i^1 slot (ints are their own)
+                cc = -c if q else c.conjugate()
                 if sum(d) % 2:
                     cc = -cc
                 ranges = [range(min(d[i], a[i]) + 1) for i in range(n)]
-                for e in _iter_box(ranges):
+                for e in itertools.product(*ranges):
                     coef = 1
                     for i in range(n):
                         if e[i]:
@@ -149,8 +143,7 @@ class DifferentialOperator(TermSum):
                     )
                     yield key, cc if coef == 1 else cc * coef
 
-        return self._like(self.trunc, *self._unslotted(
-            accumulate({}, terms()), den, self.trunc))
+        return self._canonical(self.trunc, accumulate({}, terms()), self._den)
 
     # -- text / JSON ---------------------------------------------------------
     @staticmethod
@@ -183,12 +176,6 @@ class DifferentialOperator(TermSum):
         return d
 
 
-def _iter_box(ranges):
-    import itertools
-
-    return itertools.product(*ranges)
-
-
 def _split_phase(gens: Generators):
     m = len(gens)
     if m % 2:
@@ -203,23 +190,15 @@ def std_rep(f: Polynomial) -> DifferentialOperator:
     """Standard-ordered representation: q^a p^b -> (-i*h)^{|b|} q^a d^b."""
     n, qgens = _split_phase(f.gens)
     space = (qgens, f.domain)
-    # (exp[:n], exp[n:]) is exp cut in two, so no two terms share a key
-    if f.domain == "formal":
-        # (-i*h)^k = h^k i^(3k): k more in the h slot and 3k in the i slot
-        out = {
-            (e[:n], e[n:-2], e[-2] + k, e[-1] + 3 * k): v
-            for e, v in f._data.items()
-            for k in [sum(e[n:-2])]
-        }
-        return DifferentialOperator._build(
-            space, f.trunc, *int_canonical(out, f._den, f.trunc))
-    z = minus_i_hbar(f.domain, f.trunc)
+    # (exp[:n], exp[n:]) is exp cut in two, so no two terms share a key;
+    # (-i*h)^k = h^k i^(3k): k more in the h slot and 3k in the i slot
     out = {
-        (exp[:n], exp[n:]): v
-        for exp, c in f._data.items()
-        if (v := c * z ** sum(exp[n:]))
+        (e[:n], e[n:-2], e[-2] + k, e[-1] + 3 * k): v
+        for e, v in f._data.items()
+        for k in [sum(e[n:-2])]
     }
-    return DifferentialOperator._build(space, f.trunc, 1, out)
+    return DifferentialOperator._build(
+        space, f.trunc, *stored_canonical(f.domain, out, f._den, f.trunc))
 
 
 def weyl_rep(f: Polynomial) -> DifferentialOperator:

@@ -25,13 +25,11 @@ from .scalars import (
     FormalScalar,
     coerce_coeff,
     coerce_coeffs,
-    complex_decode,
-    complex_encode,
-    int_canonical,
-    int_decode,
-    int_encode,
-    int_reduce,
     join_terms,
+    stored_canonical,
+    stored_decode,
+    stored_encode,
+    stored_reduce,
     term_text,
 )
 
@@ -141,12 +139,11 @@ class TermSum:
     (which calls _fill), _key, _check or _mismatch, _sort_key and
     _monomial_text, its products and its JSON.
 
-    A formal sum stores one pair (_den, _data) in the integer codec of
-    scalars.py: _data maps key + (h-order, i-power) to a nonzero int, the
-    value is _data / _den, and the pair is canonical (int_canonical), so
-    equal sums store equal pairs. The operations read and write that pair;
-    .terms decodes it into FormalScalar coefficients on each access. A
-    numeric sum stores its {key: NumericScalar} dict as _data over _den 1.
+    A sum stores the canonical pair (_den, _data) of scalars.py, equal for
+    equal sums: _data maps key + (h-order, i-power) to a nonzero int, or in
+    the numeric domain to a complex value over _den 1. The operations read
+    and write that pair alike in both domains through the stored_*
+    functions; .terms decodes it into coefficient objects on each access.
     """
 
     __slots__ = ("trunc", "_den", "_data")
@@ -160,10 +157,7 @@ class TermSum:
         if not clean:
             coeffs, trunc = coerce_coeffs(terms.values(), self.domain, trunc)
             terms = accumulate({}, zip(map(self._key, terms), coeffs))
-        if self.domain == "formal":
-            self._store(trunc, *int_encode(terms, trunc))
-        else:
-            self._store(trunc, 1, terms)
+        self._store(trunc, *stored_encode(self.domain, terms, trunc))
 
     def _store(self, trunc, den, data):
         object.__setattr__(self, "trunc", trunc)
@@ -188,33 +182,18 @@ class TermSum:
     @property
     def terms(self):
         """The terms as a new {key: coefficient} dict."""
-        if self.domain == "formal":
-            return int_decode(self._data, self._den, self.trunc)
-        return dict(self._data)
+        return stored_decode(self.domain, self._data, self._den, self.trunc)
 
-    def _slotted(self):
-        """(den, {key + (h-order, i-power): coefficient}): the stored ints of
-        a formal sum, or the numeric coefficients with both slots 0 over
-        den 1, for loops that serve both domains."""
-        if self.domain == "formal":
-            return self._den, self._data
-        return 1, {k + (0, 0): c for k, c in self._data.items()}
-
-    def _unslotted(self, out, den, trunc):
-        """The stored form in the domain of self of slotted terms out (as
-        _slotted gives them, zero sums dropped) over den."""
-        if self.domain == "formal":
-            return int_canonical(out, den, trunc)
-        return 1, {k[:-2]: c for k, c in out.items()}
+    def _canonical(self, trunc, out, den):
+        """A sum over the space of self of the slotted terms out over den."""
+        return self._like(trunc, *stored_canonical(self.domain, out, den,
+                                                   trunc))
 
     def _cut(self, trunc):
         """self with every formal coefficient cut to h-order trunc."""
         if trunc >= self.trunc:
             return self
-        if self.domain == "formal":
-            return self._like(trunc, *int_canonical(self._data, self._den,
-                                                    trunc))
-        return self._like(trunc, 1, self._data)
+        return self._canonical(trunc, self._data, self._den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -237,20 +216,18 @@ class TermSum:
         trunc = min(self.trunc, other.trunc)
         a = self._cut(trunc)
         b = other._cut(trunc)
-        if self.domain == "formal":
-            # both over the lcm of the denominators
-            den = math.lcm(a._den, b._den)
-            fa = den // a._den
-            fb = den // b._den
-            out = accumulate({k: fa * v for k, v in a._data.items()},
-                             ((k, fb * v) for k, v in b._data.items()))
-            return self._like(trunc, *int_reduce(den, out))
-        return self._like(trunc, 1, accumulate(dict(a._data),
-                                               b._data.items()))
+        # both over the lcm of the denominators
+        den = math.lcm(a._den, b._den)
+        fa = den // a._den
+        fb = den // b._den
+        out = accumulate({k: fa * v for k, v in a._data.items()},
+                         ((k, fb * v) for k, v in b._data.items()))
+        return self._like(trunc, *stored_reduce(self.domain, den, out))
 
     def __neg__(self):
+        # 0 - c, not -c: a zero part of a complex value stays +0.0
         return self._like(self.trunc, self._den,
-                          {k: -c for k, c in self._data.items()})
+                          {k: 0 - c for k, c in self._data.items()})
 
     def __sub__(self, other):
         if not isinstance(other, type(self)):
@@ -259,16 +236,11 @@ class TermSum:
 
     def scale(self, c):
         """self times the scalar c (TypeError when c is not one)."""
-        c = self.coerce_scalar(c)
-        if self.domain == "formal":
-            # on ints: the terms over one denominator, c over another
-            trunc = c.trunc
-            dc, s = int_encode({(): c}, trunc)
-            out = kernels.scale_terms(self._data, s, trunc)
-            return self._like(trunc, *int_canonical(out, self._den * dc, trunc))
-        return self._like(self.trunc, 1, {
-            k: p for k, v in self._data.items() if (p := v * c)
-        })
+        (c,), trunc = coerce_coeffs([c], self.domain, self.trunc)
+        # the terms over one denominator, c over another
+        dc, s = stored_encode(self.domain, {(): c}, trunc)
+        return self._canonical(trunc, kernels.scale_terms(self._data, s, trunc),
+                               self._den * dc)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -351,8 +323,7 @@ class Polynomial(TermSum):
         """Max total degree; -1 for the zero polynomial."""
         if not self._data:
             return -1
-        cut = -2 if self.domain == "formal" else None
-        return max(sum(e[:cut]) for e in self._data)
+        return max(sum(e[:-2]) for e in self._data)
 
     def _check(self, other):
         if self.gens != other.gens:
@@ -369,14 +340,11 @@ class Polynomial(TermSum):
         if isinstance(other, Polynomial):
             self._check(other)
             n = min(self.trunc, other.trunc)
-            if self.domain == "formal":
-                # on the stored ints: h and i in key slots
-                a = self._cut(n)
-                b = other._cut(n)
-                out = kernels.mul_terms(a._data, b._data)
-                return self._like(n, *int_canonical(out, a._den * b._den, n))
-            return self._like(n, 1, complex_decode(kernels.mul_terms(
-                complex_encode(self._data), complex_encode(other._data))))
+            # on the stored values: h and i in key slots
+            a = self._cut(n)
+            b = other._cut(n)
+            return self._canonical(n, kernels.mul_terms(a._data, b._data),
+                                   a._den * b._den)
         try:
             return self.scale(other)
         except TypeError:
@@ -404,8 +372,7 @@ class Polynomial(TermSum):
         """StarWeylError when self ** k may have more than MAX_POWER_TERMS
         terms: m monomials give at most C(m+k-1, k) products of k of them,
         and degree d in n generators at most C(n+k*d, n) monomials."""
-        cut = -2 if self.domain == "formal" else None
-        m = len({e[:cut] for e in self._data})
+        m = len({e[:-2] for e in self._data})
         n = len(self.gens)
         size = min(math.comb(m + k - 1, k),
                    math.comb(n + k * max(self.degree(), 0), n))
@@ -426,9 +393,8 @@ class Polynomial(TermSum):
             for e, c in self._data.items()
             if e[i]
         }
-        if self.domain == "formal":
-            return self._like(self.trunc, *int_reduce(self._den, out))
-        return self._like(self.trunc, 1, out)
+        return self._like(self.trunc, *stored_reduce(self.domain, self._den,
+                                                     out))
 
     def translate(self, shifts) -> "Polynomial":
         """Substitute x_i -> x_i + shifts[i] (shifts are scalars)."""
@@ -440,18 +406,11 @@ class Polynomial(TermSum):
         if not any(sh):
             return src
         # expanded by the kernel on plain numbers; a zero shift leaves x_i
-        if self.domain == "formal":
-            ds, out = kernels.shift_terms(
-                src._data,
-                [int_encode({(): s}, trunc) if s else None for s in sh], trunc)
-            return self._like(trunc, *int_canonical(out, src._den * ds, trunc))
-        # the kernel's keys end in h and i slots, which stay 0 here
-        a = {e + (0, 0): v for e, v in complex_encode(src._data).items()}
-        _, out = kernels.shift_terms(
-            a, [(1, complex_encode({(0, 0): s})) if s else None for s in sh],
-            trunc)
-        return self._like(trunc, 1,
-                          complex_decode({k[:-2]: v for k, v in out.items()}))
+        ds, out = kernels.shift_terms(src._data, [
+            stored_encode(self.domain, {(): s}, trunc) if s else None
+            for s in sh
+        ], trunc)
+        return self._canonical(trunc, out, src._den * ds)
 
     def evaluate(self, point):
         """Evaluate at a point (scalar per generator); returns a scalar."""
@@ -487,7 +446,7 @@ class Polynomial(TermSum):
                 f"order {r} outside truncation {self.trunc}"
             )
         # the h^r slot, moved to h^0
-        return self._like(self.trunc, *int_reduce(self._den, {
+        return self._like(self.trunc, *stored_reduce(self.domain, self._den, {
             k[:-2] + (0, k[-1]): v for k, v in self._data.items() if k[-2] == r
         }))
 

@@ -7,13 +7,15 @@ nilpotent-beyond-truncation bookkeeping parameter, and conjugation fixes h
 while flipping i.
 
 Only this module knows how the "formal" and "numeric" domains build
-(coerce_coeff), write (to_json, term_text) and encode a coefficient for the
-kernels (int_encode/int_canonical/int_decode, complex_encode/complex_decode);
-parse.py reads one back.
+(coerce_coeff), write (to_json, term_text) and store a coefficient: ints
+(int_encode/int_canonical/int_decode) or complex values (num_canonical)
+under keys with h and i slots, reached through the stored_* functions.
+parse.py reads a coefficient back.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -557,6 +559,9 @@ class NumericScalar:
     def __abs__(self) -> float:
         return abs(self.val)
 
+    def __complex__(self) -> complex:
+        return self.val
+
     def eval_at(self, hbar: float = 1.0) -> complex:
         return self.val
 
@@ -696,23 +701,64 @@ def int_decode(ints, den, trunc):
     }
 
 
-# -- the complex encoding of the numeric domain ---------------------------------
+# -- the stored form of either domain -------------------------------------------
 #
-# The kernels run numeric coefficients as plain complex floats; decoding
-# wraps each result in NumericScalar, which raises NonFiniteError on an inf
-# or nan part and writes a -0.0 part as +0.0. IEEE sums and products of
-# finite values depend on the sign of a zero only when they are zero, and a
-# non-finite value stays non-finite through them, so decoding once gives
-# what wrapping every intermediate would, except that an overflow in a term
-# that never reaches the result is not raised (docs/conventions.md
-# section 14).
+# A term sum stores (den, {key + (h-order, i-power): value}): the ints above,
+# or in the numeric domain finite complex values under key + (0, 0) over
+# den 1, the formal form at h = 1. poly.py and ops.py reach the domain only
+# through the stored_* functions. num_canonical reads an h slot at h = 1,
+# folds an i slot in exactly, raises NonFiniteError on an inf or nan part
+# and writes a -0.0 part as +0.0, as NumericScalar does. IEEE sums and
+# products of finite values depend on the sign of a zero only when they are
+# zero, and a non-finite value stays non-finite through them, so doing this
+# once per operation gives what checking every intermediate would, except
+# for an overflow in a term that never reaches the result
+# (docs/conventions.md section 14).
 
 
-def complex_encode(terms):
-    """{key: complex} of a numeric term dict."""
-    return {k: c.val for k, c in terms.items()}
+def num_canonical(out):
+    """The numeric stored form (1, values) of slotted complex terms out."""
+    if any(key[-2] or key[-1] for key in out):
+        t = {}
+        for key, v in out.items():
+            k = key[:-2] + (0, 0)
+            # v * i^q
+            t[k] = t.get(k, 0) + (v, complex(-v.imag, v.real), -v,
+                                  complex(v.imag, -v.real))[key[-1] & 3]
+        out = t
+    # adding 0j writes a -0.0 part as +0.0
+    return stored_reduce("numeric", 1,
+                         {key: v + 0j for key, v in out.items() if v})
 
 
-def complex_decode(terms):
-    """Numeric term dict of {key: complex}; NonFiniteError on inf or nan."""
-    return {k: NumericScalar(v) for k, v in terms.items()}
+def stored_encode(domain, terms, trunc):
+    """The stored form of a term dict of the domain's coefficients."""
+    if domain == "formal":
+        return int_encode(terms, trunc)
+    return 1, {k + (0, 0): c.val for k, c in terms.items() if c}
+
+
+def stored_canonical(domain, out, den, trunc):
+    """The stored form of slotted terms out over den (1 when numeric)."""
+    if domain == "formal":
+        return int_canonical(out, den, trunc)
+    return num_canonical(out)
+
+
+def stored_reduce(domain, den, terms):
+    """The stored form of nonzero terms over den, their slots folded and
+    cut and, when numeric, no part -0.0 (as in sums, cuts and positive int
+    multiples of stored values): NonFiniteError on an inf or nan part."""
+    if domain == "formal":
+        return int_reduce(den, terms)
+    if not all(map(cmath.isfinite, terms.values())):
+        bad = next(v for v in terms.values() if not cmath.isfinite(v))
+        raise NonFiniteError(f"non-finite numeric scalar {bad!r}")
+    return 1, terms
+
+
+def stored_decode(domain, data, den, trunc):
+    """The term dict of a stored form, one coefficient object per key."""
+    if domain == "formal":
+        return int_decode(data, den, trunc)
+    return {k[:-2]: NumericScalar(v) for k, v in data.items()}

@@ -20,7 +20,7 @@ from .errors import (
     TruncationError,
 )
 from .poly import Generators, Polynomial
-from .scalars import DEFAULT_TRUNCATION
+from .scalars import DEFAULT_TRUNCATION, stored_reduce
 from .star import BilinearForm, star
 
 
@@ -108,6 +108,25 @@ def _factorial_pow(k: int, r: float) -> float:
         return math.inf
 
 
+def _values_at(p: Polynomial, hbar):
+    """(monomial, value at hbar) pairs of p's stored form (a numeric key
+    keeps its zero slots), equal (==) to eval_at(hbar) over p.terms and in
+    its order; int / int rounds as float(Fraction) does."""
+    if p.domain != "formal":
+        # the zero slots add nothing to a degree or a weight
+        return p._data.items()
+    parts = {}
+    for key, v in p._data.items():
+        parts.setdefault(key[:-2], {}).setdefault(key[-2], [0, 0])[key[-1]] = v
+    out = []
+    for e, orders in parts.items():
+        z = 0j
+        for r, (re, im) in orders.items():
+            z += complex(re / p._den, im / p._den) * hbar**r
+        out.append((e, z))
+    return out
+
+
 def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
     """p_R(a): formal coefficients are evaluated at the given hbar first."""
     if isinstance(a, TruncatedElement):
@@ -123,8 +142,8 @@ def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
         raise ValueError("R must be >= 1/2")
     w = spec.weights
     total = 0.0
-    for e, c in a.terms.items():
-        mag = abs(c.eval_at(hbar))
+    for e, z in _values_at(a, hbar):
+        mag = abs(z)
         if not mag:
             continue
         for i, k in enumerate(e):
@@ -384,22 +403,16 @@ def translation_automorphism_defect(form: BilinearForm, z, f: Polynomial,
     diff = lhs - rhs
     degree = max(f.degree() + g.degree(), 0)
     if f.domain == "formal":
-        exact, worst = _window_defect(diff, degree, f.trunc)
+        exact, worst = _window_defect(diff, degree, diff.trunc)
     else:
-        exact, worst = _numeric_defect(diff)
+        worst = max(map(abs, diff._data.values()), default=0.0)
+        exact, worst = worst == 0.0, ("0" if worst == 0.0 else repr(worst))
     return DefectReport(
         "translation_automorphism",
         {"degree": degree},
         worst,
         exact,
     )
-
-
-def _numeric_defect(diff: Polynomial):
-    worst = 0.0
-    for c in diff.terms.values():
-        worst = max(worst, abs(c))
-    return (worst == 0.0), ("0" if worst == 0.0 else repr(worst))
 
 
 def inner_automorphism_defect(form: BilinearForm, z, w, f: Polynomial,
@@ -486,8 +499,8 @@ class ContinuityReport:
 
 def _degree_cut(p: Polynomial, k: int) -> Polynomial:
     """The terms of p of total degree <= k."""
-    return Polynomial(p.gens, {e: c for e, c in p.terms.items() if sum(e) <= k},
-                      p.domain, p.trunc, _clean=True)
+    return p._like(p.trunc, *stored_reduce(p.domain, p._den, {
+        e: v for e, v in p._data.items() if sum(e[:-2]) <= k}))
 
 
 def star_continuity_report(spec: SeminormSpec, form: BilinearForm, z, v, w,

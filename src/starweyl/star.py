@@ -28,10 +28,9 @@ from .scalars import (
     NumericScalar,
     coerce_coeff,
     coerce_coeffs,
-    complex_decode,
-    complex_encode,
     int_canonical,
     int_parts,
+    num_canonical,
 )
 
 
@@ -248,8 +247,7 @@ def _plain_entries(form):
 
 def _complex_entries(form):
     """Kernel entries of a numeric form, as complex floats."""
-    cells = complex_encode({(i, j): lam for i, j, lam in form.nonzero_entries()})
-    return [(i, j, lam, None) for (i, j), lam in cells.items()]
+    return [(i, j, complex(lam), None) for i, j, lam in form.nonzero_entries()]
 
 
 def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
@@ -344,7 +342,7 @@ def _inverse_factorial(k, domain):
 
 def _z_factors(z, trunc, rmax):
     """[z^r / r! for r in 0..rmax] as complex floats."""
-    zz = complex_encode({0: coerce_coeff(z, "numeric", trunc)})[0]
+    zz = complex(coerce_coeff(z, "numeric", trunc))
     facts = [1 + 0j]
     zp = facts[0]
     for r in range(1, rmax + 1):
@@ -372,10 +370,13 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     if a.domain == "formal":
         return a._like(trunc, *_star_formal(form, z, a, b, rmax, trunc))
     zfacts = _z_factors(z, trunc, rmax)
-    return a._like(trunc, 1, complex_decode(kernels.star_terms(
-        _complex_entries(form), zfacts, complex_encode(a._data),
-        complex_encode(b._data), len(zfacts) - 1
-    )))
+    # the two zero slots of a numeric key would push a packed 2-generator
+    # key past one 30-bit int digit, so the kernel runs without them
+    out = kernels.star_terms(_complex_entries(form), zfacts, *(
+        {k[:-2]: v for k, v in x._data.items()} for x in (a, b)),
+        len(zfacts) - 1)
+    return a._like(trunc, *num_canonical({k + (0, 0): v
+                                          for k, v in out.items()}))
 
 
 def star_term_count(form: BilinearForm, a: Polynomial, b: Polynomial) -> int:
@@ -437,9 +438,8 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
         )
         return a._like(trunc, *int_canonical(
             kernels.bracket_terms(entries, ea, eb), dl * da * db, trunc))
-    return a._like(trunc, 1, complex_decode(kernels.bracket_terms(
-        _complex_entries(form), complex_encode(a._data),
-        complex_encode(b._data))))
+    return a._like(trunc, *num_canonical(kernels.bracket_terms(
+        _complex_entries(form), a._data, b._data)))
 
 
 def poisson_standard(f: Polynomial, g: Polynomial) -> Polynomial:

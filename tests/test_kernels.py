@@ -232,7 +232,7 @@ def test_numeric_star_keeps_the_reference_order_and_float_bits(m, z, da, db):
     while zfacts and not zfacts[-1]:
         zfacts.pop()
     entries = [(i, j, lam.val, None) for i, j, lam in form.nonzero_entries()]
-    want = tuple_star(entries, zfacts, {e: c.val for e, c in a._data.items()},
-                      {e: c.val for e, c in b._data.items()})
-    assert [(e, repr(c.val)) for e, c in out._data.items()] == [
+    want = tuple_star(entries, zfacts, {e: c.val for e, c in a.terms.items()},
+                      {e: c.val for e, c in b.terms.items()})
+    assert [(e, repr(c.val)) for e, c in out.terms.items()] == [
         (e, repr(NumericScalar(v).val)) for e, v in want.items()]

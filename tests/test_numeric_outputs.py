@@ -1,0 +1,114 @@
+"""Numeric operation outputs, frozen.
+
+repr() of the .terms of numeric operation outputs (key order and float
+bits) and of the numeric diagnostics, as the version that stored numeric
+coefficients as NumericScalar objects computed them. Any change to the
+order or rounding of a numeric sum or product shows here.
+"""
+
+from starweyl import (
+    BilinearForm, Polynomial, SeminormSpec, TensorSquare, formal_adjoint,
+    minus_i_hbar, n_operator, p_lambda, poisson_bracket, poisson_standard,
+    seminorm_pR, standard_form, star, star_continuity_report, star_standard,
+    star_weyl, std_rep, translation_automorphism_defect, truncated_exponential,
+    weyl_rep,
+)
+
+G = ("q", "p")
+A = Polynomial(G, {(2, 1): complex(0.3, 1.7), (1, 0): -2.5, (0, 1): 1j,
+                   (0, 0): 1 / 3, (1, 3): complex(-0.1, 0.7)}, "numeric")
+B = Polynomial(G, {(1, 1): complex(1.1, -0.2), (0, 2): 0.7, (3, 0): -1j / 7,
+                   (0, 0): complex(2, 1)}, "numeric")
+FORM = BilinearForm(G, [[0.25, complex(1, 0.5)], [-0.75, 1j / 3]], "numeric")
+Z = complex(0.2, -1.3)
+
+
+def outputs():
+    yield "A", A
+    yield "B", B
+    yield "A+B", A + B
+    yield "A-B", A - B
+    yield "-A", -A
+    yield "A.scale", A.scale(complex(0.6, -1.1))
+    yield "A*B", A * B
+    yield "A**3", A ** 3
+    yield "dA/dq", A.partial_derivative(0)
+    yield "dA/dp", A.partial_derivative(1)
+    yield "A.translate", A.translate((complex(0.5, 0.25), -1.5))
+    yield "star", star(FORM, Z, A, B)
+    yield "star_std", star_standard(A, B)
+    yield "star_weyl", star_weyl(B, A)
+    yield "poisson", poisson_bracket(FORM, A, B)
+    yield "poisson_std", poisson_standard(A, B)
+    yield "std_rep", std_rep(A * B)
+    yield "weyl_rep", weyl_rep(A)
+    yield "adjoint", formal_adjoint(std_rep(A))
+    op = std_rep(B)
+    yield "compose", op.compose(std_rep(A))
+    qa = Polynomial(("q",), {(3,): complex(0.3, 0.9), (1,): -2.0}, "numeric")
+    yield "apply", weyl_rep(A).apply(qa)
+    yield "n_operator", n_operator(G, "numeric").apply(A * B)
+    yield "exp", truncated_exponential(G, [0.5, complex(0.25, -1)], Z, 7,
+                                        "numeric").base
+    t = TensorSquare.of(A, B)
+    yield "tensor", t
+    yield "p_lambda", p_lambda(FORM, t)
+    yield "mu", p_lambda(FORM, t).mu()
+    spec = SeminormSpec([0.7, 1.3], 0.5)
+    yield "seminorm", seminorm_pR(spec, A * B)
+    yield "continuity", star_continuity_report(
+        spec, standard_form(G, "numeric"), minus_i_hbar("numeric"),
+        [0.5, 0.25], [0.125, -0.5], kmax=8).partial_sums
+    yield "translation_defect", translation_automorphism_defect(
+        FORM, Z, A, B, (0.5, -0.25)).defect_max
+
+
+FROZEN = {
+    'A': '{(2, 1): NumericScalar((0.3+1.7j)), (1, 0): NumericScalar((-2.5+0j)), (0, 1): NumericScalar(1j), (0, 0): NumericScalar((0.3333333333333333+0j)), (1, 3): NumericScalar((-0.1+0.7j))}',
+    'B': '{(1, 1): NumericScalar((1.1-0.2j)), (0, 2): NumericScalar((0.7+0j)), (3, 0): NumericScalar(-0.14285714285714285j), (0, 0): NumericScalar((2+1j))}',
+    'A+B': '{(2, 1): NumericScalar((0.3+1.7j)), (1, 0): NumericScalar((-2.5+0j)), (0, 1): NumericScalar(1j), (0, 0): NumericScalar((2.3333333333333335+1j)), (1, 3): NumericScalar((-0.1+0.7j)), (1, 1): NumericScalar((1.1-0.2j)), (0, 2): NumericScalar((0.7+0j)), (3, 0): NumericScalar(-0.14285714285714285j)}',
+    'A-B': '{(2, 1): NumericScalar((0.3+1.7j)), (1, 0): NumericScalar((-2.5+0j)), (0, 1): NumericScalar(1j), (0, 0): NumericScalar((-1.6666666666666667-1j)), (1, 3): NumericScalar((-0.1+0.7j)), (1, 1): NumericScalar((-1.1+0.2j)), (0, 2): NumericScalar((-0.7+0j)), (3, 0): NumericScalar(0.14285714285714285j)}',
+    '-A': '{(2, 1): NumericScalar((-0.3-1.7j)), (1, 0): NumericScalar((2.5+0j)), (0, 1): NumericScalar(-1j), (0, 0): NumericScalar((-0.3333333333333333+0j)), (1, 3): NumericScalar((0.1-0.7j))}',
+    'A.scale': '{(2, 1): NumericScalar((2.0500000000000003+0.69j)), (1, 0): NumericScalar((-1.5+2.75j)), (0, 1): NumericScalar((1.1+0.6j)), (0, 0): NumericScalar((0.19999999999999998-0.3666666666666667j)), (1, 3): NumericScalar((0.71+0.53j))}',
+    'A*B': '{(3, 2): NumericScalar((0.67+1.81j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((-3.85+4.199999999999999j)), (1, 2): NumericScalar((-1.55+1.1j)), (4, 0): NumericScalar(0.3571428571428571j), (1, 0): NumericScalar((-5-2.5j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((-1+2j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((0.2333333333333333+0j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6666666666666666+0.3333333333333333j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-0.8999999999999999+1.2999999999999998j))}',
+    'A**3': '{(6, 3): NumericScalar((-2.574-4.454j)), (5, 2): NumericScalar((21-7.6499999999999995j)), (4, 3): NumericScalar((-3.06-8.399999999999999j)), (4, 2): NumericScalar((-2.8+1.02j)), (5, 5): NumericScalar((-1.3019999999999998-6.186j)), (4, 1): NumericScalar((5.625+31.875j)), (3, 2): NumericScalar((25.5-4.5j)), (3, 1): NumericScalar((-1.5-8.5j)), (4, 4): NumericScalar((18.299999999999997-0.5999999999999996j)), (2, 3): NumericScalar((-0.4-8.599999999999998j)), (2, 2): NumericScalar((-3.4+0.6j)), (3, 5): NumericScalar((-0.23999999999999988-7.32j)), (2, 1): NumericScalar((0.09999999999999998+19.316666666666666j)), (3, 4): NumericScalar((-2.4399999999999995+0.07999999999999996j)), (4, 7): NumericScalar((0.28200000000000003-2.574j)), (3, 0): NumericScalar((-15.625+0j)), (2, 0): NumericScalar((6.249999999999999+0j)), (3, 3): NumericScalar((-1.875+13.125j)), (1, 2): NumericScalar((7.5+0j)), (1, 1): NumericScalar(-5j), (2, 4): NumericScalar((10.5+1.5j)), (1, 0): NumericScalar((-0.8333333333333333+0j)), (3, 6): NumericScalar((3.5999999999999996+1.0499999999999998j)), (0, 3): NumericScalar(-1j), (0, 2): NumericScalar((-1+0j)), (1, 5): NumericScalar((0.30000000000000004-2.0999999999999996j)), (0, 1): NumericScalar(0.3333333333333333j), (1, 4): NumericScalar((-1.4-0.2j)), (2, 7): NumericScalar((0.41999999999999993-1.4399999999999997j)), (0, 0): NumericScalar((0.037037037037037035+0j)), (1, 3): NumericScalar((-0.03333333333333333+0.23333333333333328j)), (2, 6): NumericScalar((-0.4799999999999999-0.13999999999999999j)), (3, 9): NumericScalar((0.146-0.3219999999999999j))}',
+    'dA/dq': '{(1, 1): NumericScalar((0.6+3.4j)), (0, 0): NumericScalar((-2.5+0j)), (0, 3): NumericScalar((-0.1+0.7j))}',
+    'dA/dp': '{(2, 0): NumericScalar((0.3+1.7j)), (0, 0): NumericScalar(1j), (1, 2): NumericScalar((-0.30000000000000004+2.0999999999999996j))}',
+    'A.translate': '{(0, 0): NumericScalar((0.3958333333333333-3.8125j)), (0, 1): NumericScalar((-1.8874999999999997+3.5874999999999995j)), (1, 0): NumericScalar((-1.3375-5.137499999999999j)), (1, 1): NumericScalar((-1.225+6.574999999999999j)), (2, 0): NumericScalar((-0.44999999999999996-2.55j)), (2, 1): NumericScalar((0.3+1.7j)), (0, 2): NumericScalar((1.0125-1.4625j)), (0, 3): NumericScalar((-0.22499999999999998+0.32499999999999996j)), (1, 2): NumericScalar((0.45-3.15j)), (1, 3): NumericScalar((-0.1+0.7j))}',
+    'star': '{(3, 2): NumericScalar((0.4096428571428572+2.668214285714286j)), (2, 3): NumericScalar((0.23892857142857143+1.094642857142857j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((-1.8043273809523817+6.344922619047619j)), (1, 2): NumericScalar((6.6513035714285715+4.138553571428572j)), (4, 0): NumericScalar((0.016071428571428584+1.086785714285714j)), (1, 0): NumericScalar((-5.512560565476191+8.077807886904763j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.13214285714285712-0.4864285714285713j)), (0, 1): NumericScalar((-0.16885610119047628+3.9626921130952386j)), (1, 1): NumericScalar((-2.017475-0.11472261904761916j)), (0, 2): NumericScalar((-0.559904166666667+4.1645375j)), (3, 0): NumericScalar((0.1696666666666667+0.7813809523809523j)), (0, 0): NumericScalar((0.7107787202380952+0.1817998511904762j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-2.6287499999999993+2.91375j)), (2, 0): NumericScalar((1.2356785714285712+0.5964642857142856j)), (0, 4): NumericScalar((1.3152499999999998+1.0307499999999998j)), (2, 2): NumericScalar((-0.11900000000000006+1.0330000000000001j))}',
+    'star_std': '{(3, 2): NumericScalar((0.7985714285714286+0.9100000000000001j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((-3.84+3.2728571428571422j)), (1, 2): NumericScalar((-1.55+1.1j)), (4, 0): NumericScalar((-0.12857142857142856-0.37142857142857133j)), (1, 0): NumericScalar((-5.085714285714285-1.9000000000000001j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((0.10000000000000009+1.8j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((0.2333333333333333+0j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6666666666666666+0.3333333333333333j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((1.4700000000000002+1.21j)), (2, 0): NumericScalar(-0.42857142857142855j)}',
+    'star_weyl': '{(3, 2): NumericScalar((0.6057142857142858+2.26j)), (2, 1): NumericScalar((-3.3949999999999996+3.8007142857142853j)), (1, 2): NumericScalar((0.8299999999999998+0.6800000000000002j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (2, 3): NumericScalar((0.21+1.19j)), (0, 3): NumericScalar(0.7j), (0, 2): NumericScalar((0.2558333333333333+0.5925j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (4, 0): NumericScalar((0.06428571428571428+0.7214285714285713j)), (3, 1): NumericScalar((0.14285714285714285+0j)), (3, 0): NumericScalar(-0.047619047619047616j), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 0): NumericScalar((-4.404285714285714-0.29499999999999993j)), (0, 1): NumericScalar((-1.655+3.255j)), (0, 0): NumericScalar((0.6666666666666666+0.3333333333333333j)), (1, 3): NumericScalar((-1.69+1.3299999999999998j)), (0, 4): NumericScalar((0.48999999999999994+0.06999999999999999j)), (2, 0): NumericScalar(0.21428571428571427j)}',
+    'poisson': '{(1, 2): NumericScalar((-0.9100000000000001+8.75j)), (2, 1): NumericScalar((0.26750000000000007+3.5024999999999995j)), (4, 0): NumericScalar((-1.339285714285714-0.13928571428571423j)), (0, 1): NumericScalar((-5.925000000000001-3.7750000000000004j)), (1, 0): NumericScalar((-5.0625-0.5j)), (2, 0): NumericScalar((-0.75-0.2142857142857143j)), (0, 4): NumericScalar((-0.7349999999999999+1.6449999999999998j)), (1, 3): NumericScalar((0.6850000000000003-2.795j)), (3, 2): NumericScalar((-1.5107142857142857-0.6749999999999999j))}',
+    'poisson_std': '{(2, 1): NumericScalar((0.67+1.81j)), (1, 2): NumericScalar((0.84+4.76j)), (1, 0): NumericScalar((-2.75+0.5j)), (0, 1): NumericScalar((-3.7-1.1j)), (1, 3): NumericScalar((-0.05999999999999994-1.58j)), (0, 4): NumericScalar((-0.13999999999999999+0.9799999999999999j)), (4, 0): NumericScalar((-0.7285714285714284+0.12857142857142856j)), (2, 0): NumericScalar((-0.42857142857142855+0j)), (3, 2): NumericScalar((-0.8999999999999999-0.12857142857142856j))}',
+    'std_rep': '{((3,), (2,)): NumericScalar((-0.67-1.81j)), ((2,), (3,)): NumericScalar((-1.19+0.21j)), ((5,), (1,)): NumericScalar((-0.04285714285714285-0.24285714285714283j)), ((2,), (1,)): NumericScalar((4.199999999999999+3.85j)), ((1,), (2,)): NumericScalar((1.55-1.1j)), ((4,), (0,)): NumericScalar(0.3571428571428571j), ((1,), (0,)): NumericScalar((-5-2.5j)), ((0,), (3,)): NumericScalar((-0.7+0j)), ((3,), (1,)): NumericScalar(-0.14285714285714285j), ((0,), (1,)): NumericScalar((2+1j)), ((1,), (1,)): NumericScalar((-0.06666666666666667-0.3666666666666667j)), ((0,), (2,)): NumericScalar((-0.2333333333333333+0j)), ((3,), (0,)): NumericScalar(-0.047619047619047616j), ((0,), (0,)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((2,), (4,)): NumericScalar((0.02999999999999997+0.79j)), ((1,), (5,)): NumericScalar((0.48999999999999994+0.06999999999999999j)), ((4,), (3,)): NumericScalar((-0.014285714285714285+0.09999999999999999j)), ((1,), (3,)): NumericScalar((-1.2999999999999998-0.8999999999999999j))}',
+    'weyl_rep': '{((2,), (1,)): NumericScalar((1.7-0.3j)), ((1,), (0,)): NumericScalar((-0.8-0.3j)), ((0,), (1,)): NumericScalar((1+0j)), ((0,), (0,)): NumericScalar((0.3333333333333333+0j)), ((1,), (3,)): NumericScalar((-0.7-0.1j)), ((0,), (2,)): NumericScalar((-1.0499999999999998-0.15000000000000002j))}',
+    'adjoint': '{((2,), (1,)): NumericScalar((-1.7-0.3j)), ((1,), (0,)): NumericScalar((-5.9-0.6j)), ((0,), (1,)): NumericScalar((-1+0j)), ((0,), (0,)): NumericScalar((0.3333333333333333+0j)), ((1,), (3,)): NumericScalar((0.7-0.1j)), ((0,), (2,)): NumericScalar((2.0999999999999996-0.30000000000000004j))}',
+    'compose': '{((3,), (2,)): NumericScalar((-0.67-1.81j)), ((2,), (1,)): NumericScalar((2.8599999999999994+0.22999999999999998j)), ((1,), (0,)): NumericScalar((-4.5+0.25j)), ((1,), (2,)): NumericScalar((-3.21-0.2600000000000001j)), ((1,), (1,)): NumericScalar((-0.06666666666666667-0.3666666666666667j)), ((2,), (4,)): NumericScalar((0.02999999999999997+0.79j)), ((1,), (3,)): NumericScalar((-1.2699999999999998-0.10999999999999988j)), ((2,), (3,)): NumericScalar((-1.19+0.21j)), ((0,), (1,)): NumericScalar((3.12+1.42j)), ((0,), (3,)): NumericScalar((-0.7+0j)), ((0,), (2,)): NumericScalar((-0.2333333333333333+0j)), ((1,), (5,)): NumericScalar((0.48999999999999994+0.06999999999999999j)), ((0,), (4,)): NumericScalar((0.9799999999999999+0.13999999999999999j)), ((5,), (1,)): NumericScalar((-0.04285714285714285-0.24285714285714283j)), ((4,), (0,)): NumericScalar(0.3571428571428571j), ((3,), (1,)): NumericScalar(-0.14285714285714285j), ((3,), (0,)): NumericScalar(-0.047619047619047616j), ((4,), (3,)): NumericScalar((-0.014285714285714285+0.09999999999999999j)), ((0,), (0,)): NumericScalar((0.6666666666666666+0.3333333333333333j))}',
+    'apply': '{(4,): NumericScalar((2.37+3.5100000000000002j)), (2,): NumericScalar((-0.8999999999999999+3.9000000000000004j)), (0,): NumericScalar((-2+0j)), (3,): NumericScalar((0.09999999999999999+0.3j)), (1,): NumericScalar((-2.466666666666666-9.899999999999999j))}',
+    'n_operator': '{(3, 2): NumericScalar((0.7557142857142858+1.21j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((0.6799999999999997+2.0614285714285705j)), (1, 2): NumericScalar((2.0199999999999996+0.4700000000000001j)), (4, 0): NumericScalar((-0.10714285714285712-0.25j)), (1, 0): NumericScalar((-1.8478571428571438-1.065j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((-0.2149999999999999+1.765j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((2.0933333333333333-1.0200000000000002j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6333333333333333+0.14999999999999997j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((2.2600000000000002+1.18j)), (2, 0): NumericScalar(-0.21428571428571427j), (0, 4): NumericScalar((1.2249999999999999+0.175j))}',
+    'exp': '{(0, 0): NumericScalar((1+0j)), (1, 0): NumericScalar((0.1-0.65j)), (0, 1): NumericScalar((-1.25-0.525j)), (2, 0): NumericScalar((-0.20625000000000002-0.065j)), (1, 1): NumericScalar((-0.46625000000000005+0.76j)), (0, 2): NumericScalar((0.6434375000000001+0.65625j)), (3, 0): NumericScalar((-0.020958333333333336+0.04252083333333334j)), (2, 1): NumericScalar((0.22368750000000004+0.18953125000000004j)), (1, 2): NumericScalar((0.4909062500000001-0.35260937500000006j)), (0, 3): NumericScalar((-0.15325520833333336-0.3860390625000001j)), (4, 0): NumericScalar((0.006385677083333334+0.0044687500000000005j)), (3, 1): NumericScalar((0.04852135416666667-0.042147916666666674j)), (2, 2): NumericScalar((-0.09005273437500003-0.17717500000000003j)), (1, 3): NumericScalar((-0.26625091145833335+0.06101197916666669j)), (0, 4): NumericScalar((-0.0027753743489583316+0.14075195312500002j)), (5, 0): NumericScalar((0.0007086510416666668-0.0007407630208333334j)), (4, 1): NumericScalar((-0.005636002604166667-0.008938417968750001j)), (3, 2): NumericScalar((-0.04138967447916667+0.013605592447916667j)), (2, 3): NumericScalar((0.0065163476562499975+0.08958214518229168j)), (1, 4): NumericScalar((0.09121123209635418+0.015879188639322916j)), (0, 5): NumericScalar((0.015472798665364587-0.03489657397460938j)), (6, 0): NumericScalar((-6.84384765625e-05-8.911657986111112e-05j)), (5, 1): NumericScalar((-0.0012747143880208333+0.0005539119791666667j)), (4, 2): NumericScalar((0.0011761669108072918+0.0070659619140625j)), (3, 3): NumericScalar((0.019626676378038194+0.0015741961805555565j)), (2, 4): NumericScalar((0.009721297912597656-0.028849690999348962j)), (1, 5): NumericScalar((-0.021135493216959636-0.013546976529947918j)), (0, 6): NumericScalar((-0.006276949944729276+0.005916249694824219j)), (7, 0): NumericScalar((-9.252803509424605e-06+5.081907397073413e-06j)), (6, 1): NumericScalar((3.876189127604166e-05+0.00014732592502170142j)), (5, 2): NumericScalar((0.000942098387044271-1.1582460123697876e-05j)), (4, 3): NumericScalar((0.000746473788791233-0.0031499800069173184j)), (3, 4): NumericScalar((-0.0059267231194390195-0.0030679375810411247j)), (2, 5): NumericScalar((-0.005459542033081056+0.006191686469014487j)), (1, 6): NumericScalar((0.0032178673071628153+0.004671642433556452j)), (0, 7): NumericScalar((0.001564602645813473-0.0005857019139353434j))}',
+    'tensor': '{((2, 1), (1, 1)): NumericScalar((0.67+1.81j)), ((2, 1), (0, 2)): NumericScalar((0.21+1.19j)), ((2, 1), (3, 0)): NumericScalar((0.24285714285714283-0.04285714285714285j)), ((2, 1), (0, 0)): NumericScalar((-1.1+3.6999999999999997j)), ((1, 0), (1, 1)): NumericScalar((-2.75+0.5j)), ((1, 0), (0, 2)): NumericScalar((-1.75+0j)), ((1, 0), (3, 0)): NumericScalar(0.3571428571428571j), ((1, 0), (0, 0)): NumericScalar((-5-2.5j)), ((0, 1), (1, 1)): NumericScalar((0.2+1.1j)), ((0, 1), (0, 2)): NumericScalar(0.7j), ((0, 1), (3, 0)): NumericScalar((0.14285714285714285+0j)), ((0, 1), (0, 0)): NumericScalar((-1+2j)), ((0, 0), (1, 1)): NumericScalar((0.3666666666666667-0.06666666666666667j)), ((0, 0), (0, 2)): NumericScalar((0.2333333333333333+0j)), ((0, 0), (3, 0)): NumericScalar(-0.047619047619047616j), ((0, 0), (0, 0)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((1, 3), (1, 1)): NumericScalar((0.02999999999999997+0.79j)), ((1, 3), (0, 2)): NumericScalar((-0.06999999999999999+0.48999999999999994j)), ((1, 3), (3, 0)): NumericScalar((0.09999999999999999+0.014285714285714285j)), ((1, 3), (0, 0)): NumericScalar((-0.8999999999999999+1.2999999999999998j))}',
+    'p_lambda': '{((1, 1), (0, 1)): NumericScalar((-1.205+6.085j)), ((1, 1), (1, 0)): NumericScalar((-0.47+4.29j)), ((2, 0), (0, 1)): NumericScalar((-1.2958333333333334-1.2175j)), ((2, 0), (1, 0)): NumericScalar((-0.6033333333333333+0.22333333333333333j)), ((1, 1), (2, 0)): NumericScalar((0.3642857142857142-0.06428571428571428j)), ((2, 0), (2, 0)): NumericScalar((-0.5464285714285714+0.09642857142857142j)), ((0, 0), (0, 1)): NumericScalar((-4.804166666666667-2.45j)), ((0, 0), (1, 0)): NumericScalar((-3.3666666666666667-0.8083333333333333j)), ((0, 0), (2, 0)): NumericScalar((-0.3214285714285714+0.2678571428571428j)), ((0, 3), (0, 1)): NumericScalar((-0.6224999999999999+1.1075j)), ((0, 3), (1, 0)): NumericScalar((-0.36500000000000005+0.805j)), ((1, 2), (0, 1)): NumericScalar((-1.0474999999999999-1.9175j)), ((1, 2), (1, 0)): NumericScalar((-0.79+0.02999999999999997j)), ((0, 3), (2, 0)): NumericScalar((0.075+0.010714285714285714j)), ((1, 2), (2, 0)): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
+    'mu': '{(1, 2): NumericScalar((-1.205+6.085j)), (2, 1): NumericScalar((-1.7658333333333334+3.0725j)), (3, 0): NumericScalar((-0.6033333333333333+0.22333333333333333j)), (3, 1): NumericScalar((0.3642857142857142-0.06428571428571428j)), (4, 0): NumericScalar((-0.5464285714285714+0.09642857142857142j)), (0, 1): NumericScalar((-4.804166666666667-2.45j)), (1, 0): NumericScalar((-3.3666666666666667-0.8083333333333333j)), (2, 0): NumericScalar((-0.3214285714285714+0.2678571428571428j)), (0, 4): NumericScalar((-0.6224999999999999+1.1075j)), (1, 3): NumericScalar((-1.4124999999999999-1.1124999999999998j)), (2, 2): NumericScalar((-0.79+0.02999999999999997j)), (2, 3): NumericScalar((0.075+0.010714285714285714j)), (3, 2): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
+    'seminorm': '135.3937916183453',
+    'continuity': '[1.0, 2.386567954757769, 2.6345039009678377, 2.5495901755677073, 2.505492089513839, 2.4739362596061074, 2.4624923762871718, 2.458732662362888, 2.457707632369057]',
+    'translation_defect': "'2.094764613337708e-15'",
+}
+
+
+def test_numeric_outputs_are_frozen():
+    got = {}
+    for name, out in outputs():
+        got[name] = repr(out.terms if hasattr(out, "terms") else out)
+    assert list(got) == list(FROZEN)
+    for name, want in FROZEN.items():
+        assert got[name] == want, name
+
+
+def test_std_rep_folds_the_power_of_minus_i_exactly():
+    # (-i)^101 = -i; a complex power of -1j above the 100th is computed
+    # through polar form and reads (4.408109496293883e-15-1j)
+    f = Polynomial(G, {(0, 101): 1, (1, 102): complex(0.5, 2)}, "numeric")
+    assert repr(std_rep(f).terms) == (
+        "{((0,), (101,)): NumericScalar(-1j), "
+        "((1,), (102,)): NumericScalar((-0.5-2j))}")

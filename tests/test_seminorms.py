@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
+    FormalScalar,
     GaussianRational,
     Generators,
     Polynomial,
@@ -228,6 +229,16 @@ def test_window_defect_matches_the_decoded_coefficients(f, g, degree, orders):
         worst == 0.0, "0" if worst == 0.0 else repr(worst))
 
 
+def test_translation_window_is_the_difference_truncation():
+    # g (truncation 2) caps the difference below f's truncation 4; either
+    # order of the operands reports the window the difference is known to
+    f = poly_from_text("q^2 + h*p", G, trunc=4)
+    g = poly_from_text("p*q", G, trunc=2)
+    for a, b in ((f, g), (g, f)):
+        rep = translation_automorphism_defect(standard_form(G), Z, a, b, (1, 2))
+        assert rep.exact and rep.defect_max == "0"
+
+
 def test_window_defect_refuses_orders_beyond_the_truncation():
     with pytest.raises(TruncationError):
         seminorms._window_defect(poly_from_text("h*q", G, trunc=2), 3, 3)
@@ -241,6 +252,49 @@ def test_inner_automorphism_window():
 def test_inner_automorphism_needs_antisymmetry():
     with pytest.raises(StarWeylError):
         inner_automorphism_defect(standard_form(G), Z, (1, 0), pf("q"))
+
+
+def _seminorm_of_terms(spec, a, hbar):
+    """p_R(a) computed from the decoded coefficients."""
+    total = 0.0
+    for e, c in a.terms.items():
+        mag = abs(c.eval_at(hbar))
+        if not mag:
+            continue
+        for i, k in enumerate(e):
+            if k:
+                mag *= spec.weights[i] ** k
+        total += seminorms._factorial_pow(sum(e), spec.R) * mag
+    return total
+
+
+floats = st.floats(min_value=-8, max_value=8, allow_subnormal=False)
+numeric_polys = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.builds(complex, floats, floats), max_size=6,
+).map(lambda d: Polynomial(G, d, "numeric"))
+
+
+@given(st.one_of(polys(max_deg=5, max_terms=6), numeric_polys),
+       st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([1.0, 0.5, 3.0]),
+       st.sampled_from([(1.0, 1.0), (0.3, 2.5)]))
+@settings(max_examples=80, deadline=None)
+def test_seminorm_reads_the_stored_form_as_the_terms(f, R, hbar, weights):
+    # p_R read from the stored form equals, to the last bit, the value
+    # from the decoded coefficients; the formal h-orders make eval_at sum,
+    # and parts above 2^53 make int / int differ from float / float
+    if f.domain == "formal":
+        f = f + f * pf("(1/3 - 2/7*i)*h + 5/11*h^3") + Polynomial(G, {
+            (2, 1): FormalScalar({0: Fraction(10**20 + 1, 3**40), 1:
+                                  GaussianRational(0, Fraction(3**41, 2**70 + 1))})})
+    spec = SeminormSpec(weights, R)
+    assert seminorm_pR(spec, f, hbar=hbar) == _seminorm_of_terms(spec, f, hbar)
+    for k in range(-1, 8):
+        cut = seminorms._degree_cut(f, k)
+        assert cut == Polynomial(
+            G, {e: c for e, c in f.terms.items() if sum(e) <= k}, f.domain,
+            f.trunc)
+        assert list(cut.terms) == [e for e in f.terms if sum(e) <= k]
 
 
 # ------------------------------------------------------- continuity

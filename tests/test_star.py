@@ -41,7 +41,6 @@ from starweyl import (
 from starweyl.bruteforce import DensePolynomial
 from starweyl.errors import NonFiniteError
 from starweyl.kernels import mul_terms
-from starweyl.scalars import complex_encode
 
 G = Generators(("q", "p"))
 Z = minus_i_hbar()
@@ -406,10 +405,12 @@ def test_numeric_results_carry_no_negative_zero():
     form = standard_form(G, "numeric")
     z = minus_i_hbar("numeric")
     mq, ip = npf("-q"), npf("i*p")
-    # the kernels, on complex floats, give (-1) * i a real part -0.0 ...
-    raw = mul_terms(complex_encode(mq.terms), complex_encode(ip.terms))
-    assert math.copysign(1.0, raw[(1, 1)].real) < 0
-    # ... which decoding turns into +0.0, as every NumericScalar did
+    # the kernels, on the stored complex values, give (-1) * i a real part
+    # -0.0 ...
+    raw = mul_terms(mq._data, ip._data)
+    assert math.copysign(1.0, raw[(1, 1, 0, 0)].real) < 0
+    # ... which the canonical form writes as +0.0, as every NumericScalar
+    # does
     pairs = [(mq, ip), (ip, mq), (npf("(1 + i)*q - i*p"), npf("(1 - i)*p^2 + q")),
              (npf("-i*q^2*p"), npf("-q*p^2 + i"))]
     for a, b in pairs:

@@ -1,9 +1,11 @@
-"""The stored form of formal term sums.
+"""The stored form of term sums.
 
 Polynomial, TensorSquare, DifferentialOperator and UEElement keep one
 canonical (den, ints) pair in the integer codec of scalars.py, and .terms,
 text and JSON decode it. These properties pin the form on constructors and
 operations, with mixed truncations and h-dependent Gaussian coefficients.
+A numeric sum stores finite nonzero complex values, with no -0.0 part,
+under key + (0, 0) over den 1; the last properties pin that form.
 """
 
 import math
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
+    BilinearForm,
     DifferentialOperator,
     FormalScalar,
     GaussianRational,
@@ -25,11 +28,15 @@ from starweyl import (
     gutt_star,
     pbw_symmetrize,
     pbw_symmetrize_inverse,
+    poisson_bracket,
     poisson_standard,
     sl2,
+    star,
     star_standard,
     std_rep,
+    weyl_rep,
 )
+from starweyl.seminorms import _degree_cut
 
 GENS = Generators(("q", "p"))
 QGENS = Generators(("q",))
@@ -217,3 +224,93 @@ def test_terms_is_a_decoded_view_of_one_denominator():
     assert f.terms is not f.terms
     zero = f - f
     assert (zero._den, zero._data) == (1, {})
+
+
+# -- the numeric stored form ------------------------------------------------------
+
+# parts of either sign, zeros among them, and -0.0
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.floats(min_value=-8, max_value=8, allow_subnormal=False))
+complexes = st.builds(complex, parts, parts)
+
+
+def numeric_sums(cls, gens, keys):
+    return st.tuples(st.dictionaries(keys, complexes, max_size=4), truncs).map(
+        lambda p: cls(gens, p[0], "numeric", p[1]))
+
+
+NUMERIC_KINDS = {
+    "Polynomial": numeric_sums(Polynomial, GENS, exps),
+    "TensorSquare": numeric_sums(TensorSquare, GENS, st.tuples(exps, exps)),
+    "DifferentialOperator": numeric_sums(DifferentialOperator, QGENS,
+                                         st.tuples(qexps, qexps)),
+}
+NUMERIC_FORM = BilinearForm(GENS, [[0.5, complex(1, -0.25)], [-1, 1j]],
+                            "numeric")
+
+
+def assert_numeric_canonical(x):
+    assert x._den == 1
+    for key, v in x._data.items():
+        assert key[-2:] == (0, 0)
+        assert isinstance(v, complex) and v
+        assert math.isfinite(v.real) and math.isfinite(v.imag)
+        assert math.copysign(1.0, v.real) > 0 or v.real
+        assert math.copysign(1.0, v.imag) > 0 or v.imag
+
+
+def numeric_results(kind, a, b):
+    """Values of the operations that kind supports, from a and b."""
+    out = [a + b, a - b, -a, a.scale(complex(-0.5, 2)), a.scale(-1),
+           a.scale(1j), a._cut(a.trunc - 1) if a.trunc else a]
+    if kind == "Polynomial":
+        out += [a * b, a * -1, a ** 2, a.partial_derivative(0),
+                a.partial_derivative(1), a.translate((complex(0.5, -1), -2)),
+                star_standard(a, b), star(NUMERIC_FORM, -1j, a, b),
+                poisson_standard(a, b), poisson_bracket(NUMERIC_FORM, b, a),
+                std_rep(a), weyl_rep(b), formal_adjoint(std_rep(a)),
+                _degree_cut(a, 2)]
+    if kind == "TensorSquare":
+        out.append(a.mu())
+    if kind == "DifferentialOperator":
+        out += [a.compose(b), a.formal_adjoint(),
+                a.apply(Polynomial(QGENS, {(2,): -1j, (0,): 0.5}, "numeric"))]
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_KINDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_numeric_sums_store_the_canonical_form(kind, data):
+    a = data.draw(NUMERIC_KINDS[kind])
+    b = data.draw(NUMERIC_KINDS[kind])
+    for x in [a, b] + numeric_results(kind, a, b):
+        assert_numeric_canonical(x)
+        y = rebuilt(x)
+        assert list(y._data.items()) == list(x._data.items())
+        if hasattr(x, "from_json"):
+            assert type(x).from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("kind", sorted(NUMERIC_KINDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_numeric_stored_sums_are_immutable(kind, data):
+    x = data.draw(NUMERIC_KINDS[kind])
+    before = rebuilt(x)
+    x.terms.clear()
+    assert x == before
+    for name in ("terms", "trunc", "_den", "_data"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+
+
+def test_numeric_constructors_write_negative_zero_as_zero():
+    f = Polynomial(GENS, {(1, 0): complex(-0.0, -1.0), (0, 1): -0.0,
+                          (0, 0): complex(2.5, -0.0)}, "numeric")
+    assert (f._den, list(f._data)) == (1, [(1, 0, 0, 0), (0, 0, 0, 0)])
+    assert [repr(v) for v in f._data.values()] == ["-1j", "(2.5+0j)"]
+    assert repr((-f)._data[(0, 0, 0, 0)]) == "(-2.5+0j)"
+    # conjugation flips -1j to 1j with a real part +0.0
+    assert repr(formal_adjoint(std_rep(f))._data) == \
+        "{((1,), (0,), 0, 0): 1j, ((0,), (0,), 0, 0): (2.5+0j)}"

@@ -1,9 +1,10 @@
 """Source-structure checks on src/starweyl.
 
 Every sparse term sum goes through poly.accumulate, the four term
-containers share one base class, coefficients cross one boundary, and the
-envelope engine and the operations on the stored formal terms run on ints
-(see the end of this file). The hand-written accumulate idiom (read a dict slot
+containers share one base class, coefficients cross one boundary, the
+envelope engine and the operations on the stored terms run on plain ints
+or complex values, and the term sums do not fork on the scalar domain (see
+the end of this file). The hand-written accumulate idiom (read a dict slot
 with .get, add to it when it was there, drop it when the sum vanishes) may
 appear only in:
 
@@ -271,11 +272,13 @@ def test_coefficients_cross_one_boundary():
 
 # -- one representation in the raw engine ---------------------------------------
 #
-# A formal term sum stores its terms in the integer codec of scalars.py. The
-# envelope engine, the kernels that lift, shift and scale encoded terms, the
-# canonicaliser, and the operations that read and write the stored form run
-# on ints; the scalar types appear only where a scalar operand is encoded
-# and where .terms, text and JSON decode.
+# A term sum stores its terms in the stored form of scalars.py: ints in the
+# formal domain, complex values in the numeric one. The envelope engine, the
+# kernels that lift, shift and scale encoded terms, the canonicaliser, and
+# the operations that read and write the stored form run on those plain
+# values; the scalar types appear only where a scalar operand is encoded
+# and where .terms, text and JSON decode, and those operations do not read
+# .terms, which builds a scalar object per term.
 
 SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ONE", "GR_I", "Fraction"}
 INT_ONLY = {
@@ -299,48 +302,31 @@ INT_ONLY = {
     ("scalars.py", "int_canonical"),
     ("poly.py", "TermSum.__neg__"),
     ("poly.py", "TermSum._cut"),
+    ("poly.py", "TermSum.__add__"),
+    ("poly.py", "TermSum.scale"),
+    ("poly.py", "Polynomial.__mul__"),
+    ("poly.py", "Polynomial.partial_derivative"),
+    ("poly.py", "Polynomial.translate"),
     ("poly.py", "Polynomial.hbar_coefficient"),
     ("star.py", "_encode_operands"),
     ("star.py", "_star_formal"),
     ("ops.py", "DifferentialOperator.apply"),
     ("ops.py", "DifferentialOperator.compose"),
     ("ops.py", "DifferentialOperator.formal_adjoint"),
-}
-# parts whose `if self.domain == "formal"` branch runs on ints
-FORMAL_BRANCHES = {
-    ("poly.py", "TermSum.__add__"),
-    ("poly.py", "TermSum.scale"),
-    ("poly.py", "Polynomial.__mul__"),
-    ("poly.py", "Polynomial.partial_derivative"),
-    ("poly.py", "Polynomial.translate"),
     ("ops.py", "std_rep"),
 }
 
 
 def scalar_names(node):
-    """Scalar-type names a node mentions, as a name or an attribute."""
+    """Scalar-type names a node mentions, as a name or an attribute, and
+    "terms" when it reads the .terms view."""
     return sorted({
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if (isinstance(n, ast.Name) and n.id in SCALAR_NAMES)
-        or (isinstance(n, ast.Attribute) and n.attr in SCALAR_NAMES)
+        or (isinstance(n, ast.Attribute)
+            and (n.attr in SCALAR_NAMES or n.attr == "terms"))
     })
-
-
-def formal_branch(tree, part):
-    """The body of the one `if self.domain == "formal"` test in the part,
-    as a module; None when the part or the test is missing."""
-    node = dict(qualified_parts(tree)).get(part)
-    branches = [] if node is None else [
-        sub for sub in ast.walk(node)
-        if isinstance(sub, ast.If)
-        and isinstance(sub.test, ast.Compare)
-        and any(isinstance(c, ast.Constant) and c.value == "formal"
-                for c in sub.test.comparators)
-    ]
-    if len(branches) != 1:
-        return None
-    return ast.Module(body=branches[0].body, type_ignores=[])
 
 
 def int_only_offenders(sources):
@@ -354,11 +340,6 @@ def int_only_offenders(sources):
         names = ["<missing>"] if node is None else scalar_names(node)
         if names:
             found.append((filename, part, names))
-    for filename, part in sorted(FORMAL_BRANCHES):
-        branch = formal_branch(trees[filename], part)
-        names = ["<missing>"] if branch is None else scalar_names(branch)
-        if names:
-            found.append((filename, f"{part} (formal)", names))
     return found
 
 
@@ -456,7 +437,7 @@ def test_detector_sees_a_scalar_in_the_raw_engine():
         "kernels.mul_terms(a._data, b._data)",
         "kernels.mul_terms(a._data, {k: Fraction(v) for k, v in b._data.items()})")
     assert int_only_offenders({**sources, "poly.py": poly}) == [
-        ("poly.py", "Polynomial.__mul__ (formal)", ["Fraction"]),
+        ("poly.py", "Polynomial.__mul__", ["Fraction"]),
     ]
     # the canonicaliser folding i on Gaussian rationals
     scalars = sources["scalars.py"].replace(
@@ -468,15 +449,16 @@ def test_detector_sees_a_scalar_in_the_raw_engine():
 
 def test_detector_sees_a_translation_or_scaling_off_the_codec():
     sources = _sources()
-    # the per-term FormalScalar expansion has no integer formal branch
+    # the per-term expansion reads the decoded coefficients
     poly = _replace_method(sources["poly.py"], "Polynomial", OLD_TRANSLATE)
     assert int_only_offenders({**sources, "poly.py": poly}) == [
-        ("poly.py", "Polynomial.translate (formal)", ["<missing>"]),
+        ("poly.py", "Polynomial.translate", ["terms"]),
     ]
-    poly = sources["poly.py"].replace("int_encode({(): c}, trunc)",
-                                      "int_encode({(): c * GR_ONE}, trunc)")
+    poly = sources["poly.py"].replace(
+        "stored_encode(self.domain, {(): c}, trunc)",
+        "stored_encode(self.domain, {(): c * GR_ONE}, trunc)")
     assert int_only_offenders({**sources, "poly.py": poly}) == [
-        ("poly.py", "TermSum.scale (formal)", ["GR_ONE"]),
+        ("poly.py", "TermSum.scale", ["GR_ONE"]),
     ]
     kernels = sources["kernels.py"].replace("powers = [{(0, 0): 1}]",
                                             "powers = [{(0, 0): Fraction(1)}]")
@@ -487,3 +469,107 @@ def test_detector_sees_a_translation_or_scaling_off_the_codec():
 
 def test_raw_engine_runs_on_ints():
     assert int_only_offenders(_sources()) == []
+
+
+# -- one stored form for both domains -------------------------------------------
+#
+# scalars.py alone knows how each domain stores its terms: poly.py and ops.py
+# (and the methods of the term sums in star.py and lie.py) compute on the
+# stored pair the same way in both domains and reach the domain through the
+# stored_* functions. A comparison of a domain with a domain name forks on
+# the domain; only these parts may make one: hbar_coefficient (formal
+# only), to_json (which writes the truncation of a formal sum) and
+# poly_from_ast (whose h leaf is formal only). A comparison of two domains
+# is a compatibility check and reads no stored form.
+
+DOMAIN_FORK_FILES = {"poly.py", "ops.py"}
+DOMAIN_FORK_CLASSES = {("star.py", "TensorSquare"), ("lie.py", "UEElement")}
+DOMAIN_FORKS_ALLOWED = {
+    ("poly.py", "Polynomial.hbar_coefficient"),
+    ("poly.py", "Polynomial.to_json"),
+    ("poly.py", "poly_from_ast"),
+    ("ops.py", "DifferentialOperator.to_json"),
+}
+
+
+def _is_domain(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "domain") or (
+        isinstance(node, ast.Name) and node.id == "domain")
+
+
+def domain_forks(tree, filename):
+    """(filename, part) for each part in scope that compares a domain with
+    a string, minus the allowed parts."""
+    found = []
+    for name, node in qualified_parts(tree):
+        in_scope = filename in DOMAIN_FORK_FILES or (
+            (filename, name.split(".")[0]) in DOMAIN_FORK_CLASSES
+            and "." in name)
+        if not in_scope or (filename, name) in DOMAIN_FORKS_ALLOWED:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Compare):
+                sides = [sub.left, *sub.comparators]
+                if any(map(_is_domain, sides)) and any(
+                        isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        for c in sides):
+                    found.append((filename, name))
+                    break
+    return found
+
+
+# Polynomial.degree and DifferentialOperator.formal_adjoint as they were,
+# with a numeric fork
+OLD_DEGREE = '''
+class Polynomial:
+    def degree(self):
+        if not self._data:
+            return -1
+        cut = -2 if self.domain == "formal" else None
+        return max(sum(e[:cut]) for e in self._data)
+'''
+OLD_ADJOINT_HEAD = '''
+class DifferentialOperator:
+    def formal_adjoint(self):
+        den, src = self._slotted()
+        formal = self.domain == "formal"
+        return formal
+'''
+
+
+def _domain_forks(sources):
+    found = []
+    for name, src in sorted(sources.items()):
+        found += domain_forks(ast.parse(src), name)
+    return found
+
+
+def test_detector_sees_a_domain_fork():
+    sources = _sources()
+    poly = _replace_method(sources["poly.py"], "Polynomial", OLD_DEGREE)
+    ops = _replace_method(sources["ops.py"], "DifferentialOperator",
+                          OLD_ADJOINT_HEAD)
+    assert _domain_forks({**sources, "poly.py": poly, "ops.py": ops}) == [
+        ("ops.py", "DifferentialOperator.formal_adjoint"),
+        ("poly.py", "Polynomial.degree"),
+    ]
+    # a fork in a term-sum method of another module
+    star = sources["star.py"].replace(
+        "a._check(b)\n", "a._check(b)\n        assert a.domain != 'x'\n", 1)
+    assert _domain_forks({**sources, "star.py": star}) == [
+        ("star.py", "TensorSquare.of"),
+    ]
+    # a compatibility check, an allowed part and a function outside the
+    # term sums of star.py are not forks
+    check = "def f(a, b):\n    return a.domain != b.domain\n"
+    assert domain_forks(ast.parse(check), "poly.py") == []
+    allowed = "class Polynomial:\n    def to_json(self):\n" \
+        "        return self.domain == 'formal'\n"
+    assert domain_forks(ast.parse(allowed), "poly.py") == []
+    outside = "def star(a):\n    return a.domain == 'formal'\n"
+    assert domain_forks(ast.parse(outside), "star.py") == []
+    assert domain_forks(ast.parse(outside), "ops.py") == [("ops.py", "star")]
+
+
+def test_term_sums_do_not_fork_on_the_domain():
+    assert _domain_forks(_sources()) == []
