@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -75,17 +76,24 @@ def _seminorm_exponent(text):
 # "--v -1/2,1/3" as "--v=-1/2,1/3" first
 _SIGNED_VALUE_OPTIONS = ("--v", "--w", "--alpha")
 
+# the arguments argparse passes as values although they start with '-'
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
 
 def _join_signed_values(argv):
+    """argv with the values of _SIGNED_VALUE_OPTIONS attached by '=', and
+    an expression that starts with one '-' (such as "-q"), which argparse
+    would take for an unknown option, followed by a space: argparse reads
+    an argument holding a space as a positional, and the expression
+    grammar ignores it. -h and negative numbers stay as they are."""
     out = []
     for arg in argv:
-        if (
-            out
-            and out[-1] in _SIGNED_VALUE_OPTIONS
-            and arg.startswith("-")
-            and not arg.startswith("--")
-        ):
+        single = arg.startswith("-") and not arg.startswith("--")
+        if single and out and out[-1] in _SIGNED_VALUE_OPTIONS:
             out[-1] = f"{out[-1]}={arg}"
+        elif (single and arg not in ("-", "-h")
+              and not _NEGATIVE_NUMBER.fullmatch(arg)):
+            out.append(arg + " ")
         else:
             out.append(arg)
     return out

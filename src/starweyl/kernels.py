@@ -3,7 +3,7 @@
 The functions take and return plain dicts keyed by exponent tuples, with
 coefficients that support +, *, unary bool (zero test) and
 multiplication by int; the P_Lambda kernels (star_terms, p_lambda_terms,
-bracket_terms, mu_terms) run on packed keys inside (_Layout). They run on
+bracket_terms) run on packed keys inside (_Layout). They run on
 the values a term sum stores (scalars.py), keys ending in the powers of h
 and i, with each result brought to the stored form once by
 scalars.stored_canonical:
@@ -17,7 +17,7 @@ scalars.stored_canonical:
   kernels of poly.py, and the star product (on keys stripped of the zero
   slots) and Poisson bracket with complex form entries and weights.
 
-Only the public p_lambda and TensorSquare.mu pass coefficient objects.
+Only the public p_lambda passes coefficient objects.
 """
 
 from math import comb
@@ -241,23 +241,14 @@ def bracket_terms(entries, a, b):
     return lay.unpack(_mu(lay, t))
 
 
-def mu_terms(t):
-    """Term dict of mu(t) for a tensor-square term dict t, on packed keys."""
-    if not t:
-        return {}
-    lay = _Layout((), [e for pair in t for e in pair], 0)
-    return lay.unpack(_mu(lay, lay.pack_tensor(t)))
-
-
-def lift_terms(a, b, raws, size, trunc):
+def lift_terms(a, b, raws, trunc):
     """Integer terms of sum a[ea] * b[eb] * scale * raw over the pairs of
     terms of a and b whose h-orders sum to at most trunc.
 
-    a and b are encoded term dicts (keys x + (h-order, i-power));
-    (scale, w, raw) = raws[xa, xb] is the raw product of the pair's
-    monomials: raw maps y + (i-power,) to ints, has weight w, and its term
-    y carries the implied h^(w - size(y)). Orders above trunc are skipped;
-    the i-power is left unreduced for int_canonical.
+    a, b and each raw are encoded term dicts (keys x + (h-order, i-power));
+    (scale, raw) = raws[xa, xb] is the raw product of the pair's monomials,
+    whose h- and i-powers add to the pair's. Orders above trunc are
+    skipped; the i-power is left unreduced for int_canonical.
     """
     out = {}
     for ea, ca in a.items():
@@ -268,16 +259,14 @@ def lift_terms(a, b, raws, size, trunc):
             r0 = ra + eb[-2]
             if r0 > trunc:
                 continue
-            scale, w, raw = raws[xa, eb[:-2]]
+            scale, raw = raws[xa, eb[:-2]]
             c = ca * cb * scale
             q0 = qa + eb[-1]
-            rw = r0 + w
             for key, g in raw.items():
-                y = key[:-1]
-                r = rw - size(y)
+                r = r0 + key[-2]
                 if r > trunc:
                     continue
-                k = y + (r, q0 + key[-1])
+                k = key[:-2] + (r, q0 + key[-1])
                 v = c * g
                 prev = out.get(k)
                 v = v if prev is None else prev + v

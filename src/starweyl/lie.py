@@ -4,14 +4,13 @@ PBW symmetrization, the Gutt star product and BCH machinery.
 The envelope carries the relations xi_i xi_j - xi_j xi_i = i*h*[xi_i, xi_j],
 so the PBW symmetrizer sigma (plain 1/k! normalisation) is degree-preserving
 and invertible order by order. The envelope engine (the _*_raw methods and
-their caches) runs on integers: each entry is one denominator and a dict
-from a monomial plus an i slot to ints, with the h-power implied by the
-weight grading w = word length + h-order, which every rewrite preserves.
-The envelope operations read their operands' stored integer form (see
-poly.TermSum) and write the result's, so h and the Gaussian rationals only
-materialise when a result's .terms, text or JSON is read. bch and
-LieSeries stay on exact Gaussian rationals. See docs/conventions.md for
-the grading argument, the raw form and the exp/BCH bookkeeping.
+their caches) runs on integers in the stored form of a term sum (see
+poly.TermSum): each entry is one denominator and a dict from a monomial
+plus its h-order and i-power to ints. The envelope operations read their
+operands' stored form and write the result's, so h and the Gaussian
+rationals only materialise when a result's .terms, text or JSON is read.
+bch and LieSeries stay on exact Gaussian rationals. See
+docs/conventions.md for the weight grading and the exp/BCH bookkeeping.
 """
 
 from __future__ import annotations
@@ -233,33 +232,32 @@ class LieAlgebra:
         return cls(basis, brackets, coords=d.get("coords"))
 
     # -- internal raw envelope arithmetic -----------------------------------------
-    # A raw entry is (den, terms): terms maps a key, a PBW monomial (sorted
-    # index tuple) or an exponent tuple followed by the power of i (0 or 1),
-    # to an int, and the value is terms / den with den reduced against the
-    # terms. An entry is weight-homogeneous: the h-order of a term is the
-    # weight of the computation minus the size of its monomial, and each
-    # implied i*h put a factor i into the key's last slot.
+    # A raw entry is (den, terms) in the stored form of a term sum: terms
+    # maps a key, a PBW monomial (sorted index tuple) or an exponent tuple
+    # followed by the h-order and the power of i (0 or 1), to an int, and
+    # the value is terms / den with den reduced against the terms. Each
+    # commutator i*h adds 1 to the h slot and 1 to the i slot.
 
     def _leftmul_raw(self, j, mono):
-        """xi_j * xi_mono as a raw entry (weight len(mono) + 1)."""
+        """xi_j * xi_mono as a raw entry."""
         key = (j, mono)
         hit = self._cache_leftmul.get(key)
         if hit is not None:
             return hit
         if not mono or j <= mono[0]:
-            out = (1, {(j,) + mono + (0,): 1})
+            out = (1, {(j,) + mono + (0, 0): 1})
         else:
             a = mono[0]
             rest = mono[1:]
             # xi_j xi_a = xi_a xi_j + i*h [xi_j, xi_a]
             d1, t1 = self._leftmul_raw(j, rest)
             parts = [
-                (d1 * d2, _times(g1, m1[-1], t2))
+                (d1 * d2, _times(g1, m1[-2], m1[-1], t2))
                 for m1, g1 in t1.items()
-                for d2, t2 in [self._leftmul_raw(a, m1[:-1])]
+                for d2, t2 in [self._leftmul_raw(a, m1[:-2])]
             ]
             parts += [
-                (self._ic_den * d3, _times(x, q, t3))
+                (self._ic_den * d3, _times(x, 1, q, t3))
                 for k, q, x in self._ic[j][a]
                 for d3, t3 in [self._leftmul_raw(k, rest)]
             ]
@@ -267,23 +265,23 @@ class LieAlgebra:
         return _store(self._cache_leftmul, key, out)
 
     def _mono_mul_raw(self, m1, m2):
-        """xi_m1 * xi_m2 as a raw entry (weight len(m1) + len(m2))."""
+        """xi_m1 * xi_m2 as a raw entry."""
         key = (m1, m2)
         hit = self._cache_monomul.get(key)
         if hit is not None:
             return hit
-        out = (1, {m2 + (0,): 1})
+        out = (1, {m2 + (0, 0): 1})
         for j in reversed(m1):
             d, t = out
             out = _raw_sum([
-                (d * dl, _times(g, m[-1], tl))
+                (d * dl, _times(g, m[-2], m[-1], tl))
                 for m, g in t.items()
-                for dl, tl in [self._leftmul_raw(j, m[:-1])]
+                for dl, tl in [self._leftmul_raw(j, m[:-2])]
             ])
         return _store(self._cache_monomul, key, out)
 
     def _sym_raw(self, alpha):
-        """sigma(x^alpha) as a raw entry (weight |alpha|).
+        """sigma(x^alpha) as a raw entry.
 
         Recursion sigma(x^a) = (1/k) sum_j a_j xi_j sigma(x^(a - e_j)).
         """
@@ -292,7 +290,7 @@ class LieAlgebra:
             return hit
         k = sum(alpha)
         if k == 0:
-            out = (1, {(0,): 1})
+            out = (1, {(0, 0): 1})
         else:
             parts = []
             for j in range(self.dim):
@@ -301,58 +299,60 @@ class LieAlgebra:
                     continue
                 ds, ts = self._sym_raw(alpha[:j] + (aj - 1,) + alpha[j + 1 :])
                 parts += [
-                    (k * ds * dl, _times(aj * g, m[-1], tl))
+                    (k * ds * dl, _times(aj * g, m[-2], m[-1], tl))
                     for m, g in ts.items()
-                    for dl, tl in [self._leftmul_raw(j, m[:-1])]
+                    for dl, tl in [self._leftmul_raw(j, m[:-2])]
                 ]
             out = _raw_sum(parts)
         return _store(self._cache_sym, alpha, out)
 
     def _sym_inverse_raw(self, terms):
-        """Invert sigma on raw terms (PBW monomial + (i-power,) -> int);
-        returns the raw entry (den, {exponent + (i-power,): int}).
+        """Invert sigma on raw terms (PBW monomial + (h-order, i-power) ->
+        int); returns the raw entry (den, {exponent + (h-order, i-power):
+        int}).
 
-        terms must be weight-homogeneous; sigma is unit upper triangular
-        against word length, so greedy elimination from the longest monomial
-        terminates. Every other monomial of sigma(x^alpha) is shorter than
-        the one eliminated, so each key leaves the worklist once and each
-        alpha + (i-power,) is written once. A step whose sigma(x^alpha)
-        has a denominator the popped value does not cancel scales the
-        worklist and the result by the missing factor; one gcd at the end
-        reduces the denominator.
+        sigma is unit upper triangular against word length, so elimination
+        from the longest monomial down terminates. Every other monomial of
+        sigma(x^alpha) is shorter than the one eliminated, so the keys of
+        one length are all in the worklist when that length is reached,
+        each key leaves the worklist once and each alpha + (h-order,
+        i-power) is written once. A step whose sigma(x^alpha) has a
+        denominator the popped value does not cancel scales the worklist
+        and the result by the missing factor; one gcd at the end reduces
+        the denominator.
         """
         d = self.dim
         work = dict(terms)
         out = {}
         den = 1
-        while work:
-            key = max(work, key=lambda w: (len(w), w))
-            g = work.pop(key)
-            m = key[:-1]
-            alpha = [0] * d
-            for idx in m:
-                alpha[idx] += 1
-            out[tuple(alpha) + key[-1:]] = g
-            ds, sym = self._sym_raw(tuple(alpha))
-            # unit-triangular: the leading coefficient is exactly 1 and
-            # already left the worklist with the pop above
-            if sym.get(m + (0,)) != ds or m + (1,) in sym:
-                raise StarWeylError("PBW leading coefficient is not 1")
-            t = math.gcd(g, ds)
-            f = ds // t
-            if f != 1:
-                den *= f
-                work = {mm: f * v for mm, v in work.items()}
-                out = {mm: f * v for mm, v in out.items()}
-            accumulate(work, (
-                (mm, -v) for mm, v in _times(g // t, key[-1], sym)
-                if mm[:-1] != m
-            ))
+        for size in range(max(map(len, work), default=0), 1, -1):
+            for key in sorted([w for w in work if len(w) == size],
+                              reverse=True):
+                g = work.pop(key)
+                m = key[:-2]
+                alpha = [0] * d
+                for idx in m:
+                    alpha[idx] += 1
+                out[tuple(alpha) + key[-2:]] = g
+                ds, sym = self._sym_raw(tuple(alpha))
+                # unit-triangular: the leading coefficient is exactly 1 and
+                # already left the worklist with the pop above
+                if sym.get(m + (0, 0)) != ds or m + (0, 1) in sym:
+                    raise StarWeylError("PBW leading coefficient is not 1")
+                t = math.gcd(g, ds)
+                f = ds // t
+                if f != 1:
+                    den *= f
+                    work = {mm: f * v for mm, v in work.items()}
+                    out = {mm: f * v for mm, v in out.items()}
+                accumulate(work, (
+                    (mm, -v) for mm, v in _times(g // t, key[-2], key[-1], sym)
+                    if mm[:-2] != m
+                ))
         return int_reduce(den, out)
 
     def _gutt_mono_raw(self, alpha, beta):
-        """x^alpha *_G x^beta as a raw entry over exponent tuples (weight
-        |alpha| + |beta|)."""
+        """x^alpha *_G x^beta as a raw entry over exponent tuples."""
         key = (alpha, beta)
         hit = self._cache_guttmono.get(key)
         if hit is not None:
@@ -360,10 +360,11 @@ class LieAlgebra:
         da, sa = self._sym_raw(alpha)
         db, sb = self._sym_raw(beta)
         du, u = _raw_sum([
-            (da * db * dm, _times(g1 * g2, m1[-1] + m2[-1], tm))
+            (da * db * dm, _times(g1 * g2, m1[-2] + m2[-2], m1[-1] + m2[-1],
+                                  tm))
             for m1, g1 in sa.items()
             for m2, g2 in sb.items()
-            for dm, tm in [self._mono_mul_raw(m1[:-1], m2[:-1])]
+            for dm, tm in [self._mono_mul_raw(m1[:-2], m2[:-2])]
         ])
         di, out = self._sym_inverse_raw(u)
         return _store(self._cache_guttmono, key, int_reduce(du * di, out))
@@ -383,13 +384,13 @@ def _store(cache, key, value):
     return value
 
 
-def _times(c, q, terms):
-    """Pairs (key, c * i^q * value) of raw terms, with the i-power in the
-    key's last slot reduced to 0 or 1 (q <= 2)."""
+def _times(c, r, q, terms):
+    """Pairs (key, c * h^r * i^q * value) of raw terms, with the i-power in
+    the key's last slot reduced to 0 or 1 (q <= 2)."""
     neg = -c
     for key, g in terms.items():
         p = key[-1] + q
-        yield key[:-1] + (p & 1,), (neg if p & 2 else c) * g
+        yield key[:-2] + (key[-2] + r, p & 1), (neg if p & 2 else c) * g
 
 
 def _raw_sum(parts):
@@ -469,7 +470,7 @@ class UEElement(TermSum):
         n = min(self.trunc, other.trunc)
         return self._like(n, *_envelope_product(
             (self._den, self._data), (other._den, other._data),
-            self.algebra._mono_mul_raw, len, len, n))
+            self.algebra._mono_mul_raw, n))
 
     __rmul__ = __mul__
 
@@ -500,15 +501,14 @@ def _lowest_orders(ints):
     return low
 
 
-def _envelope_product(a, b, raw, size, raw_size, trunc):
+def _envelope_product(a, b, raw, trunc):
     """Stored form (den, ints) of sum_{x, y} a[x] * b[y] * raw(x, y), cut at
     h-order trunc, for operands a and b in the stored form.
 
-    raw(x, y) is a raw entry of weight size(x) + size(y) whose monomials
-    have the size raw_size. Each pair of monomials whose lowest h-orders
+    raw(x, y) is a raw entry. Each pair of monomials whose lowest h-orders
     fit under trunc fetches its raw entry, the entries are brought to one
-    denominator, and kernels.lift_terms moves their implied h-orders into
-    the h slot.
+    denominator, and kernels.lift_terms adds each pair's h-orders to the
+    entry's.
     """
     da, ta = a
     db, tb = b
@@ -520,9 +520,8 @@ def _envelope_product(a, b, raw, size, raw_size, trunc):
         if ra + rb <= trunc
     }
     den = math.lcm(*(d for d, _ in found.values()))
-    raws = {(x, y): (den // d, size(x) + size(y), t)
-            for (x, y), (d, t) in found.items()}
-    return int_canonical(kernels.lift_terms(ta, tb, raws, raw_size, trunc),
+    raws = {xy: (den // d, t) for xy, (d, t) in found.items()}
+    return int_canonical(kernels.lift_terms(ta, tb, raws, trunc),
                          da * db * den, trunc)
 
 
@@ -537,7 +536,7 @@ def ue_normal_order(algebra: LieAlgebra, word,
     # the word times the empty monomial, straightened by the cached left
     # multiplication
     return UEElement._build((algebra,), trunc, *_envelope_product(
-        (1, {word + (0, 0): 1}), _ONE, algebra._mono_mul_raw, len, len, trunc))
+        (1, {word + (0, 0): 1}), _ONE, algebra._mono_mul_raw, trunc))
 
 
 def _check_coords(algebra: LieAlgebra, f: Polynomial):
@@ -555,7 +554,7 @@ def pbw_symmetrize(algebra: LieAlgebra, f: Polynomial) -> UEElement:
     _check_coords(algebra, f)
     return UEElement._build((algebra,), f.trunc, *_envelope_product(
         (f._den, f._data), _ONE, lambda alpha, _: algebra._sym_raw(alpha),
-        sum, len, f.trunc))
+        f.trunc))
 
 
 def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
@@ -563,22 +562,9 @@ def pbw_symmetrize_inverse(algebra: LieAlgebra, u: UEElement) -> Polynomial:
     if u.algebra != algebra:
         raise IncompatibleError("envelope element over a different algebra")
     n = u.trunc
-    # the h^r part of monomial m has weight len(m) + r, and sigma^{-1} maps
-    # each weight-homogeneous part on its own; the h-order of alpha in the
-    # weight-w result is w - |alpha|, so no two weights share a key
-    by_weight = {}
-    for key, v in u._data.items():
-        m = key[:-2]
-        by_weight.setdefault(len(m) + key[-2], {})[m + key[-1:]] = v
-    inverses = {w: algebra._sym_inverse_raw(t) for w, t in by_weight.items()}
-    common = math.lcm(*(d for d, _ in inverses.values()))
-    out = {
-        key[:-1] + (w - sum(key[:-1]), key[-1]): v * (common // d)
-        for w, (d, t) in inverses.items()
-        for key, v in t.items()
-    }
+    d, t = algebra._sym_inverse_raw(u._data)
     return Polynomial._build((algebra.coords, "formal"), n,
-                             *int_canonical(out, u._den * common, n))
+                             *int_canonical(t, u._den * d, n))
 
 
 def gutt_star(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
@@ -587,8 +573,7 @@ def gutt_star(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
     _check_coords(algebra, h)
     n = min(f.trunc, h.trunc)
     return f._like(n, *_envelope_product(
-        (f._den, f._data), (h._den, h._data), algebra._gutt_mono_raw,
-        sum, sum, n))
+        (f._den, f._data), (h._den, h._data), algebra._gutt_mono_raw, n))
 
 
 def kks_bracket(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial:
@@ -598,24 +583,17 @@ def kks_bracket(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial
     d = algebra.dim
     n = min(f.trunc, h.trunc)
     dh = [h.partial_derivative(ell) for ell in range(d)]
-    out = {}
+    out = Polynomial.zero(algebra.coords, "formal", n)
     for k in range(d):
         dfk = f.partial_derivative(k)
         if not dfk:
             continue
         for ell in range(d):
             row = algebra._c[k][ell]
-            if not dh[ell] or not any(row):
-                continue
-            prod = (dfk * dh[ell]).terms
-            for i, ci in enumerate(row):
-                if ci:
-                    # x_i times the product: slot i of each exponent rises
-                    accumulate(out, (
-                        (e[:i] + (e[i] + 1,) + e[i + 1 :], c * ci)
-                        for e, c in prod.items()
-                    ))
-    return Polynomial(algebra.coords, out, "formal", n, _clean=True)
+            if dh[ell] and any(row):
+                lin = Polynomial.linear(algebra.coords, row, "formal", n)
+                out = out + lin * dfk * dh[ell]
+    return out
 
 
 class LieSeries:

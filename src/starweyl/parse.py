@@ -91,6 +91,12 @@ def _lex(src: str):
     return toks
 
 
+def _slash_error(t):
+    return ParseError(
+        "'/' is only allowed inside rational literals", t.line, t.col
+    )
+
+
 class _Parser:
     def __init__(self, src: str):
         self.toks = _lex(src)
@@ -139,6 +145,9 @@ class _Parser:
         while self.peek().kind == "*":
             self.advance()
             node = ("mul", node, self.factor())
+        if self.peek().kind == "/":
+            # a division such as p^2/3: only a literal may carry a '/'
+            raise _slash_error(self.peek())
         return node
 
     def factor(self):
@@ -193,9 +202,7 @@ class _Parser:
             self.expect(")")
             return node
         if t.kind == "/":
-            raise ParseError(
-                "'/' is only allowed inside rational literals", t.line, t.col
-            )
+            raise _slash_error(t)
         raise ParseError(
             f"expected a value, found {t.text or 'end of input'!r}", t.line, t.col
         )

@@ -685,19 +685,24 @@ def int_canonical(out, den, trunc):
     return int_reduce(den, {key: v for key, v in t.items() if v})
 
 
-def int_decode(ints, den, trunc):
-    """Formal term dict of the canonical form (den, ints). The last two
-    slots of a key are the h and i powers, so the term keys before them may
-    have any length (PBW monomials do)."""
+def int_groups(ints):
+    """{term key: {h-order: [re, im]}} of canonical ints, in their order.
+    The last two slots of a key are the h and i powers, so the term keys
+    before them may have any length (PBW monomials do)."""
     parts = {}
     for key, v in ints.items():
         parts.setdefault(key[:-2], {}).setdefault(key[-2], [0, 0])[key[-1]] = v
+    return parts
+
+
+def int_decode(ints, den, trunc):
+    """Formal term dict of the canonical form (den, ints)."""
     return {
         e: FormalScalar({
             r: GaussianRational(Fraction(re, den), Fraction(im, den))
             for r, (re, im) in orders.items()
         }, trunc, _clean=True)
-        for e, orders in parts.items()
+        for e, orders in int_groups(ints).items()
     }
 
 

@@ -20,7 +20,7 @@ from .errors import (
     TruncationError,
 )
 from .poly import Generators, Polynomial
-from .scalars import DEFAULT_TRUNCATION, stored_reduce
+from .scalars import DEFAULT_TRUNCATION, int_groups, stored_reduce
 from .star import BilinearForm, star
 
 
@@ -115,11 +115,8 @@ def _values_at(p: Polynomial, hbar):
     if p.domain != "formal":
         # the zero slots add nothing to a degree or a weight
         return p._data.items()
-    parts = {}
-    for key, v in p._data.items():
-        parts.setdefault(key[:-2], {}).setdefault(key[-2], [0, 0])[key[-1]] = v
     out = []
-    for e, orders in parts.items():
+    for e, orders in int_groups(p._data).items():
         z = 0j
         for r, (re, im) in orders.items():
             z += complex(re / p._den, im / p._den) * hbar**r
@@ -321,21 +318,22 @@ class DefectReport:
 
 def _window_defect(diff: Polynomial, degree: int, orders: int):
     """(exact, defect_max string) over components deg <= degree, order <= orders."""
+    if orders > diff.trunc:
+        raise TruncationError(
+            f"order {diff.trunc + 1} outside truncation {diff.trunc}"
+        )
     worst = 0.0
     exact = True
-    for r in range(orders + 1):
-        # the stored ints of the h^r slice, real and imaginary part of
-        # each monomial in the window; int / int rounds as float(Fraction)
-        slice_r = diff.hbar_coefficient(r)
-        parts = {}
-        for key, v in slice_r._data.items():
-            e = key[:-2]
-            if sum(e) <= degree:
-                parts.setdefault(e, [0, 0])[key[-1]] = v
-        den = slice_r._den
-        for re, im in parts.values():
-            exact = False
-            worst = max(worst, abs(complex(re / den, im / den)))
+    den = diff._den
+    # the stored ints of each monomial and h-order in the window; int / int
+    # rounds as float(Fraction), so dividing by den gives what the reduced
+    # h^r slice would
+    for e, by_order in int_groups(diff._data).items():
+        if sum(e) <= degree:
+            for r, (re, im) in by_order.items():
+                if r <= orders:
+                    exact = False
+                    worst = max(worst, abs(complex(re / den, im / den)))
     return exact, ("0" if exact else repr(worst))
 
 

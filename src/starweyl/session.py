@@ -164,13 +164,11 @@ class Session:
 
 def _config_scalar(what, raw, domain, trunc):
     """The scalar of a config entry, a StarWeylError reported as a bad
-    entry. An [re, im] pair reads as complex(re, im) + 0j: its zeros are
-    unsigned, where a Polynomial's or BilinearForm's JSON keeps the sign."""
+    entry."""
     try:
-        c = scalar_from_json(raw, domain, trunc)
+        return scalar_from_json(raw, domain, trunc)
     except StarWeylError as exc:
         raise ConfigError(f"bad {what} entry: {exc}") from None
-    return c + 0 if isinstance(raw, list) else c
 
 
 def _form_from_matrix(matrix, gens, domain, trunc,

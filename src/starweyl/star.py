@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 from . import kernels
 from .errors import IncompatibleError
@@ -19,6 +20,7 @@ from .poly import (
     Generators,
     Polynomial,
     TermSum,
+    accumulate,
     exponent_tuple,
     monomial_text,
 )
@@ -31,6 +33,8 @@ from .scalars import (
     int_canonical,
     int_parts,
     num_canonical,
+    stored_canonical,
+    stored_reduce,
 )
 
 
@@ -219,10 +223,15 @@ class TensorSquare(TermSum):
     @classmethod
     def of(cls, a: Polynomial, b: Polynomial) -> "TensorSquare":
         a._check(b)
-        terms = {(ea, eb): v for ea, ca in a.terms.items()
-                 for eb, cb in b.terms.items() if (v := ca * cb)}
-        return cls(a.gens, terms, a.domain, min(a.trunc, b.trunc),
-                   _clean=True)
+        n = min(a.trunc, b.trunc)
+        a = a._cut(n)
+        b = b._cut(n)
+        tb = b._data.items()
+        out = accumulate({}, (
+            ((ea[:-2], eb[:-2], ea[-2] + eb[-2], ea[-1] + eb[-1]), ca * cb)
+            for ea, ca in a._data.items() for eb, cb in tb))
+        return cls._build((a.gens, a.domain), n, *stored_canonical(
+            a.domain, out, a._den * b._den, n))
 
     @staticmethod
     def _sort_key(key):
@@ -236,8 +245,11 @@ class TensorSquare(TermSum):
 
     def mu(self) -> Polynomial:
         """Multiplication map a (x) b -> a*b."""
-        return Polynomial(self.gens, kernels.mu_terms(self.terms), self.domain,
-                          self.trunc, _clean=True)
+        out = accumulate({}, (
+            (tuple(map(add, ea, eb)) + (r, q), c)
+            for (ea, eb, r, q), c in self._data.items()))
+        return Polynomial._build((self.gens, self.domain), self.trunc,
+                                 *stored_reduce(self.domain, self._den, out))
 
 
 def _plain_entries(form):

@@ -361,6 +361,45 @@ def test_vector_values_may_start_with_minus(argv, capsys):
     assert capsys.readouterr().out == spaced.out != ""
 
 
+# Each vector and the same call with the expressions after '--'.
+@pytest.mark.parametrize("argv,dashed,stdout", [
+    (["star", "-q", "p"], ["star", "--", "-q", "p"], "-q*p"),
+    (["star", "q", "-p^2", "--json"], ["star", "--json", "--", "q", "-p^2"],
+     None),
+    (["commutator", "-q", "-p"], ["commutator", "--", "-q", "-p"], "i*h"),
+    (["rep", "--ordering", "std", "-i*q*p"],
+     ["rep", "--ordering", "std", "--", "-i*q*p"], "(-1.0+0.0j)*q*D[q]"),
+])
+def test_expressions_may_start_with_minus(argv, dashed, stdout, capsys,
+                                          tmp_path):
+    from starweyl.cli import main
+
+    if argv[0] == "rep":
+        cfg = tmp_path / "numeric.json"
+        cfg.write_text(json.dumps({"domain": "numeric"}))
+        argv = ["--config", str(cfg)] + argv
+        dashed = ["--config", str(cfg)] + dashed
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if stdout is not None:
+        assert out == stdout + "\n"
+    assert main(dashed) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_help_and_unknown_options_stay_options(capsys):
+    from starweyl.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["star", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: starweyl star")
+    with pytest.raises(SystemExit) as exc:
+        main(["star", "--unknown", "q", "p"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --unknown" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("matrix,reason", [
     ([[0.5, 0], [0, 1]], "bad matrix entry"),
     ([[0, 1], [0, 0]], "needs a symmetric form"),

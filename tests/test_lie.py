@@ -33,6 +33,7 @@ from starweyl import (
 from starweyl import lie
 from starweyl.bruteforce import _straighten
 from starweyl.lie import MAX_BCH_ORDER, bernoulli_numbers
+from starweyl.poly import accumulate
 
 H3 = heisenberg3()
 SL2 = sl2()
@@ -261,6 +262,55 @@ def test_kks_on_coordinates_returns_structure_constants():
     assert str(kks_bracket(SL2, y, z)) == "x"
 
 
+def _kks_by_terms(algebra, f, h):
+    """kks_bracket as a loop over the decoded terms of each product
+    d_k f * d_l h, raising one exponent slot per structure constant."""
+    d = algebra.dim
+    dh = [h.partial_derivative(ell) for ell in range(d)]
+    out = {}
+    for k in range(d):
+        dfk = f.partial_derivative(k)
+        for ell in range(d):
+            prod = (dfk * dh[ell]).terms
+            for i, ci in enumerate(algebra._c[k][ell]):
+                if ci:
+                    accumulate(out, (
+                        (e[:i] + (e[i] + 1,) + e[i + 1:], c * ci)
+                        for e, c in prod.items()
+                    ))
+    return Polynomial(algebra.coords, out, "formal", min(f.trunc, h.trunc),
+                      _clean=True)
+
+
+@st.composite
+def h_polys(draw, algebra):
+    """Sums of monomials with h-dependent Gaussian coefficients, each
+    summand at its own truncation, on both sides of the default one."""
+    truncs = st.integers(draw(st.integers(0, 12)), 12)
+    total = Polynomial.zero(algebra.coords, trunc=draw(truncs))
+    exps = st.tuples(*([st.integers(0, 3)] * algebra.dim))
+    for _ in range(draw(st.integers(0, 4))):
+        trunc = draw(truncs)
+        orders = draw(st.dictionaries(st.integers(0, 3), gaussians, max_size=3))
+        total = total + Polynomial(algebra.coords, {
+            draw(exps): FormalScalar(orders, trunc)}, trunc=trunc)
+    return total
+
+
+@pytest.mark.parametrize("algebra", [H3, SL2, AXB], ids=["h3", "sl2", "axb"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kks_matches_the_decoded_loop(algebra, data):
+    f = data.draw(h_polys(algebra))
+    g = data.draw(h_polys(algebra))
+    got = kks_bracket(algebra, f, g)
+    want = _kks_by_terms(algebra, f, g)
+    assert got == want
+    assert got.trunc == want.trunc == min(f.trunc, g.trunc)
+    assert str(got) == str(want)
+    assert got.to_json() == want.to_json()
+
+
 def test_gutt_unit():
     one = Polynomial.one(H3.coords)
     f = poly_from_text("x^2*y*z", H3.coords)
@@ -308,6 +358,44 @@ def test_bounded_caches_keep_the_results(make, monkeypatch):
     assert [str(x) for x in got] == [str(x) for x in want]
     assert got == want
     assert [getattr(algebra, slot).largest for slot in CACHE_SLOTS] == [8] * 4
+
+
+# The weight of a cache entry: the word length of the product it holds,
+# and the size of a key of the entry, for each slot. An entry's terms carry
+# their h-orders, and every rewrite xi_j xi_a = xi_a xi_j + i*h [xi_j, xi_a]
+# keeps word length + h-order, so each term's size plus its h-order is the
+# entry's weight.
+CACHE_WEIGHTS = {
+    "_cache_leftmul": (lambda key: len(key[1]) + 1, len),
+    "_cache_sym": (sum, len),
+    "_cache_monomul": (lambda key: len(key[0]) + len(key[1]), len),
+    "_cache_guttmono": (lambda key: sum(key[0]) + sum(key[1]), sum),
+}
+
+
+@pytest.mark.parametrize("make", [
+    heisenberg3, sl2,
+    lambda: LieAlgebra(("A", "B"), {(0, 1): (0, 1)}, coords=("a", "b")),
+], ids=["h3", "sl2", "axb"])
+def test_cache_entries_are_weight_homogeneous(make):
+    algebra = make()
+    names = algebra.coords.names
+    lin = " + ".join(f"{k + 1}*{nm}" for k, nm in enumerate(names))
+    f = poly_from_text(f"({lin} - 1)^3", names)
+    g = poly_from_text(f"({names[-1]} - {names[0]})^2 + h*{names[0]}", names,
+                       trunc=5)
+    gutt_star(algebra, f, g)
+    gutt_star(algebra, g, f)
+    pbw_symmetrize_inverse(algebra, pbw_symmetrize(algebra, f * g))
+    ue_normal_order(algebra, tuple(reversed(range(algebra.dim))) * 2, trunc=4)
+    for slot, (weight, size) in CACHE_WEIGHTS.items():
+        cache = getattr(algebra, slot)
+        assert cache
+        for key, (den, terms) in cache.items():
+            assert den > 0 and terms
+            for term in terms:
+                assert size(term[:-2]) + term[-2] == weight(key)
+                assert term[-1] in (0, 1)
 
 
 # ------------------------------------------------------------ bch

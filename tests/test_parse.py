@@ -81,6 +81,22 @@ def test_error_carries_position():
     assert "column 5" in str(exc.value)
 
 
+@pytest.mark.parametrize("src,col", [
+    ("p^2/3", 4),
+    ("q / 2", 3),
+    ("(q/2)*p", 3),
+    ("1/3/2", 4),
+    ("q + p/3*q", 6),
+    ("/q", 1),
+])
+def test_division_by_a_number_names_the_slash(src, col):
+    # only a rational literal such as 1/3 may hold a '/'
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == (
+        f"'/' is only allowed inside rational literals (line 1, column {col})")
+
+
 def test_exponent_limit():
     from starweyl.parse import MAX_EXPONENT
 

@@ -294,6 +294,7 @@ INT_ONLY = {
     ("lie.py", "pbw_symmetrize"),
     ("lie.py", "pbw_symmetrize_inverse"),
     ("lie.py", "gutt_star"),
+    ("lie.py", "kks_bracket"),
     ("kernels.py", "lift_terms"),
     ("kernels.py", "scale_terms"),
     ("kernels.py", "shift_terms"),
@@ -310,6 +311,8 @@ INT_ONLY = {
     ("poly.py", "Polynomial.hbar_coefficient"),
     ("star.py", "_encode_operands"),
     ("star.py", "_star_formal"),
+    ("star.py", "TensorSquare.of"),
+    ("star.py", "TensorSquare.mu"),
     ("ops.py", "DifferentialOperator.apply"),
     ("ops.py", "DifferentialOperator.compose"),
     ("ops.py", "DifferentialOperator.formal_adjoint"),
