@@ -85,7 +85,11 @@ def _join_signed_values(argv):
     an expression that starts with one '-' (such as "-q"), which argparse
     would take for an unknown option, followed by a space: argparse reads
     an argument holding a space as a positional, and the expression
-    grammar ignores it. -h and negative numbers stay as they are."""
+    grammar ignores it. argparse reads an argument that starts with "-h"
+    as the help flag with an attached value, space or not, so such an
+    expression ("-h*q") gets its space in front, where argparse reads it
+    as a positional too; its parse-error columns count that space. -h and
+    negative numbers stay as they are."""
     out = []
     for arg in argv:
         single = arg.startswith("-") and not arg.startswith("--")
@@ -93,7 +97,7 @@ def _join_signed_values(argv):
             out[-1] = f"{out[-1]}={arg}"
         elif (single and arg not in ("-", "-h")
               and not _NEGATIVE_NUMBER.fullmatch(arg)):
-            out.append(arg + " ")
+            out.append(" " + arg if arg.startswith("-h") else arg + " ")
         else:
             out.append(arg)
     return out

@@ -39,6 +39,24 @@ from .scalars import (
 # text, this bounds the expansion)
 MAX_POWER_TERMS = 2**16
 
+# largest product of two operands' stored term counts that a product
+# (Polynomial.__mul__, star, poisson_bracket) multiplies out; a larger one
+# is a StarWeylError before any work (the kernels visit every pair of stored
+# terms, so this bounds a product's work where MAX_POWER_TERMS bounds a
+# power's result)
+MAX_PRODUCT_PAIRS = 2**24
+
+
+def check_product_size(a, b):
+    """StarWeylError when the term sums a and b have more than
+    MAX_PRODUCT_PAIRS pairs of stored terms."""
+    pairs = len(a._data) * len(b._data)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise StarWeylError(
+            f"product of {len(a._data)} by {len(b._data)} stored terms has "
+            f"{pairs} term pairs, above the limit {MAX_PRODUCT_PAIRS}"
+        )
+
 
 class Generators:
     """Ordered tuple of distinct generator names."""
@@ -339,6 +357,7 @@ class Polynomial(TermSum):
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check(other)
+            check_product_size(self, other)
             n = min(self.trunc, other.trunc)
             # on the stored values: h and i in key slots
             a = self._cut(n)

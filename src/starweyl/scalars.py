@@ -636,27 +636,20 @@ def coerce_coeffs(values, domain, trunc):
 # would. A formal term sum of poly.py stores its terms in that form.
 
 
-def int_parts(c, trunc):
-    """(h-order, i-power, rational) parts of a formal scalar up to trunc."""
-    out = []
-    for r, g in c.coeffs.items():
-        if r <= trunc:
-            if g.re:
-                out.append((r, 0, g.re))
-            if g.im:
-                out.append((r, 1, g.im))
-    return out
-
-
 def int_encode(terms, trunc):
-    """(den, {exp + (r, q): n}) with terms = sum n/den h^r i^q x^exp."""
-    parts = [(e, int_parts(c, trunc)) for e, c in terms.items()]
-    den = math.lcm(*(x.denominator for _, ps in parts for _, _, x in ps))
-    out = {}
-    for e, ps in parts:
-        for r, q, x in ps:
-            out[e + (r, q)] = x.numerator * (den // x.denominator)
-    return den, out
+    """(den, {exp + (r, q): n}) with terms = sum n/den h^r i^q x^exp, the
+    h-orders above trunc dropped."""
+    parts = {}
+    for e, c in terms.items():
+        for r, g in c.coeffs.items():
+            if r <= trunc:
+                if g.re:
+                    parts[e + (r, 0)] = g.re
+                if g.im:
+                    parts[e + (r, 1)] = g.im
+    den = math.lcm(*(x.denominator for x in parts.values()))
+    return den, {key: x.numerator * (den // x.denominator)
+                 for key, x in parts.items()}
 
 
 def int_reduce(den, terms):

@@ -21,6 +21,7 @@ from .poly import (
     Polynomial,
     TermSum,
     accumulate,
+    check_product_size,
     exponent_tuple,
     monomial_text,
 )
@@ -29,22 +30,24 @@ from .scalars import (
     FormalScalar,
     NumericScalar,
     coerce_coeff,
-    coerce_coeffs,
     int_canonical,
-    int_parts,
+    int_encode,
     num_canonical,
     stored_canonical,
     stored_reduce,
 )
 
 
-class BilinearForm:
+class BilinearForm(TermSum):
     """Constant bilinear form on the span of the generators.
 
-    matrix[i][j] is Lambda(e_i, e_j), a scalar in the given domain.
+    The term under the key (i, j) is Lambda(e_i, e_j), a scalar in the given
+    domain; matrix, entry and nonzero_entries are decoded views of them.
     """
 
-    __slots__ = ("gens", "domain", "trunc", "matrix")
+    __slots__ = ("gens", "domain")
+    _space = ("gens", "domain")
+    _mismatch = "bilinear forms over different algebras"
 
     def __init__(self, gens, matrix, domain="formal", trunc=DEFAULT_TRUNCATION):
         if not isinstance(gens, Generators):
@@ -52,18 +55,14 @@ class BilinearForm:
         n = len(gens)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(f"matrix must be {n}x{n}")
-        cells, trunc = coerce_coeffs(
-            [c for row in matrix for c in row], domain, trunc
-        )
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(
-            self, "matrix", tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n))
-        )
+        self._fill({(i, j): c for i, row in enumerate(matrix)
+                    for j, c in enumerate(row)}, trunc, False)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BilinearForm is immutable")
+    def _key(self, key):
+        # the constructor writes every key from the matrix's shape
+        return key
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -91,16 +90,22 @@ class BilinearForm:
         return cls(gens, rows, domain, trunc)
 
     # -- access -------------------------------------------------------------
+    @property
+    def matrix(self):
+        """Lambda as new dense rows; a zero cell is the domain's zero at the
+        form's truncation."""
+        n = len(self.gens)
+        terms = self.terms
+        zero = self.coerce_scalar(0)
+        return tuple(tuple(terms.get((i, j), zero) for j in range(n))
+                     for i in range(n))
+
     def entry(self, i, j):
         return self.matrix[i][j]
 
     def nonzero_entries(self):
-        out = []
-        for i, row in enumerate(self.matrix):
-            for j, c in enumerate(row):
-                if c:
-                    out.append((i, j, c))
-        return out
+        """[(i, j, Lambda_ij)] of the nonzero entries, row-major."""
+        return [(i, j, c) for (i, j), c in sorted(self.terms.items())]
 
     def value(self, v, w):
         """Lambda(v, w) for coefficient vectors v, w."""
@@ -115,70 +120,34 @@ class BilinearForm:
         return total
 
     # -- algebra ---------------------------------------------------------------
-    def _map(self, fn):
-        return BilinearForm(
-            self.gens,
-            [[fn(c, i, j) for j, c in enumerate(row)] for i, row in enumerate(self.matrix)],
-            self.domain,
-            self.trunc,
-        )
-
     def transpose(self):
-        n = len(self.gens)
-        return BilinearForm(
-            self.gens,
-            [[self.matrix[j][i] for j in range(n)] for i in range(n)],
-            self.domain,
-            self.trunc,
-        )
-
-    def __add__(self, other):
-        self._check(other)
-        return self._map(lambda c, i, j: c + other.matrix[i][j])
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._map(lambda c, i, j: c - other.matrix[i][j])
-
-    def __neg__(self):
-        return self._map(lambda c, i, j: -c)
+        return self._like(self.trunc, self._den, {
+            (k[1], k[0]) + k[2:]: v for k, v in self._data.items()})
 
     def symmetric_part(self):
-        return self._map(lambda c, i, j: (c + self.matrix[j][i]) * Fraction(1, 2))
+        return (self + self.transpose()).scale(Fraction(1, 2))
 
     def antisymmetric_part(self):
-        return self._map(lambda c, i, j: (c - self.matrix[j][i]) * Fraction(1, 2))
+        return (self - self.transpose()).scale(Fraction(1, 2))
 
     def is_symmetric(self):
-        n = len(self.gens)
-        return all(
-            self.matrix[i][j] == self.matrix[j][i] for i in range(n) for j in range(n)
-        )
+        return self == self.transpose()
 
     def is_antisymmetric(self):
-        n = len(self.gens)
-        return all(
-            self.matrix[i][j] == -self.matrix[j][i] for i in range(n) for j in range(n)
-        )
+        return self == -self.transpose()
 
-    def _check(self, other):
-        if not isinstance(other, BilinearForm):
-            raise TypeError("expected a BilinearForm")
-        if self.gens != other.gens or self.domain != other.domain:
-            raise IncompatibleError("bilinear forms over different algebras")
+    # -- text and JSON -------------------------------------------------------------
+    @staticmethod
+    def _sort_key(key):
+        # the largest sort key prints first: row-major
+        i, j = key
+        return (-i, -j)
 
-    def __eq__(self, other):
-        if not isinstance(other, BilinearForm):
-            return NotImplemented
-        return (
-            self.gens == other.gens
-            and self.domain == other.domain
-            and self.matrix == other.matrix
-        )
+    def _monomial_text(self, key):
+        """Text "p (x) q" of the key (p, q)."""
+        names = self.gens.names
+        return " (x) ".join(names[k] for k in key)
 
-    __hash__ = None
-
-    # -- JSON ---------------------------------------------------------------------
     def to_json(self) -> dict:
         return {
             "generators": list(self.gens.names),
@@ -258,8 +227,9 @@ def _plain_entries(form):
 
 
 def _complex_entries(form):
-    """Kernel entries of a numeric form, as complex floats."""
-    return [(i, j, complex(lam), None) for i, j, lam in form.nonzero_entries()]
+    """Kernel entries of a numeric form: its stored complex values, in
+    sorted key order."""
+    return [(i, j, v, None) for (i, j, _, _), v in sorted(form._data.items())]
 
 
 def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
@@ -274,49 +244,36 @@ def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
 def _fold(form, z, trunc):
     """(den, entries): kernel entries of z * Lambda in the integer encoding.
 
-    Each part of z * Lambda_ij becomes one entry (i, j, n, left) with value
-    n/den; left lowers slot i by one and raises the h and i slots by the
-    part's orders (None when both are 0). i^2 = -1 is applied here, so the
-    i slot rises by 0 or 1. Parts above h-order trunc cannot reach the
-    result and are dropped.
+    z * Lambda is the form's stored ints cut at trunc times z's, in its
+    canonical form: i^2 = -1 is applied, and parts above h-order trunc,
+    which cannot reach the result, are dropped. Each part (i, j, r, q),
+    in sorted key order, becomes one entry (i, j, n, left) with value
+    n/den; left lowers slot i by one and raises the h and i slots by r and
+    q (None when both are 0).
     """
-    zparts = int_parts(z, trunc)
-    acc = {}
-    for i, j, lam in form.nonzero_entries():
-        for r1, q1, x in int_parts(lam, trunc):
-            for r2, q2, y in zparts:
-                r, q, v = r1 + r2, q1 + q2, x * y
-                if r > trunc:
-                    continue
-                if q == 2:
-                    q, v = 0, -v
-                key = (i, j, r, q)
-                acc[key] = acc.get(key, 0) + v
-    acc = {key: v for key, v in acc.items() if v}
-    den = math.lcm(*(v.denominator for v in acc.values()))
+    lam = form._cut(trunc)
+    dz, zints = int_encode({(): z}, trunc)
+    den, ints = int_canonical(kernels.scale_terms(lam._data, zints, trunc),
+                              lam._den * dz, trunc)
     n = len(form.gens)
     entries = []
-    for (i, j, r, q), v in acc.items():
+    for (i, j, r, q), v in sorted(ints.items()):
         left = None
         if r or q:
             left = tuple(-1 if k == i else 0 for k in range(n)) + (r, q)
-        entries.append((i, j, v.numerator * (den // v.denominator), left))
+        entries.append((i, j, v, left))
     return den, entries
-
-
-def _encode_operands(form, z, a, b, trunc):
-    """(den, entries) of z * Lambda, and the stored (den, ints) of a and of
-    b, cut at trunc."""
-    a = a._cut(trunc)
-    b = b._cut(trunc)
-    return _fold(form, z, trunc), (a._den, a._data), (b._den, b._data)
 
 
 def _star_formal(form, z, a, b, rmax, trunc):
     """Stored form (den, ints) of the formal star product, on integer
     coefficients."""
     n = len(a.gens)
-    (dz, entries), (da, ea), (db, eb) = _encode_operands(form, z, a, b, trunc)
+    dz, entries = _fold(form, z, trunc)
+    a = a._cut(trunc)
+    b = b._cut(trunc)
+    ea = a._data
+    eb = b._data
     if not ea or not eb:
         return 1, {}
     room = trunc - min(key[n] for key in ea) - min(key[n] for key in eb)
@@ -336,7 +293,7 @@ def _star_formal(form, z, a, b, rmax, trunc):
         for r in range(rmax + 1)
     ]
     out = kernels.star_terms(entries, weights, ea, eb, rmax)
-    return int_canonical(out, da * db * weights[0], trunc)
+    return int_canonical(out, a._den * b._den * weights[0], trunc)
 
 
 def _inverse_factorial(k, domain):
@@ -370,6 +327,7 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     a._check(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
+    check_product_size(a, b)
     # the coefficients are exact only up to the smallest truncation in play,
     # z's among them
     trunc = min(a.trunc, b.trunc, form.trunc)
@@ -443,13 +401,15 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
     a._check(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
+    check_product_size(a, b)
     trunc = min(a.trunc, b.trunc, form.trunc)
     if a.domain == "formal":
-        (dl, entries), (da, ea), (db, eb) = _encode_operands(
-            form, FormalScalar.constant(1, trunc), a, b, trunc
-        )
+        dl, entries = _fold(form, FormalScalar.constant(1, trunc), trunc)
+        a = a._cut(trunc)
+        b = b._cut(trunc)
         return a._like(trunc, *int_canonical(
-            kernels.bracket_terms(entries, ea, eb), dl * da * db, trunc))
+            kernels.bracket_terms(entries, a._data, b._data),
+            dl * a._den * b._den, trunc))
     return a._like(trunc, *num_canonical(kernels.bracket_terms(
         _complex_entries(form), a._data, b._data)))
 

@@ -298,6 +298,10 @@ BAD_ARGUMENTS = [
     (["star", "(q^50+p^50+q*p+1)^100", "p"], 1),
     (["--config", {"generators": ["a", "b", "c", "d", "e", "f"]}, "star",
       "(a+b+c+d+e+f)^100", "a"], 1),
+    # a product past poly.MAX_PRODUCT_PAIRS is refused before it multiplies:
+    # 4,495 terms each
+    (["--config", {"generators": ["a", "b", "c", "d"]}, "star",
+      "(a+b+c+d)^28", "(a+b+c+d)^28"], 1),
 ]
 
 
@@ -369,6 +373,8 @@ def test_vector_values_may_start_with_minus(argv, capsys):
     (["commutator", "-q", "-p"], ["commutator", "--", "-q", "-p"], "i*h"),
     (["rep", "--ordering", "std", "-i*q*p"],
      ["rep", "--ordering", "std", "--", "-i*q*p"], "(-1.0+0.0j)*q*D[q]"),
+    # argparse reads "-h..." as the help flag with an attached value
+    (["star", "-h*q", "p"], ["star", "--", "-h*q", "p"], "-h*q*p"),
 ])
 def test_expressions_may_start_with_minus(argv, dashed, stdout, capsys,
                                           tmp_path):
@@ -390,10 +396,11 @@ def test_expressions_may_start_with_minus(argv, dashed, stdout, capsys,
 def test_help_and_unknown_options_stay_options(capsys):
     from starweyl.cli import main
 
-    with pytest.raises(SystemExit) as exc:
-        main(["star", "-h"])
-    assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: starweyl star")
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main(["star", flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: starweyl star")
     with pytest.raises(SystemExit) as exc:
         main(["star", "--unknown", "q", "p"])
     assert exc.value.code == 2

@@ -293,6 +293,29 @@ def test_power_size_limit(monkeypatch):
         numeric ** 10
 
 
+def test_product_size_limit(monkeypatch):
+    from starweyl import poly, poisson_standard, star_standard
+
+    # 4,097 terms each: 4,097^2 pairs pass MAX_PRODUCT_PAIRS = 2**24, and
+    # the refusal comes before any of them is multiplied
+    for domain in ("formal", "numeric"):
+        big = Polynomial(GENS2, {(k, 1): 1 for k in range(4097)}, domain)
+        for product in (lambda a, b: a * b, star_standard, poisson_standard):
+            with pytest.raises(StarWeylError,
+                               match="16785409 term pairs, above the limit"):
+                product(big, big)
+    monkeypatch.setattr(poly, "MAX_PRODUCT_PAIRS", 6)
+    f = poly_from_text("q + p", GENS2)
+    assert f * f == poly_from_text("q^2 + 2*q*p + p^2", GENS2)
+    # the stored terms count: the h and i parts of a coefficient are terms
+    g = poly_from_text("q + (1 + i*h)*p", GENS2)
+    assert len(g._data) == 3
+    assert g * f == f * g
+    for product in (lambda a, b: a * b, star_standard, poisson_standard):
+        with pytest.raises(StarWeylError, match="product of 3 by 3 stored"):
+            product(g, g)
+
+
 # ------------------------------------------------------------- truncation
 
 

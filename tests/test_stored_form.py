@@ -1,8 +1,8 @@
 """The stored form of term sums.
 
-Polynomial, TensorSquare, DifferentialOperator and UEElement keep one
-canonical (den, ints) pair in the integer codec of scalars.py, and .terms,
-text and JSON decode it. These properties pin the form on constructors and
+Polynomial, TensorSquare, BilinearForm, DifferentialOperator and UEElement
+keep one canonical (den, ints) pair in the integer codec of scalars.py, and
+.terms, text and JSON decode it. These properties pin the form on constructors and
 operations, with mixed truncations and h-dependent Gaussian coefficients.
 A numeric sum stores finite nonzero complex values, with no -0.0 part,
 under key + (0, 0) over den 1; the last properties pin that form.
@@ -32,11 +32,14 @@ from starweyl import (
     poisson_standard,
     sl2,
     star,
+    standard_form,
     star_standard,
     std_rep,
     weyl_rep,
 )
+from starweyl.scalars import coerce_coeff
 from starweyl.seminorms import _degree_cut
+from starweyl.star import _fold
 
 GENS = Generators(("q", "p"))
 QGENS = Generators(("q",))
@@ -314,3 +317,166 @@ def test_numeric_constructors_write_negative_zero_as_zero():
     # conjugation flips -1j to 1j with a real part +0.0
     assert repr(formal_adjoint(std_rep(f))._data) == \
         "{((1,), (0,), 0, 0): 1j, ((0,), (0,), 0, 0): (2.5+0j)}"
+
+
+# -- the bilinear form -----------------------------------------------------------
+#
+# A BilinearForm stores the entries Lambda(e_i, e_j) under the keys (i, j),
+# in either domain; matrix and entry decode them. Numeric entries that are
+# multiples of 1/4 keep the halves of the symmetric and antisymmetric parts
+# exact.
+
+quarters = st.integers(-8, 8).map(lambda k: k / 4)
+FORM_CELLS = {
+    "formal": coeffs(),
+    "numeric": complexes,
+    "dyadic": st.builds(complex, quarters, quarters),
+}
+
+
+def matrices(cells):
+    return st.lists(cells, min_size=4, max_size=4).map(
+        lambda c: ((c[0], c[1]), (c[2], c[3])))
+
+
+def form_of(kind, matrix, trunc):
+    return BilinearForm(GENS, matrix,
+                        "formal" if kind == "formal" else "numeric", trunc)
+
+
+def forms(kind):
+    return st.tuples(matrices(FORM_CELLS[kind]), truncs).map(
+        lambda p: form_of(kind, *p))
+
+
+@pytest.mark.parametrize("kind", sorted(FORM_CELLS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bilinear_forms_store_the_canonical_form(kind, data):
+    x = data.draw(forms(kind))
+    y = data.draw(forms(kind))
+    check = assert_canonical if kind == "formal" else assert_numeric_canonical
+    for f in (x, y, x + y, x - y, -x, x.scale(Fraction(1, 3)), x.transpose(),
+              x.symmetric_part(), x.antisymmetric_part()):
+        check(f)
+        assert all(len(key) == 4 for key in f._data)
+
+
+@pytest.mark.parametrize("kind", sorted(FORM_CELLS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bilinear_form_matrix_and_entries_are_the_input(kind, data):
+    m = data.draw(matrices(FORM_CELLS[kind]))
+    trunc = data.draw(truncs)
+    x = form_of(kind, m, trunc)
+    if kind == "formal":
+        # the smallest truncation of the entries and the form's wins
+        assert x.trunc == min([trunc] + [c.trunc for row in m for c in row])
+    want = [[coerce_coeff(c, x.domain, x.trunc) for c in row] for row in m]
+    assert [list(row) for row in x.matrix] == want
+    for i in range(2):
+        for j in range(2):
+            assert x.entry(i, j) == want[i][j]
+            assert getattr(x.entry(i, j), "trunc", x.trunc) == x.trunc
+    assert x.nonzero_entries() == [(i, j, c) for i, row in enumerate(want)
+                                   for j, c in enumerate(row) if c]
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=forms("formal"), low=st.integers(0, 5))
+def test_bilinear_form_takes_the_smallest_truncation(x, low):
+    c = FormalScalar({0: 1, 1: 1}, low)
+    # every cell of x, zero ones too, carries x's truncation
+    z = BilinearForm(GENS, [[v * c for v in row] for row in x.matrix],
+                     "formal", 5)
+    assert z.trunc == min(x.trunc, low)
+    assert_canonical(z)
+    for v in z.terms.values():
+        assert v.trunc == z.trunc and max(v.coeffs) <= z.trunc
+
+
+@pytest.mark.parametrize("kind", sorted(FORM_CELLS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_bilinear_forms_are_immutable(kind, data):
+    x = data.draw(forms(kind))
+    before = form_of(kind, x.matrix, x.trunc)
+    x.terms.clear()
+    assert x == before
+    for name in ("terms", "trunc", "_den", "_data", "matrix", "gens"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+
+
+@pytest.mark.parametrize("kind", sorted(FORM_CELLS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bilinear_form_json_round_trip(kind, data):
+    x = data.draw(forms(kind))
+    y = BilinearForm.from_json(x.to_json(), domain=x.domain, trunc=x.trunc)
+    assert y == x
+    assert (y._den, y._data, y.trunc) == (x._den, x._data, x.trunc)
+    assert y.to_json() == x.to_json()
+    assert str(y) == str(x)
+
+
+@pytest.mark.parametrize("kind", ["formal", "dyadic"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bilinear_form_parts_and_transpose(kind, data):
+    x = data.draw(forms(kind))
+    sym = x.symmetric_part()
+    anti = x.antisymmetric_part()
+    assert sym + anti == x
+    assert sym.is_symmetric() and anti.is_antisymmetric()
+    assert x.transpose().transpose() == x
+    n = len(GENS)
+    assert [list(r) for r in x.transpose().matrix] == \
+        [[x.entry(j, i) for j in range(n)] for i in range(n)]
+
+
+def old_fold(form, z, trunc):
+    """The fold of z * Lambda on Fraction parts that star ran before the
+    form stored its terms, with the entries in sorted key order (it listed
+    them in the order their parts first arose)."""
+    def parts(c):
+        return [(r, q, x) for r, g in c.coeffs.items() if r <= trunc
+                for q, x in ((0, g.re), (1, g.im)) if x]
+
+    zparts = parts(z)
+    acc = {}
+    for i, j, lam in form.nonzero_entries():
+        for r1, q1, x in parts(lam):
+            for r2, q2, y in zparts:
+                r, q, v = r1 + r2, q1 + q2, x * y
+                if r > trunc:
+                    continue
+                if q == 2:
+                    q, v = 0, -v
+                key = (i, j, r, q)
+                acc[key] = acc.get(key, 0) + v
+    acc = {key: v for key, v in acc.items() if v}
+    den = math.lcm(*(v.denominator for v in acc.values()))
+    n = len(form.gens)
+    entries = []
+    for (i, j, r, q), v in sorted(acc.items()):
+        left = None
+        if r or q:
+            left = tuple(-1 if k == i else 0 for k in range(n)) + (r, q)
+        entries.append((i, j, v.numerator * (den // v.denominator), left))
+    return den, entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=forms("formal"), z=coeffs(), trunc=truncs)
+def test_fold_matches_the_fraction_fold(x, z, trunc):
+    assert _fold(x, z, trunc) == old_fold(x, z, trunc)
+
+
+def test_fold_of_the_weyl_form():
+    form = standard_form(GENS).antisymmetric_part()
+    # z = -i*h: Lambda_01 = -1/2 becomes (i/2)*h, one h and one i raised
+    assert _fold(form, FormalScalar.minus_i_hbar(), 8) == (
+        2, [(0, 1, 1, (-1, 0, 1, 1)), (1, 0, -1, (0, -1, 1, 1))])
+    assert _fold(form, FormalScalar.constant(3), 8) == (
+        2, [(0, 1, -3, None), (1, 0, 3, None)])

@@ -1,6 +1,6 @@
 """Source-structure checks on src/starweyl.
 
-Every sparse term sum goes through poly.accumulate, the four term
+Every sparse term sum goes through poly.accumulate, the five term
 containers share one base class, coefficients cross one boundary, the
 envelope engine and the operations on the stored terms run on plain ints
 or complex values, and the term sums do not fork on the scalar domain (see
@@ -144,16 +144,17 @@ def test_no_hand_written_accumulate_outside_the_helper_and_kernels():
 
 # -- one term container --------------------------------------------------------
 #
-# Polynomial, TensorSquare, DifferentialOperator and UEElement inherit the
-# container (immutability, truth, equality, sums, negation, text) from
-# poly.TermSum and keep only what differs between them.
+# Polynomial, TensorSquare, BilinearForm, DifferentialOperator and
+# UEElement inherit the container (immutability, truth, equality, sums,
+# negation, text) from poly.TermSum and keep only what differs between them.
 
-TERM_SUMS = {
-    "poly.py": "Polynomial",
-    "star.py": "TensorSquare",
-    "ops.py": "DifferentialOperator",
-    "lie.py": "UEElement",
-}
+TERM_SUMS = [
+    ("poly.py", "Polynomial"),
+    ("star.py", "TensorSquare"),
+    ("star.py", "BilinearForm"),
+    ("ops.py", "DifferentialOperator"),
+    ("lie.py", "UEElement"),
+]
 CONTAINER_METHODS = {
     "__setattr__", "__bool__", "__add__", "__sub__", "__neg__", "__eq__",
     "__str__",
@@ -189,7 +190,7 @@ def test_detector_sees_a_container_method():
 
 def test_term_sums_inherit_the_container():
     found = {}
-    for filename, class_name in TERM_SUMS.items():
+    for filename, class_name in TERM_SUMS:
         with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
             own = own_container_methods(ast.parse(fh.read()), class_name)
         if own:
@@ -309,8 +310,10 @@ INT_ONLY = {
     ("poly.py", "Polynomial.partial_derivative"),
     ("poly.py", "Polynomial.translate"),
     ("poly.py", "Polynomial.hbar_coefficient"),
-    ("star.py", "_encode_operands"),
+    ("star.py", "_fold"),
+    ("star.py", "_complex_entries"),
     ("star.py", "_star_formal"),
+    ("star.py", "BilinearForm.transpose"),
     ("star.py", "TensorSquare.of"),
     ("star.py", "TensorSquare.mu"),
     ("ops.py", "DifferentialOperator.apply"),
@@ -486,7 +489,8 @@ def test_raw_engine_runs_on_ints():
 # is a compatibility check and reads no stored form.
 
 DOMAIN_FORK_FILES = {"poly.py", "ops.py"}
-DOMAIN_FORK_CLASSES = {("star.py", "TensorSquare"), ("lie.py", "UEElement")}
+DOMAIN_FORK_CLASSES = {("star.py", "TensorSquare"), ("star.py", "BilinearForm"),
+                       ("lie.py", "UEElement")}
 DOMAIN_FORKS_ALLOWED = {
     ("poly.py", "Polynomial.hbar_coefficient"),
     ("poly.py", "Polynomial.to_json"),

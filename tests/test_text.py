@@ -1,6 +1,6 @@
 """Frozen text of every term printer: Polynomial (formal and numeric),
-DifferentialOperator (formal and numeric), TensorSquare, UEElement and
-LieSeries; and frozen JSON of the coefficient writers.
+DifferentialOperator (formal and numeric), TensorSquare, BilinearForm,
+UEElement and LieSeries; and frozen JSON of the coefficient writers.
 
 Each row pins one branch of the shared term printer: a negative leading
 term, a coefficient with several h-orders in parentheses, h and h^r, a
@@ -25,6 +25,7 @@ from starweyl import (
     bch,
     poly_from_text,
     sl2,
+    standard_form,
     std_rep,
     ue_normal_order,
     weyl_form,
@@ -113,6 +114,8 @@ CASES = [
         TensorSquare.of(pf("q^2 - h"), pf("2*p + i")),
         "2*q^2 (x) p + i*q^2 (x) 1 - 2*h*1 (x) p - i*h*1 (x) 1",
     ),
+    (standard_form(G), "p (x) q"),
+    (weyl_form(G), "-(1/2)*q (x) p + (1/2)*p (x) q"),
 ]
 
 
