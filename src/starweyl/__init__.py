@@ -10,7 +10,6 @@ from .errors import (
     BoxOverflowError,
     IncompatibleError,
     NonFiniteError,
-    NotInvertibleError,
     ParseError,
     StarWeylError,
     TruncationError,

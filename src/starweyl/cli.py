@@ -81,16 +81,18 @@ _NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
 def _join_signed_values(argv):
-    """argv with the values of _SIGNED_VALUE_OPTIONS attached by '=', and
-    an expression that starts with one '-' (such as "-q"), which argparse
-    would take for an unknown option, followed by a space: argparse reads
-    an argument holding a space as a positional, and the expression
-    grammar ignores it. argparse reads an argument that starts with "-h"
-    as the help flag with an attached value, space or not, so such an
-    expression ("-h*q") gets its space in front, where argparse reads it
-    as a positional too; its parse-error columns count that space. -h and
-    negative numbers stay as they are."""
+    """(argv, typed): argv with the values of _SIGNED_VALUE_OPTIONS
+    attached by '=', and an expression that starts with one '-' (such as
+    "-q"), which argparse would take for an unknown option, followed by a
+    space: argparse reads an argument holding a space as a positional.
+    argparse reads an argument that starts with "-h" as the help flag with
+    an attached value, space or not, so such an expression ("-h*q") gets
+    its space in front, where argparse reads it as a positional too. typed
+    maps each spaced argument back to the argument as typed, which main
+    parses, so parse-error columns count what was typed. -h and negative
+    numbers stay as they are."""
     out = []
+    typed = {}
     for arg in argv:
         single = arg.startswith("-") and not arg.startswith("--")
         if single and out and out[-1] in _SIGNED_VALUE_OPTIONS:
@@ -98,9 +100,10 @@ def _join_signed_values(argv):
         elif (single and arg not in ("-", "-h")
               and not _NEGATIVE_NUMBER.fullmatch(arg)):
             out.append(" " + arg if arg.startswith("-h") else arg + " ")
+            typed[out[-1]] = arg
         else:
             out.append(arg)
-    return out
+    return out, typed
 
 
 def _common_flags(parser, suppress):
@@ -492,10 +495,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(
-        _join_signed_values(sys.argv[1:] if argv is None else argv)
-    )
+    argv, typed = _join_signed_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
+    for name, value in list(vars(args).items()):
+        if isinstance(value, str) and value in typed:
+            setattr(args, name, typed[value])
     try:
         ses = _load_session(args)
         return _HANDLERS[args.command](args, ses)

@@ -14,10 +14,6 @@ class IncompatibleError(StarWeylError):
     """Operands built over different generators, domains or algebras."""
 
 
-class NotInvertibleError(StarWeylError):
-    """Inversion of a scalar whose order-0 part vanishes."""
-
-
 class TruncationError(StarWeylError):
     """Requested order or window exceeds what the truncation retains."""
 

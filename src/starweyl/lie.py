@@ -5,7 +5,7 @@ The envelope carries the relations xi_i xi_j - xi_j xi_i = i*h*[xi_i, xi_j],
 so the PBW symmetrizer sigma (plain 1/k! normalisation) is degree-preserving
 and invertible order by order. The envelope engine (the _*_raw methods and
 their caches) runs on integers in the stored form of a term sum (see
-poly.TermSum): each entry is one denominator and a dict from a monomial
+scalars.TermSum): each entry is one denominator and a dict from a monomial
 plus its h-order and i-power to ints. The envelope operations read their
 operands' stored form and write the result's, so h and the Gaussian
 rationals only materialise when a result's .terms, text or JSON is read.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import kernels
 from .errors import IncompatibleError, ParseError, StarWeylError, TruncationError
 from .parse import RESERVED_NAMES, eval_ast, parse_expression, scalar_from_json
-from .poly import Generators, Polynomial, TermSum, accumulate, monomial_text
+from .poly import Generators, Polynomial, monomial_text
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
@@ -29,6 +29,8 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    TermSum,
+    accumulate,
     int_canonical,
     int_reduce,
     join_terms,
@@ -641,7 +643,7 @@ class LieSeries:
 
     def __str__(self):
         return join_terms(
-            term_text(FormalScalar({w: g}, w, _clean=True), self.algebra.basis[k])
+            term_text(FormalScalar({w: g}, w), self.algebra.basis[k])
             for w in sorted(self.terms)
             for k, g in enumerate(self.terms[w])
             if g

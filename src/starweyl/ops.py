@@ -17,12 +17,10 @@ from .errors import IncompatibleError
 from .poly import (
     Generators,
     Polynomial,
-    TermSum,
-    accumulate,
     exponent_tuple,
     monomial_text,
 )
-from .scalars import DEFAULT_TRUNCATION, stored_canonical
+from .scalars import DEFAULT_TRUNCATION, TermSum, accumulate, stored_canonical
 from .star import n_operator
 
 

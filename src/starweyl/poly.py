@@ -23,14 +23,12 @@ from .scalars import (
     DEFAULT_TRUNCATION,
     GR_I,
     FormalScalar,
+    TermSum,
+    accumulate,
     coerce_coeff,
     coerce_coeffs,
-    join_terms,
-    stored_canonical,
-    stored_decode,
     stored_encode,
     stored_reduce,
-    term_text,
 )
 
 
@@ -114,19 +112,6 @@ def total_degree(exp) -> int:
     return sum(exp)
 
 
-def accumulate(out, items):
-    """Add (key, coefficient) pairs into the term dict out, dropping every
-    sum that vanishes; returns out."""
-    for key, c in items:
-        prev = out.get(key)
-        s = c if prev is None else prev + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
-
-
 def exponent_tuple(exp, n):
     """exp as a tuple of n nonnegative ints; ValueError otherwise."""
     exp = tuple(exp)
@@ -144,142 +129,6 @@ def monomial_text(names, exp):
     return "*".join(
         nm if k == 1 else f"{nm}^{k}" for nm, k in zip(names, exp) if k
     )
-
-
-class TermSum:
-    """Immutable finite sum of terms, key -> nonzero coefficient.
-
-    The attributes named in _space (with the domain) say where the terms
-    live; two sums combine only over the same space. trunc is the h-order
-    the formal coefficients are known to: a sum, a scaling or a constructor
-    that meets a coefficient of smaller truncation takes that truncation,
-    and no coefficient is kept above it. A subclass supplies its __init__
-    (which calls _fill), _key, _check or _mismatch, _sort_key and
-    _monomial_text, its products and its JSON.
-
-    A sum stores the canonical pair (_den, _data) of scalars.py, equal for
-    equal sums: _data maps key + (h-order, i-power) to a nonzero int, or in
-    the numeric domain to a complex value over _den 1. The operations read
-    and write that pair alike in both domains through the stored_*
-    functions; .terms decodes it into coefficient objects on each access.
-    """
-
-    __slots__ = ("trunc", "_den", "_data")
-
-    def _fill(self, terms, trunc, clean):
-        """Store terms (a {key: coefficient} dict); unless clean, validate
-        every key with _key, coerce every coefficient and drop the vanishing
-        sums."""
-        if terms is None:
-            terms = {}
-        if not clean:
-            coeffs, trunc = coerce_coeffs(terms.values(), self.domain, trunc)
-            terms = accumulate({}, zip(map(self._key, terms), coeffs))
-        self._store(trunc, *stored_encode(self.domain, terms, trunc))
-
-    def _store(self, trunc, den, data):
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_data", data)
-
-    @classmethod
-    def _build(cls, space, trunc, den, data):
-        """A sum over the space (the values of _space) storing (den, data),
-        which must be in the stored form."""
-        new = object.__new__(cls)
-        for name, value in zip(cls._space, space):
-            object.__setattr__(new, name, value)
-        new._store(trunc, den, data)
-        return new
-
-    def _like(self, trunc, den, data):
-        """A sum over the space of self storing (den, data)."""
-        return self._build([getattr(self, n) for n in self._space],
-                           trunc, den, data)
-
-    @property
-    def terms(self):
-        """The terms as a new {key: coefficient} dict."""
-        return stored_decode(self.domain, self._data, self._den, self.trunc)
-
-    def _canonical(self, trunc, out, den):
-        """A sum over the space of self of the slotted terms out over den."""
-        return self._like(trunc, *stored_canonical(self.domain, out, den,
-                                                   trunc))
-
-    def _cut(self, trunc):
-        """self with every formal coefficient cut to h-order trunc."""
-        if trunc >= self.trunc:
-            return self
-        return self._canonical(trunc, self._data, self._den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __bool__(self):
-        return bool(self._data)
-
-    def _check(self, other):
-        if any(getattr(self, n) != getattr(other, n) for n in self._space):
-            raise IncompatibleError(self._mismatch)
-
-    def coerce_scalar(self, c):
-        return coerce_coeff(c, self.domain, self.trunc)
-
-    # -- linear structure ----------------------------------------------------
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        a = self._cut(trunc)
-        b = other._cut(trunc)
-        # both over the lcm of the denominators
-        den = math.lcm(a._den, b._den)
-        fa = den // a._den
-        fb = den // b._den
-        out = accumulate({k: fa * v for k, v in a._data.items()},
-                         ((k, fb * v) for k, v in b._data.items()))
-        return self._like(trunc, *stored_reduce(self.domain, den, out))
-
-    def __neg__(self):
-        # 0 - c, not -c: a zero part of a complex value stays +0.0
-        return self._like(self.trunc, self._den,
-                          {k: 0 - c for k, c in self._data.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c):
-        """self times the scalar c (TypeError when c is not one)."""
-        (c,), trunc = coerce_coeffs([c], self.domain, self.trunc)
-        # the terms over one denominator, c over another
-        dc, s = stored_encode(self.domain, {(): c}, trunc)
-        return self._canonical(trunc, kernels.scale_terms(self._data, s, trunc),
-                               self._den * dc)
-
-    def __eq__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return all(
-            getattr(self, n) == getattr(other, n) for n in self._space
-        ) and self._den == other._den and self._data == other._data
-
-    __hash__ = None
-
-    # -- text ----------------------------------------------------------------
-    def sorted_terms(self):
-        """Terms in print order, the largest _sort_key first."""
-        return sorted(
-            self.terms.items(), key=lambda kv: self._sort_key(kv[0]), reverse=True
-        )
-
-    def __str__(self):
-        return join_terms(
-            term_text(c, self._monomial_text(k)) for k, c in self.sorted_terms()
-        )
 
 
 class Polynomial(TermSum):

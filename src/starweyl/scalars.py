@@ -11,6 +11,10 @@ Only this module knows how the "formal" and "numeric" domains build
 (int_encode/int_canonical/int_decode) or complex values (num_canonical)
 under keys with h and i slots, reached through the stored_* functions.
 parse.py reads a coefficient back.
+
+TermSum, the immutable term sum that every algebra element derives from,
+lives here next to the stored form it owns: a FormalScalar is itself the
+term sum over no generators, so its h-series arithmetic is the term sums'.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import cmath
 import math
 from fractions import Fraction
 
-from .errors import NonFiniteError, NotInvertibleError, TruncationError
+from . import kernels
+from .errors import IncompatibleError, NonFiniteError, TruncationError
 
 DEFAULT_TRUNCATION = 8
 
@@ -32,11 +37,27 @@ def _as_fraction(x):
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def frac_text(fr: Fraction, explicit_den: bool = False) -> str:
-    """Canonical "p/q" rendering; explicit_den forces the "/1"."""
-    if explicit_den:
-        return f"{fr.numerator}/{fr.denominator}"
-    return str(fr)
+def _ratio(n, d):
+    """n/d, d > 0, in lowest terms as (numerator, denominator)."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _ratio_text(n, d, explicit_den=False):
+    """Canonical "p/q" rendering of n/d; "p" for an integer unless
+    explicit_den."""
+    n, d = _ratio(n, d)
+    return f"{n}/{d}" if explicit_den or d != 1 else str(n)
+
+
+def _gaussian_text(re, im, den):
+    """Canonical text of (re + im*i)/den: "p/q" when real, "a/b+c/d*i"
+    otherwise."""
+    if not im:
+        return _ratio_text(re, den)
+    sign = "-" if im < 0 else "+"
+    return (f"{_ratio_text(re, den, True)}{sign}"
+            f"{_ratio_text(abs(im), den, True)}*i")
 
 
 class GaussianRational:
@@ -97,24 +118,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise NotInvertibleError("division by zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
@@ -151,12 +154,10 @@ class GaussianRational:
     # -- text ---------------------------------------------------------------
     def canonical(self) -> str:
         """Canonical text: "p/q" when real, "a/b+c/d*i" otherwise."""
-        if not self.im:
-            return frac_text(self.re)
-        re = frac_text(self.re, explicit_den=True)
-        im = frac_text(abs(self.im), explicit_den=True)
-        sign = "-" if self.im < 0 else "+"
-        return f"{re}{sign}{im}*i"
+        re, im = self.re, self.im
+        den = math.lcm(re.denominator, im.denominator)
+        return _gaussian_text(re.numerator * (den // re.denominator),
+                              im.numerator * (den // im.denominator), den)
 
     def __str__(self):
         return self.canonical()
@@ -178,38 +179,214 @@ def _coerce_gaussian(x):
     return None
 
 
-class FormalScalar:
+# -- term sums ---------------------------------------------------------------
+
+
+def accumulate(out, items):
+    """Add (key, coefficient) pairs into the term dict out, dropping every
+    sum that vanishes; returns out."""
+    for key, c in items:
+        prev = out.get(key)
+        s = c if prev is None else prev + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+class TermSum:
+    """Immutable finite sum of terms, key -> nonzero coefficient.
+
+    The attributes named in _space (with the domain) say where the terms
+    live; two sums combine only over the same space. trunc is the h-order
+    the formal coefficients are known to: a sum, a scaling or a constructor
+    that meets a coefficient of smaller truncation takes that truncation,
+    and no coefficient is kept above it. A subclass supplies its __init__
+    (which calls _fill), _key, _check or _mismatch, _sort_key and
+    _monomial_text, its products and its JSON; _coerce says which other
+    operands +, - and == accept (by default a sum of the same type).
+
+    A sum stores the canonical pair (_den, _data) of the stored form below,
+    equal for equal sums: _data maps key + (h-order, i-power) to a nonzero
+    int, or in the numeric domain to a complex value over _den 1. The
+    operations read and write that pair alike in both domains through the
+    stored_* functions; .terms decodes it into coefficient objects on each
+    access.
+    """
+
+    __slots__ = ("trunc", "_den", "_data")
+
+    def _fill(self, terms, trunc, clean):
+        """Store terms (a {key: coefficient} dict); unless clean, validate
+        every key with _key, coerce every coefficient and drop the vanishing
+        sums."""
+        if terms is None:
+            terms = {}
+        if not clean:
+            coeffs, trunc = coerce_coeffs(terms.values(), self.domain, trunc)
+            terms = accumulate({}, zip(map(self._key, terms), coeffs))
+        self._store(trunc, *stored_encode(self.domain, terms, trunc))
+
+    def _store(self, trunc, den, data):
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def _build(cls, space, trunc, den, data):
+        """A sum over the space (the values of _space) storing (den, data),
+        which must be in the stored form."""
+        new = object.__new__(cls)
+        for name, value in zip(cls._space, space):
+            object.__setattr__(new, name, value)
+        new._store(trunc, den, data)
+        return new
+
+    def _like(self, trunc, den, data):
+        """A sum over the space of self storing (den, data)."""
+        return self._build([getattr(self, n) for n in self._space],
+                           trunc, den, data)
+
+    @property
+    def terms(self):
+        """The terms as a new {key: coefficient} dict."""
+        return stored_decode(self.domain, self._data, self._den, self.trunc)
+
+    def _canonical(self, trunc, out, den):
+        """A sum over the space of self of the slotted terms out over den."""
+        return self._like(trunc, *stored_canonical(self.domain, out, den,
+                                                   trunc))
+
+    def _cut(self, trunc):
+        """self with every formal coefficient cut to h-order trunc."""
+        if trunc >= self.trunc:
+            return self
+        return self._canonical(trunc, self._data, self._den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self):
+        return bool(self._data)
+
+    def _check(self, other):
+        if any(getattr(self, n) != getattr(other, n) for n in self._space):
+            raise IncompatibleError(self._mismatch)
+
+    def _coerce(self, other):
+        """other as a sum to combine with self, None when it is not one."""
+        return other if isinstance(other, type(self)) else None
+
+    def coerce_scalar(self, c):
+        return coerce_coeff(c, self.domain, self.trunc)
+
+    # -- linear structure ----------------------------------------------------
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        trunc = min(self.trunc, other.trunc)
+        a = self._cut(trunc)
+        b = other._cut(trunc)
+        # both over the lcm of the denominators
+        den = math.lcm(a._den, b._den)
+        fa = den // a._den
+        fb = den // b._den
+        out = accumulate({k: fa * v for k, v in a._data.items()},
+                         ((k, fb * v) for k, v in b._data.items()))
+        return self._like(trunc, *stored_reduce(self.domain, den, out))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        # 0 - c, not -c: a zero part of a complex value stays +0.0
+        return self._like(self.trunc, self._den,
+                          {k: 0 - c for k, c in self._data.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def scale(self, c):
+        """self times the scalar c (TypeError when c is not one)."""
+        (c,), trunc = coerce_coeffs([c], self.domain, self.trunc)
+        # the terms over one denominator, c over another
+        dc, s = stored_encode(self.domain, {(): c}, trunc)
+        return self._canonical(trunc, kernels.scale_terms(self._data, s, trunc),
+                               self._den * dc)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return all(
+            getattr(self, n) == getattr(other, n) for n in self._space
+        ) and self._den == other._den and self._data == other._data
+
+    __hash__ = None
+
+    # -- text ----------------------------------------------------------------
+    def sorted_terms(self):
+        """Terms in print order, the largest _sort_key first."""
+        return sorted(
+            self.terms.items(), key=lambda kv: self._sort_key(kv[0]), reverse=True
+        )
+
+    def __str__(self):
+        return join_terms(
+            term_text(c, self._monomial_text(k)) for k, c in self.sorted_terms()
+        )
+
+
+class FormalScalar(TermSum):
     """Polynomial in hbar truncated at order N; coefficients Gaussian rational.
 
     Orders 0..N are retained; products silently drop anything beyond N (that
     is the quotient-ring semantics, not data loss). Operations on operands
     with different truncations take the minimum.
+
+    The term sum over no generators: sum n/den h^r i^q is stored as
+    (den, {(r, q): n}) and computed on like every other term sum. An int, a
+    Fraction or a GaussianRational operand of +, - and == is the constant.
     """
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ()
+    _space = ()
+    domain = "formal"
 
     def __init__(self, coeffs=None, trunc: int = DEFAULT_TRUNCATION, _clean=False):
+        """The series sum_r coeffs[r] h^r cut at order trunc; each
+        coefficient an int, a Fraction or a GaussianRational. _clean is
+        accepted and changes nothing: every coefficient is converted."""
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
-        if coeffs is None:
-            coeffs = {}
-        if _clean:
-            cl = coeffs
-        else:
-            cl = {}
-            for r, c in coeffs.items():
-                if not isinstance(r, int) or r < 0:
-                    raise ValueError(f"bad hbar order {r!r}")
-                g = _coerce_gaussian(c)
-                if g is None:
-                    raise TypeError(f"bad coefficient {c!r}")
-                if g and r <= trunc:
-                    cl[r] = g
-        object.__setattr__(self, "coeffs", cl)
-        object.__setattr__(self, "trunc", trunc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalScalar is immutable")
+        parts = {}
+        for r, c in (coeffs or {}).items():
+            if not isinstance(r, int) or r < 0:
+                raise ValueError(f"bad hbar order {r!r}")
+            g = _coerce_gaussian(c)
+            if g is None:
+                raise TypeError(f"bad coefficient {c!r}")
+            if r <= trunc:
+                if g.re:
+                    parts[(r, 0)] = g.re
+                if g.im:
+                    parts[(r, 1)] = g.im
+        # over the lcm of the denominators of parts in lowest terms, which
+        # is the canonical form
+        den = math.lcm(*(x.denominator for x in parts.values()))
+        self._store(trunc, den, {key: x.numerator * (den // x.denominator)
+                                 for key, x in parts.items()})
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -225,9 +402,26 @@ class FormalScalar:
         """The physics deformation parameter z = -i*h."""
         return cls({1: GaussianRational(0, -1)}, trunc)
 
-    # -- predicates ----------------------------------------------------------
-    def __bool__(self):
-        return bool(self.coeffs)
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return FormalScalar({0: other}, self.trunc)
+        return super()._coerce(other)
+
+    # -- the decoded views ----------------------------------------------------
+    def _orders(self):
+        """{h-order: [re, im]} of the stored ints, in stored order."""
+        out = {}
+        for (r, q), v in self._data.items():
+            out.setdefault(r, [0, 0])[q] = v
+        return out
+
+    @property
+    def coeffs(self):
+        """The coefficients as a new {h-order: GaussianRational} dict, in
+        stored order."""
+        den = self._den
+        return {r: GaussianRational(Fraction(re, den), Fraction(im, den))
+                for r, (re, im) in self._orders().items()}
 
     def coefficient(self, r: int) -> GaussianRational:
         if r > self.trunc:
@@ -236,113 +430,19 @@ class FormalScalar:
             )
         return self.coeffs.get(r, GR_ZERO)
 
-    # -- arithmetic -----------------------------------------------------------
-    def _coerce(self, other):
-        if isinstance(other, FormalScalar):
-            return other
-        g = _coerce_gaussian(other)
-        if g is None:
-            return None
-        return FormalScalar({0: g} if g else {}, self.trunc, _clean=True)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = min(self.trunc, o.trunc)
-        out = {r: c for r, c in self.coeffs.items() if r <= n}
-        for r, c in o.coeffs.items():
-            if r > n:
-                continue
-            s = out.get(r, GR_ZERO) + c
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        return FormalScalar(out, n, _clean=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalScalar(
-            {r: -c for r, c in self.coeffs.items()}, self.trunc, _clean=True
-        )
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
+    # -- ring operations ------------------------------------------------------
     def __mul__(self, other):
-        if isinstance(other, FormalScalar):
-            n = min(self.trunc, other.trunc)
-            out = {}
-            for r1, c1 in self.coeffs.items():
-                if r1 > n:
-                    continue
-                for r2, c2 in other.coeffs.items():
-                    r = r1 + r2
-                    if r > n:
-                        continue
-                    p = c1 * c2
-                    s = out.get(r)
-                    s = p if s is None else s + p
-                    if s:
-                        out[r] = s
-                    else:
-                        out.pop(r, None)
-            return FormalScalar(out, n, _clean=True)
-        g = _coerce_gaussian(other)
-        if g is None:
+        try:
+            return self.scale(other)
+        except TypeError:
             return NotImplemented
-        if not g:
-            return FormalScalar({}, self.trunc, _clean=True)
-        return FormalScalar(
-            {r: c * g for r, c in self.coeffs.items()}, self.trunc, _clean=True
-        )
 
     __rmul__ = __mul__
-
-    def invert(self) -> "FormalScalar":
-        """Multiplicative inverse in the truncated ring (order-0 part must be
-        invertible); (a * a.invert()) == 1 up to the truncation."""
-        c0 = self.coeffs.get(0)
-        if not c0:
-            raise NotInvertibleError(
-                "formal scalar with vanishing order-0 part is not invertible"
-            )
-        inv0 = c0.inverse()
-        n = self.trunc
-        out = {0: inv0}
-        # recursively solve sum_{s<=r} a_s * b_{r-s} = 0 for r >= 1
-        for r in range(1, n + 1):
-            acc = GR_ZERO
-            for s, a_s in self.coeffs.items():
-                if 1 <= s <= r:
-                    b = out.get(r - s)
-                    if b is not None:
-                        acc = acc + a_s * b
-            if acc:
-                out[r] = -(inv0 * acc)
-        return FormalScalar({r: c for r, c in out.items() if c}, n, _clean=True)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
-        out = FormalScalar({0: GR_ONE}, self.trunc, _clean=True)
+        out = self._like(self.trunc, 1, {(0, 0): 1})
         base = self
         while k:
             if k & 1:
@@ -354,16 +454,12 @@ class FormalScalar:
 
     def conjugate(self) -> "FormalScalar":
         """Involutive ring morphism: i -> -i, h -> h."""
-        return FormalScalar(
-            {r: c.conjugate() for r, c in self.coeffs.items()},
-            self.trunc,
-            _clean=True,
-        )
+        return self._like(self.trunc, self._den, {
+            key: -v if key[1] else v for key, v in self._data.items()
+        })
 
     def truncate(self, n: int) -> "FormalScalar":
-        return FormalScalar(
-            {r: c for r, c in self.coeffs.items() if r <= n}, n, _clean=True
-        )
+        return self._canonical(n, self._data, self._den)
 
     # -- conversions ------------------------------------------------------------
     def eval_at(self, hbar: float = 1.0) -> complex:
@@ -373,29 +469,10 @@ class FormalScalar:
             z += c.to_complex() * hbar**r
         return z
 
-    # -- comparison ---------------------------------------------------------------
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # compares retained coefficients; truncation metadata is bookkeeping
-        return self.coeffs == o.coeffs
-
-    __hash__ = None
-
     # -- text -----------------------------------------------------------------------
     def canonical(self) -> str:
         """Canonical text "c0 + c1*h + c2*h^2" with ascending orders."""
-        parts = []
-        for r in sorted(self.coeffs):
-            c = self.coeffs[r]
-            if r == 0:
-                parts.append((False, c.canonical()))
-                continue
-            h = "h" if r == 1 else f"h^{r}"
-            neg, mag = _coeff_factor(c)
-            parts.append((neg, h if mag is None else f"{mag}*{h}"))
-        return join_terms(parts)
+        return _series_text(self._orders(), self._den)
 
     def __str__(self):
         return self.canonical()
@@ -407,29 +484,38 @@ class FormalScalar:
         return f"FormalScalar({self.coeffs!r}, trunc={self.trunc})"
 
 
-def _coeff_factor(c: GaussianRational):
-    """Render a Gaussian rational as a product factor.
+def _coeff_factor(re, im, den):
+    """Render the Gaussian rational (re + im*i)/den as a product factor.
 
     Returns (negated, text) where text is None for magnitude 1 (the factor
     is dropped entirely) and is already parenthesised when it contains a sum.
     """
-    if not c.im:
-        re = c.re
-        neg = re < 0
-        m = abs(re)
-        if m == 1:
-            return neg, None
-        t = frac_text(m)
-        return neg, t if m.denominator == 1 else f"({t})"
-    if not c.re:
-        im = c.im
-        neg = im < 0
-        m = abs(im)
-        if m == 1:
-            return neg, "i"
-        t = frac_text(m)
-        return neg, f"{t}*i" if m.denominator == 1 else f"({t})*i"
-    return False, f"({c.canonical()})"
+    if not im:
+        n, d = _ratio(abs(re), den)
+        if n == d:
+            return re < 0, None
+        return re < 0, str(n) if d == 1 else f"({n}/{d})"
+    if not re:
+        n, d = _ratio(abs(im), den)
+        if n == d:
+            return im < 0, "i"
+        return im < 0, f"{n}*i" if d == 1 else f"({n}/{d})*i"
+    return False, f"({_gaussian_text(re, im, den)})"
+
+
+def _series_text(orders, den):
+    """Canonical text of sum_r (re_r + im_r*i)/den h^r, orders mapping r to
+    [re_r, im_r]: ascending orders, order 0 in the scalar grammar."""
+    parts = []
+    for r in sorted(orders):
+        re, im = orders[r]
+        if r == 0:
+            parts.append((False, _gaussian_text(re, im, den)))
+            continue
+        h = "h" if r == 1 else f"h^{r}"
+        neg, mag = _coeff_factor(re, im, den)
+        parts.append((neg, h if mag is None else f"{mag}*{h}"))
+    return join_terms(parts)
 
 
 def term_text(c, mono: str):
@@ -441,18 +527,18 @@ def term_text(c, mono: str):
     if isinstance(c, NumericScalar):
         txt = f"({c.val.real!r}{c.val.imag:+}j)"
         return False, f"{txt}*{mono}" if mono else txt
-    if len(c.coeffs) > 1:
-        txt = f"({c.canonical()})"
+    orders = c._orders()
+    if len(orders) > 1:
+        txt = f"({_series_text(orders, c._den)})"
         return False, f"{txt}*{mono}" if mono else txt
-    ((r, g),) = c.coeffs.items()
-    neg, mag = _coeff_factor(g)
+    ((r, (re, im)),) = orders.items()
+    neg, mag = _coeff_factor(re, im, c._den)
     factors = [] if mag is None else [mag]
     if r:
         factors.append("h" if r == 1 else f"h^{r}")
     if mono:
         factors.append(mono)
     return neg, "*".join(factors) or "1"
-
 
 def join_terms(pieces) -> str:
     """Join (negated, text) pieces into "a - b + c"; "0" for no pieces."""
@@ -527,31 +613,10 @@ class NumericScalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o == 0:
-            raise NotInvertibleError("division by zero")
-        return NumericScalar(self.val / o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.val == 0:
-            raise NotInvertibleError("division by zero")
-        return NumericScalar(o / self.val)
-
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             return NotImplemented
         return NumericScalar(self.val**k)
-
-    def invert(self):
-        if self.val == 0:
-            raise NotInvertibleError("division by zero")
-        return NumericScalar(1.0 / self.val)
 
     def conjugate(self):
         return NumericScalar(self.val.conjugate())
@@ -633,23 +698,18 @@ def coerce_coeffs(values, domain, trunc):
 # Z[h]/(h^(T+1)) are quotient rings, so reducing the power of i mod 4 and
 # dropping h-orders above T once, when a kernel's result is brought to the
 # canonical form (int_canonical), gives what reducing after every step
-# would. A formal term sum of poly.py stores its terms in that form.
+# would. A formal term sum stores its terms in that form, and a
+# FormalScalar is the one whose exponent tuples are empty.
 
 
 def int_encode(terms, trunc):
     """(den, {exp + (r, q): n}) with terms = sum n/den h^r i^q x^exp, the
-    h-orders above trunc dropped."""
-    parts = {}
-    for e, c in terms.items():
-        for r, g in c.coeffs.items():
-            if r <= trunc:
-                if g.re:
-                    parts[e + (r, 0)] = g.re
-                if g.im:
-                    parts[e + (r, 1)] = g.im
-    den = math.lcm(*(x.denominator for x in parts.values()))
-    return den, {key: x.numerator * (den // x.denominator)
-                 for key, x in parts.items()}
+    h-orders above trunc dropped: the stored ints of each coefficient cut
+    at trunc, brought over the lcm of their denominators."""
+    cut = {e: c._cut(trunc) for e, c in terms.items()}
+    den = math.lcm(*(c._den for c in cut.values()))
+    return den, {e + key: v * (den // c._den)
+                 for e, c in cut.items() for key, v in c._data.items()}
 
 
 def int_reduce(den, terms):
@@ -689,22 +749,20 @@ def int_groups(ints):
 
 
 def int_decode(ints, den, trunc):
-    """Formal term dict of the canonical form (den, ints)."""
-    return {
-        e: FormalScalar({
-            r: GaussianRational(Fraction(re, den), Fraction(im, den))
-            for r, (re, im) in orders.items()
-        }, trunc, _clean=True)
-        for e, orders in int_groups(ints).items()
-    }
+    """Formal term dict of the canonical form (den, ints), in its order."""
+    parts = {}
+    for key, v in ints.items():
+        parts.setdefault(key[:-2], {})[key[-2:]] = v
+    return {e: FormalScalar._build((), trunc, *int_reduce(den, part))
+            for e, part in parts.items()}
 
 
 # -- the stored form of either domain -------------------------------------------
 #
 # A term sum stores (den, {key + (h-order, i-power): value}): the ints above,
 # or in the numeric domain finite complex values under key + (0, 0) over
-# den 1, the formal form at h = 1. poly.py and ops.py reach the domain only
-# through the stored_* functions. num_canonical reads an h slot at h = 1,
+# den 1, the formal form at h = 1. TermSum, poly.py and ops.py reach the
+# domain only through the stored_* functions. num_canonical reads an h slot at h = 1,
 # folds an i slot in exactly, raises NonFiniteError on an inf or nan part
 # and writes a -0.0 part as +0.0, as NumericScalar does. IEEE sums and
 # products of finite values depend on the sign of a zero only when they are

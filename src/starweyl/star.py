@@ -19,8 +19,6 @@ from .parse import scalar_from_json
 from .poly import (
     Generators,
     Polynomial,
-    TermSum,
-    accumulate,
     check_product_size,
     exponent_tuple,
     monomial_text,
@@ -29,6 +27,8 @@ from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
     NumericScalar,
+    TermSum,
+    accumulate,
     coerce_coeff,
     int_canonical,
     int_encode,

@@ -393,6 +393,25 @@ def test_expressions_may_start_with_minus(argv, dashed, stdout, capsys,
     assert capsys.readouterr().out == out
 
 
+# The space that lets argparse read an expression starting with '-' as a
+# positional is not counted in a parse-error column: each column is the
+# one of the expression as typed, as after '--'.
+@pytest.mark.parametrize("expr,message", [
+    ("-q+", "expected a value, found 'end of input' (line 1, column 4)"),
+    ("-help", "unknown identifier 'help' (line 1, column 2)"),
+    ("-h*q+", "expected a value, found 'end of input' (line 1, column 6)"),
+])
+def test_parse_error_columns_count_the_typed_expression(expr, message,
+                                                        capsys):
+    from starweyl.cli import main
+
+    assert main(["star", expr, "p"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert main(["star", "--", expr, "p"]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_help_and_unknown_options_stay_options(capsys):
     from starweyl.cli import main
 

@@ -20,7 +20,7 @@ from starweyl import (
     star,
 )
 from starweyl.bruteforce import DensePolynomial
-from starweyl.poly import accumulate
+from starweyl.scalars import accumulate
 from starweyl.scalars import NumericScalar
 
 

@@ -33,7 +33,7 @@ from starweyl import (
 from starweyl import lie
 from starweyl.bruteforce import _straighten
 from starweyl.lie import MAX_BCH_ORDER, bernoulli_numbers
-from starweyl.poly import accumulate
+from starweyl.scalars import accumulate
 
 H3 = heisenberg3()
 SL2 = sl2()

@@ -1,6 +1,6 @@
 """Source-structure checks on src/starweyl.
 
-Every sparse term sum goes through poly.accumulate, the five term
+Every sparse term sum goes through scalars.accumulate, the six term
 containers share one base class, coefficients cross one boundary, the
 envelope engine and the operations on the stored terms run on plain ints
 or complex values, and the term sums do not fork on the scalar domain (see
@@ -11,10 +11,7 @@ appear only in:
 - accumulate itself;
 - the kernels, kernels.py: routed through accumulate, the integer star
   product measured 4-5% slower;
-- the naive oracles, bruteforce.py, kept naive on purpose;
-- FormalScalar.__add__ and __mul__, the h-series arithmetic that every
-  coefficient operation in the kernels runs (scalars.py sits below poly.py
-  and cannot import it).
+- the naive oracles, bruteforce.py, kept naive on purpose.
 """
 
 import ast
@@ -25,9 +22,7 @@ import starweyl
 PACKAGE = os.path.dirname(starweyl.__file__)
 EXEMPT_FILES = {"kernels.py", "bruteforce.py"}
 EXEMPT_FUNCTIONS = {
-    ("poly.py", "accumulate"),
-    ("scalars.py", "FormalScalar.__add__"),
-    ("scalars.py", "FormalScalar.__mul__"),
+    ("scalars.py", "accumulate"),
 }
 
 
@@ -126,7 +121,9 @@ def test_detector_sees_the_idiom():
     )
     assert accumulate_idioms(ast.parse(method), "x.py") == [("x.py", "T.f")]
     named = IDIOM.replace("def f", "def accumulate")
-    assert accumulate_idioms(ast.parse(named), "poly.py") == []
+    assert accumulate_idioms(ast.parse(named), "scalars.py") == []
+    assert accumulate_idioms(ast.parse(named), "poly.py") == [
+        ("poly.py", "accumulate")]
     # a config lookup with a default is not an accumulation
     lookup = "def g(cfg):\n    v = cfg.get('z')\n    if v is None:\n        v = 1\n"
     assert accumulate_idioms(ast.parse(lookup), "x.py") == []
@@ -144,9 +141,11 @@ def test_no_hand_written_accumulate_outside_the_helper_and_kernels():
 
 # -- one term container --------------------------------------------------------
 #
-# Polynomial, TensorSquare, BilinearForm, DifferentialOperator and
-# UEElement inherit the container (immutability, truth, equality, sums,
-# negation, text) from poly.TermSum and keep only what differs between them.
+# Polynomial, TensorSquare, BilinearForm, DifferentialOperator, UEElement
+# and FormalScalar inherit the container (immutability, truth, equality,
+# sums, negation, text) from scalars.TermSum and keep only what differs
+# between them. FormalScalar keeps its own __str__ alone: a scalar prints
+# in the scalar grammar ("1/2+3/4*i" at order 0), not as a sum of terms.
 
 TERM_SUMS = [
     ("poly.py", "Polynomial"),
@@ -154,7 +153,9 @@ TERM_SUMS = [
     ("star.py", "BilinearForm"),
     ("ops.py", "DifferentialOperator"),
     ("lie.py", "UEElement"),
+    ("scalars.py", "FormalScalar"),
 ]
+OWN_CONTAINER_METHODS = {"FormalScalar": {"__str__"}}
 CONTAINER_METHODS = {
     "__setattr__", "__bool__", "__add__", "__sub__", "__neg__", "__eq__",
     "__str__",
@@ -193,6 +194,7 @@ def test_term_sums_inherit_the_container():
     for filename, class_name in TERM_SUMS:
         with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
             own = own_container_methods(ast.parse(fh.read()), class_name)
+        own -= OWN_CONTAINER_METHODS.get(class_name, set())
         if own:
             found[class_name] = sorted(own)
     assert found == {}
@@ -279,7 +281,10 @@ def test_coefficients_cross_one_boundary():
 # the operations that read and write the stored form run on those plain
 # values; the scalar types appear only where a scalar operand is encoded
 # and where .terms, text and JSON decode, and those operations do not read
-# .terms, which builds a scalar object per term.
+# .terms, which builds a scalar object per term. A FormalScalar is such a
+# term sum too: its product, power, conjugate and cut, and int_encode, which
+# concatenates the stored ints of a sum's coefficients, run on its ints and
+# do not read its decoded .coeffs either.
 
 SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ONE", "GR_I", "Fraction"}
 INT_ONLY = {
@@ -300,12 +305,17 @@ INT_ONLY = {
     ("kernels.py", "scale_terms"),
     ("kernels.py", "shift_terms"),
     ("kernels.py", "_binomial_rows"),
+    ("scalars.py", "int_encode"),
     ("scalars.py", "int_reduce"),
     ("scalars.py", "int_canonical"),
-    ("poly.py", "TermSum.__neg__"),
-    ("poly.py", "TermSum._cut"),
-    ("poly.py", "TermSum.__add__"),
-    ("poly.py", "TermSum.scale"),
+    ("scalars.py", "TermSum.__neg__"),
+    ("scalars.py", "TermSum._cut"),
+    ("scalars.py", "TermSum.__add__"),
+    ("scalars.py", "TermSum.scale"),
+    ("scalars.py", "FormalScalar.__mul__"),
+    ("scalars.py", "FormalScalar.__pow__"),
+    ("scalars.py", "FormalScalar.conjugate"),
+    ("scalars.py", "FormalScalar.truncate"),
     ("poly.py", "Polynomial.__mul__"),
     ("poly.py", "Polynomial.partial_derivative"),
     ("poly.py", "Polynomial.translate"),
@@ -323,15 +333,18 @@ INT_ONLY = {
 }
 
 
+DECODED_VIEWS = {"terms", "coeffs"}
+
+
 def scalar_names(node):
     """Scalar-type names a node mentions, as a name or an attribute, and
-    "terms" when it reads the .terms view."""
+    "terms" or "coeffs" when it reads a decoded view."""
     return sorted({
         n.id if isinstance(n, ast.Name) else n.attr
         for n in ast.walk(node)
         if (isinstance(n, ast.Name) and n.id in SCALAR_NAMES)
         or (isinstance(n, ast.Attribute)
-            and (n.attr in SCALAR_NAMES or n.attr == "terms"))
+            and (n.attr in SCALAR_NAMES or n.attr in DECODED_VIEWS))
     })
 
 
@@ -460,16 +473,56 @@ def test_detector_sees_a_translation_or_scaling_off_the_codec():
     assert int_only_offenders({**sources, "poly.py": poly}) == [
         ("poly.py", "Polynomial.translate", ["terms"]),
     ]
-    poly = sources["poly.py"].replace(
+    scalars = sources["scalars.py"].replace(
         "stored_encode(self.domain, {(): c}, trunc)",
         "stored_encode(self.domain, {(): c * GR_ONE}, trunc)")
-    assert int_only_offenders({**sources, "poly.py": poly}) == [
-        ("poly.py", "TermSum.scale", ["GR_ONE"]),
+    assert int_only_offenders({**sources, "scalars.py": scalars}) == [
+        ("scalars.py", "TermSum.scale", ["GR_ONE"]),
     ]
     kernels = sources["kernels.py"].replace("powers = [{(0, 0): 1}]",
                                             "powers = [{(0, 0): Fraction(1)}]")
     assert int_only_offenders({**sources, "kernels.py": kernels}) == [
         ("kernels.py", "_binomial_rows", ["Fraction"]),
+    ]
+
+
+# int_encode and FormalScalar.conjugate as they were, on the decoded
+# Gaussian rationals
+OLD_INT_ENCODE = '''
+def int_encode(terms, trunc):
+    parts = {}
+    for e, c in terms.items():
+        for r, g in c.coeffs.items():
+            if r <= trunc:
+                if g.re:
+                    parts[e + (r, 0)] = g.re
+                if g.im:
+                    parts[e + (r, 1)] = g.im
+    den = math.lcm(*(x.denominator for x in parts.values()))
+    return den, {key: x.numerator * (den // x.denominator)
+                 for key, x in parts.items()}
+'''
+OLD_CONJUGATE = '''
+class FormalScalar:
+    def conjugate(self):
+        return FormalScalar(
+            {r: c.conjugate() for r, c in self.coeffs.items()},
+            self.trunc,
+            _clean=True,
+        )
+'''
+
+
+def test_detector_sees_a_formal_scalar_off_the_stored_ints():
+    sources = _sources()
+    tree = ast.parse(sources["scalars.py"])
+    tree.body = [ast.parse(OLD_INT_ENCODE).body[0]
+                 if getattr(n, "name", None) == "int_encode" else n
+                 for n in tree.body]
+    scalars = _replace_method(ast.unparse(tree), "FormalScalar", OLD_CONJUGATE)
+    assert int_only_offenders({**sources, "scalars.py": scalars}) == [
+        ("scalars.py", "FormalScalar.conjugate", ["FormalScalar", "coeffs"]),
+        ("scalars.py", "int_encode", ["coeffs"]),
     ]
 
 
@@ -480,8 +533,8 @@ def test_raw_engine_runs_on_ints():
 # -- one stored form for both domains -------------------------------------------
 #
 # scalars.py alone knows how each domain stores its terms: poly.py and ops.py
-# (and the methods of the term sums in star.py and lie.py) compute on the
-# stored pair the same way in both domains and reach the domain through the
+# (and the methods of the term sums in star.py, lie.py and scalars.py, the
+# home of TermSum) compute on the stored pair the same way in both domains and reach the domain through the
 # stored_* functions. A comparison of a domain with a domain name forks on
 # the domain; only these parts may make one: hbar_coefficient (formal
 # only), to_json (which writes the truncation of a formal sum) and
@@ -490,7 +543,8 @@ def test_raw_engine_runs_on_ints():
 
 DOMAIN_FORK_FILES = {"poly.py", "ops.py"}
 DOMAIN_FORK_CLASSES = {("star.py", "TensorSquare"), ("star.py", "BilinearForm"),
-                       ("lie.py", "UEElement")}
+                       ("lie.py", "UEElement"), ("scalars.py", "TermSum"),
+                       ("scalars.py", "FormalScalar")}
 DOMAIN_FORKS_ALLOWED = {
     ("poly.py", "Polynomial.hbar_coefficient"),
     ("poly.py", "Polynomial.to_json"),
@@ -565,6 +619,12 @@ def test_detector_sees_a_domain_fork():
         "a._check(b)\n", "a._check(b)\n        assert a.domain != 'x'\n", 1)
     assert _domain_forks({**sources, "star.py": star}) == [
         ("star.py", "TensorSquare.of"),
+    ]
+    # and in the container that scalars.py holds
+    scalars = sources["scalars.py"].replace(
+        "self._check(other)\n", "self._check(other)\n        assert self.domain != 'x'\n", 1)
+    assert _domain_forks({**sources, "scalars.py": scalars}) == [
+        ("scalars.py", "TermSum.__add__"),
     ]
     # a compatibility check, an allowed part and a function outside the
     # term sums of star.py are not forks
