@@ -6,6 +6,8 @@ Conventions (orientation of the standard form, z = -i*h presets, bracket
 signs) are derived and pinned in docs/conventions.md.
 """
 
+import importlib as _importlib
+
 from .errors import (
     BoxOverflowError,
     IncompatibleError,
@@ -73,13 +75,37 @@ from .seminorms import (
     truncated_exponential,
     weyl_relation_defect,
 )
-from .bruteforce import (
-    DensePolynomial,
-    naive_bch_dynkin,
-    naive_bch_via_ue,
-    naive_star,
-)
 from .session import RESERVED_NAMES, ConfigError, Session
-from .verify import CRITERIA, SUITES, VerifyResult, run_suite
 
 __version__ = "0.1.0"
+
+# Only the `verify` command and the tests use the criteria and the naive
+# oracles, so their modules load on first use of one of these names
+# (PEP 562), not with the package.
+_LAZY = {
+    "bruteforce": "bruteforce",
+    "DensePolynomial": "bruteforce",
+    "naive_bch_dynkin": "bruteforce",
+    "naive_bch_via_ue": "bruteforce",
+    "naive_star": "bruteforce",
+    "verify": "verify",
+    "CRITERIA": "verify",
+    "SUITES": "verify",
+    "VerifyResult": "verify",
+    "run_suite": "verify",
+}
+
+__all__ = [n for n in globals() if not n.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -19,6 +19,7 @@ from .errors import (
     StarWeylError,
     TruncationError,
 )
+from .parse import MAX_EXPONENT
 from .poly import Generators, Polynomial
 from .scalars import DEFAULT_TRUNCATION, int_groups, stored_reduce
 from .star import BilinearForm, star
@@ -153,10 +154,20 @@ def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
 def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
                           domain: str = "formal",
                           trunc: int = DEFAULT_TRUNCATION) -> TruncatedElement:
-    """sum_{k<=cutoff} alpha^k (v~)^k / k! with v~ the linear function of v."""
+    """sum_{k<=cutoff} alpha^k (v~)^k / k! with v~ the linear function of v.
+
+    The top term is the power v~^cutoff, so a cutoff above the parser's
+    exponent limit, or one whose power may pass poly.MAX_POWER_TERMS, is a
+    StarWeylError before any work."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
+    if cutoff > MAX_EXPONENT:
+        raise StarWeylError(
+            f"exponential cutoff {cutoff} exceeds the limit {MAX_EXPONENT}"
+        )
     lin = Polynomial.linear(gens, v, domain, trunc)
+    if cutoff > 1:
+        lin._check_power_size(cutoff)
     alpha = lin.coerce_scalar(alpha)
     out = Polynomial.one(gens, domain, trunc)
     power = Polynomial.one(gens, domain, trunc)

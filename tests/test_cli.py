@@ -302,6 +302,11 @@ BAD_ARGUMENTS = [
     # 4,495 terms each
     (["--config", {"generators": ["a", "b", "c", "d"]}, "star",
       "(a+b+c+d)^28", "(a+b+c+d)^28"], 1),
+    # an exponential cutoff past parse.MAX_EXPONENT is refused before it
+    # expands (cutoff 100008 and 3000)
+    (["weylrel", "--v", "1,0", "--w", "0,1", "--degree", "100000"], 1),
+    (["weylrel", "--v", "1,0", "--w", "0,1", "--degree", "2", "--cutoff",
+      "3000"], 1),
 ]
 
 

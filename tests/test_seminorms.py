@@ -17,6 +17,8 @@ from starweyl import (
     StarWeylError,
     TruncationError,
     exponential_convergence_report,
+    hbar_exponential,
+    heisenberg3,
     inner_automorphism_defect,
     minus_i_hbar,
     poly_from_text,
@@ -132,6 +134,21 @@ def test_truncated_exponential_respects_cutoff():
     te = truncated_exponential(G, (1, 1), 1, 5)
     assert te.cutoff == 5
     assert te.base.degree() == 5
+
+
+def test_truncated_exponential_refuses_oversized_cutoffs():
+    # the top term v~^cutoff is bounded like a parsed power: the exponent
+    # by parse.MAX_EXPONENT, the term count by poly.MAX_POWER_TERMS
+    assert truncated_exponential(G, (1, 1), 1, 100).base.degree() == 100
+    with pytest.raises(StarWeylError, match="cutoff 101 exceeds the limit 100"):
+        truncated_exponential(G, (1, 1), 1, 101)
+    with pytest.raises(StarWeylError, match="cutoff 3000"):
+        truncated_exponential(G, (1, 0), 1, 3000, "numeric", 0)
+    six = Generators(("a", "b", "c", "d", "e", "f"))
+    with pytest.raises(StarWeylError, match="above the limit"):
+        truncated_exponential(six, (1,) * 6, 1, 40)
+    with pytest.raises(StarWeylError, match="cutoff 101"):
+        hbar_exponential(heisenberg3(), (1, 0, 0), 101)
 
 
 # ------------------------------------------------------- growth regimes
