@@ -34,6 +34,7 @@ from .scalars import (
     int_canonical,
     int_reduce,
     join_terms,
+    stored_sum,
     term_text,
 )
 from .seminorms import truncated_exponential
@@ -263,7 +264,7 @@ class LieAlgebra:
                 for k, q, x in self._ic[j][a]
                 for d3, t3 in [self._leftmul_raw(k, rest)]
             ]
-            out = _raw_sum(parts)
+            out = stored_sum("formal", parts)
         return _store(self._cache_leftmul, key, out)
 
     def _mono_mul_raw(self, m1, m2):
@@ -275,7 +276,7 @@ class LieAlgebra:
         out = (1, {m2 + (0, 0): 1})
         for j in reversed(m1):
             d, t = out
-            out = _raw_sum([
+            out = stored_sum("formal", [
                 (d * dl, _times(g, m[-2], m[-1], tl))
                 for m, g in t.items()
                 for dl, tl in [self._leftmul_raw(j, m[:-2])]
@@ -305,7 +306,7 @@ class LieAlgebra:
                     for m, g in ts.items()
                     for dl, tl in [self._leftmul_raw(j, m[:-2])]
                 ]
-            out = _raw_sum(parts)
+            out = stored_sum("formal", parts)
         return _store(self._cache_sym, alpha, out)
 
     def _sym_inverse_raw(self, terms):
@@ -361,7 +362,7 @@ class LieAlgebra:
             return hit
         da, sa = self._sym_raw(alpha)
         db, sb = self._sym_raw(beta)
-        du, u = _raw_sum([
+        du, u = stored_sum("formal", [
             (da * db * dm, _times(g1 * g2, m1[-2] + m2[-2], m1[-1] + m2[-1],
                                   tm))
             for m1, g1 in sa.items()
@@ -393,17 +394,6 @@ def _times(c, r, q, terms):
     for key, g in terms.items():
         p = key[-1] + q
         yield key[:-2] + (key[-2] + r, p & 1), (neg if p & 2 else c) * g
-
-
-def _raw_sum(parts):
-    """The reduced raw entry of the sum of parts (den, pairs), each brought
-    to the lcm of their denominators."""
-    den = math.lcm(*(d for d, _ in parts))
-    out = {}
-    for d, pairs in parts:
-        f = den // d
-        accumulate(out, ((key, f * v) for key, v in pairs))
-    return int_reduce(den, out)
 
 
 def heisenberg3() -> LieAlgebra:
@@ -752,27 +742,16 @@ def bch_exponential(z: LieSeries, trunc=None) -> Polynomial:
     The order-w component embeds at h-order 2w-1 with a factor i^(w-1): each
     envelope commutator carries i*h, so sigma(result) equals the genuine
     envelope product exp(h xi^) exp(h eta^) when z = bch(xi, eta, ...).
+    The exponential is truncated_exponential's, cut at degree trunc, so its
+    limits on the cutoff hold here too.
     """
     n = z.order if trunc is None else trunc
     if 0 in z.terms:
         raise StarWeylError("series exponential needs vanishing order-0 part")
-    gens = z.algebra.coords
-    zp = Polynomial.zero(gens, "formal", n)
-    for w in sorted(z.terms):
-        r = 2 * w - 1
-        if r <= n:
-            lin = Polynomial.linear(gens, z.terms[w], "formal", n)
-            zp = zp + lin * FormalScalar({r: GR_I ** (w - 1)}, n)
-    out = Polynomial.one(gens, "formal", n)
-    power = Polynomial.one(gens, "formal", n)
-    fact = 1
-    for j in range(1, n + 1):
-        power = power * zp
-        if not power:
-            break
-        fact *= j
-        out = out + power * GaussianRational(Fraction(1, fact))
-    return out
+    vec = [FormalScalar({2 * w - 1: GR_I ** (w - 1) * c[i]
+                         for w, c in z.terms.items() if 2 * w - 1 <= n}, n)
+           for i in range(z.algebra.dim)]
+    return truncated_exponential(z.algebra.coords, vec, 1, n, "formal", n).base
 
 
 class BchReport:

@@ -290,13 +290,8 @@ class TermSum:
         trunc = min(self.trunc, other.trunc)
         a = self._cut(trunc)
         b = other._cut(trunc)
-        # both over the lcm of the denominators
-        den = math.lcm(a._den, b._den)
-        fa = den // a._den
-        fb = den // b._den
-        out = accumulate({k: fa * v for k, v in a._data.items()},
-                         ((k, fb * v) for k, v in b._data.items()))
-        return self._like(trunc, *stored_reduce(self.domain, den, out))
+        return self._like(trunc, *stored_sum(self.domain, [
+            (a._den, a._data.items()), (b._den, b._data.items())]))
 
     __radd__ = __add__
 
@@ -811,6 +806,22 @@ def stored_reduce(domain, den, terms):
         bad = next(v for v in terms.values() if not cmath.isfinite(v))
         raise NonFiniteError(f"non-finite numeric scalar {bad!r}")
     return 1, terms
+
+
+def stored_sum(domain, parts):
+    """The stored form of the sum of parts, a nonempty list of (den, items)
+    of the domain, each items an iterable of (key, value) with distinct
+    keys and nonzero values, such as a stored form's: every part brought
+    over the lcm of the denominators and added through accumulate, then
+    reduced once."""
+    den = math.lcm(*(d for d, _ in parts))
+    (d, items), *rest = parts
+    f = den // d
+    out = {k: f * v for k, v in items}
+    for d, items in rest:
+        f = den // d
+        accumulate(out, ((k, f * v) for k, v in items))
+    return stored_reduce(domain, den, out)
 
 
 def stored_decode(domain, data, den, trunc):

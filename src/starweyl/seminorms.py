@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import kernels
 from .errors import (
     IncompatibleError,
     NonFiniteError,
@@ -21,7 +22,13 @@ from .errors import (
 )
 from .parse import MAX_EXPONENT
 from .poly import Generators, Polynomial
-from .scalars import DEFAULT_TRUNCATION, int_groups, stored_reduce
+from .scalars import (
+    DEFAULT_TRUNCATION,
+    int_canonical,
+    int_groups,
+    stored_reduce,
+    stored_sum,
+)
 from .star import BilinearForm, star
 
 
@@ -170,18 +177,43 @@ def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
         lin._check_power_size(cutoff)
     alpha = lin.coerce_scalar(alpha)
     out = Polynomial.one(gens, domain, trunc)
-    power = Polynomial.one(gens, domain, trunc)
-    scale = lin.coerce_scalar(1)
-    for k in range(1, cutoff + 1):
-        power = power * lin
-        if not power:
-            break
-        scale = scale * (alpha * Fraction(1, k))
-        term = power * scale
-        if not term:
-            break
-        out = out + term
+    if domain == "formal":
+        step = lin.scale(alpha)
+        cut, slices = step.trunc, _formal_slices(out, step, cutoff)
+    else:
+        # the float order of every numeric exponential: the power (v~)^k
+        # times the scalar alpha^k / k!
+        cut, slices = trunc, []
+        power, scale = out, lin.coerce_scalar(1)
+        for k in range(1, cutoff + 1):
+            power = power * lin
+            if not power:
+                break
+            scale = scale * (alpha * Fraction(1, k))
+            term = power * scale
+            if not term:
+                break
+            slices.append((term._den, term._data.items()))
+    if slices:
+        # the degree-k slices are disjoint: one sum adds them
+        out = out._like(cut, *stored_sum(
+            domain, [(out._den, out._data.items())] + slices))
     return TruncatedElement(out, cutoff)
+
+
+def _formal_slices(one, step, cutoff):
+    """The stored pairs of step^k / k! for k = 1..cutoff up to the first
+    that vanishes, step = alpha * v~: slice k is slice k-1 (slice 0 is one)
+    times step over k, on the stored ints."""
+    slices = []
+    den, ints = one._den, one._data
+    for k in range(1, cutoff + 1):
+        den, ints = int_canonical(kernels.mul_terms(ints, step._data),
+                                  den * step._den * k, step.trunc)
+        if not ints:
+            break
+        slices.append((den, ints.items()))
+    return slices
 
 
 def _csv_lines(report):

@@ -9,6 +9,7 @@ spelled out with derivations in docs/conventions.md; tests pin them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -35,6 +36,7 @@ from .scalars import (
     num_canonical,
     stored_canonical,
     stored_reduce,
+    stored_sum,
 )
 
 
@@ -464,6 +466,8 @@ class OrderingOperator:
     def apply(self, f: Polynomial) -> Polynomial:
         if f.gens != self.sym_form.gens or f.domain != self.sym_form.domain:
             raise IncompatibleError("operator and operand over different algebras")
+        if f.domain == "formal":
+            return self._apply_formal(f)
         out = f
         term = f
         k = 0
@@ -478,6 +482,36 @@ class OrderingOperator:
                 break
             out = out + term * (zk * _inverse_factorial(k, f.domain))
         return out
+
+    def _apply_formal(self, f):
+        """f + sum_k (z Delta_S)^k f / k! on the stored ints: z * S folded
+        once, as star folds z * Lambda, and level k the folded entries times
+        the second derivatives of level k-1 over its den * dz * 2 * k."""
+        trunc = min(f.trunc, self.z.trunc)
+        dz, entries = _fold(self.sym_form, self.z, trunc)
+        n = len(f.gens)
+        # S is symmetric and d_i d_j = d_j d_i: the entry (i, j), i < j,
+        # counts for (j, i) too
+        entries = [(i, j, v if i == j else 2 * v, left[n:] if left else (0, 0))
+                   for i, j, v, left in entries if i <= j]
+        level = f._cut(trunc)
+        levels = [(level._den, level._data.items())]
+        for k in itertools.count(1):
+            out = {}
+            for i, j, v, (r, q) in entries:
+                d = level.partial_derivative(i).partial_derivative(j)
+                c = v * (level._den // d._den)
+                accumulate(out, ((e[:-2] + (e[-2] + r, e[-1] + q), c * x)
+                                 for e, x in d._data.items()))
+            level = f._like(trunc, *int_canonical(
+                out, level._den * dz * 2 * k, trunc))
+            if not level:
+                break
+            levels.append((level._den, level._data.items()))
+        if len(levels) == 1 and not (self.z._cut(trunc) and self._delta(f)):
+            # no level, and no zero z * Delta_S f to add: f stays uncut
+            return f
+        return f._like(trunc, *stored_sum("formal", levels))
 
     def inverse(self) -> "OrderingOperator":
         return OrderingOperator(self.sym_form, -self.z)

@@ -284,7 +284,9 @@ def test_coefficients_cross_one_boundary():
 # .terms, which builds a scalar object per term. A FormalScalar is such a
 # term sum too: its product, power, conjugate and cut, and int_encode, which
 # concatenates the stored ints of a sum's coefficients, run on its ints and
-# do not read its decoded .coeffs either.
+# do not read its decoded .coeffs either. So do the level loops of the two
+# formal exponential series, truncated_exponential's and the ordering
+# operator's: they build no scalar per order.
 
 SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ONE", "GR_I", "Fraction"}
 INT_ONLY = {
@@ -326,6 +328,8 @@ INT_ONLY = {
     ("star.py", "BilinearForm.transpose"),
     ("star.py", "TensorSquare.of"),
     ("star.py", "TensorSquare.mu"),
+    ("star.py", "OrderingOperator._apply_formal"),
+    ("seminorms.py", "_formal_slices"),
     ("ops.py", "DifferentialOperator.apply"),
     ("ops.py", "DifferentialOperator.compose"),
     ("ops.py", "DifferentialOperator.formal_adjoint"),
@@ -440,7 +444,7 @@ def _replace_method(source, class_name, old_source):
 def _sources():
     out = {}
     for name in ("lie.py", "kernels.py", "poly.py", "scalars.py", "star.py",
-                 "ops.py"):
+                 "ops.py", "seminorms.py"):
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             out[name] = fh.read()
     return out
@@ -523,6 +527,33 @@ def test_detector_sees_a_formal_scalar_off_the_stored_ints():
     assert int_only_offenders({**sources, "scalars.py": scalars}) == [
         ("scalars.py", "FormalScalar.conjugate", ["FormalScalar", "coeffs"]),
         ("scalars.py", "int_encode", ["coeffs"]),
+    ]
+
+
+# the formal exponential's loop as it was, one FormalScalar product per order
+OLD_EXP_LOOP = '''
+def _formal_slices(step, cutoff):
+    power = Polynomial.one(step.gens, step.domain, step.trunc)
+    scale = step.coerce_scalar(1)
+    slices = []
+    for k in range(1, cutoff + 1):
+        power = power * step
+        scale = scale * (alpha * Fraction(1, k))
+        term = power * scale
+        slices.append((term._den, term._data))
+    return step.trunc, slices
+'''
+
+
+def test_detector_sees_a_scalar_per_order_in_the_exponential():
+    sources = _sources()
+    tree = ast.parse(sources["seminorms.py"])
+    tree.body = [ast.parse(OLD_EXP_LOOP).body[0]
+                 if getattr(n, "name", None) == "_formal_slices" else n
+                 for n in tree.body]
+    seminorms = ast.unparse(tree)
+    assert int_only_offenders({**sources, "seminorms.py": seminorms}) == [
+        ("seminorms.py", "_formal_slices", ["Fraction"]),
     ]
 
 
