@@ -20,7 +20,7 @@ scalars.stored_canonical:
 Only the public p_lambda passes coefficient objects.
 """
 
-from math import comb
+from math import comb, inf
 from operator import add
 
 # One implementation; the name is kept because benchmark results record it.
@@ -176,44 +176,72 @@ def p_lambda_terms(entries, t):
     return lay.unpack_tensor(_step(lay, lay.pack_tensor(t)))
 
 
-def star_terms(entries, zfacts, a, b, rmax):
+def star_terms(entries, zfacts, a, b, rmax, window=None):
     """Accumulated star product sum_r zfacts[r] * mu(P_Lambda^r(a (x) b)).
 
     zfacts[r] is the weight of level r (z^r / r! with z outside the
     entries, or an integer weight when z is folded into them); rmax bounds
     the number of P_Lambda applications. The levels run on packed keys
     (_Layout), each through p_lambda_terms.
+
+    window = (n, top) keeps only the output terms whose first n slots sum
+    to at most top. It is exact when every entry lowers those slots by
+    exactly 2 in all (left raises only later slots, as star's folded
+    entries do): a pair of degree d = deg a + deg b then has degree d - 2r
+    at level r, so a pair with d > top + 2*rmax is never formed, and level
+    r runs mu only on the pairs with d - 2r <= top. The tensor is kept in
+    one bucket per d for that. No window is the window (0, inf): one
+    bucket, formed and summed in the order of a and b.
     """
     if not a or not b:
         return {}
     lay = _Layout(entries, [*a, *b], rmax)
     s = lay.shift
     low = lay.low
-    pb = lay.pack(b).items()
-    t = {}
-    for ka, ca in lay.pack(a).items():
-        ka <<= s
-        for kb, cb in pb:
-            t[ka | kb] = ca * cb
+    n, top = window or (0, inf)
+    gbs = _by_degree(lay, b, n).items()
+    buckets = {}
+    for d, ga in _by_degree(lay, a, n).items():
+        for e, gb in gbs:
+            if d + e > top + 2 * rmax:
+                continue
+            t = buckets.setdefault(d + e, {})
+            for ka, ca in ga:
+                ka <<= s
+                for kb, cb in gb:
+                    t[ka | kb] = ca * cb
     out = {}
     r = 0
-    while t:
+    while buckets:
         zf = zfacts[r]
         if zf:
-            for key, c in t.items():
-                k = (key >> s) + (key & low)
-                v = c * zf
-                prev = out.get(k)
-                v = v if prev is None else prev + v
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+            for d, t in buckets.items():
+                if d - 2 * r > top:
+                    continue
+                for key, c in t.items():
+                    k = (key >> s) + (key & low)
+                    v = c * zf
+                    prev = out.get(k)
+                    v = v if prev is None else prev + v
+                    if v:
+                        out[k] = v
+                    else:
+                        out.pop(k, None)
         r += 1
         if r > rmax:
             break
-        t = p_lambda_terms(lay, t)
+        buckets = {d: nxt for d, t in buckets.items()
+                   if (nxt := p_lambda_terms(lay, t))}
     return lay.unpack(out)
+
+
+def _by_degree(lay, terms, n):
+    """{degree: [(packed key, coefficient)]} of a term dict, the degree of
+    a key the sum of its first n slots."""
+    out = {}
+    for e, c in terms.items():
+        out.setdefault(sum(e[:n]), []).append((lay.key(e), c))
+    return out
 
 
 def bracket_terms(entries, a, b):

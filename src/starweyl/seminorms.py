@@ -29,7 +29,7 @@ from .scalars import (
     stored_reduce,
     stored_sum,
 )
-from .star import BilinearForm, star
+from .star import BilinearForm, _star_window, star
 
 
 class SeminormSpec:
@@ -194,17 +194,22 @@ def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
             if not term:
                 break
             slices.append((term._den, term._data.items()))
-    if slices:
-        # the degree-k slices are disjoint: one sum adds them
-        out = out._like(cut, *stored_sum(
-            domain, [(out._den, out._data.items())] + slices))
-    return TruncatedElement(out, cutoff)
+    return TruncatedElement(_series_sum(out, cut, slices), cutoff)
+
+
+def _series_sum(one, cut, slices):
+    """one plus the stored pairs slices of an exponential series, known to
+    h-order cut, in one stored_sum; one itself when there is no slice."""
+    if not slices:
+        return one
+    return one._like(cut, *stored_sum(
+        one.domain, [(one._den, one._data.items())] + slices))
 
 
 def _formal_slices(one, step, cutoff):
     """The stored pairs of step^k / k! for k = 1..cutoff up to the first
-    that vanishes, step = alpha * v~: slice k is slice k-1 (slice 0 is one)
-    times step over k, on the stored ints."""
+    that vanishes, step = alpha * v~ (or a FormalScalar): slice k is slice
+    k-1 (slice 0 is one) times step over k, on the stored ints."""
     slices = []
     den, ints = one._den, one._data
     for k in range(1, cutoff + 1):
@@ -380,6 +385,13 @@ def _window_defect(diff: Polynomial, degree: int, orders: int):
     return exact, ("0" if exact else repr(worst))
 
 
+def _check_window(**bounds):
+    """ValueError naming the first negative bound of a report's window."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
                          orders: int = 4, cutoff=None,
                          trunc=None) -> DefectReport:
@@ -387,8 +399,10 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
 
     E is the degree-cutoff exponential. The identity is exact on components
     of degree <= degree and h-order <= orders once
-    cutoff >= degree + 2*orders, which is the default.
+    cutoff >= degree + 2*orders, which is the default. The product is
+    computed on that degree window only.
     """
+    _check_window(degree=degree, orders=orders)
     if form.domain != "formal":
         raise IncompatibleError("weyl_relation_defect needs the formal domain")
     gens = form.gens
@@ -407,7 +421,7 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
     ev = truncated_exponential(gens, v, 1, k, "formal", nt).base
     ew = truncated_exponential(gens, w, 1, k, "formal", nt).base
     zz = ev.coerce_scalar(z)
-    lhs = star(form, zz, ev, ew)
+    lhs = _star_window(form, zz, ev, ew, degree)
     # scalar prefactor exp(z L(v,w)): needs arg to start at h-order >= 1 so
     # the series terminates under truncation
     arg = zz * form.value(v, w)
@@ -416,15 +430,11 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
             "scalar exponential does not terminate: z*L(v,w) has an h-order-0 "
             "part"
         )
-    pref = term = ev.coerce_scalar(1)
-    for j in range(1, nt + 1):
-        term = term * (arg * Fraction(1, j))
-        if not term:
-            break
-        pref = pref + term
+    one = ev.coerce_scalar(1)
+    pref = _series_sum(one, arg.trunc, _formal_slices(one, arg, nt))
     vsum = [ev.coerce_scalar(a) + ev.coerce_scalar(b) for a, b in zip(v, w)]
     evw = truncated_exponential(gens, vsum, 1, k, "formal", nt).base
-    rhs = evw * pref
+    rhs = _degree_cut(evw, degree) * pref
     exact, worst = _window_defect(lhs - rhs, degree, orders)
     return DefectReport(
         "weyl_relation",
@@ -462,7 +472,10 @@ def inner_automorphism_defect(form: BilinearForm, z, w, f: Polynomial,
 
     Needs an antisymmetric form (then E is the star exponential of w~ on the
     nose). Exact on h-orders <= orders once cutoff >= deg f + 2*orders.
+    Everything is computed to h-order orders, and the outer product on the
+    degree window only.
     """
+    _check_window(orders=orders)
     if form.domain != "formal":
         raise IncompatibleError("inner_automorphism_defect needs the formal domain")
     if not form.is_antisymmetric():
@@ -478,14 +491,15 @@ def inner_automorphism_defect(form: BilinearForm, z, w, f: Polynomial,
             f"truncation too small: cutoff {k} must be >= deg(f) + 2*orders "
             f"= {d + 2 * orders}"
         )
-    nt = f.trunc
-    if nt < orders:
+    if f.trunc < orders:
         raise TruncationError("scalar truncation below the order window")
-    ew = truncated_exponential(gens, w, 1, k, "formal", nt).base
+    # the window reads h-orders <= orders: nothing is computed above them
+    f = f._cut(orders)
+    ew = truncated_exponential(gens, w, 1, k, "formal", orders).base
     wneg = [ew.coerce_scalar(x) * (-1) for x in w]
-    ewneg = truncated_exponential(gens, wneg, 1, k, "formal", nt).base
+    ewneg = truncated_exponential(gens, wneg, 1, k, "formal", orders).base
     zz = f.coerce_scalar(z)
-    lhs = star(form, zz, star(form, zz, ew, f), ewneg)
+    lhs = _star_window(form, zz, star(form, zz, ew, f), ewneg, d)
     two_z = zz * 2
     shifts = []
     basis = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

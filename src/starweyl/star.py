@@ -9,6 +9,7 @@ spelled out with derivations in docs/conventions.md; tests pin them.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
 from fractions import Fraction
@@ -267,9 +268,9 @@ def _fold(form, z, trunc):
     return den, entries
 
 
-def _star_formal(form, z, a, b, rmax, trunc):
+def _star_formal(form, z, a, b, rmax, trunc, window):
     """Stored form (den, ints) of the formal star product, on integer
-    coefficients."""
+    coefficients; window as for kernels.star_terms."""
     n = len(a.gens)
     dz, entries = _fold(form, z, trunc)
     a = a._cut(trunc)
@@ -294,7 +295,7 @@ def _star_formal(form, z, a, b, rmax, trunc):
         math.factorial(rmax) // math.factorial(r) * dz ** (rmax - r)
         for r in range(rmax + 1)
     ]
-    out = kernels.star_terms(entries, weights, ea, eb, rmax)
+    out = kernels.star_terms(entries, weights, ea, eb, rmax, window)
     return int_canonical(out, a._den * b._den * weights[0], trunc)
 
 
@@ -324,11 +325,19 @@ def _z_factors(z, trunc, rmax):
     return facts
 
 
+# The top degree of the product star is forming: None (the whole product)
+# except inside _star_window.
+_WINDOW = contextvars.ContextVar("star_window", default=None)
+
+
 def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b deformed by exp(z P_Lambda); exact, terminating series."""
+    top = _WINDOW.get()
     a._check(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
+    if top is not None and a.domain != "formal":
+        raise IncompatibleError("a degree window needs the formal domain")
     check_product_size(a, b)
     # the coefficients are exact only up to the smallest truncation in play,
     # z's among them
@@ -340,7 +349,9 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.zero(a.gens, a.domain, trunc)
     rmax = min(a.degree(), b.degree())
     if a.domain == "formal":
-        return a._like(trunc, *_star_formal(form, z, a, b, rmax, trunc))
+        window = None if top is None else (len(a.gens), top)
+        return a._like(trunc, *_star_formal(form, z, a, b, rmax, trunc,
+                                            window))
     zfacts = _z_factors(z, trunc, rmax)
     # the two zero slots of a numeric key would push a packed 2-generator
     # key past one 30-bit int digit, so the kernel runs without them
@@ -349,6 +360,23 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
         len(zfacts) - 1)
     return a._like(trunc, *num_canonical({k + (0, 0): v
                                           for k, v in out.items()}))
+
+
+def _star_window(form, z, a, b, top):
+    """star(form, z, a, b) cut to its terms of total degree <= top.
+
+    Each P_Lambda step lowers the total degree by exactly 2, so the kernel
+    forms and sums only the terms that reach the window
+    (kernels.star_terms). Formal domain only: a numeric window would change
+    the order of star's float sums. The window reaches star through
+    _WINDOW, not an argument, so the product still runs as a call of star,
+    with all its checks and inside whatever wraps star by name (the
+    star.star span of perfbench/spans.py)."""
+    token = _WINDOW.set(top)
+    try:
+        return star(form, z, a, b)
+    finally:
+        _WINDOW.reset(token)
 
 
 def star_term_count(form: BilinearForm, a: Polynomial, b: Polynomial) -> int:

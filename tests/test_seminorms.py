@@ -217,6 +217,24 @@ def test_weyl_relation_needs_enough_cutoff():
         weyl_relation_defect(standard_form(G), Z, (1, 0), (0, 1), degree=4, orders=3, cutoff=5)
 
 
+@pytest.mark.parametrize("report, bounds, name", [
+    ("weyl", {"degree": -1}, "degree"),
+    ("weyl", {"orders": -1}, "orders"),
+    ("weyl", {"degree": -1, "orders": -1, "cutoff": 7}, "degree"),
+    ("inner", {"orders": -1}, "orders"),
+])
+def test_negative_windows_are_refused(report, bounds, name):
+    # an empty window would pass vacuously; the bound is refused by name
+    # before any work, even on an input the report would refuse anyway
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        if report == "weyl":
+            weyl_relation_defect(standard_form(G, "numeric"), Z, (1, 0),
+                                 (0, 1), **bounds)
+        else:
+            inner_automorphism_defect(standard_form(G), Z, (1, 0), pf("q"),
+                                      **bounds)
+
+
 def test_weyl_relation_formal_only():
     nform = standard_form(G, domain="numeric")
     with pytest.raises(StarWeylError):
