@@ -9,12 +9,15 @@ scalars.TermSum): each entry is one denominator and a dict from a monomial
 plus its h-order and i-power to ints. The envelope operations read their
 operands' stored form and write the result's, so h and the Gaussian
 rationals only materialise when a result's .terms, text or JSON is read.
-bch and LieSeries stay on exact Gaussian rationals. See
-docs/conventions.md for the weight grading and the exp/BCH bookkeeping.
+bch, bracket_vec and LieSeries store a vector the same way, keyed (basis
+index, weight, i-power), and bracket it on the integer structure constants.
+See docs/conventions.md for the weight grading and the exp/BCH bookkeeping.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,13 +28,14 @@ from .poly import Generators, Polynomial, monomial_text
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
-    GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
     TermSum,
     accumulate,
     int_canonical,
+    int_gaussians,
+    int_groups,
     int_reduce,
     join_terms,
     stored_sum,
@@ -64,7 +68,7 @@ class LieAlgebra:
 
     __slots__ = ("dim", "basis", "coords", "_c", "_ic_den", "_ic",
                  "_cache_leftmul", "_cache_sym", "_cache_monomul",
-                 "_cache_guttmono")
+                 "_cache_guttmono", "_keys")
 
     def __init__(self, basis, brackets, coords=None):
         basis = tuple(basis)
@@ -91,10 +95,7 @@ class LieAlgebra:
                     f"brackets for ({i},{j}) and ({j},{i}) are not antisymmetric"
                 )
             c[j][i] = neg
-        for i in range(dim):
-            for j in range(dim):
-                if c[i][j] is None:
-                    c[i][j] = zero_vec
+        c = [[zero_vec if vec is None else vec for vec in row] for row in c]
         for i in range(dim):
             if any(c[i][i]):
                 raise ValueError(f"[x_{i}, x_{i}] must vanish")
@@ -115,7 +116,6 @@ class LieAlgebra:
                     "grammar; pass coords= explicitly"
                 )
         object.__setattr__(self, "coords", Generators(coords))
-        self._check_jacobi()
         # i * c[j][a] in the raw form: (k, i-power, n) parts with value
         # n / _ic_den, since i * (x + y i) = -y + x i
         den = math.lcm(*(x.denominator for row in c for vec in row
@@ -129,54 +129,45 @@ class LieAlgebra:
                 if x
             ) for vec in row) for row in c
         ))
-        object.__setattr__(self, "_cache_leftmul", {})
-        object.__setattr__(self, "_cache_sym", {})
-        object.__setattr__(self, "_cache_monomul", {})
-        object.__setattr__(self, "_cache_guttmono", {})
+        self._check_jacobi()
+        for slot in ("_cache_leftmul", "_cache_sym", "_cache_monomul",
+                     "_cache_guttmono", "_keys"):
+            object.__setattr__(self, slot, {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
     def _check_jacobi(self):
-        d = self.dim
-        c = self._c
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    for s in range(d):
-                        acc = GR_ZERO
-                        for r in range(d):
-                            acc = acc + (
-                                c[i][j][r] * c[r][k][s]
-                                + c[j][k][r] * c[r][i][s]
-                                + c[k][i][r] * c[r][j][s]
-                            )
-                        if acc:
-                            raise ValueError(
-                                "structure constants violate the Jacobi identity "
-                                f"at triple ({i},{j},{k})"
-                            )
+        e = [(1, {(i, 0, 0): 1}) for i in range(self.dim)]
+        br = self._bracket_ints
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            if _vec_sum([br(br(e[a], e[b]), e[c]) for a, b, c in
+                         ((i, j, k), (j, k, i), (k, i, j))])[1]:
+                raise ValueError("structure constants violate the Jacobi "
+                                 f"identity at triple ({i},{j},{k})")
 
     # -- linear algebra ------------------------------------------------------
+    def _bracket_ints(self, u, v):
+        """[u, v] of stored vectors (den, {(k, 0, i-power): int}): the
+        structure constant c_ab^k is i^3 times the i*c_ab^k of _ic."""
+        (du, tu), (dv, tv) = u, v
+        if not (tu and tv):
+            return 1, {}
+        out = {}
+        for (a, _, qa), x in tu.items():
+            row = self._ic[a]
+            for (b, _, qb), y in tv.items():
+                for k, q, n in row[b]:
+                    p = qa + qb + q + 3
+                    key = (k, 0, p & 1)
+                    out[key] = out.get(key, 0) + (-x if p & 2 else x) * y * n
+        return int_reduce(du * dv * self._ic_den,
+                          {key: n for key, n in out.items() if n})
+
     def bracket_vec(self, u, v):
         """[u, v] for coefficient vectors; returns a GaussianRational tuple."""
-        d = self.dim
-        u = [_gr(x) for x in u]
-        v = [_gr(x) for x in v]
-        out = [GR_ZERO] * d
-        c = self._c
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if not v[j]:
-                    continue
-                uv = u[i] * v[j]
-                row = c[i][j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] = out[k] + uv * row[k]
-        return tuple(out)
+        return object.__new__(LieSeries)._set(self, 0, *self._bracket_ints(
+            _vec_ints(self, {0: u}), _vec_ints(self, {0: v}))).component(0)
 
     def basis_vector(self, which):
         k = which if isinstance(which, int) else self.basis.index(which)
@@ -265,7 +256,7 @@ class LieAlgebra:
                 for d3, t3 in [self._leftmul_raw(k, rest)]
             ]
             out = stored_sum("formal", parts)
-        return _store(self._cache_leftmul, key, out)
+        return _store(self._cache_leftmul, self._keys, key, out)
 
     def _mono_mul_raw(self, m1, m2):
         """xi_m1 * xi_m2 as a raw entry."""
@@ -281,7 +272,7 @@ class LieAlgebra:
                 for m, g in t.items()
                 for dl, tl in [self._leftmul_raw(j, m[:-2])]
             ])
-        return _store(self._cache_monomul, key, out)
+        return _store(self._cache_monomul, self._keys, key, out)
 
     def _sym_raw(self, alpha):
         """sigma(x^alpha) as a raw entry.
@@ -307,7 +298,7 @@ class LieAlgebra:
                     for dl, tl in [self._leftmul_raw(j, m[:-2])]
                 ]
             out = stored_sum("formal", parts)
-        return _store(self._cache_sym, alpha, out)
+        return _store(self._cache_sym, self._keys, alpha, out)
 
     def _sym_inverse_raw(self, terms):
         """Invert sigma on raw terms (PBW monomial + (h-order, i-power) ->
@@ -370,20 +361,26 @@ class LieAlgebra:
             for dm, tm in [self._mono_mul_raw(m1[:-2], m2[:-2])]
         ])
         di, out = self._sym_inverse_raw(u)
-        return _store(self._cache_guttmono, key, int_reduce(du * di, out))
+        return _store(self._cache_guttmono, self._keys, key,
+                      int_reduce(du * di, out))
 
 
-# The most entries each of the four per-algebra caches holds. A full cache is
-# cleared before its next store, so results never depend on it; one round of
-# the gutt-bch benchmark needs at most 1,837 entries in one cache.
+# The most entries each of the four per-algebra caches, and the table of
+# their term keys, holds. A full cache or table is cleared before its next
+# store, so results never depend on it; one round of the gutt-bch benchmark
+# needs at most 1,837 entries in one cache.
 MAX_CACHE_ENTRIES = 2**15
 
 
-def _store(cache, key, value):
-    """cache[key] = value, clearing the cache first when it is full."""
-    if len(cache) >= MAX_CACHE_ENTRIES:
-        cache.clear()
-    cache[key] = value
+def _store(cache, keys, key, value):
+    """cache[key] = value, each term key of the raw entry value taken from
+    the intern table keys, so equal keys of all entries share one tuple."""
+    for table in (cache, keys):
+        if len(table) >= MAX_CACHE_ENTRIES:
+            table.clear()
+    den, terms = value
+    value = cache[key] = (den, {keys.setdefault(m, m): g
+                                for m, g in terms.items()})
     return value
 
 
@@ -398,9 +395,7 @@ def _times(c, r, q, terms):
 
 def heisenberg3() -> LieAlgebra:
     """Basis (X, Y, Z) with [X, Y] = Z, Z central."""
-    return LieAlgebra(
-        ("X", "Y", "Z"), {(0, 1): (0, 0, 1)}
-    )
+    return LieAlgebra(("X", "Y", "Z"), {(0, 1): (0, 0, 1)})
 
 
 def sl2() -> LieAlgebra:
@@ -588,32 +583,54 @@ def kks_bracket(algebra: LieAlgebra, f: Polynomial, h: Polynomial) -> Polynomial
     return out
 
 
-class LieSeries:
-    """Formal series sum_w h^w Z_w with Z_w in the algebra."""
+def _vec_ints(algebra, vecs):
+    """The stored form (den, {(k, w, i-power): int}) of {w: coefficient
+    vector}, each entry an int, a Fraction or a GaussianRational."""
+    vecs = {w: tuple(map(_gr, vec)) for w, vec in vecs.items()}
+    if any(len(vec) != algebra.dim for vec in vecs.values()):
+        raise ValueError("vector length mismatch")
+    return int_gaussians({(k, w): g for w, vec in vecs.items()
+                          for k, g in enumerate(vec)})
 
-    __slots__ = ("algebra", "order", "terms")
+
+def _vec_sum(parts, f=1):
+    """The stored form of the sum of the stored vectors parts over f."""
+    parts = [(f * d, t.items()) for d, t in parts if t]
+    return stored_sum("formal", parts) if parts else (1, {})
+
+
+class LieSeries:
+    """Formal series sum_w h^w Z_w with Z_w in the algebra, stored as the
+    canonical pair (den, {(k, w, i-power): int}) of the coefficients of e_k
+    in the Z_w; terms and component(w) decode it."""
+
+    __slots__ = ("algebra", "order", "_den", "_data")
 
     def __init__(self, algebra, order, terms=None, _clean=False):
-        if terms is None:
-            terms = {}
-        if _clean:
-            cl = terms
-        else:
-            cl = {}
-            for w, vec in terms.items():
-                if not isinstance(w, int) or w < 0 or w > order:
-                    raise ValueError(f"bad series order {w!r}")
-                vec = tuple(_gr(v) for v in vec)
-                if len(vec) != algebra.dim:
-                    raise ValueError("vector length mismatch")
-                if any(vec):
-                    cl[w] = vec
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "terms", cl)
+        for w in () if _clean else terms or ():
+            if not isinstance(w, int) or w < 0 or w > order:
+                raise ValueError(f"bad series order {w!r}")
+        self._set(algebra, order, *_vec_ints(algebra, terms or {}))
+
+    def _set(self, algebra, order, den, data):
+        """self storing the canonical pair (den, data)."""
+        for name, value in zip(self.__slots__, (algebra, order, den, data)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LieSeries is immutable")
+
+    @property
+    def terms(self):
+        """{w: Z_w as a tuple of GaussianRational} for the nonzero Z_w, in
+        ascending w, as a new dict."""
+        den, out = self._den, {}
+        for (k,), orders in int_groups(self._data).items():
+            for w, (re, im) in orders.items():
+                out.setdefault(w, [GR_ZERO] * self.algebra.dim)[k] = \
+                    GaussianRational(Fraction(re, den), Fraction(im, den))
+        return {w: tuple(out[w]) for w in sorted(out)}
 
     def component(self, w: int):
         if w > self.order:
@@ -623,39 +640,30 @@ class LieSeries:
     def __eq__(self, other):
         if not isinstance(other, LieSeries):
             return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return ((self.algebra, self.order, self._den, self._data)
+                == (other.algebra, other.order, other._den, other._data))
 
     __hash__ = None
 
     def __str__(self):
         return join_terms(
             term_text(FormalScalar({w: g}, w), self.algebra.basis[k])
-            for w in sorted(self.terms)
-            for k, g in enumerate(self.terms[w])
-            if g
-        )
+            for w, vec in self.terms.items() for k, g in enumerate(vec) if g)
 
     def __repr__(self):
         return f"<LieSeries {self}>"
 
 
-# The largest order bch accepts. The recursion runs about order^3/6
-# brackets, but its exact coefficients grow with the order: on the dense sl2
-# vectors H + 2E - F and E + 3F, order 24 takes about 0.5 s and order 30
-# about 1.1 s (2 cores, Python 3.11). At 24 a call stays near 1 s while the
-# host runs at half speed.
+# The largest order bch accepts, about order^3/6 brackets of stored vectors:
+# on the dense sl2 vectors H + 2E - F and E + 3F, order 24 takes about 0.03 s
+# and order 30 about 0.06 s (2 cores, Python 3.11).
 MAX_BCH_ORDER = 24
 
 
 def bernoulli_numbers(n: int):
     """[B_0, ..., B_n] as exact Fractions, by the Akiyama-Tanigawa
     algorithm (Kaneko, J. Integer Sequences 3 (2000) 00.2.9); B_1 = +1/2."""
-    row = []
-    out = []
+    row, out = [], []
     for m in range(n + 1):
         row.append(Fraction(1, m + 1))
         for j in range(m, 0, -1):
@@ -664,11 +672,13 @@ def bernoulli_numbers(n: int):
     return out
 
 
-def _add_scaled(acc, v, c=None):
-    """acc + c*v (acc + v when c is None) for coefficient vectors."""
-    if c is None:
-        return tuple(a + b if b else a for a, b in zip(acc, v))
-    return tuple(a + c * b if b else a for a, b in zip(acc, v))
+@functools.cache
+def _bch_weights():
+    """The weights B_2p/(2p)! of bch for 2 <= 2p < MAX_BCH_ORDER, as
+    (numerator, denominator), computed once."""
+    bern = bernoulli_numbers(MAX_BCH_ORDER)
+    return tuple((bern[2 * p] / math.factorial(2 * p)).as_integer_ratio()
+                 for p in range(1, MAX_BCH_ORDER // 2))
 
 
 def bch(algebra: LieAlgebra, x, y, order: int) -> LieSeries:
@@ -683,9 +693,9 @@ def bch(algebra: LieAlgebra, x, y, order: int) -> LieSeries:
 
     where W[j][m] sums the nested brackets [Z_k1, [..., [Z_kj, x + y]...]]
     over k1 + ... + kj = m, so W[0][0] = x + y and
-    W[j][m] = sum_k [Z_k, W[j-1][m-k]]. About order^3/6 brackets, each
-    skipped when an argument is zero. Orders above MAX_BCH_ORDER raise
-    TruncationError before any work.
+    W[j][m] = sum_k [Z_k, W[j-1][m-k]]. About order^3/6 brackets of stored
+    vectors, each empty when an argument is zero. Orders above
+    MAX_BCH_ORDER raise TruncationError before any work.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -693,37 +703,27 @@ def bch(algebra: LieAlgebra, x, y, order: int) -> LieSeries:
         raise TruncationError(
             f"bch order {order} is above the limit {MAX_BCH_ORDER}"
         )
-    xv = tuple(_gr(v) for v in x)
-    yv = tuple(_gr(v) for v in y)
-    if len(xv) != algebra.dim or len(yv) != algebra.dim:
-        raise ValueError("vector length mismatch")
-    if order == 0:
-        return LieSeries(algebra, 0)
-    bracket = algebra.bracket_vec
-
-    def add_bracket(acc, u, v):
-        return _add_scaled(acc, bracket(u, v)) if any(u) and any(v) else acc
-
-    zero = tuple(GR_ZERO for _ in range(algebra.dim))
-    s = tuple(a + b for a, b in zip(xv, yv))
-    half_diff = tuple((a - b) * Fraction(1, 2) for a, b in zip(xv, yv))
-    bern = bernoulli_numbers(order - 1)
+    xv, (dy, ty) = _vec_ints(algebra, {0: x}), _vec_ints(algebra, {0: y})
+    bracket = algebra._bracket_ints
+    zero = (1, {})
+    s = _vec_sum([xv, (dy, ty)])
+    half_diff = _vec_sum([xv, (dy, {k: -v for k, v in ty.items()})], 2)
     # z[k] = Z_k and w[j][m] = W[j][m] for m < order; W[j][m] = 0 for j > m
     z = [zero, s]
     w = [[s] + [zero] * (order - 1)]
     for n in range(1, order):
         w.append([zero] * order)
         for j in range(1, n + 1):
-            acc = zero
-            for k in range(1, n - j + 2):
-                acc = add_bracket(acc, z[k], w[j - 1][n - k])
-            w[j][n] = acc
-        acc = add_bracket(zero, half_diff, z[n])
-        for p in range(1, n // 2 + 1):
-            c = GaussianRational(bern[2 * p] / math.factorial(2 * p))
-            acc = _add_scaled(acc, w[2 * p][n], c)
-        z.append(_add_scaled(zero, acc, GaussianRational(Fraction(1, n + 1))))
-    return LieSeries(algebra, order, dict(enumerate(z[1:], 1)))
+            w[j][n] = _vec_sum([bracket(z[k], w[j - 1][n - k])
+                                for k in range(1, n - j + 2)])
+        z.append(_vec_sum([bracket(half_diff, z[n])] + [
+            (d * b, {key: a * v for key, v in t.items()})
+            for (a, b), (d, t) in zip(_bch_weights(),
+                                      [row[n] for row in w[2::2]])
+        ], n + 1))
+    return object.__new__(LieSeries)._set(algebra, order, *_vec_sum([
+        (d, {(k, m, q): v for (k, _, q), v in t.items()})
+        for m, (d, t) in enumerate(z[1:order + 1], 1)]))
 
 
 def hbar_exponential(algebra: LieAlgebra, vec, cutoff: int,
@@ -731,9 +731,8 @@ def hbar_exponential(algebra: LieAlgebra, vec, cutoff: int,
     """exp(h * v~) truncated at Sym-degree cutoff, v~ the linear coordinate
     function of vec."""
     n = cutoff if trunc is None else trunc
-    return truncated_exponential(
-        algebra.coords, vec, FormalScalar.hbar(n), cutoff, "formal", n
-    ).base
+    return truncated_exponential(algebra.coords, vec, FormalScalar.hbar(n),
+                                 cutoff, "formal", n).base
 
 
 def bch_exponential(z: LieSeries, trunc=None) -> Polynomial:
@@ -742,15 +741,15 @@ def bch_exponential(z: LieSeries, trunc=None) -> Polynomial:
     The order-w component embeds at h-order 2w-1 with a factor i^(w-1): each
     envelope commutator carries i*h, so sigma(result) equals the genuine
     envelope product exp(h xi^) exp(h eta^) when z = bch(xi, eta, ...).
-    The exponential is truncated_exponential's, cut at degree trunc, so its
-    limits on the cutoff hold here too.
+    The coordinates are read off z's stored ints; the exponential is
+    truncated_exponential's, cut at degree trunc, with its cutoff limits.
     """
     n = z.order if trunc is None else trunc
-    if 0 in z.terms:
+    if any(w == 0 for _, w, _ in z._data):
         raise StarWeylError("series exponential needs vanishing order-0 part")
-    vec = [FormalScalar({2 * w - 1: GR_I ** (w - 1) * c[i]
-                         for w, c in z.terms.items() if 2 * w - 1 <= n}, n)
-           for i in range(z.algebra.dim)]
+    vec = [FormalScalar._build((), n, *int_canonical({
+        (2 * w - 1, q + w - 1): v for (k, w, q), v in z._data.items() if k == i
+    }, z._den, n)) for i in range(z.algebra.dim)]
     return truncated_exponential(z.algebra.coords, vec, 1, n, "formal", n).base
 
 

@@ -373,15 +373,8 @@ class FormalScalar(TermSum):
             if g is None:
                 raise TypeError(f"bad coefficient {c!r}")
             if r <= trunc:
-                if g.re:
-                    parts[(r, 0)] = g.re
-                if g.im:
-                    parts[(r, 1)] = g.im
-        # over the lcm of the denominators of parts in lowest terms, which
-        # is the canonical form
-        den = math.lcm(*(x.denominator for x in parts.values()))
-        self._store(trunc, den, {key: x.numerator * (den // x.denominator)
-                                 for key, x in parts.items()})
+                parts[(r,)] = g
+        self._store(trunc, *int_gaussians(parts))
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -705,6 +698,17 @@ def int_encode(terms, trunc):
     den = math.lcm(*(c._den for c in cut.values()))
     return den, {e + key: v * (den // c._den)
                  for e, c in cut.items() for key, v in c._data.items()}
+
+
+def int_gaussians(parts):
+    """The canonical form (den, {key + (q,): n}) of {key: GaussianRational}:
+    each nonzero real (q = 0) and imaginary (q = 1) part over the lcm of
+    the denominators of the parts in lowest terms, which is reduced."""
+    fracs = {key + (q,): x for key, g in parts.items()
+             for q, x in ((0, g.re), (1, g.im)) if x}
+    den = math.lcm(*(x.denominator for x in fracs.values()))
+    return den, {key: x.numerator * (den // x.denominator)
+                 for key, x in fracs.items()}
 
 
 def int_reduce(den, terms):

@@ -433,7 +433,11 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
     one = ev.coerce_scalar(1)
     pref = _series_sum(one, arg.trunc, _formal_slices(one, arg, nt))
     vsum = [ev.coerce_scalar(a) + ev.coerce_scalar(b) for a, b in zip(v, w)]
-    evw = truncated_exponential(gens, vsum, 1, k, "formal", nt).base
+    # only the degree <= degree part of E_k((v+w)~) is read, and E_c has it
+    # for every cutoff c >= degree; c >= 1 (when k is) also keeps E_k's
+    # truncation, which is the step's once a slice is built
+    evw = truncated_exponential(gens, vsum, 1, min(k, max(degree, 1)),
+                                "formal", nt).base
     rhs = _degree_cut(evw, degree) * pref
     exact, worst = _window_defect(lhs - rhs, degree, orders)
     return DefectReport(

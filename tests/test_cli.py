@@ -447,6 +447,99 @@ def test_bad_symmetric_form_file_is_usage_error(matrix, reason, capsys,
     assert reason in err
 
 
+# starweyl bch on dense sl2 vectors at order 10: the text and the
+# coefficients of each order, recorded before bch ran on stored ints
+FROZEN_BCH = {
+    ("H + 2*E - F", "E + 3*F"): (
+        "h*H + 3*h*E + 2*h*F + (7/2)*h^2*H + h^2*E - 3*h^2*F"
+        " + (1/6)*h^3*H - (5/6)*h^3*E - (11/3)*h^3*F - (35/12)*h^4*H"
+        " - (5/6)*h^4*E + (5/2)*h^4*F + (2/45)*h^5*H + (64/45)*h^5*E"
+        " + (178/45)*h^5*F + (679/180)*h^6*H + (97/90)*h^6*E"
+        " - (97/30)*h^6*F - (629/3780)*h^7*H - (2701/1260)*h^7*E"
+        " - (9953/1890)*h^7*F - (5549/1080)*h^8*H - (5549/3780)*h^8*E"
+        " + (5549/1260)*h^8*F + (2011/6300)*h^9*H + (2221/700)*h^9*E"
+        " + (4589/630)*h^9*F + (9769/1350)*h^10*H + (9769/4725)*h^10*E"
+        " - (9769/1575)*h^10*F",
+        [
+            ["1", "3", "2"],
+            ["7/2", "1", "-3"],
+            ["1/6", "-5/6", "-11/3"],
+            ["-35/12", "-5/6", "5/2"],
+            ["2/45", "64/45", "178/45"],
+            ["679/180", "97/90", "-97/30"],
+            ["-629/3780", "-2701/1260", "-9953/1890"],
+            ["-5549/1080", "-5549/3780", "5549/1260"],
+            ["2011/6300", "2221/700", "4589/630"],
+            ["9769/1350", "9769/4725", "-9769/1575"],
+        ],
+    ),
+    ("(1/2)*H + i*E", "E - (2/3)*i*F"): (
+        "(1/2)*h*H + (1/1+1/1*i)*h*E - (2/3)*i*h*F + (1/3)*h^2*H"
+        " + (1/2)*h^2*E + (1/3)*i*h^2*F + (-1/18-1/9*i)*h^3*H"
+        " + (7/36-1/9*i)*h^3*E + (1/54)*i*h^3*F - (1/27)*h^4*H"
+        " - (1/18)*h^4*E - (1/27)*i*h^4*F + (43/3240+11/810*i)*h^5*H"
+        " + (-137/6480+47/1620*i)*h^5*E + (2/1215-13/3240*i)*h^5*F"
+        " + (1/180+1/1215*i)*h^6*H + (1/120+1/810*i)*h^6*E"
+        " + (-1/1215+1/180*i)*h^6*F + (-247/136080-383/204120*i)*h^7*H"
+        " + (367/163296-31/7560*i)*h^7*E"
+        " + (-8/25515+1229/1224720*i)*h^7*F"
+        " + (-629/612360-23/102060*i)*h^8*H"
+        " + (-629/408240-23/68040*i)*h^8*E"
+        " + (23/102060-629/612360*i)*h^8*F"
+        " + (377/1399680+17/45360*i)*h^9*H"
+        " + (-45841/97977600+229/388800*i)*h^9*E"
+        " + (11/328050-27599/146966400*i)*h^9*F"
+        " + (1981/10497600+337/9185400*i)*h^10*H"
+        " + (1981/6998400+337/6123600*i)*h^10*E"
+        " + (-337/9185400+1981/10497600*i)*h^10*F",
+        [
+            ["1/2", "1/1+1/1*i", "0/1-2/3*i"],
+            ["1/3", "1/2", "0/1+1/3*i"],
+            ["-1/18-1/9*i", "7/36-1/9*i", "0/1+1/54*i"],
+            ["-1/27", "-1/18", "0/1-1/27*i"],
+            ["43/3240+11/810*i", "-137/6480+47/1620*i", "2/1215-13/3240*i"],
+            ["1/180+1/1215*i", "1/120+1/810*i", "-1/1215+1/180*i"],
+            [
+                "-247/136080-383/204120*i",
+                "367/163296-31/7560*i",
+                "-8/25515+1229/1224720*i",
+            ],
+            [
+                "-629/612360-23/102060*i",
+                "-629/408240-23/68040*i",
+                "23/102060-629/612360*i",
+            ],
+            [
+                "377/1399680+17/45360*i",
+                "-45841/97977600+229/388800*i",
+                "11/328050-27599/146966400*i",
+            ],
+            [
+                "1981/10497600+337/9185400*i",
+                "1981/6998400+337/6123600*i",
+                "-337/9185400+1981/10497600*i",
+            ],
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("x, y", list(FROZEN_BCH),
+                         ids=["rational", "gaussian"])
+def test_bch_text_and_json_are_frozen(x, y):
+    text, coeffs = FROZEN_BCH[(x, y)]
+    args = ("bch", "--algebra", "sl2", "--order", "10", x, y)
+    assert run(*args).stdout == text + "\n"
+    want = {
+        "algebra": ["H", "E", "F"],
+        "order": 10,
+        "components": [{"order": w, "coeffs": c}
+                       for w, c in enumerate(coeffs, 1)],
+        "text": text,
+    }
+    assert run(*args, "--json").stdout == json.dumps(want, indent=2) + "\n"
+
+
 def test_nonlinear_bch_argument_is_computation_error():
     r = run("bch", "--order", "3", "X^2", "Y")
     assert r.returncode == 1

@@ -446,6 +446,63 @@ def test_bch_orders_zero_and_one():
     assert bch(H3, (1, 0, 0), (-1, 0, 0), 1).terms == {}
 
 
+def assert_stored_form(s):
+    """s stores the canonical pair: den > 0, gcd 1, no zero int, keys
+    (basis index, weight, i-power) with the i-power 0 or 1."""
+    den, data = s._den, s._data
+    assert den > 0 and math.gcd(den, *data.values()) == 1
+    assert all(data.values())
+    for k, w, q in data:
+        assert 0 <= k < s.algebra.dim and 0 <= w <= s.order and q in (0, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_lie_series_stored_form(data):
+    algebra = data.draw(st.sampled_from([H3, SL2, AXB]))
+    order = data.draw(st.integers(min_value=0, max_value=6))
+    vectors = st.tuples(*[st.one_of(gaussians, fractions, st.integers(-3, 3))]
+                        * algebra.dim)
+    terms = data.draw(st.dictionaries(st.integers(0, order), vectors,
+                                      max_size=4))
+    for s in (LieSeries(algebra, order, terms),
+              bch(algebra, data.draw(vectors), data.draw(vectors), order)):
+        assert_stored_form(s)
+        again = LieSeries(algebra, order, s.terms)
+        assert again == s and str(again) == str(s)
+        # the decoded view: the nonzero components in ascending weight
+        assert list(s.terms) == sorted(s.terms)
+        assert all(any(vec) for vec in s.terms.values())
+        for w in range(order + 1):
+            assert s.component(w) == s.terms.get(w, (GaussianRational(0),)
+                                                 * algebra.dim)
+    want = {w: tuple(GaussianRational(0) + c for c in vec)
+            for w, vec in terms.items() if any(vec)}
+    assert LieSeries(algebra, order, terms).terms == want
+
+
+def test_lie_series_is_immutable():
+    s = bch(SL2, (1, 2, -1), (0, 1, 3), 4)
+    copy = LieSeries(SL2, 4, s.terms)
+    for name in ("terms", "order", "algebra", "_den", "_data"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+    s.terms.clear()
+    s.terms[1] = (GaussianRational(5),) * 3
+    assert s == copy and s.component(1) == copy.component(1)
+
+
+def test_lie_series_equality_reads_the_stored_pair():
+    s = LieSeries(SL2, 3, {1: (1, Fraction(1, 2), 0), 2: (0, 0, 2)})
+    assert s == LieSeries(SL2, 3, {2: (0, 0, 2), 1: (1, Fraction(1, 2), 0),
+                                   3: (0, 0, 0)})
+    assert s != LieSeries(SL2, 4, s.terms)
+    assert s != LieSeries(SL2, 3, {1: (1, Fraction(1, 2), 0)})
+    assert s != LieSeries(SL2, 3, {1: (1, GaussianRational(Fraction(1, 2), 1),
+                                       0), 2: (0, 0, 2)})
+    assert s != LieSeries(AXB, 3, {})
+
+
 # B_0..B_24 with B_1 = +1/2, written out so the checks below do not rest on
 # the package's own Bernoulli numbers
 BERNOULLI_PLUS = [

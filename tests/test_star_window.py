@@ -12,6 +12,7 @@ it replaced.
 """
 
 import importlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -301,6 +302,42 @@ def test_weyl_relation_on_the_library_and_verify_inputs(form, v, w, window):
     z = minus_i_hbar()
     assert weyl_relation_defect(form, z, v, w, **window).to_json() == \
         reference_weyl_relation(form, z, v, w, **window).to_json()
+
+
+def known_to(c, t):
+    """The constant c as a FormalScalar known to h-order t."""
+    return FormalScalar.constant(c, t)
+
+
+@pytest.mark.parametrize("form", [
+    standard_form(G2, "formal", 4),
+    weyl_form(G2, "formal", 4),
+    BilinearForm(G2, [[0, FormalScalar({1: 1})], [1, 0]]),
+], ids=["standard", "weyl", "h-dependent"])
+@pytest.mark.parametrize("v, w", [
+    ((known_to(1, 2), 0), (0, known_to(Fraction(1, 2), 3))),
+    ((known_to(2, 1), 1), (1, known_to(3, 2))),
+    # a zero v or w whose entries are known to fewer orders, and v + w = 0
+    ((known_to(0, 1), known_to(0, 2)), (1, -1)),
+    ((1, 2), (known_to(0, 1), known_to(0, 1))),
+    ((known_to(1, 2), known_to(1, 2)), (known_to(-1, 3), known_to(-1, 3))),
+], ids=["sparse", "dense", "v-zero", "w-zero", "v+w-zero"])
+@pytest.mark.parametrize("degree, orders",
+                         [(0, 0), (0, 1), (0, 2), (0, 4), (1, 1), (2, 2)])
+def test_weyl_relation_with_entries_of_smaller_truncation(form, v, w, degree,
+                                                          orders):
+    # E((v+w)~) is built only to the degree window, and its truncation is
+    # still the one the full cutoff gives it: the report, or the error a
+    # window outside the truncation raises, is the full computation's
+    z = minus_i_hbar()
+    try:
+        want = reference_weyl_relation(form, z, v, w, degree, orders)
+    except StarWeylError as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            weyl_relation_defect(form, z, v, w, degree, orders)
+        return
+    got = weyl_relation_defect(form, z, v, w, degree, orders)
+    assert got.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("w, f", [

@@ -288,7 +288,8 @@ def test_coefficients_cross_one_boundary():
 # formal exponential series, truncated_exponential's and the ordering
 # operator's: they build no scalar per order.
 
-SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ONE", "GR_I", "Fraction"}
+SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ZERO", "GR_ONE",
+                "GR_I", "Fraction"}
 INT_ONLY = {
     ("lie.py", "LieAlgebra._leftmul_raw"),
     ("lie.py", "LieAlgebra._mono_mul_raw"),
@@ -303,6 +304,10 @@ INT_ONLY = {
     ("lie.py", "pbw_symmetrize_inverse"),
     ("lie.py", "gutt_star"),
     ("lie.py", "kks_bracket"),
+    ("lie.py", "LieAlgebra._bracket_ints"),
+    ("lie.py", "LieAlgebra._check_jacobi"),
+    ("lie.py", "_vec_sum"),
+    ("lie.py", "bch"),
     ("kernels.py", "lift_terms"),
     ("kernels.py", "scale_terms"),
     ("kernels.py", "shift_terms"),
@@ -554,6 +559,52 @@ def test_detector_sees_a_scalar_per_order_in_the_exponential():
     seminorms = ast.unparse(tree)
     assert int_only_offenders({**sources, "seminorms.py": seminorms}) == [
         ("seminorms.py", "_formal_slices", ["Fraction"]),
+    ]
+
+
+# the BCH recursion as it was, on Gaussian rationals through bracket_vec
+OLD_BCH = '''
+def bch(algebra, x, y, order):
+    xv = tuple(_gr(v) for v in x)
+    yv = tuple(_gr(v) for v in y)
+    zero = tuple(GR_ZERO for _ in range(algebra.dim))
+    s = tuple(a + b for a, b in zip(xv, yv))
+    half_diff = tuple((a - b) * Fraction(1, 2) for a, b in zip(xv, yv))
+    bern = bernoulli_numbers(order - 1)
+    z = [zero, s]
+    w = [[s] + [zero] * (order - 1)]
+    for n in range(1, order):
+        w.append([zero] * order)
+        for j in range(1, n + 1):
+            acc = zero
+            for k in range(1, n - j + 2):
+                acc = _add_scaled(acc,
+                                  algebra.bracket_vec(z[k], w[j - 1][n - k]))
+            w[j][n] = acc
+        acc = _add_scaled(zero, algebra.bracket_vec(half_diff, z[n]))
+        for p in range(1, n // 2 + 1):
+            c = GaussianRational(bern[2 * p] / math.factorial(2 * p))
+            acc = _add_scaled(acc, w[2 * p][n], c)
+        z.append(_add_scaled(zero, acc, GaussianRational(Fraction(1, n + 1))))
+    return LieSeries(algebra, order, dict(enumerate(z[1:], 1)))
+'''
+
+
+def test_detector_sees_a_scalar_in_the_bch_recursion():
+    sources = _sources()
+    tree = ast.parse(sources["lie.py"])
+    tree.body = [ast.parse(OLD_BCH).body[0]
+                 if getattr(n, "name", None) == "bch" else n
+                 for n in tree.body]
+    assert int_only_offenders({**sources, "lie.py": ast.unparse(tree)}) == [
+        ("lie.py", "bch", ["Fraction", "GR_ZERO", "GaussianRational"]),
+    ]
+    # the bracket reading the structure constants as Gaussian rationals
+    lie = sources["lie.py"].replace(
+        "out[key] = out.get(key, 0) + ",
+        "out[key] = out.get(key, GR_ZERO) + ")
+    assert int_only_offenders({**sources, "lie.py": lie}) == [
+        ("lie.py", "LieAlgebra._bracket_ints", ["GR_ZERO"]),
     ]
 
 
