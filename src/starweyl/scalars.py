@@ -794,10 +794,12 @@ def stored_encode(domain, terms, trunc):
 
 
 def stored_canonical(domain, out, den, trunc):
-    """The stored form of slotted terms out over den (1 when numeric)."""
+    """The stored form of slotted terms out over den: numeric values are
+    divided by den, each part correctly rounded."""
     if domain == "formal":
         return int_canonical(out, den, trunc)
-    return num_canonical(out)
+    return num_canonical(out if den == 1 else
+                         {k: v / den for k, v in out.items()})
 
 
 def stored_reduce(domain, den, terms):

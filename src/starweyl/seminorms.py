@@ -11,7 +11,6 @@ R > 1 diverges for any nonzero argument.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import kernels
 from .errors import (
@@ -24,8 +23,8 @@ from .parse import MAX_EXPONENT
 from .poly import Generators, Polynomial
 from .scalars import (
     DEFAULT_TRUNCATION,
-    int_canonical,
     int_groups,
+    stored_canonical,
     stored_reduce,
     stored_sum,
 )
@@ -118,15 +117,16 @@ def _factorial_pow(k: int, r: float) -> float:
 
 def _values_at(p: Polynomial, hbar):
     """(monomial, value at hbar) pairs of p's stored form (a numeric key
-    keeps its zero slots), equal (==) to eval_at(hbar) over p.terms and in
-    its order; int / int rounds as float(Fraction) does."""
+    keeps its zero slots), each value summed over the ascending h-orders,
+    so equal polynomials give equal values however their terms are stored;
+    int / int rounds as float(Fraction) does."""
     if p.domain != "formal":
         # the zero slots add nothing to a degree or a weight
         return p._data.items()
     out = []
     for e, orders in int_groups(p._data).items():
         z = 0j
-        for r, (re, im) in orders.items():
+        for r, (re, im) in sorted(orders.items()):
             z += complex(re / p._den, im / p._den) * hbar**r
         out.append((e, z))
     return out
@@ -146,7 +146,7 @@ def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
     if not (r >= 0.5 and math.isfinite(r)):
         raise ValueError("R must be >= 1/2")
     w = spec.weights
-    total = 0.0
+    terms = []
     for e, z in _values_at(a, hbar):
         mag = abs(z)
         if not mag:
@@ -154,8 +154,10 @@ def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
         for i, k in enumerate(e):
             if k:
                 mag *= w[i] ** k
-        total += _factorial_pow(sum(e), r) * mag
-    return total
+        terms.append(_factorial_pow(sum(e), r) * mag)
+    # the correctly rounded sum, which the stored order of the terms
+    # cannot change
+    return math.fsum(terms)
 
 
 def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
@@ -175,26 +177,10 @@ def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
     lin = Polynomial.linear(gens, v, domain, trunc)
     if cutoff > 1:
         lin._check_power_size(cutoff)
-    alpha = lin.coerce_scalar(alpha)
     out = Polynomial.one(gens, domain, trunc)
-    if domain == "formal":
-        step = lin.scale(alpha)
-        cut, slices = step.trunc, _formal_slices(out, step, cutoff)
-    else:
-        # the float order of every numeric exponential: the power (v~)^k
-        # times the scalar alpha^k / k!
-        cut, slices = trunc, []
-        power, scale = out, lin.coerce_scalar(1)
-        for k in range(1, cutoff + 1):
-            power = power * lin
-            if not power:
-                break
-            scale = scale * (alpha * Fraction(1, k))
-            term = power * scale
-            if not term:
-                break
-            slices.append((term._den, term._data.items()))
-    return TruncatedElement(_series_sum(out, cut, slices), cutoff)
+    step = lin.scale(alpha)
+    return TruncatedElement(_series_sum(out, step.trunc,
+                                        _slices(out, step, cutoff)), cutoff)
 
 
 def _series_sum(one, cut, slices):
@@ -206,18 +192,19 @@ def _series_sum(one, cut, slices):
         one.domain, [(one._den, one._data.items())] + slices))
 
 
-def _formal_slices(one, step, cutoff):
+def _slices(one, step, cutoff):
     """The stored pairs of step^k / k! for k = 1..cutoff up to the first
     that vanishes, step = alpha * v~ (or a FormalScalar): slice k is slice
-    k-1 (slice 0 is one) times step over k, on the stored ints."""
+    k-1 (slice 0 is one) times step over k, on the stored values."""
     slices = []
-    den, ints = one._den, one._data
+    den, values = one._den, one._data
     for k in range(1, cutoff + 1):
-        den, ints = int_canonical(kernels.mul_terms(ints, step._data),
-                                  den * step._den * k, step.trunc)
-        if not ints:
+        den, values = stored_canonical(
+            step.domain, kernels.mul_terms(values, step._data),
+            den * step._den * k, step.trunc)
+        if not values:
             break
-        slices.append((den, ints.items()))
+        slices.append((den, values.items()))
     return slices
 
 
@@ -431,7 +418,7 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
             "part"
         )
     one = ev.coerce_scalar(1)
-    pref = _series_sum(one, arg.trunc, _formal_slices(one, arg, nt))
+    pref = _series_sum(one, arg.trunc, _slices(one, arg, nt))
     vsum = [ev.coerce_scalar(a) + ev.coerce_scalar(b) for a, b in zip(v, w)]
     # only the degree <= degree part of E_k((v+w)~) is read, and E_c has it
     # for every cutoff c >= degree; c >= 1 (when k is) also keeps E_k's

@@ -32,10 +32,11 @@ from .scalars import (
     TermSum,
     accumulate,
     coerce_coeff,
+    coerce_coeffs,
     int_canonical,
-    int_encode,
     num_canonical,
     stored_canonical,
+    stored_encode,
     stored_reduce,
     stored_sum,
 )
@@ -229,12 +230,6 @@ def _plain_entries(form):
     return [(i, j, lam, None) for i, j, lam in form.nonzero_entries()]
 
 
-def _complex_entries(form):
-    """Kernel entries of a numeric form: its stored complex values, in
-    sorted key order."""
-    return [(i, j, v, None) for (i, j, _, _), v in sorted(form._data.items())]
-
-
 def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
     """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j."""
     if form.gens != t.gens or form.domain != t.domain:
@@ -245,22 +240,24 @@ def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
 
 
 def _fold(form, z, trunc):
-    """(den, entries): kernel entries of z * Lambda in the integer encoding.
+    """(den, entries): kernel entries of z * Lambda in the stored form.
 
-    z * Lambda is the form's stored ints cut at trunc times z's, in its
+    z * Lambda is the form's stored values cut at trunc times z's, in its
     canonical form: i^2 = -1 is applied, and parts above h-order trunc,
     which cannot reach the result, are dropped. Each part (i, j, r, q),
-    in sorted key order, becomes one entry (i, j, n, left) with value
-    n/den; left lowers slot i by one and raises the h and i slots by r and
-    q (None when both are 0).
+    in sorted key order, becomes one entry (i, j, v, left) with value
+    v/den; left lowers slot i by one and raises the h and i slots by r and
+    q (None when both are 0, as they are for every numeric entry).
     """
     lam = form._cut(trunc)
-    dz, zints = int_encode({(): z}, trunc)
-    den, ints = int_canonical(kernels.scale_terms(lam._data, zints, trunc),
-                              lam._den * dz, trunc)
+    dz, zs = stored_encode(form.domain,
+                           {(): coerce_coeff(z, form.domain, trunc)}, trunc)
+    den, values = stored_canonical(
+        form.domain, kernels.scale_terms(lam._data, zs, trunc),
+        lam._den * dz, trunc)
     n = len(form.gens)
     entries = []
-    for (i, j, r, q), v in sorted(ints.items()):
+    for (i, j, r, q), v in sorted(values.items()):
         left = None
         if r or q:
             left = tuple(-1 if k == i else 0 for k in range(n)) + (r, q)
@@ -299,27 +296,16 @@ def _star_formal(form, z, a, b, rmax, trunc, window):
     return int_canonical(out, a._den * b._den * weights[0], trunc)
 
 
-def _inverse_factorial(k, domain):
-    """1/k! as a factor for the domain's scalars: an exact Fraction when
-    formal; when numeric, 1.0/k! up to k = 170, which for k = 23, 26, ...
-    is not the float nearest to 1/k! but is what earlier versions printed,
-    and beyond that, where k! has no float, the correctly rounded 1/k!
-    (subnormal, then 0.0)."""
-    if domain == "formal":
-        return Fraction(1, math.factorial(k))
-    if k <= 170:
-        return 1.0 / math.factorial(k)
-    return 1 / math.factorial(k)
-
-
 def _z_factors(z, trunc, rmax):
-    """[z^r / r! for r in 0..rmax] as complex floats."""
+    """[z^r / r! for r in 0..rmax] as complex floats: z^r times the
+    correctly rounded 1/r!, which is finite (a subnormal, then 0.0) where
+    r! has no float."""
     zz = complex(coerce_coeff(z, "numeric", trunc))
     facts = [1 + 0j]
     zp = facts[0]
     for r in range(1, rmax + 1):
         zp = zp * zz
-        facts.append(zp * _inverse_factorial(r, "numeric"))
+        facts.append(zp * (1 / math.factorial(r)))
     while facts and not facts[-1]:
         facts.pop()
     return facts
@@ -355,7 +341,7 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
     zfacts = _z_factors(z, trunc, rmax)
     # the two zero slots of a numeric key would push a packed 2-generator
     # key past one 30-bit int digit, so the kernel runs without them
-    out = kernels.star_terms(_complex_entries(form), zfacts, *(
+    out = kernels.star_terms(_fold(form, 1, trunc)[1], zfacts, *(
         {k[:-2]: v for k, v in x._data.items()} for x in (a, b)),
         len(zfacts) - 1)
     return a._like(trunc, *num_canonical({k + (0, 0): v
@@ -367,8 +353,10 @@ def _star_window(form, z, a, b, top):
 
     Each P_Lambda step lowers the total degree by exactly 2, so the kernel
     forms and sums only the terms that reach the window
-    (kernels.star_terms). Formal domain only: a numeric window would change
-    the order of star's float sums. The window reaches star through
+    (kernels.star_terms). Formal domain only: the buckets of a window add
+    the float terms of a numeric product in another order than the full
+    product does, so a numeric window would not give the full product's
+    bits on the window. The window reaches star through
     _WINDOW, not an argument, so the product still runs as a call of star,
     with all its checks and inside whatever wraps star by name (the
     star.star span of perfbench/spans.py)."""
@@ -433,15 +421,11 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
         raise IncompatibleError("form and operands over different algebras")
     check_product_size(a, b)
     trunc = min(a.trunc, b.trunc, form.trunc)
-    if a.domain == "formal":
-        dl, entries = _fold(form, FormalScalar.constant(1, trunc), trunc)
-        a = a._cut(trunc)
-        b = b._cut(trunc)
-        return a._like(trunc, *int_canonical(
-            kernels.bracket_terms(entries, a._data, b._data),
-            dl * a._den * b._den, trunc))
-    return a._like(trunc, *num_canonical(kernels.bracket_terms(
-        _complex_entries(form), a._data, b._data)))
+    dl, entries = _fold(form, 1, trunc)
+    a = a._cut(trunc)
+    b = b._cut(trunc)
+    return a._canonical(trunc, kernels.bracket_terms(entries, a._data, b._data),
+                        dl * a._den * b._den)
 
 
 def poisson_standard(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -461,6 +445,31 @@ def jacobi_defect(bracket, f: Polynomial, g: Polynomial, h: Polynomial) -> Polyn
         + bracket(bracket(g, h), f)
         + bracket(bracket(h, f), g)
     )
+
+
+def _delta_entries(form, z, trunc):
+    """(den, entries) of z * S for z Delta_S, Delta_S = (1/2) sum_ij S_ij
+    d_i d_j: folded as star folds z * Lambda, each entry (i, j, v, (r, q))
+    with its h and i raises. S is symmetric and d_i d_j = d_j d_i, so an
+    entry (i, j), i < j, counts for (j, i) too: it is taken once, doubled."""
+    den, entries = _fold(form, z, trunc)
+    n = len(form.gens)
+    return den, [(i, j, v if i == j else 2 * v, left[n:] if left else (0, 0))
+                 for i, j, v, left in entries if i <= j]
+
+
+def _delta_level(level, den, entries, k, trunc):
+    """The stored form of z Delta_S level / k, (den, entries) those of z * S
+    (_delta_entries): the second derivatives of level, each times an
+    entry's value and moved by its h and i raises, over level's den * den *
+    2 * k."""
+    out = {}
+    for i, j, v, (r, q) in entries:
+        d = level.partial_derivative(i).partial_derivative(j)
+        c = v * (level._den // d._den)
+        accumulate(out, ((e[:-2] + (e[-2] + r, e[-1] + q), c * x)
+                         for e, x in d._data.items()))
+    return stored_canonical(level.domain, out, level._den * den * 2 * k, trunc)
 
 
 class OrderingOperator:
@@ -483,63 +492,30 @@ class OrderingOperator:
     def __setattr__(self, name, value):
         raise AttributeError("OrderingOperator is immutable")
 
-    def _delta(self, f: Polynomial) -> Polynomial:
-        out = Polynomial.zero(f.gens, f.domain, f.trunc)
-        for i, j, s in self.sym_form.nonzero_entries():
-            d = f.partial_derivative(i).partial_derivative(j)
-            if d:
-                out = out + d * (s * Fraction(1, 2))
-        return out
-
     def apply(self, f: Polynomial) -> Polynomial:
-        if f.gens != self.sym_form.gens or f.domain != self.sym_form.domain:
-            raise IncompatibleError("operator and operand over different algebras")
-        if f.domain == "formal":
-            return self._apply_formal(f)
-        out = f
-        term = f
-        k = 0
-        zk = f.coerce_scalar(1)
-        while True:
-            term = self._delta(term)
-            if not term:
-                break
-            k += 1
-            zk = zk * self.z
-            if not zk:
-                break
-            out = out + term * (zk * _inverse_factorial(k, f.domain))
-        return out
-
-    def _apply_formal(self, f):
-        """f + sum_k (z Delta_S)^k f / k! on the stored ints: z * S folded
+        """f + sum_k (z Delta_S)^k f / k! on the stored values: z * S folded
         once, as star folds z * Lambda, and level k the folded entries times
         the second derivatives of level k-1 over its den * dz * 2 * k."""
-        trunc = min(f.trunc, self.z.trunc)
-        dz, entries = _fold(self.sym_form, self.z, trunc)
-        n = len(f.gens)
-        # S is symmetric and d_i d_j = d_j d_i: the entry (i, j), i < j,
-        # counts for (j, i) too
-        entries = [(i, j, v if i == j else 2 * v, left[n:] if left else (0, 0))
-                   for i, j, v, left in entries if i <= j]
+        if f.gens != self.sym_form.gens or f.domain != self.sym_form.domain:
+            raise IncompatibleError("operator and operand over different algebras")
+        (z,), trunc = coerce_coeffs([self.z], f.domain, f.trunc)
         level = f._cut(trunc)
         levels = [(level._den, level._data.items())]
+        entries = _delta_entries(self.sym_form, z, trunc)
         for k in itertools.count(1):
-            out = {}
-            for i, j, v, (r, q) in entries:
-                d = level.partial_derivative(i).partial_derivative(j)
-                c = v * (level._den // d._den)
-                accumulate(out, ((e[:-2] + (e[-2] + r, e[-1] + q), c * x)
-                                 for e, x in d._data.items()))
-            level = f._like(trunc, *int_canonical(
-                out, level._den * dz * 2 * k, trunc))
+            level = f._like(trunc, *_delta_level(level, *entries, k, trunc))
             if not level:
                 break
             levels.append((level._den, level._data.items()))
-        if len(levels) == 1 and not (self.z._cut(trunc) and self._delta(f)):
-            # no level, and no zero z * Delta_S f to add: f stays uncut
-            return f
-        return f._like(trunc, *stored_sum("formal", levels))
+        if len(levels) > 1:
+            return f._like(trunc, *stored_sum(f.domain, levels))
+        # no level: f stays uncut, unless z and Delta_S f (known to the
+        # h-order of f and S) are nonzero and only their product vanishes
+        # at trunc
+        known = min(f.trunc, self.sym_form.trunc)
+        _, delta = _delta_level(f, *_delta_entries(self.sym_form, 1, known),
+                                1, known)
+        return f._cut(trunc) if z and delta else f
 
     def inverse(self) -> "OrderingOperator":
         return OrderingOperator(self.sym_form, -self.z)

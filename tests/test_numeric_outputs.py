@@ -1,16 +1,22 @@
-"""Numeric operation outputs, frozen.
+"""Numeric operation outputs, frozen, and their accuracy.
 
 repr() of the .terms of numeric operation outputs (key order and float
-bits) and of the numeric diagnostics, as the version that stored numeric
-coefficients as NumericScalar objects computed them. Any change to the
-order or rounding of a numeric sum or product shows here. An output whose
-repr runs to many kilobytes is frozen as the sha256 of that repr.
+bits) and of the numeric diagnostics. Any change to the order or rounding
+of a numeric sum or product shows here. An output whose repr runs to many
+kilobytes is frozen as the sha256 of that repr. The numeric operations run
+the loops of the formal domain on complex values, so their bits are those
+of that order; the frozen products, exponentials, ordering operators and
+continuity sums are also checked against the formal engine on the exact
+rationals of their float inputs.
 """
 
 import hashlib
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 from starweyl import (
-    BilinearForm, Polynomial, SeminormSpec, TensorSquare, formal_adjoint,
+    BilinearForm, GaussianRational, Polynomial, SeminormSpec, TensorSquare, formal_adjoint,
     minus_i_hbar, n_operator, ordering_operator, p_lambda, poisson_bracket,
     poisson_standard, seminorm_pR, standard_form, star, star_continuity_report,
     star_standard, star_weyl, std_rep, translation_automorphism_defect,
@@ -94,15 +100,15 @@ FROZEN = {
     'adjoint': '{((2,), (1,)): NumericScalar((-1.7-0.3j)), ((1,), (0,)): NumericScalar((-5.9-0.6j)), ((0,), (1,)): NumericScalar((-1+0j)), ((0,), (0,)): NumericScalar((0.3333333333333333+0j)), ((1,), (3,)): NumericScalar((0.7-0.1j)), ((0,), (2,)): NumericScalar((2.0999999999999996-0.30000000000000004j))}',
     'compose': '{((3,), (2,)): NumericScalar((-0.67-1.81j)), ((2,), (1,)): NumericScalar((2.8599999999999994+0.22999999999999998j)), ((1,), (0,)): NumericScalar((-4.5+0.25j)), ((1,), (2,)): NumericScalar((-3.21-0.2600000000000001j)), ((1,), (1,)): NumericScalar((-0.06666666666666667-0.3666666666666667j)), ((2,), (4,)): NumericScalar((0.02999999999999997+0.79j)), ((1,), (3,)): NumericScalar((-1.2699999999999998-0.10999999999999988j)), ((2,), (3,)): NumericScalar((-1.19+0.21j)), ((0,), (1,)): NumericScalar((3.12+1.42j)), ((0,), (3,)): NumericScalar((-0.7+0j)), ((0,), (2,)): NumericScalar((-0.2333333333333333+0j)), ((1,), (5,)): NumericScalar((0.48999999999999994+0.06999999999999999j)), ((0,), (4,)): NumericScalar((0.9799999999999999+0.13999999999999999j)), ((5,), (1,)): NumericScalar((-0.04285714285714285-0.24285714285714283j)), ((4,), (0,)): NumericScalar(0.3571428571428571j), ((3,), (1,)): NumericScalar(-0.14285714285714285j), ((3,), (0,)): NumericScalar(-0.047619047619047616j), ((4,), (3,)): NumericScalar((-0.014285714285714285+0.09999999999999999j)), ((0,), (0,)): NumericScalar((0.6666666666666666+0.3333333333333333j))}',
     'apply': '{(4,): NumericScalar((2.37+3.5100000000000002j)), (2,): NumericScalar((-0.8999999999999999+3.9000000000000004j)), (0,): NumericScalar((-2+0j)), (3,): NumericScalar((0.09999999999999999+0.3j)), (1,): NumericScalar((-2.466666666666666-9.899999999999999j))}',
-    'n_operator': '{(3, 2): NumericScalar((0.7557142857142858+1.21j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((0.6799999999999997+2.0614285714285705j)), (1, 2): NumericScalar((2.0199999999999996+0.4700000000000001j)), (4, 0): NumericScalar((-0.10714285714285712-0.25j)), (1, 0): NumericScalar((-1.8478571428571438-1.065j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((-0.2149999999999999+1.765j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((2.0933333333333333-1.0200000000000002j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6333333333333333+0.14999999999999997j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((2.2600000000000002+1.18j)), (2, 0): NumericScalar(-0.21428571428571427j), (0, 4): NumericScalar((1.2249999999999999+0.175j))}',
-    'exp': '{(0, 0): NumericScalar((1+0j)), (1, 0): NumericScalar((0.1-0.65j)), (0, 1): NumericScalar((-1.25-0.525j)), (2, 0): NumericScalar((-0.20625000000000002-0.065j)), (1, 1): NumericScalar((-0.46625000000000005+0.76j)), (0, 2): NumericScalar((0.6434375000000001+0.65625j)), (3, 0): NumericScalar((-0.020958333333333336+0.04252083333333334j)), (2, 1): NumericScalar((0.22368750000000004+0.18953125000000004j)), (1, 2): NumericScalar((0.4909062500000001-0.35260937500000006j)), (0, 3): NumericScalar((-0.15325520833333336-0.3860390625000001j)), (4, 0): NumericScalar((0.006385677083333334+0.0044687500000000005j)), (3, 1): NumericScalar((0.04852135416666667-0.042147916666666674j)), (2, 2): NumericScalar((-0.09005273437500003-0.17717500000000003j)), (1, 3): NumericScalar((-0.26625091145833335+0.06101197916666669j)), (0, 4): NumericScalar((-0.0027753743489583316+0.14075195312500002j)), (5, 0): NumericScalar((0.0007086510416666668-0.0007407630208333334j)), (4, 1): NumericScalar((-0.005636002604166667-0.008938417968750001j)), (3, 2): NumericScalar((-0.04138967447916667+0.013605592447916667j)), (2, 3): NumericScalar((0.0065163476562499975+0.08958214518229168j)), (1, 4): NumericScalar((0.09121123209635418+0.015879188639322916j)), (0, 5): NumericScalar((0.015472798665364587-0.03489657397460938j)), (6, 0): NumericScalar((-6.84384765625e-05-8.911657986111112e-05j)), (5, 1): NumericScalar((-0.0012747143880208333+0.0005539119791666667j)), (4, 2): NumericScalar((0.0011761669108072918+0.0070659619140625j)), (3, 3): NumericScalar((0.019626676378038194+0.0015741961805555565j)), (2, 4): NumericScalar((0.009721297912597656-0.028849690999348962j)), (1, 5): NumericScalar((-0.021135493216959636-0.013546976529947918j)), (0, 6): NumericScalar((-0.006276949944729276+0.005916249694824219j)), (7, 0): NumericScalar((-9.252803509424605e-06+5.081907397073413e-06j)), (6, 1): NumericScalar((3.876189127604166e-05+0.00014732592502170142j)), (5, 2): NumericScalar((0.000942098387044271-1.1582460123697876e-05j)), (4, 3): NumericScalar((0.000746473788791233-0.0031499800069173184j)), (3, 4): NumericScalar((-0.0059267231194390195-0.0030679375810411247j)), (2, 5): NumericScalar((-0.005459542033081056+0.006191686469014487j)), (1, 6): NumericScalar((0.0032178673071628153+0.004671642433556452j)), (0, 7): NumericScalar((0.001564602645813473-0.0005857019139353434j))}',
-    'exp10': 'sha256:23d4112463652e340fa0411995440116916268d1970987f053329493afd6d667',
-    'ordering': '{(3, 2): NumericScalar((2.311428571428572+1.8914285714285715j)), (2, 3): NumericScalar((0.32571428571428573+0.8085714285714285j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((4.589535714285716+19.250464285714283j)), (1, 2): NumericScalar((5.4252142857142855+6.641642857142857j)), (4, 0): NumericScalar((1.6125-0.08392857142857146j)), (1, 0): NumericScalar((-12.101060714285715+35.827099999999994j)), (0, 3): NumericScalar((0.6763214285714285+0.6258214285714284j)), (3, 1): NumericScalar((0.10714285714285718-1.6214285714285714j)), (0, 1): NumericScalar((8.2152375+16.78551964285714j)), (1, 1): NumericScalar((-46.2134011904762-34.18190595238095j)), (0, 2): NumericScalar((-39.610416666666666+20.56875j)), (3, 0): NumericScalar((-4.381714285714286+3.8922380952380955j)), (0, 0): NumericScalar((-37.14859247023811-44.903273839285724j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-9.131+6.967000000000001j)), (2, 0): NumericScalar((3.6575250000000006-15.296603571428571j)), (0, 4): NumericScalar((0.35024999999999995+3.41075j)), (2, 2): NumericScalar((-9.297-1.0710000000000004j)), (4, 1): NumericScalar((-0.17357142857142854+0.5721428571428571j))}',
+    'n_operator': '{(3, 2): NumericScalar((0.7557142857142858+1.21j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((0.6799999999999997+2.0614285714285705j)), (1, 2): NumericScalar((2.0199999999999996+0.4700000000000001j)), (4, 0): NumericScalar((-0.10714285714285712-0.25j)), (1, 0): NumericScalar((-1.8478571428571438-1.0649999999999997j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((-0.2149999999999999+1.765j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((2.0933333333333333-1.0200000000000002j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6333333333333333+0.14999999999999997j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((2.2600000000000002+1.18j)), (2, 0): NumericScalar(-0.21428571428571427j), (0, 4): NumericScalar((1.2249999999999999+0.175j))}',
+    'exp': '{(0, 0): NumericScalar((1+0j)), (1, 0): NumericScalar((0.1-0.65j)), (0, 1): NumericScalar((-1.25-0.525j)), (2, 0): NumericScalar((-0.20625000000000002-0.065j)), (1, 1): NumericScalar((-0.46625000000000005+0.76j)), (0, 2): NumericScalar((0.6434375+0.65625j)), (3, 0): NumericScalar((-0.02095833333333334+0.04252083333333334j)), (2, 1): NumericScalar((0.2236875+0.18953125000000004j)), (1, 2): NumericScalar((0.49090625000000004-0.35260937499999995j)), (0, 3): NumericScalar((-0.15325520833333334-0.38603906250000003j)), (4, 0): NumericScalar((0.006385677083333334+0.004468750000000001j)), (3, 1): NumericScalar((0.04852135416666668-0.04214791666666667j)), (2, 2): NumericScalar((-0.09005273437499998-0.17717500000000003j)), (1, 3): NumericScalar((-0.26625091145833335+0.06101197916666665j)), (0, 4): NumericScalar((-0.0027753743489583316+0.14075195312500002j)), (5, 0): NumericScalar((0.0007086510416666669-0.0007407630208333335j)), (4, 1): NumericScalar((-0.005636002604166666-0.008938417968750003j)), (3, 2): NumericScalar((-0.04138967447916668+0.013605592447916662j)), (2, 3): NumericScalar((0.006516347656249992+0.08958214518229168j)), (1, 4): NumericScalar((0.09121123209635416+0.015879188639322923j)), (0, 5): NumericScalar((0.015472798665364584-0.03489657397460938j)), (6, 0): NumericScalar((-6.843847656250002e-05-8.911657986111115e-05j)), (5, 1): NumericScalar((-0.0012747143880208337+0.0005539119791666665j)), (4, 2): NumericScalar((0.0011761669108072907+0.007065961914062502j)), (3, 3): NumericScalar((0.019626676378038197+0.001574196180555559j)), (2, 4): NumericScalar((0.00972129791259766-0.028849690999348962j)), (1, 5): NumericScalar((-0.021135493216959636-0.01354697652994792j)), (0, 6): NumericScalar((-0.006276949944729275+0.00591624969482422j)), (7, 0): NumericScalar((-9.252803509424605e-06+5.081907397073414e-06j)), (6, 1): NumericScalar((3.876189127604164e-05+0.00014732592502170142j)), (5, 2): NumericScalar((0.0009420983870442711-1.1582460123697744e-05j)), (4, 3): NumericScalar((0.0007464737887912333-0.0031499800069173184j)), (3, 4): NumericScalar((-0.00592672311943902-0.0030679375810411256j)), (2, 5): NumericScalar((-0.0054595420330810565+0.006191686469014487j)), (1, 6): NumericScalar((0.003217867307162815+0.004671642433556451j)), (0, 7): NumericScalar((0.0015646026458134728-0.0005857019139353436j))}',
+    'exp10': 'sha256:e7455165db551a7ce52075735baa077c12214d18c0c188058b0e35c439c03714',
+    'ordering': '{(3, 2): NumericScalar((2.3114285714285714+1.8914285714285715j)), (2, 3): NumericScalar((0.32571428571428573+0.8085714285714285j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((4.5895357142857165+19.250464285714283j)), (1, 2): NumericScalar((5.4252142857142855+6.6416428571428545j)), (4, 0): NumericScalar((1.6125-0.08392857142857146j)), (1, 0): NumericScalar((-12.101060714285715+35.8271j)), (0, 3): NumericScalar((0.6763214285714285+0.6258214285714284j)), (3, 1): NumericScalar((0.10714285714285718-1.6214285714285714j)), (0, 1): NumericScalar((8.2152375+16.78551964285714j)), (1, 1): NumericScalar((-46.21340119047621-34.18190595238095j)), (0, 2): NumericScalar((-39.610416666666666+20.568750000000005j)), (3, 0): NumericScalar((-4.381714285714287+3.8922380952380955j)), (0, 0): NumericScalar((-37.148592470238114-44.90327383928571j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-9.130999999999998+6.967000000000002j)), (2, 0): NumericScalar((3.6575250000000015-15.296603571428575j)), (0, 4): NumericScalar((0.35025000000000006+3.4107499999999997j)), (2, 2): NumericScalar((-9.297000000000002-1.0710000000000006j)), (4, 1): NumericScalar((-0.1735714285714286+0.5721428571428572j))}',
     'tensor': '{((2, 1), (1, 1)): NumericScalar((0.67+1.81j)), ((2, 1), (0, 2)): NumericScalar((0.21+1.19j)), ((2, 1), (3, 0)): NumericScalar((0.24285714285714283-0.04285714285714285j)), ((2, 1), (0, 0)): NumericScalar((-1.1+3.6999999999999997j)), ((1, 0), (1, 1)): NumericScalar((-2.75+0.5j)), ((1, 0), (0, 2)): NumericScalar((-1.75+0j)), ((1, 0), (3, 0)): NumericScalar(0.3571428571428571j), ((1, 0), (0, 0)): NumericScalar((-5-2.5j)), ((0, 1), (1, 1)): NumericScalar((0.2+1.1j)), ((0, 1), (0, 2)): NumericScalar(0.7j), ((0, 1), (3, 0)): NumericScalar((0.14285714285714285+0j)), ((0, 1), (0, 0)): NumericScalar((-1+2j)), ((0, 0), (1, 1)): NumericScalar((0.3666666666666667-0.06666666666666667j)), ((0, 0), (0, 2)): NumericScalar((0.2333333333333333+0j)), ((0, 0), (3, 0)): NumericScalar(-0.047619047619047616j), ((0, 0), (0, 0)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((1, 3), (1, 1)): NumericScalar((0.02999999999999997+0.79j)), ((1, 3), (0, 2)): NumericScalar((-0.06999999999999999+0.48999999999999994j)), ((1, 3), (3, 0)): NumericScalar((0.09999999999999999+0.014285714285714285j)), ((1, 3), (0, 0)): NumericScalar((-0.8999999999999999+1.2999999999999998j))}',
     'p_lambda': '{((1, 1), (0, 1)): NumericScalar((-1.205+6.085j)), ((1, 1), (1, 0)): NumericScalar((-0.47+4.29j)), ((2, 0), (0, 1)): NumericScalar((-1.2958333333333334-1.2175j)), ((2, 0), (1, 0)): NumericScalar((-0.6033333333333333+0.22333333333333333j)), ((1, 1), (2, 0)): NumericScalar((0.3642857142857142-0.06428571428571428j)), ((2, 0), (2, 0)): NumericScalar((-0.5464285714285714+0.09642857142857142j)), ((0, 0), (0, 1)): NumericScalar((-4.804166666666667-2.45j)), ((0, 0), (1, 0)): NumericScalar((-3.3666666666666667-0.8083333333333333j)), ((0, 0), (2, 0)): NumericScalar((-0.3214285714285714+0.2678571428571428j)), ((0, 3), (0, 1)): NumericScalar((-0.6224999999999999+1.1075j)), ((0, 3), (1, 0)): NumericScalar((-0.36500000000000005+0.805j)), ((1, 2), (0, 1)): NumericScalar((-1.0474999999999999-1.9175j)), ((1, 2), (1, 0)): NumericScalar((-0.79+0.02999999999999997j)), ((0, 3), (2, 0)): NumericScalar((0.075+0.010714285714285714j)), ((1, 2), (2, 0)): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
     'mu': '{(1, 2): NumericScalar((-1.205+6.085j)), (2, 1): NumericScalar((-1.7658333333333334+3.0725j)), (3, 0): NumericScalar((-0.6033333333333333+0.22333333333333333j)), (3, 1): NumericScalar((0.3642857142857142-0.06428571428571428j)), (4, 0): NumericScalar((-0.5464285714285714+0.09642857142857142j)), (0, 1): NumericScalar((-4.804166666666667-2.45j)), (1, 0): NumericScalar((-3.3666666666666667-0.8083333333333333j)), (2, 0): NumericScalar((-0.3214285714285714+0.2678571428571428j)), (0, 4): NumericScalar((-0.6224999999999999+1.1075j)), (1, 3): NumericScalar((-1.4124999999999999-1.1124999999999998j)), (2, 2): NumericScalar((-0.79+0.02999999999999997j)), (2, 3): NumericScalar((0.075+0.010714285714285714j)), (3, 2): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
     'seminorm': '135.3937916183453',
-    'continuity': '[1.0, 2.386567954757769, 2.6345039009678377, 2.5495901755677073, 2.505492089513839, 2.4739362596061074, 2.4624923762871718, 2.458732662362888, 2.457707632369057]',
+    'continuity': '[1.0, 2.386567954757769, 2.6345039009678373, 2.5495901755677064, 2.50549208951384, 2.473936259606107, 2.4624923762871735, 2.4587326623628885, 2.4577076323690568]',
     'translation_defect': "'2.094764613337708e-15'",
 }
 
@@ -126,3 +132,102 @@ def test_std_rep_folds_the_power_of_minus_i_exactly():
     assert repr(std_rep(f).terms) == (
         "{((0,), (101,)): NumericScalar(-1j), "
         "((1,), (102,)): NumericScalar((-0.5-2j))}")
+
+
+# -- accuracy against exact arithmetic ------------------------------------------
+
+
+def exact(x):
+    """The Gaussian rational a complex double stands for."""
+    x = complex(x)
+    return GaussianRational(Fraction(x.real), Fraction(x.imag))
+
+
+def formal_poly(p):
+    return Polynomial(p.gens, {e: exact(c.val) for e, c in p.terms.items()},
+                      "formal", 0)
+
+
+def formal_form(form):
+    return BilinearForm(form.gens, [[exact(c.val) for c in row]
+                                    for row in form.matrix], "formal", 0)
+
+
+def relative_error(num, ref):
+    """The largest |c - c_exact| / |c_exact| over the terms of a numeric
+    result and of its exact (h-free formal) counterpart; both must have the
+    same terms. Computed exactly, then rounded once."""
+    got = {e: exact(c.val) for e, c in num.terms.items()}
+    want = {e: c.coefficient(0) for e, c in ref.terms.items()}
+    assert list(sorted(got)) == list(sorted(want))
+    worst = Fraction(0)
+    for e, w in want.items():
+        d = got[e] - w
+        worst = max(worst, (d.re ** 2 + d.im ** 2) / (w.re ** 2 + w.im ** 2))
+    return math.sqrt(worst)
+
+
+def exact_seminorm(spec, p):
+    """p_R of an h-free formal polynomial to 50 digits, the weights the
+    exact rationals of the spec's floats."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        w = [Decimal(x) for x in spec.weights]
+        total = Decimal(0)
+        for e, c in p.terms.items():
+            g = c.coefficient(0)
+            m2 = g.re ** 2 + g.im ** 2
+            mag = (Decimal(m2.numerator) / Decimal(m2.denominator)).sqrt()
+            for wi, k in zip(w, e):
+                mag *= wi ** k
+            total += (Decimal(math.factorial(sum(e))) ** Decimal(spec.R)) * mag
+        return total
+
+
+ACCURACY = 1e-14
+
+
+def test_numeric_outputs_are_near_the_exact_values():
+    ab = A * B
+    z = exact(Z)
+    minus_i = GaussianRational(0, -1)
+    pairs = {
+        "star": (star(FORM, Z, A, B),
+                 star(formal_form(FORM), z, formal_poly(A), formal_poly(B))),
+        "n_operator": (n_operator(G, "numeric").apply(ab), ordering_operator(
+            standard_form(G, "formal", 0).symmetric_part(), minus_i).apply(
+                formal_poly(ab))),
+    }
+    sym = BilinearForm(G, [[0.5, complex(0.25, 1)], [complex(0.25, 1), -1.5]],
+                       "numeric")
+    pairs["ordering"] = (ordering_operator(sym, Z).apply(ab),
+                         ordering_operator(formal_form(sym), z).apply(
+                             formal_poly(ab)))
+    for name, gens, v, alpha, cutoff in [
+            ("exp", G, [0.5, complex(0.25, -1)], Z, 7),
+            ("exp10", ("q1", "q2", "p1", "p2"),
+             [0.5, complex(0.25, -1), -0.75, 1j / 3], complex(0.3, 0.4), 10)]:
+        pairs[name] = (
+            truncated_exponential(gens, v, alpha, cutoff, "numeric").base,
+            truncated_exponential(gens, list(map(exact, v)), exact(alpha),
+                                  cutoff, "formal", 0).base)
+    for name, (num, ref) in pairs.items():
+        assert relative_error(num, ref) <= ACCURACY, name
+
+
+def test_continuity_sums_are_near_the_exact_values():
+    spec = SeminormSpec([0.7, 1.3], 0.5)
+    v, w, kmax = [0.5, 0.25], [0.125, -0.5], 8
+    got = star_continuity_report(
+        spec, standard_form(G, "numeric"), minus_i_hbar("numeric"), v, w,
+        kmax=kmax).partial_sums
+    form = standard_form(G, "formal", 0)
+    ev, ew = (truncated_exponential(G, list(map(exact, x)), 1, kmax, "formal",
+                                    0).base for x in (v, w))
+    for k in range(kmax + 1):
+        prod = star(form, GaussianRational(0, -1),
+                    *(Polynomial(G, {e: c for e, c in x.terms.items()
+                                     if sum(e) <= k}, "formal", 0)
+                      for x in (ev, ew)))
+        want = exact_seminorm(spec, prod)
+        assert abs(Decimal(got[k]) - want) / want <= Decimal(ACCURACY), k

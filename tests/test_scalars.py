@@ -16,7 +16,6 @@ from starweyl import (
 )
 from starweyl.parse import scalar_from_json
 from starweyl.scalars import coerce_coeff
-from starweyl.star import _inverse_factorial
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 gaussians = st.builds(GaussianRational, fractions, fractions)
@@ -127,15 +126,6 @@ def test_numeric_negative_zero_reads_as_positive_zero(re, im):
         assert math.copysign(1, s.val.imag) == math.copysign(1, want.imag)
         assert s.val == want
         assert str(s) == repr(want)
-
-
-def test_numeric_inverse_factorials_stay_finite():
-    # up to 170 the float that earlier versions used, then correctly rounded
-    for k in (0, 1, 23, 26, 170):
-        assert _inverse_factorial(k, "numeric") == 1.0 / math.factorial(k)
-    assert 0.0 < _inverse_factorial(171, "numeric") == 1 / math.factorial(171)
-    assert _inverse_factorial(200, "numeric") == 0.0
-    assert _inverse_factorial(200, "formal") == Fraction(1, math.factorial(200))
 
 
 @given(fractions, fractions)

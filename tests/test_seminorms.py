@@ -290,17 +290,25 @@ def test_inner_automorphism_needs_antisymmetry():
 
 
 def _seminorm_of_terms(spec, a, hbar):
-    """p_R(a) computed from the decoded coefficients."""
-    total = 0.0
-    for e, c in a.terms.items():
-        mag = abs(c.eval_at(hbar))
+    """p_R(a) computed from the decoded coefficients: each value summed over
+    the ascending h-orders, the terms of the sorted monomials added by
+    math.fsum."""
+    terms = []
+    for e, c in sorted(a.terms.items()):
+        if isinstance(c, FormalScalar):
+            z = 0j
+            for r, g in sorted(c.coeffs.items()):
+                z += g.to_complex() * hbar**r
+        else:
+            z = c.val
+        mag = abs(z)
         if not mag:
             continue
         for i, k in enumerate(e):
             if k:
                 mag *= spec.weights[i] ** k
-        total += seminorms._factorial_pow(sum(e), spec.R) * mag
-    return total
+        terms.append(seminorms._factorial_pow(sum(e), spec.R) * mag)
+    return math.fsum(terms)
 
 
 floats = st.floats(min_value=-8, max_value=8, allow_subnormal=False)
@@ -330,6 +338,32 @@ def test_seminorm_reads_the_stored_form_as_the_terms(f, R, hbar, weights):
             G, {e: c for e, c in f.terms.items() if sum(e) <= k}, f.domain,
             f.trunc)
         assert list(cut.terms) == [e for e in f.terms if sum(e) <= k]
+
+
+h_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.dictionaries(st.integers(0, 3), gaussians, min_size=1, max_size=3).map(
+        lambda d: FormalScalar(d, 4)),
+    max_size=5,
+).map(lambda d: Polynomial(G, d, "formal", 4))
+
+
+@given(st.one_of(st.tuples(h_polys, h_polys),
+                 st.tuples(numeric_polys, numeric_polys)),
+       st.sampled_from([0.3, 1.0, 2.5]))
+@settings(max_examples=100, deadline=None)
+@example((Polynomial(G, {(0, 0): 2j}, "numeric"),
+          Polynomial(G, {(0, 2): 1j, (0, 1): 1j}, "numeric")), 0.3)
+@example((pf("-3/2*h^2*p^2 - 1/4*i*h^2*p^2 - q^2*p^2 - (1/2+1/2*i)*h^2*q^2*p^2"
+             " + (1/3+i)*h*q + (3-i)*h^2*q"),
+          pf("(-1/2+2*i)*q^2 - (1+i)*h*q^2")), 0.3)
+def test_seminorm_depends_only_on_the_value(pair, hbar):
+    # a + b and b + a store their terms in different orders
+    a, b = pair
+    spec = SeminormSpec((0.7, 1.3), 0.5)
+    assert a + b == b + a
+    assert seminorm_pR(spec, a + b, hbar=hbar) == seminorm_pR(
+        spec, b + a, hbar=hbar)
 
 
 # ------------------------------------------------------- continuity

@@ -421,11 +421,32 @@ def test_numeric_results_carry_no_negative_zero():
     assert (mq * ip).terms[(1, 1)].to_json() == [0.0, -1.0]
 
 
-def test_numeric_ordering_operator_keeps_the_float_factorial():
-    # level k of exp(z Delta_S) carries 1.0/k!; for k = 23 that is not the
-    # float nearest to 1/23!, and the constant term below shows which is used
+def test_numeric_ordering_operator_divides_each_level_by_2k():
+    # level k of exp(z Delta_S) is z * S times the second derivatives of
+    # level k-1 over 2k, as in the formal domain: no factorial is formed,
+    # and the constant term of T(q^23*p^23) with Delta_S = d_q d_p, 23!
+    # (itself a float), is that loop's float, three ulps above it
     s = BilinearForm(("q", "p"), [[0, 1], [1, 0]], "numeric")
     f = poly_from_text("q^23*p^23", ("q", "p"), "numeric")
-    assert 1.0 / math.factorial(23) != float(Fraction(1, math.factorial(23)))
     out = ordering_operator(s, 1).apply(f)
-    assert repr(out.terms[(0, 0)]) == "NumericScalar((2.5852016738884974e+22+0j))"
+    assert repr(out.terms[(0, 0)]) == "NumericScalar((2.585201673888499e+22+0j))"
+    assert out.terms[(0, 0)].val.real - math.factorial(23) == 3 * math.ulp(
+        float(math.factorial(23)))
+
+
+def test_numeric_ordering_operator_runs_past_170_levels():
+    # 172 levels, past 170!, the largest factorial a float holds: each
+    # level z Delta_S level / k stays finite, where Delta_S^k f would not
+    gens = ("q", "p")
+    z = Fraction(1, 1024)
+    got = ordering_operator(BilinearForm(gens, [[0, 1], [1, 0]], "numeric"),
+                            float(z)).apply(
+        Polynomial(gens, {(172, 172): 1}, "numeric"))
+    want = ordering_operator(BilinearForm(gens, [[0, 1], [1, 0]]), z).apply(
+        Polynomial(gens, {(172, 172): 1}))
+    assert sorted(got.terms) == sorted(want.terms)
+    assert len(got.terms) == 173
+    for e, c in want.terms.items():
+        exact = float(c.coefficient(0).re)
+        assert got.terms[e].val.imag == 0.0
+        assert abs(got.terms[e].val.real - exact) <= 1e-13 * exact, e

@@ -405,5 +405,5 @@ def test_prefactor_equals_the_scalar_loop(coeffs, trunc, n):
     arg = FormalScalar(coeffs, trunc)
     one = FormalScalar.constant(1, max(trunc, n))
     got = seminorms._series_sum(one, arg.trunc,
-                                seminorms._formal_slices(one, arg, n))
+                                seminorms._slices(one, arg, n))
     same(got, reference_prefactor(one, arg, n))

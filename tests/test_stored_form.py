@@ -473,6 +473,17 @@ def test_fold_matches_the_fraction_fold(x, z, trunc):
     assert _fold(x, z, trunc) == old_fold(x, z, trunc)
 
 
+@settings(max_examples=30, deadline=None)
+@given(x=forms("numeric"), trunc=truncs)
+def test_numeric_fold_is_the_stored_values(x, trunc):
+    # z = 1 leaves the stored complex values as they are, bit for bit, in
+    # sorted key order: the entries of a numeric star product and bracket
+    den, entries = _fold(x, 1, trunc)
+    assert den == 1
+    assert repr(entries) == repr([(i, j, v, None) for (i, j, _, _), v
+                                  in sorted(x._data.items())])
+
+
 def test_fold_of_the_weyl_form():
     form = standard_form(GENS).antisymmetric_part()
     # z = -i*h: Lambda_01 = -1/2 becomes (i/2)*h, one h and one i raised

@@ -285,8 +285,8 @@ def test_coefficients_cross_one_boundary():
 # term sum too: its product, power, conjugate and cut, and int_encode, which
 # concatenates the stored ints of a sum's coefficients, run on its ints and
 # do not read its decoded .coeffs either. So do the level loops of the two
-# formal exponential series, truncated_exponential's and the ordering
-# operator's: they build no scalar per order.
+# exponential series, truncated_exponential's and the ordering operator's,
+# in both domains: they build no scalar per order.
 
 SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ZERO", "GR_ONE",
                 "GR_I", "Fraction"}
@@ -328,13 +328,15 @@ INT_ONLY = {
     ("poly.py", "Polynomial.translate"),
     ("poly.py", "Polynomial.hbar_coefficient"),
     ("star.py", "_fold"),
-    ("star.py", "_complex_entries"),
     ("star.py", "_star_formal"),
     ("star.py", "BilinearForm.transpose"),
     ("star.py", "TensorSquare.of"),
     ("star.py", "TensorSquare.mu"),
-    ("star.py", "OrderingOperator._apply_formal"),
-    ("seminorms.py", "_formal_slices"),
+    ("star.py", "OrderingOperator.apply"),
+    ("star.py", "_delta_entries"),
+    ("star.py", "_delta_level"),
+    ("seminorms.py", "truncated_exponential"),
+    ("seminorms.py", "_slices"),
     ("ops.py", "DifferentialOperator.apply"),
     ("ops.py", "DifferentialOperator.compose"),
     ("ops.py", "DifferentialOperator.formal_adjoint"),
@@ -537,7 +539,7 @@ def test_detector_sees_a_formal_scalar_off_the_stored_ints():
 
 # the formal exponential's loop as it was, one FormalScalar product per order
 OLD_EXP_LOOP = '''
-def _formal_slices(step, cutoff):
+def _slices(step, cutoff):
     power = Polynomial.one(step.gens, step.domain, step.trunc)
     scale = step.coerce_scalar(1)
     slices = []
@@ -554,11 +556,11 @@ def test_detector_sees_a_scalar_per_order_in_the_exponential():
     sources = _sources()
     tree = ast.parse(sources["seminorms.py"])
     tree.body = [ast.parse(OLD_EXP_LOOP).body[0]
-                 if getattr(n, "name", None) == "_formal_slices" else n
+                 if getattr(n, "name", None) == "_slices" else n
                  for n in tree.body]
     seminorms = ast.unparse(tree)
     assert int_only_offenders({**sources, "seminorms.py": seminorms}) == [
-        ("seminorms.py", "_formal_slices", ["Fraction"]),
+        ("seminorms.py", "_slices", ["Fraction"]),
     ]
 
 
@@ -621,12 +623,20 @@ def test_raw_engine_runs_on_ints():
 # the domain; only these parts may make one: hbar_coefficient (formal
 # only), to_json (which writes the truncation of a formal sum) and
 # poly_from_ast (whose h leaf is formal only). A comparison of two domains
-# is a compatibility check and reads no stored form.
+# is a compatibility check and reads no stored form. The operations that
+# run one loop in both domains, the Poisson bracket, the ordering operator
+# and the truncated exponential with their helpers, make none either.
 
 DOMAIN_FORK_FILES = {"poly.py", "ops.py"}
 DOMAIN_FORK_CLASSES = {("star.py", "TensorSquare"), ("star.py", "BilinearForm"),
+                       ("star.py", "OrderingOperator"),
                        ("lie.py", "UEElement"), ("scalars.py", "TermSum"),
                        ("scalars.py", "FormalScalar")}
+DOMAIN_FORK_FUNCTIONS = {("star.py", "_fold"), ("star.py", "poisson_bracket"),
+                         ("star.py", "_delta_entries"),
+                         ("star.py", "_delta_level"),
+                         ("seminorms.py", "truncated_exponential"),
+                         ("seminorms.py", "_slices")}
 DOMAIN_FORKS_ALLOWED = {
     ("poly.py", "Polynomial.hbar_coefficient"),
     ("poly.py", "Polynomial.to_json"),
@@ -645,9 +655,10 @@ def domain_forks(tree, filename):
     a string, minus the allowed parts."""
     found = []
     for name, node in qualified_parts(tree):
-        in_scope = filename in DOMAIN_FORK_FILES or (
-            (filename, name.split(".")[0]) in DOMAIN_FORK_CLASSES
-            and "." in name)
+        in_scope = (filename in DOMAIN_FORK_FILES
+                    or (filename, name) in DOMAIN_FORK_FUNCTIONS
+                    or ((filename, name.split(".")[0]) in DOMAIN_FORK_CLASSES
+                        and "." in name))
         if not in_scope or (filename, name) in DOMAIN_FORKS_ALLOWED:
             continue
         for sub in ast.walk(node):
@@ -707,6 +718,27 @@ def test_detector_sees_a_domain_fork():
         "self._check(other)\n", "self._check(other)\n        assert self.domain != 'x'\n", 1)
     assert _domain_forks({**sources, "scalars.py": scalars}) == [
         ("scalars.py", "TermSum.__add__"),
+    ]
+    # the numeric branches that poisson_bracket and truncated_exponential
+    # had
+    star = sources["star.py"].replace(
+        "dl, entries = _fold(form, 1, trunc)\n",
+        "dl, entries = _fold(form, 1, trunc)\n"
+        "    assert a.domain == 'formal'\n", 1)
+    seminorms = sources["seminorms.py"].replace(
+        "step = lin.scale(alpha)\n",
+        "step = lin.scale(alpha) if domain == 'formal' else lin\n", 1)
+    assert _domain_forks({**sources, "star.py": star,
+                          "seminorms.py": seminorms}) == [
+        ("seminorms.py", "truncated_exponential"),
+        ("star.py", "poisson_bracket"),
+    ]
+    # and in the ordering operator
+    star = sources["star.py"].replace(
+        "level = f._cut(trunc)\n",
+        "level = f._cut(trunc if f.domain == 'formal' else f.trunc)\n", 1)
+    assert _domain_forks({**sources, "star.py": star}) == [
+        ("star.py", "OrderingOperator.apply"),
     ]
     # a compatibility check, an allowed part and a function outside the
     # term sums of star.py are not forks
