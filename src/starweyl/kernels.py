@@ -2,10 +2,10 @@
 
 The functions take and return plain dicts keyed by exponent tuples, with
 coefficients that support +, *, unary bool (zero test) and
-multiplication by int; the P_Lambda kernels (star_terms, p_lambda_terms,
-bracket_terms) run on packed keys inside (_Layout). They run on
-the values a term sum stores (scalars.py), keys ending in the powers of h
-and i, with each result brought to the stored form once by
+multiplication by int; the P_Lambda kernels (star_terms, star_slices,
+p_lambda_terms, bracket_terms) run on packed keys inside (_Layout). They
+run on the values a term sum stores (scalars.py), keys ending in the
+powers of h and i, with each result brought to the stored form once by
 scalars.stored_canonical:
 
 - formal domain, plain ints, one denominator per operand: the products of
@@ -15,9 +15,15 @@ scalars.stored_canonical:
   (lift_terms);
 - numeric domain, plain complex floats with both slots 0: the same
   kernels of poly.py, and the star product (on keys stripped of the zero
-  slots) and Poisson bracket with complex form entries and weights.
+  slots) and Poisson bracket with complex form entries and weights, and
+  the slices of a star product that the continuity report of seminorms.py
+  adds up (star_slices).
 
-Only the public p_lambda passes coefficient objects.
+star_terms and star_slices form the pairs of terms in one place (_pairs)
+and run one level loop (_levels): a degree window buckets the pairs by
+the sum of their degrees, the slices by the larger of the two.
+shift_terms is a Taylor shift, one variable at a time. Only the public
+p_lambda passes coefficient objects.
 """
 
 from math import comb, inf
@@ -196,27 +202,67 @@ def star_terms(entries, zfacts, a, b, rmax, window=None):
     if not a or not b:
         return {}
     lay = _Layout(entries, [*a, *b], rmax)
-    s = lay.shift
-    low = lay.low
     n, top = window or (0, inf)
+    reach = top + 2 * rmax
+    out = {}
+    _levels(lay, _pairs(lay, a, b, n,
+                        lambda d, e: d + e if d + e <= reach else None),
+            zfacts, rmax, lambda d, r: out if d - 2 * r <= top else None)
+    return lay.unpack(out)
+
+
+def star_slices(entries, zfacts, a, b, rmax, n):
+    """{m: the part of star_terms(entries, zfacts, a, b, rmax) from the
+    pairs of terms whose larger degree is m}, the degree of a key the sum
+    of its first n slots.
+
+    Summed over m <= K, the slices give the product of a and b cut to
+    their terms of degree <= K, for every K at once: each pair of terms is
+    formed once, in the bucket of its larger degree, and each bucket runs
+    the levels of star_terms into its own output.
+    """
+    if not a or not b:
+        return {}
+    lay = _Layout(entries, [*a, *b], rmax)
+    outs = {}
+    _levels(lay, _pairs(lay, a, b, n, max), zfacts, rmax,
+            lambda m, r: outs.setdefault(m, {}))
+    return {m: lay.unpack(out) for m, out in outs.items()}
+
+
+def _pairs(lay, a, b, n, bucket):
+    """{bucket(d, e): packed tensor of the pairs of a term of a of degree d
+    and one of b of degree e} (degrees as in _by_degree), in the order of a
+    and b; a pair whose bucket is None is not formed."""
+    s = lay.shift
     gbs = _by_degree(lay, b, n).items()
     buckets = {}
     for d, ga in _by_degree(lay, a, n).items():
         for e, gb in gbs:
-            if d + e > top + 2 * rmax:
+            k = bucket(d, e)
+            if k is None:
                 continue
-            t = buckets.setdefault(d + e, {})
+            t = buckets.setdefault(k, {})
             for ka, ca in ga:
                 ka <<= s
                 for kb, cb in gb:
                     t[ka | kb] = ca * cb
-    out = {}
+    return buckets
+
+
+def _levels(lay, buckets, zfacts, rmax, sink):
+    """Level r = 0..rmax of each packed tensor in buckets, mu'd, times
+    zfacts[r] and added into the packed term dict sink(bucket, r), or
+    skipped where that is None; each level is P_Lambda of the last."""
+    s = lay.shift
+    low = lay.low
     r = 0
     while buckets:
         zf = zfacts[r]
         if zf:
             for d, t in buckets.items():
-                if d - 2 * r > top:
+                out = sink(d, r)
+                if out is None:
                     continue
                 for key, c in t.items():
                     k = (key >> s) + (key & low)
@@ -232,7 +278,6 @@ def star_terms(entries, zfacts, a, b, rmax, window=None):
             break
         buckets = {d: nxt for d, t in buckets.items()
                    if (nxt := p_lambda_terms(lay, t))}
-    return lay.unpack(out)
 
 
 def _by_degree(lay, terms, n):
@@ -352,51 +397,43 @@ def shift_terms(a, shifts, trunc):
 
     a is an encoded term dict (keys x + (h-order, i-power)). shifts[i] is
     None to leave x_i alone, else (d, s) with s_i = s / d for an encoded
-    scalar s ({(h-order, i-power): n}). Each term is expanded one variable
-    at a time, and every term of variable i is brought over d^K, K the
+    scalar s ({(h-order, i-power): n}). The whole dict is shifted one
+    variable at a time and merged after each, the Taylor shift order of J.
+    von zur Gathen and J. Gerhard ("Fast algorithms for Taylor shifts and
+    certain difference equations", ISSAC 1997): shifting x_i leaves every
+    other exponent alone, so each variable expands the merged terms of the
+    ones before. Every term of variable i is brought over d^K, K the
     largest exponent of x_i in a; den is the product of those powers.
     Orders above trunc are dropped; the i-power is left unreduced for
     int_canonical.
     """
     den = 1
-    tables = []
+    out = a
     for i, sh in enumerate(shifts):
         k_max = max((ea[i] for ea in a), default=0)
         if sh is None or not k_max:
             continue
         d, s = sh
         den *= d ** k_max
-        tables.append((i, _binomial_rows(d, s, k_max, trunc)))
-    out = {}
-    for ea, ca in a.items():
-        acc = {ea: ca}
-        for i, rows in tables:
-            row = rows[ea[i]]
-            nxt = {}
-            for e, c in acc.items():
-                head = e[:i]
-                mid = e[i + 1 : -2]
-                he = e[-2]
-                qe = e[-1]
-                for j, fac in enumerate(row):
-                    for (r, q), f in fac.items():
-                        h = he + r
-                        if h > trunc:
-                            continue
-                        key = head + (j,) + mid + (h, qe + q)
-                        v = c * f
-                        prev = nxt.get(key)
-                        v = v if prev is None else prev + v
-                        if v:
-                            nxt[key] = v
-                        else:
-                            nxt.pop(key, None)
-            acc = nxt
-        for key, v in acc.items():
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+        rows = _binomial_rows(d, s, k_max, trunc)
+        nxt = {}
+        for e, c in out.items():
+            head = e[:i]
+            mid = e[i + 1 : -2]
+            he = e[-2]
+            qe = e[-1]
+            for j, fac in enumerate(rows[e[i]]):
+                for (r, q), f in fac.items():
+                    h = he + r
+                    if h > trunc:
+                        continue
+                    key = head + (j,) + mid + (h, qe + q)
+                    v = c * f
+                    prev = nxt.get(key)
+                    v = v if prev is None else prev + v
+                    if v:
+                        nxt[key] = v
+                    else:
+                        nxt.pop(key, None)
+        out = nxt
     return den, out

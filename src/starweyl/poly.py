@@ -281,13 +281,15 @@ class Polynomial(TermSum):
         return self._canonical(trunc, out, src._den * ds)
 
     def evaluate(self, point):
-        """Evaluate at a point (scalar per generator); returns a scalar."""
+        """Evaluate at a point (scalar per generator); returns a scalar.
+        The terms are added in sorted key order, so equal polynomials give
+        equal numeric values however their terms are stored."""
         n = len(self.gens)
         if len(point) != n:
             raise ValueError("point length mismatch")
         pt, trunc = coerce_coeffs(point, self.domain, self.trunc)
         total = None
-        for e, c in self._cut(trunc).terms.items():
+        for e, c in sorted(self._cut(trunc).terms.items()):
             v = c
             for i, k in enumerate(e):
                 if k:

@@ -451,11 +451,8 @@ class FormalScalar(TermSum):
 
     # -- conversions ------------------------------------------------------------
     def eval_at(self, hbar: float = 1.0) -> complex:
-        """Evaluate at a real value of hbar."""
-        z = 0j
-        for r, c in self.coeffs.items():
-            z += c.to_complex() * hbar**r
-        return z
+        """Evaluate at a real value of hbar (int_value_at)."""
+        return int_value_at(self._orders(), self._den, hbar)
 
     # -- text -----------------------------------------------------------------------
     def canonical(self) -> str:
@@ -745,6 +742,17 @@ def int_groups(ints):
     for key, v in ints.items():
         parts.setdefault(key[:-2], {}).setdefault(key[-2], [0, 0])[key[-1]] = v
     return parts
+
+
+def int_value_at(orders, den, hbar):
+    """The complex value at hbar of sum_r (re + i*im)/den * h^r for orders
+    {r: [re, im]} (as int_groups gives them), the h-orders added in
+    ascending order, so equal series give equal values however they are
+    stored; int / int rounds as float(Fraction) does."""
+    z = 0j
+    for r, (re, im) in sorted(orders.items()):
+        z += complex(re / den, im / den) * hbar**r
+    return z
 
 
 def int_decode(ints, den, trunc):

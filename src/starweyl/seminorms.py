@@ -24,11 +24,12 @@ from .poly import Generators, Polynomial
 from .scalars import (
     DEFAULT_TRUNCATION,
     int_groups,
+    int_value_at,
     stored_canonical,
     stored_reduce,
     stored_sum,
 )
-from .star import BilinearForm, _star_window, star
+from .star import BilinearForm, _star_slices, _star_window, star
 
 
 class SeminormSpec:
@@ -117,19 +118,14 @@ def _factorial_pow(k: int, r: float) -> float:
 
 def _values_at(p: Polynomial, hbar):
     """(monomial, value at hbar) pairs of p's stored form (a numeric key
-    keeps its zero slots), each value summed over the ascending h-orders,
-    so equal polynomials give equal values however their terms are stored;
-    int / int rounds as float(Fraction) does."""
+    keeps its zero slots), a formal value summed over its ascending
+    h-orders by int_value_at, so equal polynomials give equal values
+    however their terms are stored."""
     if p.domain != "formal":
         # the zero slots add nothing to a degree or a weight
         return p._data.items()
-    out = []
-    for e, orders in int_groups(p._data).items():
-        z = 0j
-        for r, (re, im) in sorted(orders.items()):
-            z += complex(re / p._den, im / p._den) * hbar**r
-        out.append((e, z))
-    return out
+    return [(e, int_value_at(orders, p._den, hbar))
+            for e, orders in int_groups(p._data).items()]
 
 
 def seminorm_pR(spec: SeminormSpec, a, hbar: float = 1.0, R=None) -> float:
@@ -561,13 +557,16 @@ def star_continuity_report(spec: SeminormSpec, form: BilinearForm, z, v, w,
         raise IncompatibleError("star_continuity_report needs a numeric form")
     gens = form.gens
     # E_K is the part of E_kmax of degree <= K: its degree-j part does not
-    # depend on the cutoff
+    # depend on the cutoff, so E_K * E_K is the sum of the slices m <= K
+    # of E_kmax * E_kmax, added here in the order of K
     ev = truncated_exponential(gens, v, 1, max(kmax, 0), "numeric", 0).base
     ew = truncated_exponential(gens, w, 1, max(kmax, 0), "numeric", 0).base
-    zz = ev.coerce_scalar(z)
+    slices = _star_slices(form, ev.coerce_scalar(z), ev, ew)
+    prod = Polynomial.zero(gens, "numeric", 0)
     sums = []
     for k in range(kmax + 1):
-        prod = star(form, zz, _degree_cut(ev, k), _degree_cut(ew, k))
+        if k in slices:
+            prod = prod + slices[k]
         sums.append(seminorm_pR(spec, prod, hbar=hbar))
     monotone = all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
     tail = abs(sums[-1] - sums[-2]) if len(sums) >= 2 else math.inf

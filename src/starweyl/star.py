@@ -316,18 +316,25 @@ def _z_factors(z, trunc, rmax):
 _WINDOW = contextvars.ContextVar("star_window", default=None)
 
 
-def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b deformed by exp(z P_Lambda); exact, terminating series."""
-    top = _WINDOW.get()
+def _operands(form, a, b):
+    """The truncation of a product of a and b under form, after checking
+    that the three share one algebra and that a and b have at most
+    MAX_PRODUCT_PAIRS pairs of terms."""
     a._check(b)
     if form.gens != a.gens or form.domain != a.domain:
         raise IncompatibleError("form and operands over different algebras")
-    if top is not None and a.domain != "formal":
-        raise IncompatibleError("a degree window needs the formal domain")
     check_product_size(a, b)
+    return min(a.trunc, b.trunc, form.trunc)
+
+
+def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b deformed by exp(z P_Lambda); exact, terminating series."""
+    top = _WINDOW.get()
     # the coefficients are exact only up to the smallest truncation in play,
     # z's among them
-    trunc = min(a.trunc, b.trunc, form.trunc)
+    trunc = _operands(form, a, b)
+    if top is not None and a.domain != "formal":
+        raise IncompatibleError("a degree window needs the formal domain")
     if a.domain == "formal":
         z = coerce_coeff(z, "formal", trunc)
         trunc = z.trunc
@@ -338,14 +345,38 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
         window = None if top is None else (len(a.gens), top)
         return a._like(trunc, *_star_formal(form, z, a, b, rmax, trunc,
                                             window))
+    return a._like(trunc, *_numeric_form(_star_numeric(
+        kernels.star_terms, form, z, a, b, rmax, trunc)))
+
+
+def _star_numeric(kernel, form, z, a, b, rmax, trunc, *args):
+    """kernel(entries, zfacts, a, b, rmax, *args) on numeric operands: the
+    form's own entries, the complex level weights z^r/r!, and the stored
+    values of a and b under keys without their two zero slots, which would
+    push a packed 2-generator key past one 30-bit int digit."""
     zfacts = _z_factors(z, trunc, rmax)
-    # the two zero slots of a numeric key would push a packed 2-generator
-    # key past one 30-bit int digit, so the kernel runs without them
-    out = kernels.star_terms(_fold(form, 1, trunc)[1], zfacts, *(
+    return kernel(_fold(form, 1, trunc)[1], zfacts, *(
         {k[:-2]: v for k, v in x._data.items()} for x in (a, b)),
-        len(zfacts) - 1)
-    return a._like(trunc, *num_canonical({k + (0, 0): v
-                                          for k, v in out.items()}))
+        len(zfacts) - 1, *args)
+
+
+def _numeric_form(out):
+    """The numeric stored form of terms a kernel returned on keys without
+    the zero slots."""
+    return num_canonical({k + (0, 0): v for k, v in out.items()})
+
+
+def _star_slices(form, z, a, b):
+    """{m: slice m} for numeric a and b: slice m is the part of
+    star(form, z, a, b) that the pairs of a term of a and a term of b of
+    larger degree m contribute, so the slices m <= K add up to the product
+    of a and b cut to their terms of degree <= K. The product's checks come
+    first, on the whole of a and b, and each pair is formed once
+    (kernels.star_slices)."""
+    trunc = _operands(form, a, b)
+    slices = _star_numeric(kernels.star_slices, form, z, a, b,
+                           min(a.degree(), b.degree()), trunc, len(a.gens))
+    return {m: a._like(trunc, *_numeric_form(t)) for m, t in slices.items()}
 
 
 def _star_window(form, z, a, b, top):
@@ -416,11 +447,7 @@ def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynom
     On linear elements {v, w} = Lambda(v, w) - Lambda(w, v); only the
     antisymmetric part of Lambda contributes.
     """
-    a._check(b)
-    if form.gens != a.gens or form.domain != a.domain:
-        raise IncompatibleError("form and operands over different algebras")
-    check_product_size(a, b)
-    trunc = min(a.trunc, b.trunc, form.trunc)
+    trunc = _operands(form, a, b)
     dl, entries = _fold(form, 1, trunc)
     a = a._cut(trunc)
     b = b._cut(trunc)

@@ -11,7 +11,7 @@ side, must give the same values, truncations and text.
 import operator
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starweyl import FormalScalar, GaussianRational
@@ -197,9 +197,9 @@ def agree(x, ref):
     assert repr(x) == f"FormalScalar({ordered!r}, trunc={ref.trunc})"
     for r in range(x.trunc + 1):
         assert x.coefficient(r) == ref.coeffs.get(r, GR_ZERO)
-    # eval_at sums in the stored order too
+    # eval_at sums the orders in ascending order
     z = 0j
-    for r in x.coeffs:
+    for r in sorted(x.coeffs):
         z += ref.coeffs[r].to_complex() * 0.5**r
     assert x.eval_at(0.5) == z
 
@@ -254,6 +254,16 @@ def test_constant_operands_on_either_side(a, c, op, left):
         assert got == want
     else:
         agree(got, want)
+
+
+@given(series, series, st.sampled_from([0.3, 0.5, 1.0, 2.5]))
+@settings(max_examples=200)
+@example(({0: 1, 1: -1}, 2), ({2: 1}, 2), 0.3)
+def test_eval_at_depends_only_on_the_value(a, b, hbar):
+    # a + b and b + a store their h-orders in different orders
+    (x, _), (y, _) = both(a), both(b)
+    assert x + y == y + x
+    assert repr((x + y).eval_at(hbar)) == repr((y + x).eval_at(hbar))
 
 
 @given(series, st.integers(0, 6), st.integers(0, 9))

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
@@ -241,6 +241,25 @@ def test_hbar_coefficient_reassembles():
         total = total + f.hbar_coefficient(r) * hpow
         hpow = hpow * h
     assert total == f
+
+
+numeric_polys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                       allow_infinity=False),
+    max_size=6,
+).map(lambda d: Polynomial(GENS2, d, "numeric"))
+
+
+@given(numeric_polys, numeric_polys)
+@settings(max_examples=200)
+@example(Polynomial(GENS2, {(0, 0): 1}, "numeric"),
+         Polynomial(GENS2, {(0, 1): 1, (1, 0): 2}, "numeric"))
+def test_numeric_evaluate_depends_only_on_the_value(a, b):
+    # a + b and b + a store their terms in different orders
+    point = (complex(0.3, -1.1), 1.7)
+    assert a + b == b + a
+    assert repr((a + b).evaluate(point)) == repr((b + a).evaluate(point))
 
 
 def test_numeric_evaluate():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from starweyl import (
     FormalScalar,
     GaussianRational,
     Generators,
+    IncompatibleError,
     Polynomial,
     SeminormSpec,
     StarWeylError,
@@ -31,7 +33,7 @@ from starweyl import (
     weyl_form,
     weyl_relation_defect,
 )
-from starweyl import seminorms
+from starweyl import kernels, seminorms
 
 G = Generators(("q", "p"))
 Z = minus_i_hbar()
@@ -380,24 +382,51 @@ def test_continuity_partial_sums():
     assert all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
 
 
+ACCURACY = 1e-14
+
+
+def exact_pR(spec, p):
+    """p_R at R = 1/2 of an h-free formal polynomial to 50 digits, the
+    weights the exact rationals of the spec's floats."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = Decimal(0)
+        for e, c in p.terms.items():
+            g = c.coefficient(0)
+            m2 = g.re ** 2 + g.im ** 2
+            mag = (Decimal(m2.numerator) / Decimal(m2.denominator)).sqrt()
+            for wi, k in zip(spec.weights, e):
+                mag *= Decimal(wi) ** k
+            total += Decimal(math.factorial(sum(e))).sqrt() * mag
+        return total
+
+
 @pytest.mark.parametrize("v,w,kmax", [
     ((1.0, 0.0), (0.0, 1.0), 12),
     ((0.5, -1.25), (2.0, 0.75), 9),
     ((0.0, 0.0), (1.5, 1.0), 4),
 ])
 def test_continuity_cuts_one_exponential(v, w, kmax):
-    # the partial sums equal, bit for bit, those of exponentials built
-    # afresh at every cutoff K
+    # the partial sums agree, to ACCURACY relative, with those of
+    # exponentials built afresh at every cutoff K, which add the float
+    # terms of the product in another order, and both agree to ACCURACY
+    # with the exact p_R of the exact product (the float inputs are dyadic)
     spec = SeminormSpec((1.0, 2.0), 0.5)
     nform = standard_form(G, domain="numeric").antisymmetric_part()
+    fform = standard_form(G, "formal", 0).antisymmetric_part()
     z = complex(0, -1)
-    want = []
-    for k in range(kmax + 1):
-        ev = truncated_exponential(G, v, 1, k, "numeric", 0).base
-        ew = truncated_exponential(G, w, 1, k, "numeric", 0).base
-        want.append(seminorm_pR(spec, star(nform, z, ev, ew)))
     rep = star_continuity_report(spec, nform, z, v, w, kmax=kmax)
-    assert list(map(repr, rep.partial_sums)) == list(map(repr, want))
+    assert len(rep.partial_sums) == kmax + 1
+    for k, got in enumerate(rep.partial_sums):
+        ev, ew = (truncated_exponential(G, x, 1, k, "numeric", 0).base
+                  for x in (v, w))
+        fresh = seminorm_pR(spec, star(nform, z, ev, ew))
+        assert abs(got - fresh) <= ACCURACY * fresh, k
+        fv, fw = (truncated_exponential(G, list(map(Fraction, x)), 1, k,
+                                        "formal", 0).base for x in (v, w))
+        want = exact_pR(spec, star(fform, GaussianRational(0, -1), fv, fw))
+        for x in (got, fresh):
+            assert abs(Decimal(x) - want) <= Decimal(ACCURACY) * want, k
 
 
 def test_continuity_honest_failure_when_cut_short():
@@ -406,3 +435,25 @@ def test_continuity_honest_failure_when_cut_short():
     rep = star_continuity_report(spec, nform, complex(0, -1), (1.0, 0.0), (0.0, 1.0), kmax=6)
     assert rep.monotone
     assert not rep.converged  # tail still far above tolerance at K = 6
+
+
+def test_continuity_checks_the_whole_product_before_any_pair(monkeypatch):
+    # E_16 on 4 generators has C(20, 4) = 4,845 terms: the product of the
+    # two has 23,474,025 pairs, above MAX_PRODUCT_PAIRS = 2**24, and the
+    # report refuses it before the kernel forms a single pair
+    def no_pairs(*args):
+        raise AssertionError("a pair was formed")
+
+    monkeypatch.setattr(kernels, "_pairs", no_pairs)
+    g4 = Generators(("q1", "q2", "p1", "p2"))
+    v = (0.5, -0.25, 0.125, 1.0)
+    with pytest.raises(StarWeylError, match="23474025 term pairs"):
+        star_continuity_report(SeminormSpec((1.0,) * 4, 0.5),
+                               standard_form(g4, "numeric"), complex(0, -1),
+                               v, v, kmax=16)
+
+
+def test_continuity_needs_a_numeric_form():
+    with pytest.raises(IncompatibleError, match="numeric form"):
+        star_continuity_report(SPEC, standard_form(G), Z, (1, 0), (0, 1),
+                               kmax=4)

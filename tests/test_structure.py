@@ -286,7 +286,9 @@ def test_coefficients_cross_one_boundary():
 # concatenates the stored ints of a sum's coefficients, run on its ints and
 # do not read its decoded .coeffs either. So do the level loops of the two
 # exponential series, truncated_exponential's and the ordering operator's,
-# in both domains: they build no scalar per order.
+# in both domains: they build no scalar per order. The one-pass continuity
+# report, from star_continuity_report down to the kernel's slice buckets,
+# sums the stored values as well.
 
 SCALAR_NAMES = {"GaussianRational", "FormalScalar", "GR_ZERO", "GR_ONE",
                 "GR_I", "Fraction"}
@@ -312,6 +314,9 @@ INT_ONLY = {
     ("kernels.py", "scale_terms"),
     ("kernels.py", "shift_terms"),
     ("kernels.py", "_binomial_rows"),
+    ("kernels.py", "star_slices"),
+    ("kernels.py", "_pairs"),
+    ("kernels.py", "_levels"),
     ("scalars.py", "int_encode"),
     ("scalars.py", "int_reduce"),
     ("scalars.py", "int_canonical"),
@@ -335,8 +340,12 @@ INT_ONLY = {
     ("star.py", "OrderingOperator.apply"),
     ("star.py", "_delta_entries"),
     ("star.py", "_delta_level"),
+    ("star.py", "_star_numeric"),
+    ("star.py", "_numeric_form"),
+    ("star.py", "_star_slices"),
     ("seminorms.py", "truncated_exponential"),
     ("seminorms.py", "_slices"),
+    ("seminorms.py", "star_continuity_report"),
     ("ops.py", "DifferentialOperator.apply"),
     ("ops.py", "DifferentialOperator.compose"),
     ("ops.py", "DifferentialOperator.formal_adjoint"),
