@@ -19,9 +19,10 @@ scalars.stored_canonical:
   the slices of a star product that the continuity report of seminorms.py
   adds up (star_slices).
 
-star_terms and star_slices form the pairs of terms in one place (_pairs)
-and run one level loop (_levels): a degree window buckets the pairs by
-the sum of their degrees, the slices by the larger of the two.
+star_terms, star_slices and bracket_terms run the star product as the
+series of bidifferential operators it is (_series), with no tensor
+square; a window keeps the products of buckets of degree and h-order
+inside it, the slices file a product by the larger degree of its pair.
 shift_terms is a Taylor shift, one variable at a time. Only the public
 p_lambda passes coefficient objects.
 """
@@ -49,47 +50,77 @@ def mul_terms(a, b):
     return out
 
 
+def _raises(entries):
+    """[left with its -1 at slot i added back, a list, or None] for each
+    entry (i, j, lam, left): its raises. A ValueError unless every raise is
+    >= 0 and sits on a slot that no entry differentiates."""
+    used = {k for e in entries for k in e[:2]}
+    ups = []
+    for i, j, _, left in entries:
+        if left:
+            up = list(left)
+            up[i] += 1
+            if min(up) < 0 or any(map(up.__getitem__, used)):
+                raise ValueError(f"entry ({i}, {j}) moves the slots by {left}: "
+                                 f"it may lower slot {i} by one and raise "
+                                 "slots that no entry differentiates")
+            left = up
+        ups.append(left)
+    return ups
+
+
 class _Layout:
     """Packed monomials for one call of the P_Lambda kernels (Monagan and
     Pearce, "Sparse polynomial multiplication and division in Maple 14",
     2009).
 
-    A key of n slots packs into the int sum_k key[k] << k*width, and a
-    tensor-square key (ka, kb) into ka << shift | kb with shift = n*width.
-    The width fits the largest slot value the call can reach: slots start
-    at top or below, each of at most rmax P_Lambda steps raises a left slot
-    by at most inc, and mu adds two keys, so no field exceeds
-    2*top + rmax*inc; one bit more is spare. Packed keys then add field by
-    field without a carry, and mu is (key >> shift) + (key & low).
+    A key of n slots packs into the int sum_k key[k] << k*width. The width
+    fits the largest slot value the call can reach: slots start at top or
+    below, at most rmax steps raise a slot by at most inc each, and a
+    product adds two keys, so no field exceeds 2*top + rmax*inc; one bit
+    more is spare. Packed keys then add field by field without a carry.
 
-    A kernel entry (i, j, lam, left) becomes the step (shift + i*width,
-    j*width, lam, delta): the step reads slot i of the left factor and
-    slot j of the right one with a shift and a mask, and its new key is
-    key + delta, which lowers both by one and adds left's raises of the
-    other slots.
+    A term of a right factor B_r[mu] (_series) is the int mu << cshift |
+    g << shift | key, mu in fields of rmax.bit_length() bits, its bucket g
+    deg * dw + h * hw: deg the sum of the key's first n slots, h its slot
+    n (a formal h-order), dw 1 << width and hw 1 if the call reads them,
+    else 0. An entry (i, j, lam, left) becomes the step (j*width, lam,
+    delta): term + delta lowers slot j by one, adds the entry's raises
+    (_raises; exact on the right factor, as no entry differentiates their
+    slots), moves g to deg - 1 and h plus the raise, and mu to mu + e_i.
+    room is the largest h-order a right term may reach.
     """
 
-    __slots__ = ("width", "mask", "shift", "low", "steps")
+    __slots__ = ("width", "mask", "shift", "cshift", "n", "dw", "hw", "room",
+                 "steps", "lefts")
 
-    def __init__(self, entries, keys, rmax):
-        """The layout of a call that starts from keys (a list of tuples of
-        one length) and applies the entries at most rmax times."""
-        top = max(map(max, keys))
-        inc = max([max(e[3]) for e in entries if e[3]] + [0])
+    def __init__(self, entries, a, b, rmax, n=0, degrees=False, trunc=inf):
+        """The layout of a call on the keys of a and b, at most rmax
+        steps."""
+        ups = _raises(entries)
+        inc = max([max(up) for up in ups if up] + [0])
+        top = max(max(map(max, a)), max(map(max, b)))
         self.width = w = (2 * top + rmax * inc).bit_length() + 1
         self.mask = (1 << w) - 1
-        self.shift = s = len(keys[0]) * w
-        self.low = (1 << s) - 1
-        self.steps = [
-            (s + i * w, j * w, lam,
-             (self.key(left) << s if left else -(1 << (s + i * w)))
-             - (1 << (j * w)))
-            for i, j, lam, left in entries
-        ]
+        s = self.shift = len(next(iter(a))) * w
+        mw = rmax.bit_length() or 1
+        self.n = n
+        dw = self.dw = 1 << w if degrees else 0
+        hw = self.hw = 1 if trunc < inf else 0
+        c = self.cshift = s + (2 * w + n.bit_length() + 1 if dw or hw else 0)
+        self.room = trunc - min([e[n] for e in a]) if hw else inf
+        lefts = {}
+        self.steps = steps = []
+        for (i, j, lam, _), up in zip(entries, ups):
+            lefts[i] = (1 << i * mw, i * w, 1 << i * w)
+            delta = (1 << i * mw + c) - (dw << s) - (1 << j * w)
+            if up:
+                delta += self.key(up) + ((up[n] if hw else 0) << s)
+            steps.append((j * w, lam, delta))
+        self.lefts = list(lefts.values())
 
     def key(self, e):
-        """The packed key of the tuple e (whose slots may be negative: the
-        int is sum_k e[k] << k*width)."""
+        """The packed key of the tuple e."""
         w = self.width
         p = 0
         for v in reversed(e):
@@ -101,217 +132,193 @@ class _Layout:
         m = self.mask
         return tuple([p >> o & m for o in range(0, self.shift, self.width)])
 
-    def pack(self, terms):
-        return {self.key(e): c for e, c in terms.items()}
-
     def unpack(self, terms):
         m = self.mask
         offsets = range(0, self.shift, self.width)
-        return {tuple([p >> o & m for o in offsets]): c for p, c in terms.items()}
-
-    def pack_tensor(self, t):
-        s = self.shift
-        return {self.key(ea) << s | self.key(eb): c for (ea, eb), c in t.items()}
-
-    def unpack_tensor(self, t):
-        s = self.shift
-        low = self.low
-        return {(self.slots(p >> s), self.slots(p & low)): c
-                for p, c in t.items()}
+        return {tuple([p >> o & m for o in offsets]): c
+                for p, c in terms.items() if c}
 
 
-def _step(lay, t):
-    """P_Lambda on the tensor t packed in the layout lay."""
-    mask = lay.mask
-    steps = lay.steps
-    out = {}
-    for key, c in t.items():
-        for si, sj, lam, delta in steps:
-            ai = key >> si & mask
-            if ai:
-                bj = key >> sj & mask
-                if bj:
-                    k = key + delta
-                    v = c * (lam * (ai * bj))
-                    prev = out.get(k)
-                    v = v if prev is None else prev + v
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-    return out
+def p_lambda_terms(lay, level):
+    """One P_Lambda step of the right factors B_r -> B_{r+1}, packed in
+    the layout lay: B_{r+1}[mu + e_i] = sum_j lam_ij d_j B_r[mu] over every
+    mu and entry that reach it, no term past the h-order lay.room.
 
-
-def _mu(lay, t):
-    """mu of the tensor t packed in the layout lay."""
-    s = lay.shift
-    low = lay.low
-    out = {}
-    for key, c in t.items():
-        k = (key >> s) + (key & low)
-        prev = out.get(k)
-        v = c if prev is None else prev + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
-def p_lambda_terms(entries, t):
-    """One application of P_Lambda to a tensor-square term dict.
-
-    Contracts one derivative on each side: the coefficient picks up
-    lam_ij * alpha_i * beta_j and both exponents drop by one unit. entries
-    are the nonzero (i, j, lam_ij, left) of the bilinear form; left is None
-    or a tuple added to the left exponent in place of its drop at i: the -1
-    at i plus raises (>= 0) of further slots (the integer star encoding
-    keeps the powers of h and i in two extra slots). t maps
-    (exp_left, exp_right) to coefficients.
-
-    The step runs on packed keys (_Layout): a tuple-keyed t is packed,
-    stepped and written back. star_terms and bracket_terms, which step a
-    packed tensor, pass their _Layout as entries and the packed t, and get
-    the packed result.
+    Given tuple entries and a tensor square (exp_left, exp_right) ->
+    coefficient, it is P_Lambda of the tensor: the same step with one left
+    monomial per class, then lowered at slot i and times its exponent
+    there; an entry's raises land on the right factor.
     """
-    if isinstance(entries, _Layout):
-        return _step(entries, t)
-    if not t:
-        return {}
-    lay = _Layout(entries, [e for pair in t for e in pair], 1)
-    return lay.unpack_tensor(_step(lay, lay.pack_tensor(t)))
+    if not isinstance(lay, _Layout):
+        entries, t = lay, level
+        if not t:
+            return {}
+        lay = _Layout(entries, [ea for ea, _ in t], [eb for _, eb in t], 1)
+        rights = {}
+        for (ea, eb), c in t.items():
+            rights.setdefault(ea, {})[lay.key(eb)] = c
+        out = {}
+        for ea, right in rights.items():
+            for k, c in p_lambda_terms(lay, right).items():
+                i = (k >> lay.shift).bit_length() - 1  # mu = e_i
+                if ea[i]:
+                    key = (ea[:i] + (ea[i] - 1,) + ea[i + 1:],
+                           lay.slots(k & (1 << lay.shift) - 1))
+                    c = c * ea[i]
+                    out[key] = out[key] + c if key in out else c
+        return {key: c for key, c in out.items() if c}
+    mask, room, steps = lay.mask, lay.room, lay.steps
+    sh = lay.n * lay.width
+    out = {}
+    for key, c in level.items():
+        for sj, lam, delta in steps:
+            bj = key >> sj & mask
+            if bj:
+                k = key + delta
+                if k >> sh & mask > room:
+                    continue
+                v = c * (lam * bj)
+                prev = out.get(k)
+                v = v if prev is None else prev + v
+                if v:
+                    out[k] = v
+                else:
+                    out.pop(k, None)
+    return out
+
+
+def _series(lay, a, b, zfacts, rmax, route):
+    """sum_r zfacts[r] * mu(P_Lambda^r(a (x) b)) as a bidifferential
+    operator, into the packed term dicts route names: level r is the sum
+    over |mu| = r of (d^mu a) * B_r[mu], d^mu a from a table of one level's
+    classes (one list of (packed key, coefficient) per bucket, a class's
+    first derivatives giving the next level's), B_0[0] = b and each level
+    p_lambda_terms of the last, the right factor merged over every path to
+    mu. Products of bucket gd of d^mu a and bucket gb of B_r[mu] go into
+    route(r, gd, gb), or are not formed where that is None; a class whose
+    d^mu a is 0 is dropped."""
+    mask, s, dw, n, hw = lay.mask, lay.shift, lay.dw, lay.n, lay.hw
+    low = (1 << s) - 1
+    gs = lay.cshift - s
+    gmask = (1 << gs) - 1
+
+    def bucket(e):
+        return sum(e[:n]) * dw + (e[n] if hw else 0)
+
+    table = {0: {}}
+    for e, c in a.items():
+        table[0].setdefault(bucket(e), []).append((lay.key(e), c))
+    level = {bucket(e) << s | lay.key(e): c for e, c in b.items()}
+    r = 0
+    while True:
+        zf = zfacts[r]
+        nxt = {} if r < rmax else None
+        targets, dead = {}, []
+        for kb, cb in level.items():
+            cls = kb >> s
+            tg = targets.get(cls)
+            if tg is None:
+                # a class met for the first time: its routes, and the
+                # derivatives of its d^mu a for the next level
+                mu = cls >> gs
+                d = table.get(mu) or {}
+                tg = targets[cls] = [] if d else False
+                for g, t in d.items():
+                    if (out := route(r, g, cls & gmask)) is not None:
+                        tg.append((out, t))
+                for dmu, si, e in lay.lefts if d and nxt is not None else ():
+                    if mu + dmu not in nxt:
+                        nxt[mu + dmu] = dm = {}
+                        for g, t in d.items():
+                            dt = []
+                            for k, x in t:
+                                if ai := k >> si & mask:
+                                    dt.append((k - e, x * ai))
+                            if dt:
+                                dm[g - dw] = dt
+            if tg and zf:
+                cb = cb * zf
+                kb &= low
+                for out, t in tg:
+                    get = out.get
+                    for k, x in t:
+                        k += kb
+                        out[k] = get(k, 0) + x * cb
+            elif tg is False:
+                dead.append(kb)
+        if nxt is None:
+            return
+        for kb in dead:
+            del level[kb]
+        level = p_lambda_terms(lay, level)
+        if not level:
+            return
+        table = nxt
+        r += 1
 
 
 def star_terms(entries, zfacts, a, b, rmax, window=None):
-    """Accumulated star product sum_r zfacts[r] * mu(P_Lambda^r(a (x) b)).
+    """Accumulated star product sum_r zfacts[r] * mu(P_Lambda^r(a (x) b)),
+    computed as a bidifferential operator (_series) on packed keys.
 
-    zfacts[r] is the weight of level r (z^r / r! with z outside the
-    entries, or an integer weight when z is folded into them); rmax bounds
-    the number of P_Lambda applications. The levels run on packed keys
-    (_Layout), each through p_lambda_terms.
-
-    window = (n, top) keeps only the output terms whose first n slots sum
-    to at most top. It is exact when every entry lowers those slots by
-    exactly 2 in all (left raises only later slots, as star's folded
-    entries do): a pair of degree d = deg a + deg b then has degree d - 2r
-    at level r, so a pair with d > top + 2*rmax is never formed, and level
-    r runs mu only on the pairs with d - 2r <= top. The tensor is kept in
-    one bucket per d for that. No window is the window (0, inf): one
-    bucket, formed and summed in the order of a and b.
+    zfacts[r] weighs level r (z^r / r!, or an integer weight when z is
+    folded into the entries); rmax bounds the P_Lambda steps. window = (n,
+    top, trunc) keeps the output terms whose first n slots sum to at most
+    top and whose slot n (the h-order) is at most trunc, either bound
+    possibly inf; exact when every entry lowers those n slots by 2 in all
+    and raises only later ones, as star's folded entries do. A product of
+    buckets of degrees d and e and orders h and k has degree d + e and
+    order h + k, so only the products inside the window are formed.
     """
     if not a or not b:
         return {}
-    lay = _Layout(entries, [*a, *b], rmax)
-    n, top = window or (0, inf)
-    reach = top + 2 * rmax
+    n, top, trunc = window or (0, inf, inf)
+    lay = _Layout(entries, a, b, rmax, n, top < inf, trunc)
+    w, mask = lay.width, lay.mask
     out = {}
-    _levels(lay, _pairs(lay, a, b, n,
-                        lambda d, e: d + e if d + e <= reach else None),
-            zfacts, rmax, lambda d, r: out if d - 2 * r <= top else None)
+    _series(lay, a, b, zfacts, rmax,
+            lambda r, gd, gb: out if ((s := gd + gb) >> w <= top
+                                      and s & mask <= trunc) else None)
     return lay.unpack(out)
 
 
 def star_slices(entries, zfacts, a, b, rmax, n):
     """{m: the part of star_terms(entries, zfacts, a, b, rmax) from the
     pairs of terms whose larger degree is m}, the degree of a key the sum
-    of its first n slots.
-
-    Summed over m <= K, the slices give the product of a and b cut to
-    their terms of degree <= K, for every K at once: each pair of terms is
-    formed once, in the bucket of its larger degree, and each bucket runs
-    the levels of star_terms into its own output.
-    """
+    of its first n slots. Summed over m <= K, the slices give the product
+    of a and b cut to their terms of degree <= K, for every K at once. A
+    product at level r of terms of degrees d and e comes from terms of a
+    and b of degrees d + r and e + r: it goes into slice r + max(d, e)."""
     if not a or not b:
         return {}
-    lay = _Layout(entries, [*a, *b], rmax)
+    lay = _Layout(entries, a, b, rmax, n, True)
     outs = {}
-    _levels(lay, _pairs(lay, a, b, n, max), zfacts, rmax,
-            lambda m, r: outs.setdefault(m, {}))
+    _series(lay, a, b, zfacts, rmax, lambda r, gd, gb: outs.setdefault(
+        r + (max(gd, gb) >> lay.width), {}))
     return {m: lay.unpack(out) for m, out in outs.items()}
 
 
-def _pairs(lay, a, b, n, bucket):
-    """{bucket(d, e): packed tensor of the pairs of a term of a of degree d
-    and one of b of degree e} (degrees as in _by_degree), in the order of a
-    and b; a pair whose bucket is None is not formed."""
-    s = lay.shift
-    gbs = _by_degree(lay, b, n).items()
-    buckets = {}
-    for d, ga in _by_degree(lay, a, n).items():
-        for e, gb in gbs:
-            k = bucket(d, e)
-            if k is None:
-                continue
-            t = buckets.setdefault(k, {})
-            for ka, ca in ga:
-                ka <<= s
-                for kb, cb in gb:
-                    t[ka | kb] = ca * cb
-    return buckets
-
-
-def _levels(lay, buckets, zfacts, rmax, sink):
-    """Level r = 0..rmax of each packed tensor in buckets, mu'd, times
-    zfacts[r] and added into the packed term dict sink(bucket, r), or
-    skipped where that is None; each level is P_Lambda of the last."""
-    s = lay.shift
-    low = lay.low
-    r = 0
-    while buckets:
-        zf = zfacts[r]
-        if zf:
-            for d, t in buckets.items():
-                out = sink(d, r)
-                if out is None:
-                    continue
-                for key, c in t.items():
-                    k = (key >> s) + (key & low)
-                    v = c * zf
-                    prev = out.get(k)
-                    v = v if prev is None else prev + v
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        r += 1
-        if r > rmax:
-            break
-        buckets = {d: nxt for d, t in buckets.items()
-                   if (nxt := p_lambda_terms(lay, t))}
-
-
-def _by_degree(lay, terms, n):
-    """{degree: [(packed key, coefficient)]} of a term dict, the degree of
-    a key the sum of its first n slots."""
-    out = {}
-    for e, c in terms.items():
-        out.setdefault(sum(e[:n]), []).append((lay.key(e), c))
-    return out
-
-
 def bracket_terms(entries, a, b):
-    """mu(P_Lambda(a (x) b) - P_Lambda(b (x) a)) for term dicts a and b,
-    on packed keys; zero products of a term of a and one of b are left
-    out of the tensors."""
+    """mu(P_Lambda(a (x) b) - P_Lambda(b (x) a)) for term dicts a and b.
+
+    mu(P_Lambda(b (x) a)) is sum_ij lam_ji d_i a d_j b, so this is level 1
+    of a * b under the entries lam_ij - lam_ji (parts with equal raises
+    combined), on packed keys: the symmetric part of the form cancels in
+    the entries, exactly, in both domains.
+    """
     if not a or not b:
         return {}
-    lay = _Layout(entries, [*a, *b], 1)
-    s = lay.shift
-    pa = lay.pack(a)
-    pb = lay.pack(b)
-    t = p_lambda_terms(lay, {ka << s | kb: v for ka, ca in pa.items()
-                             for kb, cb in pb.items() if (v := ca * cb)})
-    rhs = p_lambda_terms(lay, {kb << s | ka: v for kb, cb in pb.items()
-                               for ka, ca in pa.items() if (v := cb * ca)})
-    for k, c in rhs.items():
-        c = -c
-        prev = t.get(k)
-        v = c if prev is None else prev + c
-        if v:
-            t[k] = v
-        else:
-            t.pop(k, None)
-    return lay.unpack(_mu(lay, t))
+    parts = {}
+    for (i, j, lam, _), up in zip(entries, _raises(entries)):
+        up = tuple(up) if up and any(up) else None
+        parts[i, j, up] = parts.get((i, j, up), 0) + lam
+        parts[j, i, up] = parts.get((j, i, up), 0) - lam
+    lay = _Layout([(i, j, v, up and tuple(x - (k == i)
+                                          for k, x in enumerate(up)))
+                   for (i, j, up), v in parts.items() if v], a, b, 1)
+    out = {}
+    _series(lay, a, b, (0, 1), 1, lambda r, gd, gb: out)
+    return lay.unpack(out)
 
 
 def lift_terms(a, b, raws, trunc):

@@ -39,9 +39,9 @@ MAX_POWER_TERMS = 2**16
 
 # largest product of two operands' stored term counts that a product
 # (Polynomial.__mul__, star, poisson_bracket) multiplies out; a larger one
-# is a StarWeylError before any work (the kernels visit every pair of stored
-# terms, so this bounds a product's work where MAX_POWER_TERMS bounds a
-# power's result)
+# is a StarWeylError before any work (mul_terms and level 0 of the star
+# kernel form every pair of stored terms, so this bounds their work, where
+# MAX_POWER_TERMS bounds a power's result)
 MAX_PRODUCT_PAIRS = 2**24
 
 

@@ -225,16 +225,12 @@ class TensorSquare(TermSum):
                                  *stored_reduce(self.domain, self._den, out))
 
 
-def _plain_entries(form):
-    """Kernel entries of the form's own coefficients, without slot shifts."""
-    return [(i, j, lam, None) for i, j, lam in form.nonzero_entries()]
-
-
 def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
     """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j."""
     if form.gens != t.gens or form.domain != t.domain:
         raise IncompatibleError("form and tensor square over different algebras")
-    out = kernels.p_lambda_terms(_plain_entries(form), t.terms)
+    out = kernels.p_lambda_terms(
+        [(i, j, lam, None) for i, j, lam in form.nonzero_entries()], t.terms)
     return TensorSquare(t.gens, out, t.domain, min(t.trunc, form.trunc),
                         _clean=True)
 
@@ -265,9 +261,10 @@ def _fold(form, z, trunc):
     return den, entries
 
 
-def _star_formal(form, z, a, b, rmax, trunc, window):
-    """Stored form (den, ints) of the formal star product, on integer
-    coefficients; window as for kernels.star_terms."""
+def _star_formal(form, z, a, b, rmax, trunc, top):
+    """Stored form (den, ints) of the formal star product on the kernel's
+    window (kernels.star_terms): total degree top (None: any), h-order
+    trunc."""
     n = len(a.gens)
     dz, entries = _fold(form, z, trunc)
     a = a._cut(trunc)
@@ -276,23 +273,23 @@ def _star_formal(form, z, a, b, rmax, trunc, window):
     eb = b._data
     if not ea or not eb:
         return 1, {}
+    # every level raises the h-order by at least step, and the kernel forms
+    # no term past trunc, so no level past room // step has a term
     room = trunc - min(key[n] for key in ea) - min(key[n] for key in eb)
-    if room < 0:
-        return 1, {}
     if not entries:
         rmax = 0
     else:
-        # every level raises the h-order by at least step
         step = min(0 if left is None else left[n] for _, _, _, left in entries)
         if step:
-            rmax = min(rmax, room // step)
+            rmax = min(rmax, max(room, 0) // step)
     # level r carries z^r/r!: its weight rmax!/r! * dz^(rmax-r) brings
     # every level over the one denominator rmax! * dz^rmax
     weights = [
         math.factorial(rmax) // math.factorial(r) * dz ** (rmax - r)
         for r in range(rmax + 1)
     ]
-    out = kernels.star_terms(entries, weights, ea, eb, rmax, window)
+    out = kernels.star_terms(entries, weights, ea, eb, rmax,
+                             (n, math.inf if top is None else top, trunc))
     return int_canonical(out, a._den * b._den * weights[0], trunc)
 
 
@@ -342,9 +339,7 @@ def star(form: BilinearForm, z, a: Polynomial, b: Polynomial) -> Polynomial:
         return Polynomial.zero(a.gens, a.domain, trunc)
     rmax = min(a.degree(), b.degree())
     if a.domain == "formal":
-        window = None if top is None else (len(a.gens), top)
-        return a._like(trunc, *_star_formal(form, z, a, b, rmax, trunc,
-                                            window))
+        return a._like(trunc, *_star_formal(form, z, a, b, rmax, trunc, top))
     return a._like(trunc, *_numeric_form(_star_numeric(
         kernels.star_terms, form, z, a, b, rmax, trunc)))
 
@@ -371,8 +366,7 @@ def _star_slices(form, z, a, b):
     star(form, z, a, b) that the pairs of a term of a and a term of b of
     larger degree m contribute, so the slices m <= K add up to the product
     of a and b cut to their terms of degree <= K. The product's checks come
-    first, on the whole of a and b, and each pair is formed once
-    (kernels.star_slices)."""
+    first, on the whole of a and b, then one kernels.star_slices call."""
     trunc = _operands(form, a, b)
     slices = _star_numeric(kernels.star_slices, form, z, a, b,
                            min(a.degree(), b.degree()), trunc, len(a.gens))
@@ -382,15 +376,13 @@ def _star_slices(form, z, a, b):
 def _star_window(form, z, a, b, top):
     """star(form, z, a, b) cut to its terms of total degree <= top.
 
-    Each P_Lambda step lowers the total degree by exactly 2, so the kernel
-    forms and sums only the terms that reach the window
-    (kernels.star_terms). Formal domain only: the buckets of a window add
-    the float terms of a numeric product in another order than the full
-    product does, so a numeric window would not give the full product's
-    bits on the window. The window reaches star through
-    _WINDOW, not an argument, so the product still runs as a call of star,
-    with all its checks and inside whatever wraps star by name (the
-    star.star span of perfbench/spans.py)."""
+    A product the kernel forms, a term of d^mu a times one of B_r[mu], has
+    the sum of their degrees, so it forms only those inside the window
+    (kernels.star_terms).
+    Formal domain only: no numeric caller uses a window. The window
+    reaches star through _WINDOW, not an argument, so the product still
+    runs as a call of star, with all its checks and inside whatever wraps
+    star by name (the star.star span of perfbench/spans.py)."""
     token = _WINDOW.set(top)
     try:
         return star(form, z, a, b)
@@ -536,13 +528,13 @@ class OrderingOperator:
             levels.append((level._den, level._data.items()))
         if len(levels) > 1:
             return f._like(trunc, *stored_sum(f.domain, levels))
-        # no level: f stays uncut, unless z and Delta_S f (known to the
-        # h-order of f and S) are nonzero and only their product vanishes
-        # at trunc
+        # no level: the orders of z and S past what they know add to f past
+        # trunc, unless Delta_S f is 0 for every S that agrees with this one
         known = min(f.trunc, self.sym_form.trunc)
         _, delta = _delta_level(f, *_delta_entries(self.sym_form, 1, known),
                                 1, known)
-        return f._cut(trunc) if z and delta else f
+        exact = not delta and (self.sym_form.trunc >= f.trunc or f.degree() < 2)
+        return f if exact else f._cut(trunc)
 
     def inverse(self) -> "OrderingOperator":
         return OrderingOperator(self.sym_form, -self.z)

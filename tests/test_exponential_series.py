@@ -68,7 +68,10 @@ def reference_delta(op, f):
 
 
 def reference_apply(op, f):
-    """f + sum_k z^k Delta_S^k f / k!, one scalar product per order."""
+    """f + sum_k z^k Delta_S^k f / k!, one scalar product per order. When
+    no order is added, f keeps its truncation only if Delta_S f is 0 for
+    every S that agrees with op's as far as it is known (S known as far as
+    f, or f of degree at most 1); else it is cut to that of z."""
     out = f
     term = f
     k = 0
@@ -82,6 +85,9 @@ def reference_apply(op, f):
         if not zk:
             break
         out = out + term * (zk * Fraction(1, math.factorial(k)))
+    if out is f and (reference_delta(op, f) or (
+            op.sym_form.trunc < f.trunc and f.degree() > 1)):
+        out = f + Polynomial.zero(f.gens, f.domain, op.z.trunc)
     return out
 
 
@@ -176,7 +182,8 @@ zs = st.one_of(st.integers(0, 8).map(lambda t: minus_i_hbar("formal", t)),
                                                      polys(n))),
        zs, st.booleans())
 @settings(max_examples=150, deadline=None)
-# Delta_S f is zero at the h-order of S, below that of f: f stays uncut
+# Delta_S f is zero at the h-order of S, below that of f: f is cut to that
+# order, as an order of S past it could make Delta_S f nonzero
 @example((BilinearForm(GENS[2], [[0, 0], [0, 1]], "formal", 0),
           Polynomial(GENS[2], {(0, 2): FormalScalar({1: GaussianRational(0, 1)},
                                                     1)}, "formal", 1)),
@@ -202,9 +209,9 @@ def test_ordering_operator_on_a_dense_operand(z):
 
 
 def test_ordering_operator_leaves_a_harmonic_operand_uncut():
-    # Delta_S f = 0: no level is added, and f keeps its truncation 6, not
-    # the operator's 2
-    form = BilinearForm(GENS[2], [[0, 1], [1, 0]], "formal", 2)
+    # Delta_S f = 0 with S known as far as f: no level is added, and f
+    # keeps its truncation 6, not that of z, 2
+    form = BilinearForm(GENS[2], [[0, 1], [1, 0]], "formal", 6)
     f = Polynomial(GENS[2], {(3, 0): 1, (0, 2): FormalScalar({1: 1}, 6)},
                    "formal", 6)
     for op in (ordering_operator(form, minus_i_hbar("formal", 2)),
@@ -212,6 +219,18 @@ def test_ordering_operator_leaves_a_harmonic_operand_uncut():
         got = op.apply(f)
         same(got, reference_apply(op, f))
         assert got.trunc == 6
+    # S known to h^2 only: an order 3 of S could add z*S_qq*d_q^2 q^3 at
+    # h-order 4, so f is cut to 2; so it is when z is a zero known to h^2
+    # and Delta_S f is not 0
+    short = BilinearForm(GENS[2], [[0, 1], [1, 0]], "formal", 2)
+    zero2 = FormalScalar({}, 2)
+    for op, g in ((ordering_operator(short, minus_i_hbar("formal", 6)), f),
+                  (ordering_operator(form, zero2), f + Polynomial(
+                      GENS[2], {(1, 1): 1}, "formal", 6))):
+        got = op.apply(g)
+        same(got, reference_apply(op, g))
+        assert got.trunc == 2
+        assert got == g + Polynomial.zero(GENS[2], "formal", 2)
     # z and Delta_S f nonzero, their product zero at h-order 2: f is cut
     z = FormalScalar({2: 1}, 2)
     form = BilinearForm(GENS[2], [[0, FormalScalar({1: 1})],

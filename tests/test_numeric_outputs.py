@@ -5,9 +5,10 @@ bits) and of the numeric diagnostics. Any change to the order or rounding
 of a numeric sum or product shows here. An output whose repr runs to many
 kilobytes is frozen as the sha256 of that repr. The numeric operations run
 the loops of the formal domain on complex values, so their bits are those
-of that order; the frozen products, exponentials, ordering operators, translation and
-continuity sums are also checked against the formal engine on the exact
-rationals of their float inputs.
+of that order; the frozen products, brackets, P_Lambda steps,
+exponentials, ordering operators, translation and continuity sums are also
+checked against the formal engine on the exact rationals of their float
+inputs, and the translation defect against the scale of its product.
 """
 
 import hashlib
@@ -90,11 +91,11 @@ FROZEN = {
     'dA/dq': '{(1, 1): NumericScalar((0.6+3.4j)), (0, 0): NumericScalar((-2.5+0j)), (0, 3): NumericScalar((-0.1+0.7j))}',
     'dA/dp': '{(2, 0): NumericScalar((0.3+1.7j)), (0, 0): NumericScalar(1j), (1, 2): NumericScalar((-0.30000000000000004+2.0999999999999996j))}',
     'A.translate': '{(0, 0): NumericScalar((0.39583333333333326-3.8125j)), (0, 1): NumericScalar((-1.8874999999999997+3.5874999999999995j)), (1, 0): NumericScalar((-1.3375-5.137499999999999j)), (1, 1): NumericScalar((-1.225+6.574999999999999j)), (2, 0): NumericScalar((-0.44999999999999996-2.55j)), (2, 1): NumericScalar((0.3+1.7j)), (0, 2): NumericScalar((1.0125-1.4625j)), (0, 3): NumericScalar((-0.22499999999999998+0.32499999999999996j)), (1, 2): NumericScalar((0.45-3.15j)), (1, 3): NumericScalar((-0.1+0.7j))}',
-    'star': '{(3, 2): NumericScalar((0.4096428571428572+2.668214285714286j)), (2, 3): NumericScalar((0.23892857142857143+1.094642857142857j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((-1.8043273809523817+6.344922619047619j)), (1, 2): NumericScalar((6.6513035714285715+4.138553571428572j)), (4, 0): NumericScalar((0.016071428571428584+1.086785714285714j)), (1, 0): NumericScalar((-5.512560565476191+8.077807886904763j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.13214285714285712-0.4864285714285713j)), (0, 1): NumericScalar((-0.16885610119047628+3.9626921130952386j)), (1, 1): NumericScalar((-2.017475-0.11472261904761916j)), (0, 2): NumericScalar((-0.559904166666667+4.1645375j)), (3, 0): NumericScalar((0.1696666666666667+0.7813809523809523j)), (0, 0): NumericScalar((0.7107787202380952+0.1817998511904762j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-2.6287499999999993+2.91375j)), (2, 0): NumericScalar((1.2356785714285712+0.5964642857142856j)), (0, 4): NumericScalar((1.3152499999999998+1.0307499999999998j)), (2, 2): NumericScalar((-0.11900000000000006+1.0330000000000001j))}',
-    'star_std': '{(3, 2): NumericScalar((0.7985714285714286+0.9100000000000001j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((-3.84+3.2728571428571422j)), (1, 2): NumericScalar((-1.55+1.1j)), (4, 0): NumericScalar((-0.12857142857142856-0.37142857142857133j)), (1, 0): NumericScalar((-5.085714285714285-1.9000000000000001j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((0.10000000000000009+1.8j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((0.2333333333333333+0j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6666666666666666+0.3333333333333333j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((1.4700000000000002+1.21j)), (2, 0): NumericScalar(-0.42857142857142855j)}',
-    'star_weyl': '{(3, 2): NumericScalar((0.6057142857142858+2.26j)), (2, 1): NumericScalar((-3.3949999999999996+3.8007142857142853j)), (1, 2): NumericScalar((0.8299999999999998+0.6800000000000002j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (2, 3): NumericScalar((0.21+1.19j)), (0, 3): NumericScalar(0.7j), (0, 2): NumericScalar((0.2558333333333333+0.5925j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (4, 0): NumericScalar((0.06428571428571428+0.7214285714285713j)), (3, 1): NumericScalar((0.14285714285714285+0j)), (3, 0): NumericScalar(-0.047619047619047616j), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 0): NumericScalar((-4.404285714285714-0.29499999999999993j)), (0, 1): NumericScalar((-1.655+3.255j)), (0, 0): NumericScalar((0.6666666666666666+0.3333333333333333j)), (1, 3): NumericScalar((-1.69+1.3299999999999998j)), (0, 4): NumericScalar((0.48999999999999994+0.06999999999999999j)), (2, 0): NumericScalar(0.21428571428571427j)}',
-    'poisson': '{(1, 2): NumericScalar((-0.9100000000000001+8.75j)), (2, 1): NumericScalar((0.26750000000000007+3.5024999999999995j)), (4, 0): NumericScalar((-1.339285714285714-0.13928571428571423j)), (0, 1): NumericScalar((-5.925000000000001-3.7750000000000004j)), (1, 0): NumericScalar((-5.0625-0.5j)), (2, 0): NumericScalar((-0.75-0.2142857142857143j)), (0, 4): NumericScalar((-0.7349999999999999+1.6449999999999998j)), (1, 3): NumericScalar((0.6850000000000003-2.795j)), (3, 2): NumericScalar((-1.5107142857142857-0.6749999999999999j))}',
-    'poisson_std': '{(2, 1): NumericScalar((0.67+1.81j)), (1, 2): NumericScalar((0.84+4.76j)), (1, 0): NumericScalar((-2.75+0.5j)), (0, 1): NumericScalar((-3.7-1.1j)), (1, 3): NumericScalar((-0.05999999999999994-1.58j)), (0, 4): NumericScalar((-0.13999999999999999+0.9799999999999999j)), (4, 0): NumericScalar((-0.7285714285714284+0.12857142857142856j)), (2, 0): NumericScalar((-0.42857142857142855+0j)), (3, 2): NumericScalar((-0.8999999999999999-0.12857142857142856j))}',
+    'star': '{(3, 2): NumericScalar((0.4096428571428572+2.6682142857142854j)), (2, 1): NumericScalar((-1.8043273809523803+6.344922619047618j)), (1, 2): NumericScalar((6.651303571428571+4.13855357142857j)), (1, 1): NumericScalar((-2.017475-0.11472261904761921j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (2, 3): NumericScalar((0.23892857142857143+1.094642857142857j)), (0, 3): NumericScalar(0.7j), (0, 2): NumericScalar((-0.5599041666666669+4.1645375j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (4, 0): NumericScalar((0.016071428571428556+1.086785714285714j)), (3, 1): NumericScalar((0.13214285714285712-0.48642857142857143j)), (3, 0): NumericScalar((0.16966666666666666+0.7813809523809525j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 0): NumericScalar((-5.512560565476191+8.077807886904765j)), (0, 1): NumericScalar((-0.16885610119047623+3.962692113095237j)), (0, 0): NumericScalar((0.7107787202380952+0.18179985119047615j)), (1, 3): NumericScalar((-2.6287499999999997+2.9137499999999994j)), (0, 4): NumericScalar((1.31525+1.0307499999999998j)), (2, 2): NumericScalar((-0.11900000000000008+1.033j)), (2, 0): NumericScalar((1.2356785714285714+0.5964642857142857j))}',
+    'star_std': '{(3, 2): NumericScalar((0.7985714285714286+0.9100000000000003j)), (2, 1): NumericScalar((-3.84+3.2728571428571422j)), (1, 2): NumericScalar((-1.55+1.1j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (2, 3): NumericScalar((0.21+1.19j)), (0, 3): NumericScalar(0.7j), (0, 2): NumericScalar((0.2333333333333333+0j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (4, 0): NumericScalar((-0.12857142857142856-0.37142857142857144j)), (3, 1): NumericScalar((0.14285714285714285+0j)), (3, 0): NumericScalar(-0.047619047619047616j), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 0): NumericScalar((-5.085714285714285-1.9000000000000001j)), (0, 1): NumericScalar((0.10000000000000009+1.8j)), (0, 0): NumericScalar((0.6666666666666666+0.3333333333333333j)), (1, 3): NumericScalar((1.4699999999999998+1.21j)), (2, 0): NumericScalar(-0.42857142857142855j)}',
+    'star_weyl': '{(3, 2): NumericScalar((0.6057142857142858+2.26j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((-3.3949999999999996+3.800714285714285j)), (1, 2): NumericScalar((0.8299999999999998+0.6800000000000002j)), (4, 0): NumericScalar((0.06428571428571428+0.7214285714285713j)), (1, 0): NumericScalar((-4.404285714285714-0.29499999999999993j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((-1.655+3.255j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((0.25583333333333325+0.5924999999999999j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6666666666666666+0.3333333333333333j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-1.69+1.3299999999999998j)), (2, 0): NumericScalar(0.21428571428571427j), (0, 4): NumericScalar((0.48999999999999994+0.06999999999999999j))}',
+    'poisson': '{(2, 1): NumericScalar((0.2675+3.5025000000000004j)), (1, 0): NumericScalar((-5.062500000000001-0.5j)), (1, 3): NumericScalar((0.685-2.795000000000001j)), (0, 1): NumericScalar((-5.924999999999999-3.7750000000000004j)), (1, 2): NumericScalar((-0.9100000000000001+8.749999999999998j)), (0, 4): NumericScalar((-0.7349999999999999+1.6449999999999996j)), (4, 0): NumericScalar((-1.3392857142857142-0.1392857142857143j)), (2, 0): NumericScalar((-0.75-0.21428571428571427j)), (3, 2): NumericScalar((-1.5107142857142855-0.6749999999999999j))}',
+    'poisson_std': '{(2, 1): NumericScalar((0.67+1.81j)), (1, 0): NumericScalar((-2.75+0.5j)), (1, 3): NumericScalar((-0.05999999999999989-1.5799999999999996j)), (0, 1): NumericScalar((-3.7-1.1j)), (1, 2): NumericScalar((0.84+4.76j)), (0, 4): NumericScalar((-0.13999999999999999+0.9799999999999999j)), (4, 0): NumericScalar((-0.7285714285714285+0.12857142857142856j)), (2, 0): NumericScalar((-0.42857142857142855+0j)), (3, 2): NumericScalar((-0.8999999999999998-0.1285714285714286j))}',
     'std_rep': '{((3,), (2,)): NumericScalar((-0.67-1.81j)), ((2,), (3,)): NumericScalar((-1.19+0.21j)), ((5,), (1,)): NumericScalar((-0.04285714285714285-0.24285714285714283j)), ((2,), (1,)): NumericScalar((4.199999999999999+3.85j)), ((1,), (2,)): NumericScalar((1.55-1.1j)), ((4,), (0,)): NumericScalar(0.3571428571428571j), ((1,), (0,)): NumericScalar((-5-2.5j)), ((0,), (3,)): NumericScalar((-0.7+0j)), ((3,), (1,)): NumericScalar(-0.14285714285714285j), ((0,), (1,)): NumericScalar((2+1j)), ((1,), (1,)): NumericScalar((-0.06666666666666667-0.3666666666666667j)), ((0,), (2,)): NumericScalar((-0.2333333333333333+0j)), ((3,), (0,)): NumericScalar(-0.047619047619047616j), ((0,), (0,)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((2,), (4,)): NumericScalar((0.02999999999999997+0.79j)), ((1,), (5,)): NumericScalar((0.48999999999999994+0.06999999999999999j)), ((4,), (3,)): NumericScalar((-0.014285714285714285+0.09999999999999999j)), ((1,), (3,)): NumericScalar((-1.2999999999999998-0.8999999999999999j))}',
     'weyl_rep': '{((2,), (1,)): NumericScalar((1.7-0.3j)), ((1,), (0,)): NumericScalar((-0.8-0.3j)), ((0,), (1,)): NumericScalar((1+0j)), ((0,), (0,)): NumericScalar((0.3333333333333333+0j)), ((1,), (3,)): NumericScalar((-0.7-0.1j)), ((0,), (2,)): NumericScalar((-1.0499999999999998-0.15000000000000002j))}',
     'adjoint': '{((2,), (1,)): NumericScalar((-1.7-0.3j)), ((1,), (0,)): NumericScalar((-5.9-0.6j)), ((0,), (1,)): NumericScalar((-1+0j)), ((0,), (0,)): NumericScalar((0.3333333333333333+0j)), ((1,), (3,)): NumericScalar((0.7-0.1j)), ((0,), (2,)): NumericScalar((2.0999999999999996-0.30000000000000004j))}',
@@ -105,11 +106,11 @@ FROZEN = {
     'exp10': 'sha256:e7455165db551a7ce52075735baa077c12214d18c0c188058b0e35c439c03714',
     'ordering': '{(3, 2): NumericScalar((2.3114285714285714+1.8914285714285715j)), (2, 3): NumericScalar((0.32571428571428573+0.8085714285714285j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((4.5895357142857165+19.250464285714283j)), (1, 2): NumericScalar((5.4252142857142855+6.6416428571428545j)), (4, 0): NumericScalar((1.6125-0.08392857142857146j)), (1, 0): NumericScalar((-12.101060714285715+35.8271j)), (0, 3): NumericScalar((0.6763214285714285+0.6258214285714284j)), (3, 1): NumericScalar((0.10714285714285718-1.6214285714285714j)), (0, 1): NumericScalar((8.2152375+16.78551964285714j)), (1, 1): NumericScalar((-46.21340119047621-34.18190595238095j)), (0, 2): NumericScalar((-39.610416666666666+20.568750000000005j)), (3, 0): NumericScalar((-4.381714285714287+3.8922380952380955j)), (0, 0): NumericScalar((-37.148592470238114-44.90327383928571j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-9.130999999999998+6.967000000000002j)), (2, 0): NumericScalar((3.6575250000000015-15.296603571428575j)), (0, 4): NumericScalar((0.35025000000000006+3.4107499999999997j)), (2, 2): NumericScalar((-9.297000000000002-1.0710000000000006j)), (4, 1): NumericScalar((-0.1735714285714286+0.5721428571428572j))}',
     'tensor': '{((2, 1), (1, 1)): NumericScalar((0.67+1.81j)), ((2, 1), (0, 2)): NumericScalar((0.21+1.19j)), ((2, 1), (3, 0)): NumericScalar((0.24285714285714283-0.04285714285714285j)), ((2, 1), (0, 0)): NumericScalar((-1.1+3.6999999999999997j)), ((1, 0), (1, 1)): NumericScalar((-2.75+0.5j)), ((1, 0), (0, 2)): NumericScalar((-1.75+0j)), ((1, 0), (3, 0)): NumericScalar(0.3571428571428571j), ((1, 0), (0, 0)): NumericScalar((-5-2.5j)), ((0, 1), (1, 1)): NumericScalar((0.2+1.1j)), ((0, 1), (0, 2)): NumericScalar(0.7j), ((0, 1), (3, 0)): NumericScalar((0.14285714285714285+0j)), ((0, 1), (0, 0)): NumericScalar((-1+2j)), ((0, 0), (1, 1)): NumericScalar((0.3666666666666667-0.06666666666666667j)), ((0, 0), (0, 2)): NumericScalar((0.2333333333333333+0j)), ((0, 0), (3, 0)): NumericScalar(-0.047619047619047616j), ((0, 0), (0, 0)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((1, 3), (1, 1)): NumericScalar((0.02999999999999997+0.79j)), ((1, 3), (0, 2)): NumericScalar((-0.06999999999999999+0.48999999999999994j)), ((1, 3), (3, 0)): NumericScalar((0.09999999999999999+0.014285714285714285j)), ((1, 3), (0, 0)): NumericScalar((-0.8999999999999999+1.2999999999999998j))}',
-    'p_lambda': '{((1, 1), (0, 1)): NumericScalar((-1.205+6.085j)), ((1, 1), (1, 0)): NumericScalar((-0.47+4.29j)), ((2, 0), (0, 1)): NumericScalar((-1.2958333333333334-1.2175j)), ((2, 0), (1, 0)): NumericScalar((-0.6033333333333333+0.22333333333333333j)), ((1, 1), (2, 0)): NumericScalar((0.3642857142857142-0.06428571428571428j)), ((2, 0), (2, 0)): NumericScalar((-0.5464285714285714+0.09642857142857142j)), ((0, 0), (0, 1)): NumericScalar((-4.804166666666667-2.45j)), ((0, 0), (1, 0)): NumericScalar((-3.3666666666666667-0.8083333333333333j)), ((0, 0), (2, 0)): NumericScalar((-0.3214285714285714+0.2678571428571428j)), ((0, 3), (0, 1)): NumericScalar((-0.6224999999999999+1.1075j)), ((0, 3), (1, 0)): NumericScalar((-0.36500000000000005+0.805j)), ((1, 2), (0, 1)): NumericScalar((-1.0474999999999999-1.9175j)), ((1, 2), (1, 0)): NumericScalar((-0.79+0.02999999999999997j)), ((0, 3), (2, 0)): NumericScalar((0.075+0.010714285714285714j)), ((1, 2), (2, 0)): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
-    'mu': '{(1, 2): NumericScalar((-1.205+6.085j)), (2, 1): NumericScalar((-1.7658333333333334+3.0725j)), (3, 0): NumericScalar((-0.6033333333333333+0.22333333333333333j)), (3, 1): NumericScalar((0.3642857142857142-0.06428571428571428j)), (4, 0): NumericScalar((-0.5464285714285714+0.09642857142857142j)), (0, 1): NumericScalar((-4.804166666666667-2.45j)), (1, 0): NumericScalar((-3.3666666666666667-0.8083333333333333j)), (2, 0): NumericScalar((-0.3214285714285714+0.2678571428571428j)), (0, 4): NumericScalar((-0.6224999999999999+1.1075j)), (1, 3): NumericScalar((-1.4124999999999999-1.1124999999999998j)), (2, 2): NumericScalar((-0.79+0.02999999999999997j)), (2, 3): NumericScalar((0.075+0.010714285714285714j)), (3, 2): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
+    'p_lambda': '{((1, 1), (0, 1)): NumericScalar((-1.205+6.085j)), ((1, 1), (1, 0)): NumericScalar((-0.47+4.29j)), ((2, 0), (0, 1)): NumericScalar((-1.2958333333333334-1.2175j)), ((2, 0), (1, 0)): NumericScalar((-0.6033333333333333+0.22333333333333333j)), ((1, 1), (2, 0)): NumericScalar((0.3642857142857142-0.06428571428571428j)), ((2, 0), (2, 0)): NumericScalar((-0.5464285714285714+0.09642857142857142j)), ((0, 0), (0, 1)): NumericScalar((-4.804166666666667-2.45j)), ((0, 0), (1, 0)): NumericScalar((-3.3666666666666667-0.8083333333333333j)), ((0, 0), (2, 0)): NumericScalar((-0.3214285714285714+0.2678571428571428j)), ((0, 3), (0, 1)): NumericScalar((-0.6224999999999999+1.1075j)), ((0, 3), (1, 0)): NumericScalar((-0.36500000000000005+0.805j)), ((1, 2), (0, 1)): NumericScalar((-1.0474999999999997-1.9175j)), ((1, 2), (1, 0)): NumericScalar((-0.7899999999999999+0.02999999999999997j)), ((0, 3), (2, 0)): NumericScalar((0.075+0.010714285714285714j)), ((1, 2), (2, 0)): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
+    'mu': '{(1, 2): NumericScalar((-1.205+6.085j)), (2, 1): NumericScalar((-1.7658333333333334+3.0725j)), (3, 0): NumericScalar((-0.6033333333333333+0.22333333333333333j)), (3, 1): NumericScalar((0.3642857142857142-0.06428571428571428j)), (4, 0): NumericScalar((-0.5464285714285714+0.09642857142857142j)), (0, 1): NumericScalar((-4.804166666666667-2.45j)), (1, 0): NumericScalar((-3.3666666666666667-0.8083333333333333j)), (2, 0): NumericScalar((-0.3214285714285714+0.2678571428571428j)), (0, 4): NumericScalar((-0.6224999999999999+1.1075j)), (1, 3): NumericScalar((-1.4124999999999996-1.1124999999999998j)), (2, 2): NumericScalar((-0.7899999999999999+0.02999999999999997j)), (2, 3): NumericScalar((0.075+0.010714285714285714j)), (3, 2): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
     'seminorm': '135.3937916183453',
     'continuity': '[1.0, 2.386567954757769, 2.6345039009678373, 2.5495901755677064, 2.50549208951384, 2.473936259606107, 2.4624923762871735, 2.4587326623628885, 2.4577076323690568]',
-    'translation_defect': "'2.482534153247273e-15'",
+    'translation_defect': "'3.1401849173675502e-15'",
 }
 
 
@@ -191,9 +192,21 @@ def test_numeric_outputs_are_near_the_exact_values():
     ab = A * B
     z = exact(Z)
     minus_i = GaussianRational(0, -1)
+    fa, fb = formal_poly(A), formal_poly(B)
+    std = formal_form(standard_form(G, "numeric"))
+    weyl = std.antisymmetric_part()
+    t = TensorSquare.of(fa, fb)
     pairs = {
-        "star": (star(FORM, Z, A, B),
-                 star(formal_form(FORM), z, formal_poly(A), formal_poly(B))),
+        "star": (star(FORM, Z, A, B), star(formal_form(FORM), z, fa, fb)),
+        "star_std": (star_standard(A, B), star(std, minus_i, fa, fb)),
+        "star_weyl": (star_weyl(B, A), star(weyl, minus_i, fb, fa)),
+        "poisson": (poisson_bracket(FORM, A, B),
+                    poisson_bracket(formal_form(FORM), fa, fb)),
+        "poisson_std": (poisson_standard(A, B), poisson_standard(fa, fb)),
+        "p_lambda": (p_lambda(FORM, TensorSquare.of(A, B)),
+                     p_lambda(formal_form(FORM), t)),
+        "mu": (p_lambda(FORM, TensorSquare.of(A, B)).mu(),
+               p_lambda(formal_form(FORM), t).mu()),
         "n_operator": (n_operator(G, "numeric").apply(ab), ordering_operator(
             standard_form(G, "formal", 0).symmetric_part(), minus_i).apply(
                 formal_poly(ab))),
@@ -216,6 +229,13 @@ def test_numeric_outputs_are_near_the_exact_values():
                                   cutoff, "formal", 0).base)
     for name, (num, ref) in pairs.items():
         assert relative_error(num, ref) <= ACCURACY, name
+    # tau_a(A * B) - tau_a(A) * tau_a(B) is 0 exactly: its numeric worst
+    # term is rounding, within 1e-14 of the largest term of tau_a(A * B)
+    shifts = (0.5, -0.25)
+    worst = translation_automorphism_defect(FORM, Z, A, B, shifts).defect_max
+    scale = max(abs(c.val) for c in star(FORM, Z, A, B).translate(
+        shifts).terms.values())
+    assert float(worst) <= ACCURACY * scale
 
 
 def test_continuity_sums_are_near_the_exact_values():

@@ -440,11 +440,12 @@ def test_continuity_honest_failure_when_cut_short():
 def test_continuity_checks_the_whole_product_before_any_pair(monkeypatch):
     # E_16 on 4 generators has C(20, 4) = 4,845 terms: the product of the
     # two has 23,474,025 pairs, above MAX_PRODUCT_PAIRS = 2**24, and the
-    # report refuses it before the kernel forms a single pair
-    def no_pairs(*args):
-        raise AssertionError("a pair was formed")
+    # report refuses it before the kernel starts its derivative table or
+    # its first product
+    def no_work(*args):
+        raise AssertionError("the kernel started")
 
-    monkeypatch.setattr(kernels, "_pairs", no_pairs)
+    monkeypatch.setattr(kernels, "_series", no_work)
     g4 = Generators(("q1", "q2", "p1", "p2"))
     v = (0.5, -0.25, 0.125, 1.0)
     with pytest.raises(StarWeylError, match="23474025 term pairs"):

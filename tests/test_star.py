@@ -388,9 +388,13 @@ def test_numeric_products_refuse_to_overflow():
     assert star(big, BIG, q, p) == q * p
     with pytest.raises(NonFiniteError):
         star(big, BIG, p, q)
-    # an overflowing term of f (x) f that P_Lambda contracts to nothing
-    # does not reach the bracket
+    # f * f overflows, but the bracket forms no product of f with f
     assert not poisson_bracket(form.transpose(), f, f)
+    # an overflowing term of a right factor whose left derivative is 0 does
+    # not reach the product: L_pq d_q(1e300*q^2) = inf, d_p q = 0
+    wide = BilinearForm(G, [[0, 0], [1e200, 0]], "numeric")
+    assert star(wide, 1.0, q, Polynomial(G, {(2, 0): 1e300}, "numeric")) == \
+        Polynomial(G, {(3, 0): 1e300}, "numeric")
 
 
 def _negative_zeros(f):

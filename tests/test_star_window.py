@@ -1,9 +1,9 @@
 """The star product on a degree window, and the defect reports that use it.
 
 star.star computes the terms of total degree <= top alone when asked
-through star._star_window: every P_Lambda step lowers the total degree by
-exactly 2, so kernels.star_terms forms only the pairs that can reach the
-window and runs mu only on the levels inside it. The windowed product must
+through star._star_window: a product of a term of d^mu a and one of the
+merged right factor B_r[mu] has the sum of their degrees, so
+kernels.star_terms forms only the products inside the window. The windowed product must
 equal the full product cut to the window; the Weyl-relation and
 inner-automorphism reports must equal the reports built from the full
 product (their earlier bodies, kept below); and the scalar prefactor
@@ -12,7 +12,9 @@ it replaced.
 """
 
 import importlib
+import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -148,16 +150,37 @@ def test_windowed_star_runs_as_a_call_of_star(monkeypatch):
     assert star(form, z, qp, qp).degree() == 2
 
 
-class Counted(int):
-    """An int that counts the products of two of its kind: the pairs the
-    star kernel forms from the terms of its operands."""
+class Watch:
+    """An output dict of the star kernel that records the key of every
+    product added into it (each product reads its key once with get)."""
 
-    pairs = 0
+    def __init__(self, out, lay, formed):
+        self.out = out
+        self.lay = lay
+        self.formed = formed
 
-    def __mul__(self, other):
-        if isinstance(other, Counted):
-            Counted.pairs += 1
-        return int(self) * int(other)
+    def get(self, key, default=None):
+        self.formed.append(self.lay.slots(key))
+        return self.out.get(key, default)
+
+    def __setitem__(self, key, value):
+        self.out[key] = value
+
+
+def products_formed(call):
+    """(result, keys of the products formed) of a star kernel call."""
+    formed = []
+    series = kernels._series
+
+    def watched(lay, a, b, zfacts, rmax, route):
+        def watch(r, gd, gb):
+            out = route(r, gd, gb)
+            return None if out is None else Watch(out, lay, formed)
+        return series(lay, a, b, zfacts, rmax, watch)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_series", watched)
+        return call(), formed
 
 
 @st.composite
@@ -181,7 +204,9 @@ def kernel_cases(draw):
     rmax = draw(st.integers(0, 4))
     zfacts = draw(st.lists(st.integers(-3, 3), min_size=rmax + 1,
                            max_size=rmax + 1))
-    return n, entries, zfacts, a, b, rmax, draw(st.integers(0, 14))
+    top = draw(st.one_of(st.just(math.inf), st.integers(0, 14)))
+    trunc = draw(st.one_of(st.just(math.inf), st.integers(0, 8)))
+    return n, entries, zfacts, a, b, rmax, top, trunc
 
 
 def degree(key, n):
@@ -191,16 +216,22 @@ def degree(key, n):
 @given(kernel_cases())
 @settings(max_examples=300, deadline=None)
 def test_kernel_window_forms_only_the_pairs_that_reach_it(case):
-    n, entries, zfacts, a, b, rmax, top = case
-    full = kernels.star_terms(entries, zfacts, a, b, rmax)
-    ca = {k: Counted(v) for k, v in a.items()}
-    cb = {k: Counted(v) for k, v in b.items()}
-    Counted.pairs = 0
-    got = kernels.star_terms(entries, zfacts, ca, cb, rmax, (n, top))
-    assert got == {k: v for k, v in full.items() if degree(k, n) <= top}
-    assert Counted.pairs == sum(
-        1 for ea in a for eb in b
-        if degree(ea, n) + degree(eb, n) <= top + 2 * rmax)
+    # the window (degree <= top, h-order <= trunc) forms exactly the
+    # products of a term of d^mu a and one of B_r[mu] that the full
+    # product forms inside it, and none outside
+    n, entries, zfacts, a, b, rmax, top, trunc = case
+
+    def inside(key):
+        return degree(key, n) <= top and key[n] <= trunc
+
+    full, every = products_formed(
+        lambda: kernels.star_terms(entries, zfacts, a, b, rmax))
+    got, formed = products_formed(
+        lambda: kernels.star_terms(entries, zfacts, a, b, rmax,
+                                   (n, top, trunc)))
+    assert got == {k: v for k, v in full.items() if inside(k)}
+    assert all(map(inside, formed))
+    assert Counter(formed) == Counter(filter(inside, every))
 
 
 # -- the reports against the full product ---------------------------------------

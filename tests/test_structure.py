@@ -315,8 +315,8 @@ INT_ONLY = {
     ("kernels.py", "shift_terms"),
     ("kernels.py", "_binomial_rows"),
     ("kernels.py", "star_slices"),
-    ("kernels.py", "_pairs"),
-    ("kernels.py", "_levels"),
+    ("kernels.py", "_series"),
+    ("kernels.py", "p_lambda_terms"),
     ("scalars.py", "int_encode"),
     ("scalars.py", "int_reduce"),
     ("scalars.py", "int_canonical"),
@@ -763,3 +763,100 @@ def test_detector_sees_a_domain_fork():
 
 def test_term_sums_do_not_fork_on_the_domain():
     assert _domain_forks(_sources()) == []
+
+
+# The star kernels run the product as a bidifferential operator: a
+# derivative table of the left factor against one merged right factor per
+# multi-index (kernels._series). None of star_terms, star_slices and
+# bracket_terms builds the tensor square a (x) b, a dict with one key
+# ka << shift | kb per pair of terms.
+
+TENSOR_FREE = {"star_terms", "star_slices", "bracket_terms"}
+
+
+def _shifted_or(node):
+    """True for an expression x << s | y."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.LShift))
+
+
+def tensor_squares(tree):
+    """The TENSOR_FREE functions of a kernels.py tree that key a dict by
+    x << s | y, in a display, a comprehension or an item assignment, or
+    shift a name up in place (x <<= s), as the pair former did before it
+    or-ed in the right key."""
+    found = []
+    for name, node in qualified_parts(tree):
+        if name not in TENSOR_FREE:
+            continue
+        for sub in ast.walk(node):
+            keys = []
+            if isinstance(sub, ast.DictComp):
+                keys = [sub.key]
+            elif isinstance(sub, ast.Dict):
+                keys = sub.keys
+            elif isinstance(sub, ast.Assign):
+                keys = [t.slice for t in sub.targets
+                        if isinstance(t, ast.Subscript)]
+            if any(map(_shifted_or, keys)) or (
+                    isinstance(sub, ast.AugAssign)
+                    and isinstance(sub.op, ast.LShift)):
+                found.append(name)
+                break
+    return sorted(found)
+
+
+def _replace_function(source, old_source):
+    """source with the module-level function that old_source defines put in
+    place of the current one."""
+    old = ast.parse(old_source).body[0]
+    tree = ast.parse(source)
+    tree.body = [old if getattr(n, "name", None) == old.name else n
+                 for n in tree.body]
+    return ast.unparse(tree)
+
+
+# bracket_terms as it was, on the tensor squares a (x) b and b (x) a, and
+# star_slices forming its pairs inline as the pair former did
+OLD_BRACKET = '''
+def bracket_terms(entries, a, b):
+    lay = _Layout(entries, [*a, *b], 1)
+    s = lay.shift
+    pa = lay.pack(a)
+    pb = lay.pack(b)
+    t = p_lambda_terms(lay, {ka << s | kb: v for ka, ca in pa.items()
+                             for kb, cb in pb.items() if (v := ca * cb)})
+    rhs = p_lambda_terms(lay, {kb << s | ka: v for kb, cb in pb.items()
+                               for ka, ca in pa.items() if (v := cb * ca)})
+    return lay.unpack(t)
+'''
+OLD_SLICES = '''
+def star_slices(entries, zfacts, a, b, rmax, n):
+    lay = _Layout(entries, a, b, rmax, n, True)
+    s = lay.shift
+    t = {}
+    for ka, ca in a.items():
+        ka = lay.key(ka)
+        ka <<= s
+        for kb, cb in b.items():
+            t[ka | lay.key(kb)] = ca * cb
+    return t
+'''
+
+
+def test_detector_sees_a_tensor_square():
+    source = _sources()["kernels.py"]
+    mutant = _replace_function(_replace_function(source, OLD_BRACKET),
+                               OLD_SLICES)
+    assert tensor_squares(ast.parse(mutant)) == ["bracket_terms",
+                                                 "star_slices"]
+    # the same keys in a function outside TENSOR_FREE are not looked at
+    other = OLD_BRACKET.replace("def bracket_terms", "def other_terms")
+    assert tensor_squares(ast.parse(other)) == []
+
+
+def test_star_kernels_build_no_tensor_square():
+    tree = ast.parse(_sources()["kernels.py"])
+    assert TENSOR_FREE <= {name for name, _ in qualified_parts(tree)}
+    assert tensor_squares(tree) == []
