@@ -3,28 +3,27 @@
 The functions take and return plain dicts keyed by exponent tuples, with
 coefficients that support +, *, unary bool (zero test) and
 multiplication by int; the P_Lambda kernels (star_terms, star_slices,
-p_lambda_terms, bracket_terms) run on packed keys inside (_Layout). They
-run on the values a term sum stores (scalars.py), keys ending in the
-powers of h and i, with each result brought to the stored form once by
+p_lambda_terms) run on packed keys inside (_Layout). They run on the
+values a term sum stores (scalars.py), keys ending in the powers of h and
+i, with each result brought to the stored form once by
 scalars.stored_canonical:
 
 - formal domain, plain ints, one denominator per operand: the products of
   poly.py (mul_terms), translations (shift_terms) and scalings
-  (scale_terms), the star product and Poisson bracket of star.py
-  (star_terms, bracket_terms), and the envelope products of lie.py
-  (lift_terms);
+  (scale_terms), the star product of star.py and the Poisson bracket, its
+  level 1 under Lambda - Lambda^T (star_terms), and the envelope products
+  of lie.py (lift_terms);
 - numeric domain, plain complex floats with both slots 0: the same
   kernels of poly.py, and the star product (on keys stripped of the zero
   slots) and Poisson bracket with complex form entries and weights, and
   the slices of a star product that the continuity report of seminorms.py
   adds up (star_slices).
 
-star_terms, star_slices and bracket_terms run the star product as the
-series of bidifferential operators it is (_series), with no tensor
-square; a window keeps the products of buckets of degree and h-order
-inside it, the slices file a product by the larger degree of its pair.
-shift_terms is a Taylor shift, one variable at a time. Only the public
-p_lambda passes coefficient objects.
+star_terms and star_slices run the star product as the series of
+bidifferential operators it is (_series), with no tensor square; a
+window keeps the products of buckets of degree and h-order inside it,
+the slices file a product by the larger degree of its pair. shift_terms
+is a Taylor shift, one variable at a time.
 """
 
 from math import comb, inf
@@ -142,31 +141,7 @@ class _Layout:
 def p_lambda_terms(lay, level):
     """One P_Lambda step of the right factors B_r -> B_{r+1}, packed in
     the layout lay: B_{r+1}[mu + e_i] = sum_j lam_ij d_j B_r[mu] over every
-    mu and entry that reach it, no term past the h-order lay.room.
-
-    Given tuple entries and a tensor square (exp_left, exp_right) ->
-    coefficient, it is P_Lambda of the tensor: the same step with one left
-    monomial per class, then lowered at slot i and times its exponent
-    there; an entry's raises land on the right factor.
-    """
-    if not isinstance(lay, _Layout):
-        entries, t = lay, level
-        if not t:
-            return {}
-        lay = _Layout(entries, [ea for ea, _ in t], [eb for _, eb in t], 1)
-        rights = {}
-        for (ea, eb), c in t.items():
-            rights.setdefault(ea, {})[lay.key(eb)] = c
-        out = {}
-        for ea, right in rights.items():
-            for k, c in p_lambda_terms(lay, right).items():
-                i = (k >> lay.shift).bit_length() - 1  # mu = e_i
-                if ea[i]:
-                    key = (ea[:i] + (ea[i] - 1,) + ea[i + 1:],
-                           lay.slots(k & (1 << lay.shift) - 1))
-                    c = c * ea[i]
-                    out[key] = out[key] + c if key in out else c
-        return {key: c for key, c in out.items() if c}
+    mu and entry that reach it, no term past the h-order lay.room."""
     mask, room, steps = lay.mask, lay.room, lay.steps
     sh = lay.n * lay.width
     out = {}
@@ -296,29 +271,6 @@ def star_slices(entries, zfacts, a, b, rmax, n):
     _series(lay, a, b, zfacts, rmax, lambda r, gd, gb: outs.setdefault(
         r + (max(gd, gb) >> lay.width), {}))
     return {m: lay.unpack(out) for m, out in outs.items()}
-
-
-def bracket_terms(entries, a, b):
-    """mu(P_Lambda(a (x) b) - P_Lambda(b (x) a)) for term dicts a and b.
-
-    mu(P_Lambda(b (x) a)) is sum_ij lam_ji d_i a d_j b, so this is level 1
-    of a * b under the entries lam_ij - lam_ji (parts with equal raises
-    combined), on packed keys: the symmetric part of the form cancels in
-    the entries, exactly, in both domains.
-    """
-    if not a or not b:
-        return {}
-    parts = {}
-    for (i, j, lam, _), up in zip(entries, _raises(entries)):
-        up = tuple(up) if up and any(up) else None
-        parts[i, j, up] = parts.get((i, j, up), 0) + lam
-        parts[j, i, up] = parts.get((j, i, up), 0) - lam
-    lay = _Layout([(i, j, v, up and tuple(x - (k == i)
-                                          for k, x in enumerate(up)))
-                   for (i, j, up), v in parts.items() if v], a, b, 1)
-    out = {}
-    _series(lay, a, b, (0, 1), 1, lambda r, gd, gb: out)
-    return lay.unpack(out)
 
 
 def lift_terms(a, b, raws, trunc):

@@ -3,25 +3,24 @@
 A DifferentialOperator is a finite sum c_{a,d} x^a d^d acting on polynomials
 in the configuration generators. std_rep sends q^alpha p^beta to
 (-i*h)^{|beta|} q^alpha d^beta (one degree of freedom per (q_i, p_i) pair,
-extended diagonally); weyl_rep is std_rep after the N ordering operator.
-The formal adjoint implements (c(q) d^m)^dagger = (-1)^m d^m o conj(c(q)),
-normal-ordered back into coefficient-first form.
+extended diagonally); weyl_rep is std_rep after the N operator. compose
+and formal_adjoint run on symbols, x^a d^d read as the monomial x^a xi^d
+(docs/conventions.md section 7); apply is a direct loop.
 """
 
 from __future__ import annotations
-
-import itertools
-import math
 
 from .errors import IncompatibleError
 from .poly import (
     Generators,
     Polynomial,
+    check_product_size,
     exponent_tuple,
     monomial_text,
 )
-from .scalars import DEFAULT_TRUNCATION, TermSum, accumulate, stored_canonical
-from .star import n_operator
+from .scalars import (DEFAULT_TRUNCATION, TermSum, accumulate, stored_canonical,
+                      stored_conjugate, stored_sum)
+from .star import BilinearForm, _exp_levels, n_operator, star
 
 
 def _falling(n: int, k: int) -> int:
@@ -66,6 +65,7 @@ class DifferentialOperator(TermSum):
         """Act on a polynomial in the configuration generators."""
         if p.gens != self.gens or p.domain != self.domain:
             raise IncompatibleError("operator and operand over different algebras")
+        check_product_size(self, p)
         n = len(self.gens)
 
         def products():
@@ -87,61 +87,39 @@ class DifferentialOperator(TermSum):
         return p._canonical(min(self.trunc, p.trunc),
                             accumulate({}, products()), self._den * p._den)
 
-    def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
-        """Operator product self o other (apply other first)."""
-        self._check(other)
+    def _symbol(self, data):
+        """The symbol of the stored values data on self's keys: x^a d^d as
+        the monomial x^a xi^d on 2n generators, xi_i in slot n + i."""
+        gens = Generators(f"_{k}" for k in range(2 * len(self.gens)))
+        return Polynomial._build((gens, self.domain), self.trunc, self._den, {
+            a + d + (r, q): v for (a, d, r, q), v in data.items()})
+
+    def _from_symbol(self, sym):
         n = len(self.gens)
+        return self._like(sym.trunc, sym._den, {
+            (e[:n], e[n:-2], e[-2], e[-1]): v for e, v in sym._data.items()})
 
-        def products():
-            for (a1, d1, r1, q1), c1 in self._data.items():
-                for (a2, d2, r2, q2), c2 in other._data.items():
-                    # commute d^{d1} past x^{a2}: Leibniz over e <= min(d1, a2)
-                    ranges = [range(min(d1[i], a2[i]) + 1) for i in range(n)]
-                    for e in itertools.product(*ranges):
-                        coef = 1
-                        for i in range(n):
-                            if e[i]:
-                                coef *= math.comb(d1[i], e[i]) * _falling(a2[i], e[i])
-                        key = (
-                            tuple(a1[i] + a2[i] - e[i] for i in range(n)),
-                            tuple(d1[i] - e[i] + d2[i] for i in range(n)),
-                            r1 + r2,
-                            q1 + q2,
-                        )
-                        v = c1 * c2
-                        if coef != 1:
-                            v = v * coef
-                        yield key, v
-
-        trunc = min(self.trunc, other.trunc)
-        return self._canonical(trunc, accumulate({}, products()),
-                               self._den * other._den)
+    def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
+        """Operator product self o other (apply other first): the
+        standard-ordered star product of the symbols at z = 1."""
+        self._check(other)
+        a = self._symbol(self._data)
+        form = BilinearForm.standard(a.gens, self.domain,
+                                     min(self.trunc, other.trunc))
+        return self._from_symbol(star(form, 1, a, other._symbol(other._data)))
 
     def formal_adjoint(self) -> "DifferentialOperator":
-        """(c x^a d^d)^dagger = (-1)^{|d|} d^d o conj(c) x^a, normal-ordered."""
+        """(c x^a d^d)^dagger = (-1)^{|d|} d^d o conj(c) x^a: exp(sum_i
+        d_{x_i} d_{xi_i}) of the symbol conj(c) (-1)^{|d|} x^a xi^d, the
+        ordering operator's level loop on the entries (i, n + i, 2) over 1."""
         n = len(self.gens)
-
-        def terms():
-            for (a, d, r, q), c in self._data.items():
-                # conjugate: -c on the i^1 slot (ints are their own)
-                cc = -c if q else c.conjugate()
-                if sum(d) % 2:
-                    cc = -cc
-                ranges = [range(min(d[i], a[i]) + 1) for i in range(n)]
-                for e in itertools.product(*ranges):
-                    coef = 1
-                    for i in range(n):
-                        if e[i]:
-                            coef *= math.comb(d[i], e[i]) * _falling(a[i], e[i])
-                    key = (
-                        tuple(a[i] - e[i] for i in range(n)),
-                        tuple(d[i] - e[i] for i in range(n)),
-                        r,
-                        q,
-                    )
-                    yield key, cc if coef == 1 else cc * coef
-
-        return self._canonical(self.trunc, accumulate({}, terms()), self._den)
+        sym = self._symbol({
+            k: 0 - v if sum(k[1]) % 2 else v
+            for k, v in stored_conjugate(self.domain, self._data).items()})
+        levels = _exp_levels(sym, 1, [(i, n + i, 2, (0, 0)) for i in range(n)],
+                             self.trunc)
+        return self._from_symbol(sym._like(self.trunc,
+                                           *stored_sum(self.domain, levels)))
 
     # -- text / JSON ---------------------------------------------------------
     @staticmethod

@@ -27,6 +27,7 @@ from .scalars import (
     accumulate,
     coerce_coeff,
     coerce_coeffs,
+    stored_conjugate,
     stored_encode,
     stored_reduce,
 )
@@ -304,8 +305,8 @@ class Polynomial(TermSum):
         return Polynomial(self.gens, terms, self.domain, self.trunc, _clean=True)
 
     def conjugate(self) -> "Polynomial":
-        terms = {e: c.conjugate() for e, c in self.terms.items()}
-        return Polynomial(self.gens, terms, self.domain, self.trunc, _clean=True)
+        return self._like(self.trunc, self._den,
+                          stored_conjugate(self.domain, self._data))
 
     def hbar_coefficient(self, r: int) -> "Polynomial":
         """Coefficient of h^r as a polynomial with constant coefficients."""

@@ -442,9 +442,8 @@ class FormalScalar(TermSum):
 
     def conjugate(self) -> "FormalScalar":
         """Involutive ring morphism: i -> -i, h -> h."""
-        return self._like(self.trunc, self._den, {
-            key: -v if key[1] else v for key, v in self._data.items()
-        })
+        return self._like(self.trunc, self._den,
+                          stored_conjugate(self.domain, self._data))
 
     def truncate(self, n: int) -> "FormalScalar":
         return self._canonical(n, self._data, self._den)
@@ -836,6 +835,15 @@ def stored_sum(domain, parts):
         f = den // d
         accumulate(out, ((k, f * v) for k, v in items))
     return stored_reduce(domain, den, out)
+
+
+def stored_conjugate(domain, data):
+    """The stored values data conjugated, i -> -i: a formal int on the i^1
+    slot negated, as 0 - v, and a numeric value conjugated, adding 0j so
+    that no part is -0.0."""
+    if domain == "formal":
+        return {k: 0 - v if k[-1] else v for k, v in data.items()}
+    return {k: v.conjugate() + 0j for k, v in data.items()}
 
 
 def stored_decode(domain, data, den, trunc):

@@ -196,6 +196,7 @@ class TensorSquare(TermSum):
     @classmethod
     def of(cls, a: Polynomial, b: Polynomial) -> "TensorSquare":
         a._check(b)
+        check_product_size(a, b)
         n = min(a.trunc, b.trunc)
         a = a._cut(n)
         b = b._cut(n)
@@ -226,13 +227,25 @@ class TensorSquare(TermSum):
 
 
 def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
-    """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j."""
+    """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j, on the
+    stored values: a part (i, j, v, left) of the folded form (_fold) takes
+    a term to the left exponents lowered at slot i and the right ones at
+    slot j, times v and both exponents, its h and i slots moved by the
+    part's."""
     if form.gens != t.gens or form.domain != t.domain:
         raise IncompatibleError("form and tensor square over different algebras")
-    out = kernels.p_lambda_terms(
-        [(i, j, lam, None) for i, j, lam in form.nonzero_entries()], t.terms)
-    return TensorSquare(t.gens, out, t.domain, min(t.trunc, form.trunc),
-                        _clean=True)
+    trunc = min(t.trunc, form.trunc)
+    den, entries = _fold(form, 1, trunc)
+    n = len(t.gens)
+    steps = [(i, j, v, left[n:] if left else (0, 0))
+             for i, j, v, left in entries]
+    t = t._cut(trunc)
+    return t._canonical(trunc, accumulate({}, (
+        ((ea[:i] + (ea[i] - 1,) + ea[i + 1:],
+          eb[:j] + (eb[j] - 1,) + eb[j + 1:], r + dr, q + dq),
+         c * (v * eb[j]) * ea[i])
+        for (ea, eb, r, q), c in t._data.items()
+        for i, j, v, (dr, dq) in steps if ea[i] and eb[j])), t._den * den)
 
 
 def _fold(form, z, trunc):
@@ -434,16 +447,16 @@ def star_weyl(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def poisson_bracket(form: BilinearForm, a: Polynomial, b: Polynomial) -> Polynomial:
-    """{a, b}_Lambda = mu(P_Lambda(a (x) b) - P_Lambda(b (x) a)).
-
-    On linear elements {v, w} = Lambda(v, w) - Lambda(w, v); only the
-    antisymmetric part of Lambda contributes.
-    """
+    """{a, b}_Lambda = mu(P_Lambda(a (x) b) - P_Lambda(b (x) a)), level 1
+    of the star kernel under Lambda - Lambda^T, in which the symmetric part
+    of Lambda cancels exactly. On linear elements {v, w} = Lambda(v, w) -
+    Lambda(w, v)."""
     trunc = _operands(form, a, b)
-    dl, entries = _fold(form, 1, trunc)
+    dl, entries = _fold(form - form.transpose(), 1, trunc)
     a = a._cut(trunc)
     b = b._cut(trunc)
-    return a._canonical(trunc, kernels.bracket_terms(entries, a._data, b._data),
+    return a._canonical(trunc, kernels.star_terms(entries, (0, 1), a._data,
+                                                  b._data, 1),
                         dl * a._den * b._den)
 
 
@@ -477,18 +490,25 @@ def _delta_entries(form, z, trunc):
                  for i, j, v, left in entries if i <= j]
 
 
-def _delta_level(level, den, entries, k, trunc):
-    """The stored form of z Delta_S level / k, (den, entries) those of z * S
-    (_delta_entries): the second derivatives of level, each times an
-    entry's value and moved by its h and i raises, over level's den * den *
-    2 * k."""
-    out = {}
-    for i, j, v, (r, q) in entries:
-        d = level.partial_derivative(i).partial_derivative(j)
-        c = v * (level._den // d._den)
-        accumulate(out, ((e[:-2] + (e[-2] + r, e[-1] + q), c * x)
-                         for e, x in d._data.items()))
-    return stored_canonical(level.domain, out, level._den * den * 2 * k, trunc)
+def _exp_levels(f, den, entries, trunc):
+    """The stored forms (den, items) of the nonzero levels D^k f / k! of
+    exp(D) f, f cut at trunc, D = z Delta_S for (den, entries) those of
+    z * S (_delta_entries): level k the second derivatives of level k-1,
+    each times an entry's value and moved by its h and i raises, over its
+    den * den * 2 * k."""
+    level = f._cut(trunc)
+    levels = [(level._den, level._data.items())]
+    for k in itertools.count(1):
+        out = {}
+        for i, j, v, (r, q) in entries:
+            d = level.partial_derivative(i).partial_derivative(j)
+            c = v * (level._den // d._den)
+            accumulate(out, ((e[:-2] + (e[-2] + r, e[-1] + q), c * x)
+                             for e, x in d._data.items()))
+        level = f._canonical(trunc, out, level._den * den * 2 * k)
+        if not level:
+            return levels
+        levels.append((level._den, level._data.items()))
 
 
 class OrderingOperator:
@@ -518,22 +538,16 @@ class OrderingOperator:
         if f.gens != self.sym_form.gens or f.domain != self.sym_form.domain:
             raise IncompatibleError("operator and operand over different algebras")
         (z,), trunc = coerce_coeffs([self.z], f.domain, f.trunc)
-        level = f._cut(trunc)
-        levels = [(level._den, level._data.items())]
-        entries = _delta_entries(self.sym_form, z, trunc)
-        for k in itertools.count(1):
-            level = f._like(trunc, *_delta_level(level, *entries, k, trunc))
-            if not level:
-                break
-            levels.append((level._den, level._data.items()))
+        levels = _exp_levels(f, *_delta_entries(self.sym_form, z, trunc),
+                             trunc)
         if len(levels) > 1:
             return f._like(trunc, *stored_sum(f.domain, levels))
         # no level: the orders of z and S past what they know add to f past
         # trunc, unless Delta_S f is 0 for every S that agrees with this one
         known = min(f.trunc, self.sym_form.trunc)
-        _, delta = _delta_level(f, *_delta_entries(self.sym_form, 1, known),
-                                1, known)
-        exact = not delta and (self.sym_form.trunc >= f.trunc or f.degree() < 2)
+        delta = _exp_levels(f, *_delta_entries(self.sym_form, 1, known), known)
+        exact = len(delta) == 1 and (self.sym_form.trunc >= f.trunc
+                                     or f.degree() < 2)
         return f if exact else f._cut(trunc)
 
     def inverse(self) -> "OrderingOperator":

@@ -199,7 +199,8 @@ def check_oracle_agreement(seed: int):
 
 
 def check_ordering_conventions(seed: int):
-    """Pinned product values, conjugation, and the operator homomorphism."""
+    """Pinned product values, conjugation, and the operator homomorphism,
+    each composition also checked against the direct loop of apply."""
     rng = random.Random(seed)
     trunc = 8
     gens = Generators(("q", "p"))
@@ -214,13 +215,18 @@ def check_ordering_conventions(seed: int):
         g = _rand_poly(rng, gens, 3, trunc, complex_coeffs=True)
         if star_weyl(f, g).conjugate() != star_weyl(g.conjugate(), f.conjugate()):
             return False, f"conjugation anti-homomorphism failed (trial {trial})"
+    xrng = random.Random(f"{seed}:apply")  # rng draws the same pairs without it
     for trial in range(25):
         f = _rand_poly(rng, gens, 4, trunc, complex_coeffs=True)
         g = _rand_poly(rng, gens, 4, trunc, complex_coeffs=True)
-        if std_rep(star_standard(f, g)) != std_rep(f).compose(std_rep(g)):
-            return False, f"standard representation homomorphism failed (trial {trial})"
-        if weyl_rep(star_weyl(f, g)) != weyl_rep(f).compose(weyl_rep(g)):
-            return False, f"Weyl representation homomorphism failed (trial {trial})"
+        x = _rand_poly(xrng, Generators(("q",)), 5, trunc, complex_coeffs=True)
+        for name, rep, product in (("standard", std_rep, star_standard),
+                                   ("Weyl", weyl_rep, star_weyl)):
+            a, b = rep(f), rep(g)
+            if rep(product(f, g)) != a.compose(b):
+                return False, f"{name} representation homomorphism failed (trial {trial})"
+            if a.compose(b).apply(x) != a.apply(b.apply(x)):
+                return False, f"{name} composition is not apply after apply (trial {trial})"
     return True, "pinned values, 100 conjugation pairs, 25 homomorphism pairs each"
 
 

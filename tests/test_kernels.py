@@ -37,12 +37,14 @@ def test_p_lambda_raise_lands_on_the_right_factor():
     # one generator plus the h and i slots; d (x) d with weight 3, and the
     # same with the product also raised to h*i: the raise sits on slots
     # that no entry differentiates, and the step puts it on the right
-    # factor, whose P_Lambda steps carry it
-    t = {((2, 0, 0), (1, 0, 0)): 5}
-    plain = kernels.p_lambda_terms([(0, 0, 3, None)], t)
-    assert plain == {((1, 0, 0), (0, 0, 0)): 30}
-    shifted = kernels.p_lambda_terms([(0, 0, 3, (-1, 1, 1))], t)
-    assert shifted == {((1, 0, 0), (0, 1, 1)): 30}
+    # factor B_1[e_0], whose later steps carry it
+    b = {(1, 0, 0): 5}
+    for left, raised in [(None, (0, 0, 0)), ((-1, 1, 1), (0, 1, 1))]:
+        entries = [(0, 0, 3, left)]
+        lay = kernels._Layout(entries, {(2, 0, 0): 1}, b, 1)
+        step = kernels.p_lambda_terms(lay, {lay.key(k): c
+                                            for k, c in b.items()})
+        assert step == {1 << lay.cshift | lay.key(raised): 15}
 
 
 @pytest.mark.parametrize("left", [
@@ -57,16 +59,13 @@ def test_kernels_refuse_other_raises_before_any_work(left, monkeypatch):
     # other left is a ValueError before a single step or product
     entries = [(0, 0, 1, left), (1, 1, 1, None)]
     a = {(2, 1, 0): 1}
-    t = {((2, 1, 0), (1, 1, 0)): 1}
 
     def no_work(*args):
         raise AssertionError("the kernel started")
 
     monkeypatch.setattr(kernels, "_series", no_work)
     for call in (lambda: kernels.star_terms(entries, [1, 1], a, a, 1),
-                 lambda: kernels.star_slices(entries, [1, 1], a, a, 1, 2),
-                 lambda: kernels.bracket_terms(entries, a, a),
-                 lambda: kernels.p_lambda_terms(entries, t)):
+                 lambda: kernels.star_slices(entries, [1, 1], a, a, 1, 2)):
         with pytest.raises(ValueError, match="no entry differentiates"):
             call()
 
@@ -220,20 +219,49 @@ def kernel_cases(draw):
     return entries, zfacts, a, b, rmax
 
 
+def packed_p_lambda(entries, t):
+    """tuple_p_lambda through one kernels.p_lambda_terms step per left
+    monomial: its right factor packed as B_0, and each class mu = e_i of
+    the step lowering the left monomial at slot i, times its exponent."""
+    if not t:
+        return {}
+    lay = kernels._Layout(entries, [ea for ea, _ in t], [eb for _, eb in t], 1)
+    low = (1 << lay.shift) - 1
+    out = {}
+    for ea in dict.fromkeys(ea for ea, _ in t):
+        right = {lay.key(eb): c for (e, eb), c in t.items() if e == ea}
+        for k, c in kernels.p_lambda_terms(lay, right).items():
+            i = (k >> lay.cshift).bit_length() - 1
+            if ea[i]:
+                key = (ea[:i] + (ea[i] - 1,) + ea[i + 1:], lay.slots(k & low))
+                accumulate(out, [(key, c * ea[i])])
+    return out
+
+
+def antisymmetrised(entries):
+    """The entries followed by each transposed and negated, (j, i, -lam)
+    with its raises: level 1 under them is mu(P(a (x) b) - P(b (x) a)),
+    the Poisson bracket."""
+    return entries + [
+        (j, i, -lam, left and tuple(v + (k == i) - (k == j)
+                                    for k, v in enumerate(left)))
+        for i, j, lam, left in entries]
+
+
 def check_against_the_tuple_loops(entries, zfacts, a, b, rmax):
     """The packed kernels equal the tensor-square loops on tuple keys, key
     for key and value for value."""
     assert kernels.star_terms(entries, zfacts, a, b, rmax) == \
         tuple_star(entries, zfacts[:rmax + 1], a, b)
     t = {(ea, eb): ca * cb for ea, ca in a.items() for eb, cb in b.items()}
-    assert kernels.p_lambda_terms(entries, t) == tuple_p_lambda(entries, t)
+    assert packed_p_lambda(entries, t) == tuple_p_lambda(entries, t)
     rhs = tuple_p_lambda(entries, {(eb, ea): cb * ca for eb, cb in b.items()
                                    for ea, ca in a.items()})
     diff = accumulate(tuple_p_lambda(entries, t),
                       ((key, -c) for key, c in rhs.items()))
     mu = accumulate({}, ((tuple(map(add, ea, eb)), c)
                          for (ea, eb), c in diff.items()))
-    assert kernels.bracket_terms(entries, a, b) == mu
+    assert kernels.star_terms(antisymmetrised(entries), (0, 1), a, b, 1) == mu
 
 
 @given(kernel_cases())

@@ -6,9 +6,10 @@ of a numeric sum or product shows here. An output whose repr runs to many
 kilobytes is frozen as the sha256 of that repr. The numeric operations run
 the loops of the formal domain on complex values, so their bits are those
 of that order; the frozen products, brackets, P_Lambda steps,
-exponentials, ordering operators, translation and continuity sums are also
-checked against the formal engine on the exact rationals of their float
-inputs, and the translation defect against the scale of its product.
+exponentials, ordering operators, operator compositions, adjoints and
+applications, translation and continuity sums are also checked against
+the formal engine on the exact rationals of their float inputs, and the
+translation defect against the scale of its product.
 """
 
 import hashlib
@@ -17,7 +18,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from starweyl import (
-    BilinearForm, GaussianRational, Polynomial, SeminormSpec, TensorSquare, formal_adjoint,
+    BilinearForm, DifferentialOperator, GaussianRational, Polynomial,
+    SeminormSpec, TensorSquare, formal_adjoint,
     minus_i_hbar, n_operator, ordering_operator, p_lambda, poisson_bracket,
     poisson_standard, seminorm_pR, standard_form, star, star_continuity_report,
     star_standard, star_weyl, std_rep, translation_automorphism_defect,
@@ -99,7 +101,7 @@ FROZEN = {
     'std_rep': '{((3,), (2,)): NumericScalar((-0.67-1.81j)), ((2,), (3,)): NumericScalar((-1.19+0.21j)), ((5,), (1,)): NumericScalar((-0.04285714285714285-0.24285714285714283j)), ((2,), (1,)): NumericScalar((4.199999999999999+3.85j)), ((1,), (2,)): NumericScalar((1.55-1.1j)), ((4,), (0,)): NumericScalar(0.3571428571428571j), ((1,), (0,)): NumericScalar((-5-2.5j)), ((0,), (3,)): NumericScalar((-0.7+0j)), ((3,), (1,)): NumericScalar(-0.14285714285714285j), ((0,), (1,)): NumericScalar((2+1j)), ((1,), (1,)): NumericScalar((-0.06666666666666667-0.3666666666666667j)), ((0,), (2,)): NumericScalar((-0.2333333333333333+0j)), ((3,), (0,)): NumericScalar(-0.047619047619047616j), ((0,), (0,)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((2,), (4,)): NumericScalar((0.02999999999999997+0.79j)), ((1,), (5,)): NumericScalar((0.48999999999999994+0.06999999999999999j)), ((4,), (3,)): NumericScalar((-0.014285714285714285+0.09999999999999999j)), ((1,), (3,)): NumericScalar((-1.2999999999999998-0.8999999999999999j))}',
     'weyl_rep': '{((2,), (1,)): NumericScalar((1.7-0.3j)), ((1,), (0,)): NumericScalar((-0.8-0.3j)), ((0,), (1,)): NumericScalar((1+0j)), ((0,), (0,)): NumericScalar((0.3333333333333333+0j)), ((1,), (3,)): NumericScalar((-0.7-0.1j)), ((0,), (2,)): NumericScalar((-1.0499999999999998-0.15000000000000002j))}',
     'adjoint': '{((2,), (1,)): NumericScalar((-1.7-0.3j)), ((1,), (0,)): NumericScalar((-5.9-0.6j)), ((0,), (1,)): NumericScalar((-1+0j)), ((0,), (0,)): NumericScalar((0.3333333333333333+0j)), ((1,), (3,)): NumericScalar((0.7-0.1j)), ((0,), (2,)): NumericScalar((2.0999999999999996-0.30000000000000004j))}',
-    'compose': '{((3,), (2,)): NumericScalar((-0.67-1.81j)), ((2,), (1,)): NumericScalar((2.8599999999999994+0.22999999999999998j)), ((1,), (0,)): NumericScalar((-4.5+0.25j)), ((1,), (2,)): NumericScalar((-3.21-0.2600000000000001j)), ((1,), (1,)): NumericScalar((-0.06666666666666667-0.3666666666666667j)), ((2,), (4,)): NumericScalar((0.02999999999999997+0.79j)), ((1,), (3,)): NumericScalar((-1.2699999999999998-0.10999999999999988j)), ((2,), (3,)): NumericScalar((-1.19+0.21j)), ((0,), (1,)): NumericScalar((3.12+1.42j)), ((0,), (3,)): NumericScalar((-0.7+0j)), ((0,), (2,)): NumericScalar((-0.2333333333333333+0j)), ((1,), (5,)): NumericScalar((0.48999999999999994+0.06999999999999999j)), ((0,), (4,)): NumericScalar((0.9799999999999999+0.13999999999999999j)), ((5,), (1,)): NumericScalar((-0.04285714285714285-0.24285714285714283j)), ((4,), (0,)): NumericScalar(0.3571428571428571j), ((3,), (1,)): NumericScalar(-0.14285714285714285j), ((3,), (0,)): NumericScalar(-0.047619047619047616j), ((4,), (3,)): NumericScalar((-0.014285714285714285+0.09999999999999999j)), ((0,), (0,)): NumericScalar((0.6666666666666666+0.3333333333333333j))}',
+    'compose': '{((3,), (2,)): NumericScalar((-0.67-1.81j)), ((2,), (3,)): NumericScalar((-1.19+0.21j)), ((5,), (1,)): NumericScalar((-0.04285714285714285-0.24285714285714283j)), ((2,), (1,)): NumericScalar((2.8599999999999994+0.22999999999999998j)), ((1,), (2,)): NumericScalar((-3.21-0.2600000000000001j)), ((4,), (0,)): NumericScalar(0.3571428571428571j), ((1,), (0,)): NumericScalar((-4.5+0.25j)), ((0,), (3,)): NumericScalar((-0.7+0j)), ((3,), (1,)): NumericScalar(-0.14285714285714285j), ((0,), (1,)): NumericScalar((3.12+1.42j)), ((1,), (1,)): NumericScalar((-0.06666666666666667-0.3666666666666667j)), ((0,), (2,)): NumericScalar((-0.2333333333333333+0j)), ((3,), (0,)): NumericScalar(-0.047619047619047616j), ((0,), (0,)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((2,), (4,)): NumericScalar((0.02999999999999997+0.79j)), ((1,), (5,)): NumericScalar((0.48999999999999994+0.06999999999999999j)), ((4,), (3,)): NumericScalar((-0.014285714285714285+0.09999999999999999j)), ((1,), (3,)): NumericScalar((-1.2699999999999998-0.10999999999999988j)), ((0,), (4,)): NumericScalar((0.9799999999999999+0.13999999999999999j))}',
     'apply': '{(4,): NumericScalar((2.37+3.5100000000000002j)), (2,): NumericScalar((-0.8999999999999999+3.9000000000000004j)), (0,): NumericScalar((-2+0j)), (3,): NumericScalar((0.09999999999999999+0.3j)), (1,): NumericScalar((-2.466666666666666-9.899999999999999j))}',
     'n_operator': '{(3, 2): NumericScalar((0.7557142857142858+1.21j)), (2, 3): NumericScalar((0.21+1.19j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((0.6799999999999997+2.0614285714285705j)), (1, 2): NumericScalar((2.0199999999999996+0.4700000000000001j)), (4, 0): NumericScalar((-0.10714285714285712-0.25j)), (1, 0): NumericScalar((-1.8478571428571438-1.0649999999999997j)), (0, 3): NumericScalar(0.7j), (3, 1): NumericScalar((0.14285714285714285+0j)), (0, 1): NumericScalar((-0.2149999999999999+1.765j)), (1, 1): NumericScalar((0.3666666666666667-0.06666666666666667j)), (0, 2): NumericScalar((2.0933333333333333-1.0200000000000002j)), (3, 0): NumericScalar(-0.047619047619047616j), (0, 0): NumericScalar((0.6333333333333333+0.14999999999999997j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((2.2600000000000002+1.18j)), (2, 0): NumericScalar(-0.21428571428571427j), (0, 4): NumericScalar((1.2249999999999999+0.175j))}',
     'exp': '{(0, 0): NumericScalar((1+0j)), (1, 0): NumericScalar((0.1-0.65j)), (0, 1): NumericScalar((-1.25-0.525j)), (2, 0): NumericScalar((-0.20625000000000002-0.065j)), (1, 1): NumericScalar((-0.46625000000000005+0.76j)), (0, 2): NumericScalar((0.6434375+0.65625j)), (3, 0): NumericScalar((-0.02095833333333334+0.04252083333333334j)), (2, 1): NumericScalar((0.2236875+0.18953125000000004j)), (1, 2): NumericScalar((0.49090625000000004-0.35260937499999995j)), (0, 3): NumericScalar((-0.15325520833333334-0.38603906250000003j)), (4, 0): NumericScalar((0.006385677083333334+0.004468750000000001j)), (3, 1): NumericScalar((0.04852135416666668-0.04214791666666667j)), (2, 2): NumericScalar((-0.09005273437499998-0.17717500000000003j)), (1, 3): NumericScalar((-0.26625091145833335+0.06101197916666665j)), (0, 4): NumericScalar((-0.0027753743489583316+0.14075195312500002j)), (5, 0): NumericScalar((0.0007086510416666669-0.0007407630208333335j)), (4, 1): NumericScalar((-0.005636002604166666-0.008938417968750003j)), (3, 2): NumericScalar((-0.04138967447916668+0.013605592447916662j)), (2, 3): NumericScalar((0.006516347656249992+0.08958214518229168j)), (1, 4): NumericScalar((0.09121123209635416+0.015879188639322923j)), (0, 5): NumericScalar((0.015472798665364584-0.03489657397460938j)), (6, 0): NumericScalar((-6.843847656250002e-05-8.911657986111115e-05j)), (5, 1): NumericScalar((-0.0012747143880208337+0.0005539119791666665j)), (4, 2): NumericScalar((0.0011761669108072907+0.007065961914062502j)), (3, 3): NumericScalar((0.019626676378038197+0.001574196180555559j)), (2, 4): NumericScalar((0.00972129791259766-0.028849690999348962j)), (1, 5): NumericScalar((-0.021135493216959636-0.01354697652994792j)), (0, 6): NumericScalar((-0.006276949944729275+0.00591624969482422j)), (7, 0): NumericScalar((-9.252803509424605e-06+5.081907397073414e-06j)), (6, 1): NumericScalar((3.876189127604164e-05+0.00014732592502170142j)), (5, 2): NumericScalar((0.0009420983870442711-1.1582460123697744e-05j)), (4, 3): NumericScalar((0.0007464737887912333-0.0031499800069173184j)), (3, 4): NumericScalar((-0.00592672311943902-0.0030679375810411256j)), (2, 5): NumericScalar((-0.0054595420330810565+0.006191686469014487j)), (1, 6): NumericScalar((0.003217867307162815+0.004671642433556451j)), (0, 7): NumericScalar((0.0015646026458134728-0.0005857019139353436j))}',
@@ -147,6 +149,12 @@ def exact(x):
 def formal_poly(p):
     return Polynomial(p.gens, {e: exact(c.val) for e, c in p.terms.items()},
                       "formal", 0)
+
+
+def formal_op(op):
+    return DifferentialOperator(op.gens, {k: exact(c.val)
+                                          for k, c in op.terms.items()},
+                                "formal", 0)
 
 
 def formal_form(form):
@@ -211,6 +219,13 @@ def test_numeric_outputs_are_near_the_exact_values():
             standard_form(G, "formal", 0).symmetric_part(), minus_i).apply(
                 formal_poly(ab))),
     }
+    rep_a, rep_b = std_rep(A), std_rep(B)
+    qa = Polynomial(("q",), {(3,): complex(0.3, 0.9), (1,): -2.0}, "numeric")
+    pairs["compose"] = (rep_b.compose(rep_a),
+                        formal_op(rep_b).compose(formal_op(rep_a)))
+    pairs["adjoint"] = (formal_adjoint(rep_a), formal_adjoint(formal_op(rep_a)))
+    pairs["apply"] = (weyl_rep(A).apply(qa),
+                      formal_op(weyl_rep(A)).apply(formal_poly(qa)))
     shifts = (complex(0.5, 0.25), -1.5)
     pairs["A.translate"] = (A.translate(shifts), formal_poly(A).translate(
         tuple(map(exact, shifts))))

@@ -5,14 +5,18 @@ differential operators in the configuration variables alone; both are algebra
 homomorphisms for their ordering's star product.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
     DifferentialOperator,
+    FormalScalar,
     GaussianRational,
     Generators,
     Polynomial,
+    StarWeylError,
+    TensorSquare,
     formal_adjoint,
     minus_i_hbar,
     ordering_operator,
@@ -128,3 +132,109 @@ def test_operator_json_shape():
     jsonschema.validate(data, OPERATOR_SCHEMA)
     assert data["generators"] == ["q"]
     assert all("coef_exp" in t and "deriv_exp" in t for t in data["terms"])
+
+
+# -- compose and adjoint against apply -------------------------------------------
+#
+# compose and formal_adjoint run on symbols through the star kernel and the
+# ordering operator's level loop; apply is a direct loop that shares no
+# code with them, and polynomial products and partial_derivative build the
+# adjoint's reference.
+
+CONFIG = [Generators(("q",)), Generators(("q1", "q2"))]
+
+
+def hseries(max_trunc=3):
+    """Formal scalars with parts at several h-orders, some truncated."""
+    return st.builds(FormalScalar,
+                     st.dictionaries(st.integers(0, 2), gaussians,
+                                     min_size=1, max_size=2),
+                     st.integers(0, max_trunc))
+
+
+def exponents(n, top):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+def operators(gens, top=3, max_terms=4):
+    n = len(gens)
+    return st.builds(
+        lambda terms, t: DifferentialOperator(gens, terms, "formal", t),
+        st.dictionaries(st.tuples(exponents(n, top), exponents(n, top)),
+                        hseries(), min_size=1, max_size=max_terms),
+        st.integers(0, 4))
+
+
+def config_polys(gens, top=4, max_terms=4):
+    return st.builds(
+        lambda terms, t: Polynomial(gens, terms, "formal", t),
+        st.dictionaries(exponents(len(gens), top), hseries(),
+                        min_size=1, max_size=max_terms),
+        st.integers(0, 4))
+
+
+def operator_cases(count):
+    return st.sampled_from(CONFIG).flatmap(lambda gens: st.tuples(
+        *[operators(gens)] * count, config_polys(gens)))
+
+
+@given(operator_cases(2))
+@settings(max_examples=60, deadline=None)
+def test_compose_is_apply_after_apply(case):
+    a, b, x = case
+    assert a.compose(b).apply(x) == a.apply(b.apply(x))
+
+
+def adjoint_reference(op, x):
+    """sum over the terms c x^a d^d of op of (-1)^{|d|} d^d (conj(c) x^a x),
+    from polynomial products and partial derivatives alone."""
+    gens = x.gens
+    total = Polynomial.zero(gens, "formal", min(op.trunc, x.trunc))
+    for (a, d), c in op.terms.items():
+        term = Polynomial(gens, {a: c.conjugate()}, "formal", op.trunc) * x
+        for i, k in enumerate(d):
+            for _ in range(k):
+                term = term.partial_derivative(i)
+        total = total + (-term if sum(d) % 2 else term)
+    return total
+
+
+@given(operator_cases(1))
+@settings(max_examples=60, deadline=None)
+def test_adjoint_applies_as_the_integration_by_parts_sum(case):
+    a, x = case
+    assert formal_adjoint(a).apply(x) == adjoint_reference(a, x)
+
+
+def test_adjoint_reference_on_a_pinned_case():
+    # (q D)^dagger = -D o q = -q D - 1, and on q^2: -2q^2 - q^2
+    op = DifferentialOperator(CONFIG[0], {((1,), (1,)): 1})
+    x = poly_from_text("q^2", CONFIG[0])
+    assert str(formal_adjoint(op)) == "-q*D[q] - 1"
+    assert adjoint_reference(op, x) == formal_adjoint(op).apply(x)
+    assert str(adjoint_reference(op, x)) == "-3*q^2"
+
+
+def test_operator_products_refuse_past_the_size_limit(monkeypatch):
+    import importlib
+
+    from starweyl import kernels, ops, poly
+
+    star_module = importlib.import_module("starweyl.star")
+
+    # apply and TensorSquare.of form every pair of stored terms, and
+    # compose gets the limit from star: each is refused before any work
+    def no_work(*args):
+        raise AssertionError("the product started")
+
+    monkeypatch.setattr(poly, "MAX_PRODUCT_PAIRS", 3)
+    monkeypatch.setattr(ops, "accumulate", no_work)
+    monkeypatch.setattr(star_module, "accumulate", no_work)
+    monkeypatch.setattr(kernels, "star_terms", no_work)
+    op = std_rep(pf("q*p + p + 1"))
+    x = poly_from_text("q^2 + q", CONFIG[0])
+    f = pf("q + p")
+    for call in (lambda: op.apply(x), lambda: op.compose(op),
+                 lambda: TensorSquare.of(f, pf("q*p + q"))):
+        with pytest.raises(StarWeylError, match="above the limit 3"):
+            call()

@@ -185,6 +185,20 @@ def test_result_truncation_counts_the_form():
     assert poisson_bracket(standard_form(G, "formal", 8), a, b).trunc == 8
 
 
+def test_p_lambda_of_a_tensor_cut_by_the_form():
+    # the form known to h^1 cuts the tensor square's h^2 part, and with it
+    # the stored denominator (8 at h^2, 4 after the cut): the step reads
+    # the cut tensor's values over the cut tensor's denominator
+    g = Generators(("a",))
+    form = BilinearForm(g, [[GaussianRational(0, Fraction(4, 3))]], "formal", 1)
+    c = FormalScalar({0: -3, 1: GaussianRational(8, Fraction(-1, 4)),
+                      2: GaussianRational(Fraction(7, 4), Fraction(5, 8))}, 2)
+    t = TensorSquare(g, {((2,), (3,)): c}, "formal", 2)
+    # 4/3 i * 2 * 3 = 8i times c, known to h^1
+    want = FormalScalar({0: GaussianRational(0, -24), 1: GaussianRational(2, 64)}, 1)
+    assert p_lambda(form, t) == TensorSquare(g, {((1,), (2,)): want}, "formal", 1)
+
+
 def test_a_parameter_or_form_entry_of_smaller_truncation_lowers_the_result():
     # z, an entry of Lambda or the parameter of an ordering operator known
     # only to h^2 cannot determine the h^3 coefficient of a product

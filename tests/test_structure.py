@@ -338,8 +338,10 @@ INT_ONLY = {
     ("star.py", "TensorSquare.of"),
     ("star.py", "TensorSquare.mu"),
     ("star.py", "OrderingOperator.apply"),
+    ("star.py", "_exp_levels"),
+    ("star.py", "p_lambda"),
+    ("star.py", "poisson_bracket"),
     ("star.py", "_delta_entries"),
-    ("star.py", "_delta_level"),
     ("star.py", "_star_numeric"),
     ("star.py", "_numeric_form"),
     ("star.py", "_star_slices"),
@@ -349,6 +351,8 @@ INT_ONLY = {
     ("ops.py", "DifferentialOperator.apply"),
     ("ops.py", "DifferentialOperator.compose"),
     ("ops.py", "DifferentialOperator.formal_adjoint"),
+    ("ops.py", "DifferentialOperator._symbol"),
+    ("ops.py", "DifferentialOperator._from_symbol"),
     ("ops.py", "std_rep"),
 }
 
@@ -642,8 +646,9 @@ DOMAIN_FORK_CLASSES = {("star.py", "TensorSquare"), ("star.py", "BilinearForm"),
                        ("lie.py", "UEElement"), ("scalars.py", "TermSum"),
                        ("scalars.py", "FormalScalar")}
 DOMAIN_FORK_FUNCTIONS = {("star.py", "_fold"), ("star.py", "poisson_bracket"),
+                         ("star.py", "p_lambda"),
                          ("star.py", "_delta_entries"),
-                         ("star.py", "_delta_level"),
+                         ("star.py", "_exp_levels"),
                          ("seminorms.py", "truncated_exponential"),
                          ("seminorms.py", "_slices")}
 DOMAIN_FORKS_ALLOWED = {
@@ -731,8 +736,8 @@ def test_detector_sees_a_domain_fork():
     # the numeric branches that poisson_bracket and truncated_exponential
     # had
     star = sources["star.py"].replace(
-        "dl, entries = _fold(form, 1, trunc)\n",
-        "dl, entries = _fold(form, 1, trunc)\n"
+        "dl, entries = _fold(form - form.transpose(), 1, trunc)\n",
+        "dl, entries = _fold(form - form.transpose(), 1, trunc)\n"
         "    assert a.domain == 'formal'\n", 1)
     seminorms = sources["seminorms.py"].replace(
         "step = lin.scale(alpha)\n",
@@ -742,11 +747,15 @@ def test_detector_sees_a_domain_fork():
         ("seminorms.py", "truncated_exponential"),
         ("star.py", "poisson_bracket"),
     ]
-    # and in the ordering operator
+    # and in the ordering operator and its level loop
     star = sources["star.py"].replace(
         "level = f._cut(trunc)\n",
         "level = f._cut(trunc if f.domain == 'formal' else f.trunc)\n", 1)
+    star = star.replace(
+        "levels = _exp_levels(f,",
+        "levels = f.domain == 'formal' and _exp_levels(f,", 1)
     assert _domain_forks({**sources, "star.py": star}) == [
+        ("star.py", "_exp_levels"),
         ("star.py", "OrderingOperator.apply"),
     ]
     # a compatibility check, an allowed part and a function outside the
@@ -767,11 +776,11 @@ def test_term_sums_do_not_fork_on_the_domain():
 
 # The star kernels run the product as a bidifferential operator: a
 # derivative table of the left factor against one merged right factor per
-# multi-index (kernels._series). None of star_terms, star_slices and
-# bracket_terms builds the tensor square a (x) b, a dict with one key
-# ka << shift | kb per pair of terms.
+# multi-index (kernels._series). Neither star_terms nor star_slices builds
+# the tensor square a (x) b, a dict with one key ka << shift | kb per pair
+# of terms.
 
-TENSOR_FREE = {"star_terms", "star_slices", "bracket_terms"}
+TENSOR_FREE = {"star_terms", "star_slices"}
 
 
 def _shifted_or(node):
@@ -817,18 +826,14 @@ def _replace_function(source, old_source):
     return ast.unparse(tree)
 
 
-# bracket_terms as it was, on the tensor squares a (x) b and b (x) a, and
+# star_terms forming the tensor square a (x) b in a comprehension, and
 # star_slices forming its pairs inline as the pair former did
-OLD_BRACKET = '''
-def bracket_terms(entries, a, b):
-    lay = _Layout(entries, [*a, *b], 1)
+OLD_STAR = '''
+def star_terms(entries, zfacts, a, b, rmax, window=None):
+    lay = _Layout(entries, a, b, rmax)
     s = lay.shift
-    pa = lay.pack(a)
-    pb = lay.pack(b)
-    t = p_lambda_terms(lay, {ka << s | kb: v for ka, ca in pa.items()
-                             for kb, cb in pb.items() if (v := ca * cb)})
-    rhs = p_lambda_terms(lay, {kb << s | ka: v for kb, cb in pb.items()
-                               for ka, ca in pa.items() if (v := cb * ca)})
+    t = {lay.key(ea) << s | lay.key(eb): ca * cb
+         for ea, ca in a.items() for eb, cb in b.items()}
     return lay.unpack(t)
 '''
 OLD_SLICES = '''
@@ -847,12 +852,11 @@ def star_slices(entries, zfacts, a, b, rmax, n):
 
 def test_detector_sees_a_tensor_square():
     source = _sources()["kernels.py"]
-    mutant = _replace_function(_replace_function(source, OLD_BRACKET),
+    mutant = _replace_function(_replace_function(source, OLD_STAR),
                                OLD_SLICES)
-    assert tensor_squares(ast.parse(mutant)) == ["bracket_terms",
-                                                 "star_slices"]
+    assert tensor_squares(ast.parse(mutant)) == ["star_slices", "star_terms"]
     # the same keys in a function outside TENSOR_FREE are not looked at
-    other = OLD_BRACKET.replace("def bracket_terms", "def other_terms")
+    other = OLD_STAR.replace("def star_terms", "def other_terms")
     assert tensor_squares(ast.parse(other)) == []
 
 
@@ -860,3 +864,30 @@ def test_star_kernels_build_no_tensor_square():
     tree = ast.parse(_sources()["kernels.py"])
     assert TENSOR_FREE <= {name for name, _ in qualified_parts(tree)}
     assert tensor_squares(tree) == []
+
+
+# compose and formal_adjoint run on the operator's symbol through star.py
+# (the star kernel and the ordering operator's level loop); ops.py keeps no
+# Leibniz loop of its own, which would need itertools.product over the
+# multi-indices and math.comb.
+
+def module_imports(tree):
+    """The top-level module names a tree imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_detector_sees_a_leibniz_import():
+    tree = ast.parse("import itertools\nfrom math import comb\nfrom . import x\n")
+    assert module_imports(tree) == {"itertools", "math"}
+
+
+def test_ops_has_no_leibniz_loop():
+    with open(os.path.join(PACKAGE, "ops.py"), encoding="utf-8") as fh:
+        imports = module_imports(ast.parse(fh.read()))
+    assert not imports & {"itertools", "math"}

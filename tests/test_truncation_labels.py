@@ -9,14 +9,17 @@ order too high fails this: the order above the honest label moves with
 the extension.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
     BilinearForm,
+    DifferentialOperator,
     FormalScalar,
     GaussianRational,
     Generators,
@@ -31,9 +34,12 @@ from starweyl import (
     star_standard,
     star_weyl,
     standard_form,
+    std_rep,
+    weyl_rep,
 )
 
 G = Generators(("q", "p"))
+GQ = Generators(("q",))
 EXTRA = 2  # orders added above each input's truncation
 
 
@@ -62,7 +68,12 @@ def extend_terms(terms, trunc, rng, keys):
     return out
 
 
-MONOMIALS = [(i, j) for i in range(3) for j in range(3)]
+def monomials(n):
+    return list(itertools.product(range(3), repeat=n))
+
+
+MONOMIALS = monomials(2)
+OPERATOR_KEYS = [(a, d) for a in monomials(1) for d in monomials(1)]
 
 
 def extend(x, rng):
@@ -72,8 +83,11 @@ def extend(x, rng):
         return extend_scalar(x, rng)
     if isinstance(x, Polynomial):
         return Polynomial(x.gens, extend_terms(x.terms, x.trunc, rng,
-                                               MONOMIALS),
+                                               monomials(len(x.gens))),
                           "formal", x.trunc + EXTRA)
+    if isinstance(x, DifferentialOperator):
+        return DifferentialOperator(x.gens, extend_terms(
+            x.terms, x.trunc, rng, OPERATOR_KEYS), "formal", x.trunc + EXTRA)
     if isinstance(x, TensorSquare):
         return TensorSquare(x.gens, extend_terms(
             x.terms, x.trunc, rng, [(ea, eb) for ea in MONOMIALS[:4]
@@ -111,10 +125,18 @@ def scalars(max_trunc=3, min_size=0):
                      st.integers(0, max_trunc))
 
 
-def polys(max_trunc=3):
+def polys(max_trunc=3, gens=G):
     return st.builds(
-        lambda terms, t: Polynomial(G, terms, "formal", t),
-        st.dictionaries(st.sampled_from(MONOMIALS), scalars(min_size=1),
+        lambda terms, t: Polynomial(gens, terms, "formal", t),
+        st.dictionaries(st.sampled_from(monomials(len(gens))),
+                        scalars(min_size=1), min_size=1, max_size=3),
+        st.integers(0, max_trunc))
+
+
+def operators(max_trunc=3):
+    return st.builds(
+        lambda terms, t: DifferentialOperator(GQ, terms, "formal", t),
+        st.dictionaries(st.sampled_from(OPERATOR_KEYS), scalars(min_size=1),
                         min_size=1, max_size=3),
         st.integers(0, max_trunc))
 
@@ -142,13 +164,21 @@ OPS = {
     "apply_equivalence": (apply_equivalence, st.tuples(
         st.builds(OrderingOperator, forms(symmetric=True), zs),
         forms(), zs, polys(), polys())),
+    "compose": (DifferentialOperator.compose,
+                st.tuples(operators(), operators())),
+    "formal_adjoint": (DifferentialOperator.formal_adjoint,
+                       st.tuples(operators())),
+    "std_rep": (std_rep, st.tuples(polys())),
+    "weyl_rep": (weyl_rep, st.tuples(polys())),
+    "apply": (DifferentialOperator.apply,
+              st.tuples(operators(), polys(gens=GQ))),
 }
 
 
 @given(st.sampled_from(sorted(OPS)).flatmap(
     lambda name: st.tuples(st.just(name), OPS[name][1])),
     st.integers(0, 2**32))
-@settings(max_examples=240, deadline=None)
+@settings(max_examples=440, deadline=None)
 def test_truncation_labels_are_honest(case, seed):
     name, args = case
     assert honest(OPS[name][0], args, seed), name
@@ -175,4 +205,28 @@ def test_a_label_one_order_too_high_fails():
     args = (form, z, p, q)
     assert all(honest(star, args, seed) for seed in range(20))
     assert sum(not honest(relabelled(star), args, seed)
+               for seed in range(20)) >= 15
+
+
+# inputs known to h^1, one case per operator operation of the property
+# above, whose extension reaches the order above the result's label
+OPERATOR_CASES = {
+    "compose": (DifferentialOperator.compose, (
+        DifferentialOperator(GQ, {((1,), (0,)): 1}, "formal", 1),
+        DifferentialOperator(GQ, {((0,), (1,)): 1}, "formal", 1))),
+    "formal_adjoint": (DifferentialOperator.formal_adjoint, (
+        DifferentialOperator(GQ, {((1,), (1,)): 1}, "formal", 1),)),
+    "std_rep": (std_rep, (Polynomial(G, {(1, 0): 1, (0, 1): 1}, "formal", 1),)),
+    "weyl_rep": (weyl_rep, (Polynomial(G, {(1, 1): 1, (1, 0): 1}, "formal", 1),)),
+    "apply": (DifferentialOperator.apply, (
+        DifferentialOperator(GQ, {((0,), (1,)): 1}, "formal", 1),
+        Polynomial(GQ, {(2,): 1}, "formal", 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_CASES))
+def test_an_operator_label_one_order_too_high_fails(name):
+    op, args = OPERATOR_CASES[name]
+    assert all(honest(op, args, seed) for seed in range(20))
+    assert sum(not honest(relabelled(op), args, seed)
                for seed in range(20)) >= 15
