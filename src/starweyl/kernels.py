@@ -1,12 +1,15 @@
 """The sparse kernels behind polynomial, star and envelope products.
 
 The functions take and return plain dicts keyed by exponent tuples, with
-coefficients that support +, *, unary bool (zero test) and
-multiplication by int; the P_Lambda kernels (star_terms, star_slices,
-p_lambda_terms) run on packed keys inside (_Layout). They run on the
-values a term sum stores (scalars.py), keys ending in the powers of h and
-i, with each result brought to the stored form once by
-scalars.stored_canonical:
+coefficients that support + and *, int 0 included; the P_Lambda kernels
+(star_terms, star_slices, p_lambda_terms) run on packed keys inside
+(_Layout). They run on the values a term sum stores (scalars.py), keys
+ending in the powers of h and i. A kernel adds each product into its
+output, out[k] = out.get(k, 0) + v, and keeps a sum that vanishes: each
+result is brought to the stored form once by scalars.stored_canonical,
+whose reduce step drops the zero sums, as sparse multiply-accumulate
+drops them once at the end (Monagan and Pearce, _Layout). The kernels
+run on:
 
 - formal domain, plain ints, one denominator per operand: the products of
   poly.py (mul_terms), translations (shift_terms) and scalings
@@ -17,7 +20,8 @@ scalars.stored_canonical:
   kernels of poly.py, and the star product (on keys stripped of the zero
   slots) and Poisson bracket with complex form entries and weights, and
   the slices of a star product that the continuity report of seminorms.py
-  adds up (star_slices).
+  adds up (star_slices). 0 + v writes a -0.0 part of v as +0.0, which
+  the stored form writes anyway.
 
 star_terms and star_slices run the star product as the series of
 bidifferential operators it is (_series), with no tensor square; a
@@ -39,13 +43,7 @@ def mul_terms(a, b):
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(map(add, ea, eb))
-            v = ca * cb
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + ca * cb
     return out
 
 
@@ -135,7 +133,7 @@ class _Layout:
         m = self.mask
         offsets = range(0, self.shift, self.width)
         return {tuple([p >> o & m for o in offsets]): c
-                for p, c in terms.items() if c}
+                for p, c in terms.items()}
 
 
 def p_lambda_terms(lay, level):
@@ -152,13 +150,7 @@ def p_lambda_terms(lay, level):
                 k = key + delta
                 if k >> sh & mask > room:
                     continue
-                v = c * (lam * bj)
-                prev = out.get(k)
-                v = v if prev is None else prev + v
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + c * (lam * bj)
     return out
 
 
@@ -299,13 +291,7 @@ def lift_terms(a, b, raws, trunc):
                 if r > trunc:
                     continue
                 k = key[:-2] + (r, q0 + key[-1])
-                v = c * g
-                prev = out.get(k)
-                v = v if prev is None else prev + v
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + c * g
     return out
 
 
@@ -326,13 +312,7 @@ def scale_terms(a, s, trunc):
             if h > trunc:
                 continue
             key = x + (h, qa + q)
-            v = ca * cs
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, 0) + ca * cs
     return out
 
 
@@ -387,12 +367,6 @@ def shift_terms(a, shifts, trunc):
                     if h > trunc:
                         continue
                     key = head + (j,) + mid + (h, qe + q)
-                    v = c * f
-                    prev = nxt.get(key)
-                    v = v if prev is None else prev + v
-                    if v:
-                        nxt[key] = v
-                    else:
-                        nxt.pop(key, None)
+                    nxt[key] = nxt.get(key, 0) + c * f
         out = nxt
     return den, out

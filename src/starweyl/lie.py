@@ -161,8 +161,7 @@ class LieAlgebra:
                     p = qa + qb + q + 3
                     key = (k, 0, p & 1)
                     out[key] = out.get(key, 0) + (-x if p & 2 else x) * y * n
-        return int_reduce(du * dv * self._ic_den,
-                          {key: n for key, n in out.items() if n})
+        return int_reduce(du * dv * self._ic_den, out)
 
     def bracket_vec(self, u, v):
         """[u, v] for coefficient vectors; returns a GaussianRational tuple."""

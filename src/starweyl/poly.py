@@ -322,8 +322,11 @@ class Polynomial(TermSum):
         }))
 
     def map_coefficients(self, fn) -> "Polynomial":
-        terms = {e: v for e, c in self.terms.items() if (v := fn(c))}
-        return Polynomial(self.gens, terms, self.domain, self.trunc, _clean=True)
+        """The polynomial of the coefficients fn(c), coerced as the
+        constructor coerces them: fn may return any coefficient of the
+        domain, and one known to fewer h-orders lowers the truncation."""
+        return Polynomial(self.gens, {e: fn(c) for e, c in self.terms.items()},
+                          self.domain, self.trunc)
 
     # -- text ---------------------------------------------------------------------
     _sort_key = staticmethod(monomial_sort_key)

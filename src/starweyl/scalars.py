@@ -183,15 +183,14 @@ def _coerce_gaussian(x):
 
 
 def accumulate(out, items):
-    """Add (key, coefficient) pairs into the term dict out, dropping every
-    sum that vanishes; returns out."""
+    """Add (key, coefficient) pairs into the term dict out; returns out. A
+    key's first coefficient is stored as it is, not added to int 0 (which
+    would build a FormalScalar per sum). A sum that vanishes keeps its
+    slot: the stored form's reduce step (int_reduce, stored_reduce) drops
+    it."""
     for key, c in items:
         prev = out.get(key)
-        s = c if prev is None else prev + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        out[key] = c if prev is None else prev + c
     return out
 
 
@@ -219,8 +218,8 @@ class TermSum:
 
     def _fill(self, terms, trunc, clean):
         """Store terms (a {key: coefficient} dict); unless clean, validate
-        every key with _key, coerce every coefficient and drop the vanishing
-        sums."""
+        every key with _key, coerce every coefficient and add the ones
+        whose keys coincide. The stored form drops a zero coefficient."""
         if terms is None:
             terms = {}
         if not clean:
@@ -708,7 +707,12 @@ def int_gaussians(parts):
 
 
 def int_reduce(den, terms):
-    """(den, terms) with den and the ints divided by their gcd."""
+    """(den, terms) with the zero ints dropped and den and the rest divided
+    by their gcd: the one place where a formal sum that vanished leaves
+    the stored form. terms is copied only when it holds a zero or the gcd
+    is not 1."""
+    if not all(terms.values()):
+        terms = {key: v for key, v in terms.items() if v}
     g = math.gcd(den, *terms.values())
     if g == 1:
         return den, terms
@@ -717,9 +721,9 @@ def int_reduce(den, terms):
 
 def int_canonical(out, den, trunc):
     """The canonical form (den, ints) of the integer terms out read over
-    den: i-powers folded mod 4 to 0 or 1, h-orders above trunc and zero
-    sums dropped, den and the ints divided by their gcd. int_encode writes
-    this form, and two term sums are equal exactly when their forms are."""
+    den: i-powers folded mod 4 to 0 or 1, h-orders above trunc dropped,
+    then int_reduce. int_encode writes this form, and two term sums are
+    equal exactly when their forms are."""
     t = {}
     for key, v in out.items():
         if key[-2] > trunc:
@@ -730,7 +734,7 @@ def int_canonical(out, den, trunc):
                 v = -v
             key = key[:-1] + (q & 1,)
         t[key] = t.get(key, 0) + v
-    return int_reduce(den, {key: v for key, v in t.items() if v})
+    return int_reduce(den, t)
 
 
 def int_groups(ints):
@@ -790,14 +794,15 @@ def num_canonical(out):
         out = t
     # adding 0j writes a -0.0 part as +0.0
     return stored_reduce("numeric", 1,
-                         {key: v + 0j for key, v in out.items() if v})
+                         {key: v + 0j for key, v in out.items()})
 
 
 def stored_encode(domain, terms, trunc):
     """The stored form of a term dict of the domain's coefficients."""
     if domain == "formal":
         return int_encode(terms, trunc)
-    return 1, {k + (0, 0): c.val for k, c in terms.items() if c}
+    return stored_reduce(domain, 1,
+                         {k + (0, 0): c.val for k, c in terms.items()})
 
 
 def stored_canonical(domain, out, den, trunc):
@@ -810,11 +815,14 @@ def stored_canonical(domain, out, den, trunc):
 
 
 def stored_reduce(domain, den, terms):
-    """The stored form of nonzero terms over den, their slots folded and
-    cut and, when numeric, no part -0.0 (as in sums, cuts and positive int
-    multiples of stored values): NonFiniteError on an inf or nan part."""
+    """The stored form of terms over den, their slots folded and cut and,
+    when numeric, no part -0.0 (as in sums, cuts and positive int multiples
+    of stored values): the zero values dropped, here and in int_reduce
+    only, and NonFiniteError on an inf or nan part."""
     if domain == "formal":
         return int_reduce(den, terms)
+    if not all(terms.values()):
+        terms = {key: v for key, v in terms.items() if v}
     if not all(map(cmath.isfinite, terms.values())):
         bad = next(v for v in terms.values() if not cmath.isfinite(v))
         raise NonFiniteError(f"non-finite numeric scalar {bad!r}")
@@ -824,9 +832,9 @@ def stored_reduce(domain, den, terms):
 def stored_sum(domain, parts):
     """The stored form of the sum of parts, a nonempty list of (den, items)
     of the domain, each items an iterable of (key, value) with distinct
-    keys and nonzero values, such as a stored form's: every part brought
-    over the lcm of the denominators and added through accumulate, then
-    reduced once."""
+    keys, such as a stored form's: every part brought over the lcm of the
+    denominators and added through accumulate, then reduced once, which
+    drops the sums that vanish."""
     den = math.lcm(*(d for d, _ in parts))
     (d, items), *rest = parts
     f = den // d

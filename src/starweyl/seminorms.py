@@ -175,15 +175,15 @@ def truncated_exponential(gens: Generators, v, alpha, cutoff: int,
         lin._check_power_size(cutoff)
     out = Polynomial.one(gens, domain, trunc)
     step = lin.scale(alpha)
-    return TruncatedElement(_series_sum(out, step.trunc,
+    # known to the step's order, even where the step vanishes there,
+    # unless no power of the step is taken
+    return TruncatedElement(_series_sum(out, step.trunc if cutoff else trunc,
                                         _slices(out, step, cutoff)), cutoff)
 
 
 def _series_sum(one, cut, slices):
     """one plus the stored pairs slices of an exponential series, known to
-    h-order cut, in one stored_sum; one itself when there is no slice."""
-    if not slices:
-        return one
+    h-order cut, in one stored_sum."""
     return one._like(cut, *stored_sum(
         one.domain, [(one._den, one._data.items())] + slices))
 
@@ -418,7 +418,7 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
     vsum = [ev.coerce_scalar(a) + ev.coerce_scalar(b) for a, b in zip(v, w)]
     # only the degree <= degree part of E_k((v+w)~) is read, and E_c has it
     # for every cutoff c >= degree; c >= 1 (when k is) also keeps E_k's
-    # truncation, which is the step's once a slice is built
+    # truncation, the step's
     evw = truncated_exponential(gens, vsum, 1, min(k, max(degree, 1)),
                                 "formal", nt).base
     rhs = _degree_cut(evw, degree) * pref

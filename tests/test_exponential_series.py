@@ -55,7 +55,9 @@ def reference_exponential(gens, v, alpha, cutoff, trunc):
         if not term:
             break
         out = out + term
-    return out
+    # known as far as the step alpha * v~ is, also where it vanishes
+    # there, once a power of it is taken
+    return out + Polynomial.zero(gens, "formal", alpha.trunc) if cutoff else out
 
 
 def reference_delta(op, f):

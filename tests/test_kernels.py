@@ -25,7 +25,7 @@ from starweyl import (
     star,
 )
 from starweyl.bruteforce import DensePolynomial
-from starweyl.scalars import accumulate
+from starweyl.scalars import accumulate, int_canonical
 from starweyl.scalars import NumericScalar
 
 
@@ -76,9 +76,12 @@ def test_star_terms_weights_levels_and_cancels():
     entries = [(0, 0, 1, (-1, 1, 0))]
     out = kernels.star_terms(entries, [2, 1], a, a, 1)
     assert out == {(2, 0, 0): 2, (0, 1, 0): 1}
-    # opposite entries cancel level 1 exactly and the key is dropped
+    # opposite entries cancel level 1 exactly: the kernel keeps the zero
+    # sum, and the stored form's reduce step drops it
     entries = [(0, 0, 1, None), (0, 0, -1, None)]
-    assert kernels.star_terms(entries, [1, 1], a, a, 1) == {(2, 0, 0): 1}
+    out = kernels.star_terms(entries, [1, 1], a, a, 1)
+    assert out == {(2, 0, 0): 1, (0, 0, 0): 0}
+    assert int_canonical(out, 1, 0) == (1, {(2, 0, 0): 1})
 
 
 # star_terms packs every key into one int, with one field width per call

@@ -377,6 +377,31 @@ def test_sum_keeps_no_coefficient_above_the_truncation(pair):
     assert f + g == cut + g.map_coefficients(lambda c: c.truncate(s.trunc))
 
 
+def test_map_coefficients_coerces_what_fn_returns():
+    f = poly_from_text("2*q + h*p", GENS2, trunc=4)
+    # plain numbers of the domain, and a value that vanishes is dropped
+    assert f.map_coefficients(lambda c: 3) == \
+        poly_from_text("3*q + 3*p", GENS2, trunc=4)
+    assert f.map_coefficients(lambda c: Fraction(1, 2)) == \
+        poly_from_text("1/2*q + 1/2*p", GENS2, trunc=4)
+    assert f.map_coefficients(lambda c: c.coefficient(1) * GaussianRational(0, 1)) \
+        == poly_from_text("i*p", GENS2, trunc=4)
+    g = poly_from_text("2*q + p", GENS2, "numeric")
+    assert g.map_coefficients(lambda c: complex(c) * 1j) == \
+        poly_from_text("2*i*q + i*p", GENS2, "numeric")
+    assert g.map_coefficients(lambda c: 0) == Polynomial.zero(GENS2, "numeric")
+
+
+def test_map_coefficients_takes_the_smallest_truncation():
+    f = poly_from_text("q + h^2*p + h*q*p", GENS2, trunc=4)
+    cut = f.map_coefficients(lambda c: c.truncate(1))
+    assert cut.trunc == 1
+    assert cut == poly_from_text("q + h*q*p", GENS2, trunc=1)
+    # one coefficient known to fewer orders cuts them all
+    low = f.map_coefficients(lambda c: c.truncate(1) if c.coefficient(0) else c)
+    assert low.trunc == 1 and low == cut
+
+
 def test_sum_drops_orders_above_the_smaller_truncation():
     f = poly_from_text("h^6*q", GENS2, trunc=8)
     g = poly_from_text("p", GENS2, trunc=4)

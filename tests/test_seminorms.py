@@ -1,5 +1,6 @@
 """Seminorm family p_R, exponential growth regimes, exactness windows."""
 
+import itertools
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
+    BilinearForm,
     FormalScalar,
     GaussianRational,
     Generators,
@@ -458,3 +460,90 @@ def test_continuity_needs_a_numeric_form():
     with pytest.raises(IncompatibleError, match="numeric form"):
         star_continuity_report(SPEC, standard_form(G), Z, (1, 0), (0, 1),
                                kmax=4)
+
+
+# -- the P_Lambda level bound ---------------------------------------------------
+#
+# With weights w > 0, p(a) = sum |c_alpha| w^alpha and ||Lambda||_w =
+# max_ij |Lambda_ij| / (w_i w_j), the Leibniz rule and the triangle
+# inequality give, for a homogeneous of degree n and b of degree m,
+# p(mu P_Lambda^k (a (x) b)) <= ||Lambda||_w^k n!/(n-k)! m!/(m-k)! p(a) p(b):
+# the sum over i of w_i d_i takes w^alpha to |alpha| w^alpha. The h^k part
+# of star(Lambda, h, a, b) is mu P_Lambda^k (a (x) b) / k!. Checked in exact
+# Fractions, p read from the stored ints, a Gaussian coefficient counting
+# |re| + |im| (a norm with |xy| <= |x| |y|, as the derivation needs).
+
+
+def p_weighted(f, weights, order):
+    """p of the h^order part of f, exactly, from the stored ints."""
+    total = Fraction(0)
+    for key, v in f._data.items():
+        if key[-2] == order:
+            total += abs(v) * math.prod(
+                w ** e for w, e in zip(weights, key[:-2]))
+    return total / f._den
+
+
+@st.composite
+def level_cases(draw):
+    """(Lambda, weights, a, b): a rational form on 1-3 generators, positive
+    weights and homogeneous a and b of degrees 0-5 with Gaussian
+    coefficients."""
+    n = draw(st.integers(1, 3))
+    gens = Generators(("x", "y", "z")[:n])
+    lam = [[draw(fractions) for _ in range(n)] for _ in range(n)]
+    weights = [draw(st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                 max_denominator=4)) for _ in range(n)]
+
+    def homogeneous():
+        d = draw(st.integers(0, 5))
+        monos = [e for e in itertools.product(range(d + 1), repeat=n)
+                 if sum(e) == d]
+        keys = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4,
+                             unique=True))
+        return Polynomial(gens, {e: draw(gaussians.filter(bool))
+                                 for e in keys})
+
+    return lam, weights, homogeneous(), homogeneous()
+
+
+# one generator, a and b monomials: every level meets its bound
+SHARP = ([[Fraction(-3, 2)]], [Fraction(2, 3)],
+         Polynomial(Generators(("x",)), {(3,): GaussianRational(1, 2)}),
+         Polynomial(Generators(("x",)), {(4,): -1}))
+
+
+def level_sides(lam, weights, a, b):
+    """[(k, p of the h^k part of star(Lambda, h, a, b), its bound)] for the
+    levels k <= min(deg a, deg b), and the h^k parts above them."""
+    form = BilinearForm(a.gens, lam, "formal")
+    prod = star(form, FormalScalar.hbar(), a, b)
+    norm = max(abs(x) / (weights[i] * weights[j])
+               for i, row in enumerate(lam) for j, x in enumerate(row))
+    n, m = a.degree(), b.degree()
+    pa, pb = p_weighted(a, weights, 0), p_weighted(b, weights, 0)
+    levels = [(k, p_weighted(prod, weights, k),
+               norm ** k * math.perm(n, k) * math.perm(m, k)
+               / math.factorial(k) * pa * pb)
+              for k in range(min(n, m) + 1)]
+    above = [p_weighted(prod, weights, k)
+             for k in range(min(n, m) + 1, prod.trunc + 1)]
+    return levels, above
+
+
+@given(level_cases())
+@example(SHARP)
+@settings(max_examples=150, deadline=None)
+def test_p_lambda_levels_meet_their_bound(case):
+    levels, above = level_sides(*case)
+    for k, lhs, rhs in levels:
+        assert lhs <= rhs, k
+    assert not any(above)
+
+
+def test_the_level_bound_is_sharp():
+    levels, above = level_sides(*SHARP)
+    assert [k for k, _, _ in levels] == [0, 1, 2, 3]
+    for k, lhs, rhs in levels:
+        assert lhs == rhs > 0, k
+    assert not any(above)

@@ -40,7 +40,6 @@ from starweyl import (
 )
 from starweyl.bruteforce import DensePolynomial
 from starweyl.errors import NonFiniteError
-from starweyl.kernels import mul_terms
 
 G = Generators(("q", "p"))
 Z = minus_i_hbar()
@@ -423,10 +422,10 @@ def test_numeric_results_carry_no_negative_zero():
     form = standard_form(G, "numeric")
     z = minus_i_hbar("numeric")
     mq, ip = npf("-q"), npf("i*p")
-    # the kernels, on the stored complex values, give (-1) * i a real part
+    # the product of the stored complex values (-1) * i has a real part
     # -0.0 ...
-    raw = mul_terms(mq._data, ip._data)
-    assert math.copysign(1.0, raw[(1, 1, 0, 0)].real) < 0
+    (x,), (y,) = mq._data.values(), ip._data.values()
+    assert math.copysign(1.0, (x * y).real) < 0
     # ... which the canonical form writes as +0.0, as every NumericScalar
     # does
     pairs = [(mq, ip), (ip, mq), (npf("(1 + i)*q - i*p"), npf("(1 - i)*p^2 + q")),

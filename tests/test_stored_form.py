@@ -6,6 +6,13 @@ keep one canonical (den, ints) pair in the integer codec of scalars.py, and
 operations, with mixed truncations and h-dependent Gaussian coefficients.
 A numeric sum stores finite nonzero complex values, with no -0.0 part,
 under key + (0, 0) over den 1; the last properties pin that form.
+
+The kernels keep a sum that vanishes, and the reduce step of the stored
+form drops it. Random operands almost never make a kernel sum vanish, so
+the results below include ones built to cancel inside a kernel: (a + b) *
+(a - b), {a, a}, a translation undone, the KKS bracket {f, f} and a star
+product of a with itself under an antisymmetric form, whose odd levels
+cancel.
 """
 
 import math
@@ -26,6 +33,7 @@ from starweyl import (
     UEElement,
     formal_adjoint,
     gutt_star,
+    kks_bracket,
     pbw_symmetrize,
     pbw_symmetrize_inverse,
     poisson_bracket,
@@ -116,16 +124,24 @@ def rebuilt(x):
     return build(x, x.terms, x.trunc)
 
 
+# opposite entries: level 1 of a star product of a with itself cancels
+ANTISYMMETRIC = BilinearForm(GENS, [[0, FormalScalar({0: 1, 1: 2})],
+                                    [FormalScalar({0: -1, 1: -2}), 0]])
+
+
 def results(kind, a, b):
     """Values of the operations that kind supports, from a and b."""
     c = FormalScalar({0: 2, 1: GaussianRational(0, 1)}, 3)
     out = [a + b, a - b, -a, a.scale(c), a.scale(Fraction(1, 3)),
            a._cut(a.trunc - 1) if a.trunc else a]
     if kind == "Polynomial":
+        s = (FormalScalar({0: 1, 1: 1}, 4), Fraction(1, 2))
         out += [a * b, a.partial_derivative(0), a.hbar_coefficient(a.trunc),
-                a.translate((FormalScalar({0: 1, 1: 1}, 4), Fraction(1, 2))),
-                star_standard(a, b), poisson_standard(a, b), std_rep(a),
-                formal_adjoint(std_rep(a))]
+                a.translate(s), star_standard(a, b), poisson_standard(a, b),
+                std_rep(a), formal_adjoint(std_rep(a)),
+                (a + b) * (a - b), poisson_standard(a, a),
+                a.translate(s).translate([-x for x in s]),
+                star(ANTISYMMETRIC, FormalScalar.minus_i_hbar(), a, a)]
     if kind == "TensorSquare":
         out.append(a.mu())
     if kind == "DifferentialOperator":
@@ -134,7 +150,8 @@ def results(kind, a, b):
     if kind == "UEElement":
         fa = pbw_symmetrize_inverse(SL2, a)
         fb = pbw_symmetrize_inverse(SL2, b)
-        out += [a * b, fa, pbw_symmetrize(SL2, fa), gutt_star(SL2, fa, fb)]
+        out += [a * b, fa, pbw_symmetrize(SL2, fa), gutt_star(SL2, fa, fb),
+                kks_bracket(SL2, fa, fa)]
     return out
 
 
@@ -250,6 +267,8 @@ NUMERIC_KINDS = {
 }
 NUMERIC_FORM = BilinearForm(GENS, [[0.5, complex(1, -0.25)], [-1, 1j]],
                             "numeric")
+NUMERIC_ANTISYMMETRIC = BilinearForm(GENS, [[0, complex(1, -0.25)],
+                                            [complex(-1, 0.25), 0]], "numeric")
 
 
 def assert_numeric_canonical(x):
@@ -272,7 +291,9 @@ def numeric_results(kind, a, b):
                 star_standard(a, b), star(NUMERIC_FORM, -1j, a, b),
                 poisson_standard(a, b), poisson_bracket(NUMERIC_FORM, b, a),
                 std_rep(a), weyl_rep(b), formal_adjoint(std_rep(a)),
-                _degree_cut(a, 2)]
+                _degree_cut(a, 2), (a + b) * (a - b), poisson_standard(a, a),
+                a.translate((0.5, -2)).translate((-0.5, 2)),
+                star(NUMERIC_ANTISYMMETRIC, -1j, a, a)]
     if kind == "TensorSquare":
         out.append(a.mu())
     if kind == "DifferentialOperator":

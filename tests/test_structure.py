@@ -1,17 +1,15 @@
 """Source-structure checks on src/starweyl.
 
-Every sparse term sum goes through scalars.accumulate, the six term
-containers share one base class, coefficients cross one boundary, the
-envelope engine and the operations on the stored terms run on plain ints
-or complex values, and the term sums do not fork on the scalar domain (see
-the end of this file). The hand-written accumulate idiom (read a dict slot
-with .get, add to it when it was there, drop it when the sum vanishes) may
-appear only in:
-
-- accumulate itself;
-- the kernels, kernels.py: routed through accumulate, the integer star
-  product measured 4-5% slower;
-- the naive oracles, bruteforce.py, kept naive on purpose.
+A sum that vanishes leaves the stored form in one place, the reduce step
+of scalars.py (int_reduce, and stored_reduce for numeric values): the
+kernels, accumulate and every other sum add into their output and keep a
+slot whose sum is zero. So no code pops or deletes a slot whose sum
+vanished, and outside scalars.py no code filters the zero values out of
+a term dict; the naive oracles, bruteforce.py, kept naive on purpose, are
+exempt. The six term containers share one base class, coefficients cross
+one boundary, the envelope engine and the operations on the stored terms
+run on plain ints or complex values, and the term sums do not fork on the
+scalar domain (see the end of this file).
 """
 
 import ast
@@ -20,10 +18,7 @@ import os
 import starweyl
 
 PACKAGE = os.path.dirname(starweyl.__file__)
-EXEMPT_FILES = {"kernels.py", "bruteforce.py"}
-EXEMPT_FUNCTIONS = {
-    ("scalars.py", "accumulate"),
-}
+EXEMPT_FILES = {"bruteforce.py"}
 
 
 def _method(node):
@@ -37,47 +32,63 @@ def _method(node):
     return None
 
 
-def _none_tested(node):
-    """x for a test `x is None` / `x is not None`, else None."""
-    if (
-        isinstance(node, ast.Compare)
-        and isinstance(node.left, ast.Name)
-        and len(node.ops) == 1
-        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
-        and isinstance(node.comparators[0], ast.Constant)
-        and node.comparators[0].value is None
-    ):
-        return node.left.id
+def _truth_tested(test):
+    """x for a truth test `x` / `not x` of a name, else None."""
+    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+        test = test.operand
+    return test.id if isinstance(test, ast.Name) else None
+
+
+def _drops_a_slot(stmts):
+    """True when the statements pop a dict slot (d.pop(k, ...)) or delete
+    one (del d[k])."""
+    for node in (sub for stmt in stmts for sub in ast.walk(stmt)):
+        if (_method(node) or ("", ""))[1] == "pop" and node.args:
+            return True
+        if isinstance(node, ast.Delete) and any(
+                isinstance(t, ast.Subscript) for t in node.targets):
+            return True
+    return False
+
+
+def _drops_zero_sums(fn):
+    """True when fn (nested functions included) pops or deletes a dict
+    slot in a branch of a truth test on a sum: `if s: d[k] = s` with
+    `else: d.pop(k, None)`, or `if not s: del d[k]`."""
+    return any(isinstance(node, ast.If) and _truth_tested(node.test)
+               and _drops_a_slot(node.body + node.orelse)
+               for node in ast.walk(fn))
+
+
+def _item_value(loop):
+    """v for a loop `for ..., v in d.items()` (a for statement or a
+    comprehension's generator), else None."""
+    it, target = loop.iter, loop.target
+    if (isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute)
+            and it.func.attr == "items" and isinstance(target, ast.Tuple)
+            and isinstance(target.elts[-1], ast.Name)):
+        return target.elts[-1].id
     return None
 
 
-def _has_idiom(fn):
-    """True when fn (nested functions included) reads slot = d.get(k),
-    tests slot against None and adds to slot, or calls d.get and
-    d.pop(k, None) on one dict d."""
-    got, popped, slots, tested, summed = set(), set(), set(), set(), set()
+def _filters_zeros(fn):
+    """True when fn (nested functions included) keeps the nonzero values of
+    a term dict: a comprehension over d.items() that truth-tests a value
+    (`if v`) or a value it computes (`if (v := f(c))`), or a loop `for k, v
+    in d.items()` that truth-tests v."""
     for node in ast.walk(fn):
-        call = _method(node)
-        if call and call[1] == "get":
-            got.add(call[0])
-        if call and call[1] == "pop" and len(node.args) == 2:
-            popped.add(call[0])
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and (_method(node.value) or ("", ""))[1] == "get"
-        ):
-            slots.add(node.targets[0].id)
-        if isinstance(node, (ast.If, ast.IfExp)):
-            tested.add(_none_tested(node.test))
-        if (
-            isinstance(node, ast.BinOp)
-            and isinstance(node.op, (ast.Add, ast.Sub))
-            and isinstance(node.left, ast.Name)
-        ):
-            summed.add(node.left.id)
-    return bool(got & popped or slots & tested & summed)
+        if isinstance(node, (ast.DictComp, ast.ListComp, ast.SetComp,
+                             ast.GeneratorExp)):
+            values = set(map(_item_value, node.generators)) - {None}
+            if values and any(
+                    isinstance(c, ast.NamedExpr) or _truth_tested(c) in values
+                    for g in node.generators for c in g.ifs):
+                return True
+        if isinstance(node, ast.For) and (value := _item_value(node)):
+            if any(isinstance(sub, ast.If) and _truth_tested(sub.test) == value
+                   for stmt in node.body for sub in ast.walk(stmt)):
+                return True
+    return False
 
 
 def qualified_parts(tree):
@@ -93,50 +104,119 @@ def qualified_parts(tree):
             yield getattr(node, "name", "<module>"), node
 
 
-def accumulate_idioms(tree, filename):
-    """(filename, qualified name) of each part of a module that holds the
-    idiom, minus the exempt ones."""
-    return [(filename, name) for name, node in qualified_parts(tree)
-            if (filename, name) not in EXEMPT_FUNCTIONS and _has_idiom(node)]
+def zero_drops(tree, filename):
+    """(filename, qualified name, what) for each part of a module that drops
+    a zero sum: "pop" where it pops or deletes the slot of a vanished sum,
+    "filter" where it filters zero values out of a term dict outside
+    scalars.py."""
+    found = []
+    for name, node in qualified_parts(tree):
+        if _drops_zero_sums(node):
+            found.append((filename, name, "pop"))
+        if filename != "scalars.py" and _filters_zeros(node):
+            found.append((filename, name, "filter"))
+    return found
 
 
-IDIOM = (
-    "def f(out, items):\n"
+# the loop each kernel ran (mul_terms as it was), and accumulate's
+OLD_KERNEL = (
+    "def mul_terms(a, b):\n"
+    "    out = {}\n"
+    "    for ea, ca in a.items():\n"
+    "        for eb, cb in b.items():\n"
+    "            key = tuple(map(add, ea, eb))\n"
+    "            v = ca * cb\n"
+    "            prev = out.get(key)\n"
+    "            v = v if prev is None else prev + v\n"
+    "            if v:\n"
+    "                out[key] = v\n"
+    "            else:\n"
+    "                out.pop(key, None)\n"
+    "    return out\n"
+)
+OLD_ACCUMULATE = (
+    "def accumulate(out, items):\n"
     "    for key, c in items:\n"
     "        prev = out.get(key)\n"
     "        s = c if prev is None else prev + c\n"
-    "        if s:\n"
-    "            out[key] = s\n"
-    "        else:\n"
+    "        if not s:\n"
     "            del out[key]\n"
+    "        else:\n"
+    "            out[key] = s\n"
+    "    return out\n"
 )
+# the filters of LieAlgebra._bracket_ints, _Layout.unpack and
+# Polynomial.map_coefficients as they were
+OLD_FILTERS = '''
+class LieAlgebra:
+    def _bracket_ints(self, u, v):
+        out = {}
+        return int_reduce(du * dv * self._ic_den,
+                          {key: n for key, n in out.items() if n})
+class _Layout:
+    def unpack(self, terms):
+        return {self.slots(p): c for p, c in terms.items() if c}
+class Polynomial:
+    def map_coefficients(self, fn):
+        return {e: v for e, c in self.terms.items() if (v := fn(c))}
+    def prune(self, out):
+        for key, v in out.items():
+            if not v:
+                continue
+'''
 
 
-def test_detector_sees_the_idiom():
-    assert accumulate_idioms(ast.parse(IDIOM), "x.py") == [("x.py", "f")]
-    # the same loop in a method, pruning with pop instead of del
+def test_detector_sees_a_zero_sum_dropped():
+    assert zero_drops(ast.parse(OLD_KERNEL), "kernels.py") == [
+        ("kernels.py", "mul_terms", "pop")]
+    # in scalars.py too, and in a method, deleting instead of popping
     method = "class T:\n" + "".join(
-        "    " + line + "\n"
-        for line in IDIOM.replace("del out[key]", "out.pop(key, None)").splitlines()
+        "    " + line + "\n" for line in OLD_ACCUMULATE.splitlines())
+    assert zero_drops(ast.parse(method), "scalars.py") == [
+        ("scalars.py", "T.accumulate", "pop")]
+    assert zero_drops(ast.parse(OLD_FILTERS), "lie.py") == [
+        ("lie.py", "LieAlgebra._bracket_ints", "filter"),
+        ("lie.py", "_Layout.unpack", "filter"),
+        ("lie.py", "Polynomial.map_coefficients", "filter"),
+        ("lie.py", "Polynomial.prune", "filter"),
+    ]
+    # scalars.py holds the reduce step's filter
+    assert zero_drops(ast.parse(OLD_FILTERS), "scalars.py") == []
+    # adding into a slot and keeping it, a config lookup with a default,
+    # a worklist pop, a filter on the keys and one on the parts of a
+    # vector are not drops
+    kept = (
+        "def f(out, items, cfg, work, vecs):\n"
+        "    for key, c in items:\n"
+        "        out[key] = out.get(key, 0) + c\n"
+        "    v = cfg.get('z')\n"
+        "    if v is None:\n"
+        "        v = 1\n"
+        "    g = work.pop(key)\n"
+        "    text = [k for w, vec in vecs.items() for k, g in enumerate(vec) if g]\n"
+        "    return {k: c for k, c in out.items() if k[-2] <= v}\n"
     )
-    assert accumulate_idioms(ast.parse(method), "x.py") == [("x.py", "T.f")]
-    named = IDIOM.replace("def f", "def accumulate")
-    assert accumulate_idioms(ast.parse(named), "scalars.py") == []
-    assert accumulate_idioms(ast.parse(named), "poly.py") == [
-        ("poly.py", "accumulate")]
-    # a config lookup with a default is not an accumulation
-    lookup = "def g(cfg):\n    v = cfg.get('z')\n    if v is None:\n        v = 1\n"
-    assert accumulate_idioms(ast.parse(lookup), "x.py") == []
+    assert zero_drops(ast.parse(kept), "x.py") == []
 
 
-def test_no_hand_written_accumulate_outside_the_helper_and_kernels():
+def _package_zero_drops():
     found = []
     for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py") or name in EXEMPT_FILES:
-            continue
-        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-            found += accumulate_idioms(ast.parse(fh.read()), name)
-    assert found == []
+        if name.endswith(".py") and name not in EXEMPT_FILES:
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                found += zero_drops(ast.parse(fh.read()), name)
+    return found
+
+
+def test_no_zero_sum_is_dropped_outside_the_reduce_step():
+    assert _package_zero_drops() == []
+
+
+def test_the_reduce_step_filters_once_per_domain():
+    with open(os.path.join(PACKAGE, "scalars.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert [name for name, node in qualified_parts(tree)
+            if _filters_zeros(node)] == ["int_reduce", "stored_reduce"]
 
 
 # -- one term container --------------------------------------------------------

@@ -10,6 +10,7 @@ the extension.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -23,23 +24,33 @@ from starweyl import (
     FormalScalar,
     GaussianRational,
     Generators,
+    LieAlgebra,
     OrderingOperator,
     Polynomial,
     TensorSquare,
+    TruncationError,
+    UEElement,
     apply_equivalence,
+    gutt_star,
+    kks_bracket,
     minus_i_hbar,
+    n_operator,
     p_lambda,
+    pbw_symmetrize,
     poisson_bracket,
+    sl2,
     star,
     star_standard,
     star_weyl,
     standard_form,
     std_rep,
+    truncated_exponential,
     weyl_rep,
 )
 
 G = Generators(("q", "p"))
 GQ = Generators(("q",))
+SL2 = sl2()
 EXTRA = 2  # orders added above each input's truncation
 
 
@@ -68,22 +79,29 @@ def extend_terms(terms, trunc, rng, keys):
     return out
 
 
-def monomials(n):
-    return list(itertools.product(range(3), repeat=n))
+def monomials(n, top=2):
+    return list(itertools.product(range(top + 1), repeat=n))
 
 
 MONOMIALS = monomials(2)
 OPERATOR_KEYS = [(a, d) for a in monomials(1) for d in monomials(1)]
+# the envelope operations keep to degree 3 in the three sl2 coordinates
+KEYS = {G: MONOMIALS, GQ: monomials(1), SL2.coords: monomials(3, 1)}
 
 
 def extend(x, rng):
     """An input x known to EXTRA more orders, equal to x through its own
-    truncation."""
+    truncation; an int or an algebra as it is, and a tuple of inputs input
+    by input."""
+    if isinstance(x, (int, LieAlgebra)):
+        return x
+    if isinstance(x, tuple):
+        return tuple(extend(c, rng) for c in x)
     if isinstance(x, FormalScalar):
         return extend_scalar(x, rng)
     if isinstance(x, Polynomial):
         return Polynomial(x.gens, extend_terms(x.terms, x.trunc, rng,
-                                               monomials(len(x.gens))),
+                                               KEYS[x.gens]),
                           "formal", x.trunc + EXTRA)
     if isinstance(x, DifferentialOperator):
         return DifferentialOperator(x.gens, extend_terms(
@@ -104,13 +122,20 @@ def extend(x, rng):
     raise TypeError(type(x))
 
 
+def rebuild(x, terms, trunc):
+    """A sum over the space of x with terms, labelled trunc."""
+    if isinstance(x, UEElement):
+        return UEElement(x.algebra, terms, trunc)
+    return type(x)(x.gens, terms, "formal", trunc)
+
+
 def honest(op, args, seed):
     """True when op's label on args survives an extension of args (drawn
     from seed): the extended result cut at the label is the result."""
     out = op(*args)
     more = op(*(extend(x, random.Random(f"{seed}:{k}"))
                 for k, x in enumerate(args)))
-    cut = type(more)(more.gens, more.terms, "formal", out.trunc)
+    cut = rebuild(more, more.terms, out.trunc)
     return cut == out and cut.trunc == out.trunc
 
 
@@ -128,7 +153,7 @@ def scalars(max_trunc=3, min_size=0):
 def polys(max_trunc=3, gens=G):
     return st.builds(
         lambda terms, t: Polynomial(gens, terms, "formal", t),
-        st.dictionaries(st.sampled_from(monomials(len(gens))),
+        st.dictionaries(st.sampled_from(KEYS[gens]),
                         scalars(min_size=1), min_size=1, max_size=3),
         st.integers(0, max_trunc))
 
@@ -154,6 +179,19 @@ def forms(symmetric=False):
 zs = st.one_of(st.integers(0, 4).map(lambda t: minus_i_hbar("formal", t)),
                scalars())
 
+
+def exponential(v, alpha, cutoff):
+    """truncated_exponential on G, its label from v and alpha alone."""
+    return truncated_exponential(G, v, alpha, cutoff, "formal", 8).base
+
+
+def with_order(f):
+    """(f, r) for an order r that f knows."""
+    return st.tuples(st.just(f), st.integers(0, f.trunc))
+
+
+SL2_POLYS = polys(gens=SL2.coords)
+
 OPS = {
     "star": (star, st.tuples(forms(), zs, polys(), polys())),
     "star_standard": (star_standard, st.tuples(polys(), polys())),
@@ -172,13 +210,31 @@ OPS = {
     "weyl_rep": (weyl_rep, st.tuples(polys())),
     "apply": (DifferentialOperator.apply,
               st.tuples(operators(), polys(gens=GQ))),
+    "*": (operator.mul, st.tuples(polys(), polys())),
+    "+": (operator.add, st.tuples(polys(), polys())),
+    "**": (operator.pow, st.tuples(polys(), st.integers(0, 3))),
+    "translate": (Polynomial.translate,
+                  st.tuples(polys(), st.tuples(zs, scalars()))),
+    "partial_derivative": (Polynomial.partial_derivative,
+                           st.tuples(polys(), st.integers(0, 1))),
+    "conjugate": (Polynomial.conjugate, st.tuples(polys())),
+    "hbar_coefficient": (Polynomial.hbar_coefficient,
+                         polys().flatmap(with_order)),
+    "OrderingOperator.apply": (OrderingOperator.apply, st.tuples(
+        st.builds(OrderingOperator, forms(symmetric=True), zs), polys())),
+    "truncated_exponential": (exponential, st.tuples(
+        st.tuples(zs, scalars()), zs, st.integers(0, 4))),
+    "gutt_star": (gutt_star, st.tuples(st.just(SL2), SL2_POLYS, SL2_POLYS)),
+    "kks_bracket": (kks_bracket,
+                    st.tuples(st.just(SL2), SL2_POLYS, SL2_POLYS)),
+    "pbw_symmetrize": (pbw_symmetrize, st.tuples(st.just(SL2), SL2_POLYS)),
 }
 
 
 @given(st.sampled_from(sorted(OPS)).flatmap(
     lambda name: st.tuples(st.just(name), OPS[name][1])),
     st.integers(0, 2**32))
-@settings(max_examples=440, deadline=None)
+@settings(max_examples=920, deadline=None)
 def test_truncation_labels_are_honest(case, seed):
     name, args = case
     assert honest(OPS[name][0], args, seed), name
@@ -188,11 +244,14 @@ def relabelled(op):
     """op with its result's label one order too high: each coefficient
     claims the order above its truncation is zero."""
     def mislabelled(*args):
-        out = op(*args)
-        return type(out)(out.gens, {
-            k: FormalScalar(c.coeffs, out.trunc + 1)
-            for k, c in out.terms.items()}, "formal", out.trunc + 1)
+        return raised(op(*args))
     return mislabelled
+
+
+def raised(x):
+    """x labelled one order higher, claiming that order is zero."""
+    return rebuild(x, {k: FormalScalar(c.coeffs, x.trunc + 1)
+                       for k, c in x.terms.items()}, x.trunc + 1)
 
 
 def test_a_label_one_order_too_high_fails():
@@ -229,4 +288,58 @@ def test_an_operator_label_one_order_too_high_fails(name):
     op, args = OPERATOR_CASES[name]
     assert all(honest(op, args, seed) for seed in range(20))
     assert sum(not honest(relabelled(op), args, seed)
+               for seed in range(20)) >= 15
+
+
+def known_to_h1(terms, gens=G):
+    """The polynomial of {exponent: number}, each coefficient known to
+    h^1."""
+    return Polynomial(gens, {e: FormalScalar.constant(c, 1)
+                             for e, c in terms.items()}, "formal", 1)
+
+
+Q, P = known_to_h1({(1, 0): 1}), known_to_h1({(0, 1): 1})
+X, Y = (known_to_h1({e: 1}, SL2.coords) for e in ((1, 0, 0), (0, 1, 0)))
+ONE = FormalScalar.constant(1, 1)
+
+# inputs known to h^1, one case per operation the property above probes
+# beyond the star and operator layers, whose extension reaches the order
+# above the result's label
+PROBE_CASES = {
+    "*": (operator.mul, (Q, P)),
+    "+": (operator.add, (Q, P)),
+    "**": (operator.pow, (Q + P, 2)),
+    "translate": (Polynomial.translate, (Q * Q, (ONE, ONE))),
+    "partial_derivative": (Polynomial.partial_derivative, (Q * Q, 0)),
+    "conjugate": (Polynomial.conjugate, (Q.scale(GaussianRational(0, 1)),)),
+    "OrderingOperator.apply": (OrderingOperator.apply,
+                               (n_operator(G, "formal", 1), Q * P)),
+    "truncated_exponential": (exponential, ((ONE, ONE), ONE, 2)),
+    "gutt_star": (gutt_star, (SL2, X, Y)),
+    "kks_bracket": (kks_bracket, (SL2, X, Y)),
+    "pbw_symmetrize": (pbw_symmetrize, (SL2, X * Y)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_CASES))
+def test_a_probe_label_one_order_too_high_fails(name):
+    op, args = PROBE_CASES[name]
+    assert all(honest(op, args, seed) for seed in range(20))
+    assert sum(not honest(relabelled(op), args, seed)
+               for seed in range(20)) >= 15
+
+
+def test_hbar_coefficient_reads_no_order_above_the_truncation():
+    # the h^r part of a polynomial is h-free, so no label of it is too
+    # high; the order bound is what may be one too high
+    f = Q + P
+    assert all(honest(Polynomial.hbar_coefficient, (f, r), seed)
+               for r in (0, 1) for seed in range(20))
+    with pytest.raises(TruncationError):
+        f.hbar_coefficient(2)
+
+    def bound_too_high(f, r):
+        return raised(f).hbar_coefficient(r)
+    # order 2 read as 0, where the extensions of f carry their h^2 parts
+    assert sum(not honest(bound_too_high, (f, 2), seed)
                for seed in range(20)) >= 15
