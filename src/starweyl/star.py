@@ -542,13 +542,20 @@ class OrderingOperator:
                              trunc)
         if len(levels) > 1:
             return f._like(trunc, *stored_sum(f.domain, levels))
-        # no level: the orders of z and S past what they know add to f past
-        # trunc, unless Delta_S f is 0 for every S that agrees with this one
-        known = min(f.trunc, self.sym_form.trunc)
+        # no level: f is the result through trunc, and below the first
+        # order at which Delta_S f can be nonzero for an S and f that agree
+        # with the known ones. An order of S past its truncation meets a
+        # term of degree 2 or more at h-order low or above, and an order of
+        # f lies past f's truncation, so through known Delta_S f is that of
+        # the known orders. The orders of z are not counted, so the label
+        # only grows as the inputs become known further.
+        low = min((e[-2] for e in f._data if sum(e[:-2]) > 1),
+                  default=f.trunc + 1)
+        known = min(f.trunc, self.sym_form.trunc + low)
         delta = _exp_levels(f, *_delta_entries(self.sym_form, 1, known), known)
-        exact = len(delta) == 1 and (self.sym_form.trunc >= f.trunc
-                                     or f.degree() < 2)
-        return f if exact else f._cut(trunc)
+        first = min((e[-2] for _, items in delta[1:2] for e, _ in items),
+                    default=known + 1)
+        return f._cut(max(trunc, first - 1))
 
     def inverse(self) -> "OrderingOperator":
         return OrderingOperator(self.sym_form, -self.z)

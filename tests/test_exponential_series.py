@@ -71,9 +71,11 @@ def reference_delta(op, f):
 
 def reference_apply(op, f):
     """f + sum_k z^k Delta_S^k f / k!, one scalar product per order. When
-    no order is added, f keeps its truncation only if Delta_S f is 0 for
-    every S that agrees with op's as far as it is known (S known as far as
-    f, or f of degree at most 1); else it is cut to that of z."""
+    no order is added, f keeps its orders through the truncation of z and
+    below the first order at which Delta_S f can be nonzero for an S and f
+    that agree with op's and f as far as they are known: that of Delta_S f
+    on the known orders, as far as no order of S past its truncation meets
+    a term of degree 2 or more and f is known."""
     out = f
     term = f
     k = 0
@@ -87,9 +89,20 @@ def reference_apply(op, f):
         if not zk:
             break
         out = out + term * (zk * Fraction(1, math.factorial(k)))
-    if out is f and (reference_delta(op, f) or (
-            op.sym_form.trunc < f.trunc and f.degree() > 1)):
-        out = f + Polynomial.zero(f.gens, f.domain, op.z.trunc)
+    if out is f:
+        known = min([f.trunc] + [op.sym_form.trunc + min(c.coeffs)
+                                 for e, c in f.terms.items() if sum(e) > 1])
+        g = f + Polynomial.zero(f.gens, f.domain, known)
+        delta = Polynomial.zero(f.gens, f.domain, known)
+        for i, j, s in op.sym_form.nonzero_entries():
+            # the known orders of S, the orders past them read as 0
+            s = FormalScalar(s.coeffs, known)
+            d = g.partial_derivative(i).partial_derivative(j)
+            delta = delta + d * (s * Fraction(1, 2))
+        first = min((min(c.coeffs) for c in delta.terms.values()),
+                    default=known + 1)
+        out = f + Polynomial.zero(f.gens, f.domain,
+                                  max(op.z.trunc, first - 1))
     return out
 
 
@@ -221,9 +234,9 @@ def test_ordering_operator_leaves_a_harmonic_operand_uncut():
         got = op.apply(f)
         same(got, reference_apply(op, f))
         assert got.trunc == 6
-    # S known to h^2 only: an order 3 of S could add z*S_qq*d_q^2 q^3 at
-    # h-order 4, so f is cut to 2; so it is when z is a zero known to h^2
-    # and Delta_S f is not 0
+    # S known to h^2 only: an order 3 of S could make Delta_S f, with
+    # S_qq*d_q^2 q^3 / 2, nonzero at h-order 3, so f is cut to 2; so it is
+    # when z is a zero known to h^2 and Delta_S f is not 0
     short = BilinearForm(GENS[2], [[0, 1], [1, 0]], "formal", 2)
     zero2 = FormalScalar({}, 2)
     for op, g in ((ordering_operator(short, minus_i_hbar("formal", 6)), f),
