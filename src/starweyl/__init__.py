@@ -27,19 +27,16 @@ from .parse import parse_expression, scalar_from_text
 from .star import (
     BilinearForm,
     OrderingOperator,
-    TensorSquare,
     apply_equivalence,
     jacobi_defect,
     minus_i_hbar,
     n_operator,
     ordering_operator,
-    p_lambda,
     poisson_bracket,
     poisson_standard,
     standard_form,
     star,
     star_standard,
-    star_term_count,
     star_weyl,
     weyl_form,
 )

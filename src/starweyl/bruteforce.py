@@ -1,12 +1,13 @@
 """Reference implementations, kept deliberately naive.
 
 Everything here recomputes results straight from the defining formulas with
-flat arrays and literal index loops, sharing only the scalar types with the
-rest of the package. Slow on purpose; used to cross-check the optimized
-kernels, the Gutt product (recomputed from symmetrized words in the
-envelope) and the BCH recursion, which two oracles recompute: the logarithm
-of a product of exponentials in the envelope, and Dynkin's formula. Do not
-"improve" this module.
+flat arrays and literal index loops, sharing only the scalar types and the
+errors with the rest of the package. Slow on purpose; used to cross-check
+the optimized kernels (the star product, and one P_Lambda step on a (x) b),
+the Gutt product (recomputed from symmetrized words in the envelope) and
+the BCH recursion, which two oracles recompute: the logarithm of a product
+of exponentials in the envelope, and Dynkin's formula. Do not "improve"
+this module.
 """
 
 from __future__ import annotations
@@ -242,6 +243,37 @@ def naive_star(lam, z, a: DensePolynomial, b: DensePolynomial) -> DensePolynomia
                     continue
                 out = out.add(da.multiply(db).scale(coeff))
     return out
+
+
+def naive_p_lambda(lam, t):
+    """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j to an
+    element of the tensor square, evaluated straight from the definition.
+
+    t maps (ea, eb), the exponent tuples of the tensor factors of a term
+    x^ea (x) x^eb, to its coefficient; lam is the n x n matrix of scalars
+    that naive_star takes. The term (ea, eb) goes to lam[i][j] * ea[i] *
+    eb[j] times x^(ea - e_i) (x) x^(eb - e_j), for every i and j. Returns
+    a new dict of the same shape without zero coefficients.
+    """
+    n = len(lam)
+    if any(len(row) != n for row in lam):
+        raise ValueError("lambda matrix has the wrong shape")
+    out = {}
+    for (ea, eb), c in t.items():
+        if len(ea) != n or len(eb) != n:
+            raise ValueError("exponent length mismatch")
+        for i in range(n):
+            if ea[i] == 0:
+                continue
+            da = ea[:i] + (ea[i] - 1,) + ea[i + 1 :]
+            for j in range(n):
+                if eb[j] == 0:
+                    continue
+                db = eb[:j] + (eb[j] - 1,) + eb[j + 1 :]
+                v = c * lam[i][j] * (ea[i] * eb[j])
+                prev = out.get((da, db))
+                out[(da, db)] = v if prev is None else prev + v
+    return {key: v for key, v in out.items() if v}
 
 
 # -- naive BCH through the enveloping algebra ---------------------------------

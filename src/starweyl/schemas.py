@@ -1,8 +1,10 @@
-"""JSON Schemas for every serialized object and CLI payload.
+"""JSON Schemas of the CLI's --json payloads.
 
-These are data, not a runtime dependency: the library validates by hand, and
-the test suite checks emitted JSON against these schemas with a proper
-validator. Keep them in sync with the to_json methods.
+Each payload schema, and the polynomial and operator schemas of their
+"result" objects, describes what a command writes to stdout. They are data,
+not a runtime dependency: the tests and the cli benchmark check the emitted
+JSON against them with a validator. Keep them in sync with cli.py and the
+to_json methods they describe.
 """
 
 _SCALAR_TEXT = {"type": "string", "minLength": 1}
@@ -41,21 +43,6 @@ POLYNOMIAL_SCHEMA = {
     "additionalProperties": False,
 }
 
-FORM_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "generators": {
-            "type": "array", "items": {"type": "string"}, "minItems": 1,
-        },
-        "matrix": {
-            "type": "array",
-            "items": {"type": "array", "items": _COEFF},
-        },
-    },
-    "required": ["generators", "matrix"],
-    "additionalProperties": False,
-}
-
 OPERATOR_SCHEMA = {
     "type": "object",
     "properties": {
@@ -79,72 +66,6 @@ OPERATOR_SCHEMA = {
         },
     },
     "required": ["generators", "scalar_domain", "terms"],
-    "additionalProperties": False,
-}
-
-ALGEBRA_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "dim": {"type": "integer", "minimum": 1},
-        "basis": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "coords": {"type": "array", "items": {"type": "string"}},
-        "brackets": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "i": {"type": "integer", "minimum": 0},
-                    "j": {"type": "integer", "minimum": 0},
-                    "coeffs": {"type": "array", "items": _SCALAR_TEXT},
-                },
-                "required": ["i", "j", "coeffs"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["dim", "basis", "brackets"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "generators": {
-            "type": "array", "items": {"type": "string"}, "minItems": 1,
-        },
-        "domain": {"enum": ["formal", "numeric"]},
-        "truncation": {"type": "integer", "minimum": 0},
-        "lambda": {
-            "type": "object",
-            "properties": {
-                "matrix": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {
-                            "oneOf": [_SCALAR_TEXT, {"type": "number"}],
-                        },
-                    },
-                },
-            },
-            "required": ["matrix"],
-            "additionalProperties": False,
-        },
-        "z": {"oneOf": [_SCALAR_TEXT, {"type": "number"}]},
-        "seminorm": {
-            "type": "object",
-            "properties": {
-                "weights": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "R": {"type": "number", "minimum": 0.5},
-            },
-            "required": ["weights", "R"],
-            "additionalProperties": False,
-        },
-    },
     "additionalProperties": False,
 }
 

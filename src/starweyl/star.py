@@ -13,18 +13,11 @@ import contextvars
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 
 from . import kernels
 from .errors import IncompatibleError
 from .parse import scalar_from_json
-from .poly import (
-    Generators,
-    Polynomial,
-    check_product_size,
-    exponent_tuple,
-    monomial_text,
-)
+from .poly import Generators, Polynomial, check_product_size
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
@@ -37,7 +30,6 @@ from .scalars import (
     num_canonical,
     stored_canonical,
     stored_encode,
-    stored_reduce,
     stored_sum,
 )
 
@@ -153,99 +145,28 @@ class BilinearForm(TermSum):
         return " (x) ".join(names[k] for k in key)
 
     def to_json(self) -> dict:
+        # the truncation in both domains: a numeric form's label is the
+        # label of the numeric products under it
         return {
             "generators": list(self.gens.names),
             "matrix": [[c.to_json() for c in row] for row in self.matrix],
+            "scalar_domain": self.domain,
+            "truncation": self.trunc,
         }
 
     @classmethod
-    def from_json(cls, d, gens=None, domain="formal", trunc=DEFAULT_TRUNCATION):
-        if gens is None:
-            gens = Generators(d["generators"])
+    def from_json(cls, d: dict) -> "BilinearForm":
+        domain = d.get("scalar_domain", "formal")
+        trunc = d.get("truncation", DEFAULT_TRUNCATION)
         rows = [[scalar_from_json(c, domain, trunc) for c in row]
                 for row in d["matrix"]]
-        return cls(gens, rows, domain, trunc)
+        return cls(Generators(d["generators"]), rows, domain, trunc)
 
     def __repr__(self):
         rows = "; ".join(
             ", ".join(str(c) for c in row) for row in self.matrix
         )
         return f"<BilinearForm [{rows}] over {list(self.gens.names)}>"
-
-
-class TensorSquare(TermSum):
-    """Element of Sym(V) (x) Sym(V), sparse over exponent-tuple pairs."""
-
-    __slots__ = ("gens", "domain")
-    _space = ("gens", "domain")
-    _mismatch = "tensor squares over different algebras"
-
-    def __init__(self, gens, terms, domain="formal", trunc=DEFAULT_TRUNCATION,
-                 _clean=False):
-        if not isinstance(gens, Generators):
-            gens = Generators(gens)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "domain", domain)
-        self._fill(terms, trunc, _clean)
-
-    def _key(self, key):
-        n = len(self.gens)
-        ea, eb = key
-        return exponent_tuple(ea, n), exponent_tuple(eb, n)
-
-    @classmethod
-    def of(cls, a: Polynomial, b: Polynomial) -> "TensorSquare":
-        a._check(b)
-        check_product_size(a, b)
-        n = min(a.trunc, b.trunc)
-        a = a._cut(n)
-        b = b._cut(n)
-        tb = b._data.items()
-        out = accumulate({}, (
-            ((ea[:-2], eb[:-2], ea[-2] + eb[-2], ea[-1] + eb[-1]), ca * cb)
-            for ea, ca in a._data.items() for eb, cb in tb))
-        return cls._build((a.gens, a.domain), n, *stored_canonical(
-            a.domain, out, a._den * b._den, n))
-
-    @staticmethod
-    def _sort_key(key):
-        ea, eb = key
-        return (sum(ea) + sum(eb), ea, eb)
-
-    def _monomial_text(self, key):
-        """Text "a (x) b" of the key (a, b); a unit factor prints as 1."""
-        names = self.gens.names
-        return " (x) ".join(monomial_text(names, e) or "1" for e in key)
-
-    def mu(self) -> Polynomial:
-        """Multiplication map a (x) b -> a*b."""
-        out = accumulate({}, (
-            (tuple(map(add, ea, eb)) + (r, q), c)
-            for (ea, eb, r, q), c in self._data.items()))
-        return Polynomial._build((self.gens, self.domain), self.trunc,
-                                 *stored_reduce(self.domain, self._den, out))
-
-
-def p_lambda(form: BilinearForm, t: TensorSquare) -> TensorSquare:
-    """One application of P_Lambda = sum_ij Lambda_ij d_i (x) d_j, on the
-    stored values: a part (i, j, v, left) of the folded form (_fold) takes
-    a term to the left exponents lowered at slot i and the right ones at
-    slot j, times v and both exponents, its h and i slots moved by the
-    part's."""
-    if form.gens != t.gens or form.domain != t.domain:
-        raise IncompatibleError("form and tensor square over different algebras")
-    trunc = min(t.trunc, form.trunc)
-    den, entries = _fold(form, 1, trunc)
-    n = len(t.gens)
-    steps = [(i, j, v, left[n:] if left else (0, 0))
-             for i, j, v, left in entries]
-    t = t._cut(trunc)
-    return t._canonical(trunc, accumulate({}, (
-        ((ea[:i] + (ea[i] - 1,) + ea[i + 1:],
-          eb[:j] + (eb[j] - 1,) + eb[j + 1:], r + dr, q + dq),
-         c * (v * eb[j]) * ea[i])
-        for (ea, eb, r, q), c in t._data.items()
-        for i, j, v, (dr, dq) in steps if ea[i] and eb[j])), t._den * den)
 
 
 def _fold(form, z, trunc):
@@ -401,20 +322,6 @@ def _star_window(form, z, a, b, top):
         return star(form, z, a, b)
     finally:
         _WINDOW.reset(token)
-
-
-def star_term_count(form: BilinearForm, a: Polynomial, b: Polynomial) -> int:
-    """Number of nonzero levels P_Lambda^r(a (x) b), r = 0, 1, ...
-
-    Instruments the termination invariant: the count is at most
-    min(deg a, deg b) + 1, with equality for generic data.
-    """
-    t = TensorSquare.of(a, b)
-    count = 0
-    while t:
-        count += 1
-        t = p_lambda(form, t)
-    return count
 
 
 def minus_i_hbar(domain="formal", trunc=DEFAULT_TRUNCATION):

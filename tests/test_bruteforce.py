@@ -1,8 +1,9 @@
 """Cross-checks between the reference oracle and the optimized kernel.
 
-bruteforce shares only the scalar layer with the code under test: dense
-storage, derivatives, the star sum, the UE straightening, the log series
-and Dynkin's BCH formula are all independent implementations.
+bruteforce shares only the scalar layer and the errors with the code under
+test (tests/test_structure.py checks its imports): dense storage,
+derivatives, the star sum, the P_Lambda step, the UE straightening, the log
+series and Dynkin's BCH formula are all independent implementations.
 """
 
 import itertools

@@ -5,9 +5,9 @@ bits) and of the numeric diagnostics. Any change to the order or rounding
 of a numeric sum or product shows here. An output whose repr runs to many
 kilobytes is frozen as the sha256 of that repr. The numeric operations run
 the loops of the formal domain on complex values, so their bits are those
-of that order; the frozen products, brackets, P_Lambda steps,
-exponentials, ordering operators, operator compositions, adjoints and
-applications, translation and continuity sums are also checked against
+of that order; the frozen products, brackets, exponentials, ordering
+operators, operator compositions, adjoints and applications, translation
+and continuity sums are also checked against
 the formal engine on the exact rationals of their float inputs, and the
 translation defect against the scale of its product.
 """
@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from starweyl import (
     BilinearForm, DifferentialOperator, GaussianRational, Polynomial,
-    SeminormSpec, TensorSquare, formal_adjoint,
-    minus_i_hbar, n_operator, ordering_operator, p_lambda, poisson_bracket,
+    SeminormSpec, formal_adjoint,
+    minus_i_hbar, n_operator, ordering_operator, poisson_bracket,
     poisson_standard, seminorm_pR, standard_form, star, star_continuity_report,
     star_standard, star_weyl, std_rep, translation_automorphism_defect,
     truncated_exponential, weyl_rep,
@@ -68,10 +68,6 @@ def outputs():
     sym = BilinearForm(G, [[0.5, complex(0.25, 1)], [complex(0.25, 1), -1.5]],
                        "numeric")
     yield "ordering", ordering_operator(sym, Z).apply(A * B)
-    t = TensorSquare.of(A, B)
-    yield "tensor", t
-    yield "p_lambda", p_lambda(FORM, t)
-    yield "mu", p_lambda(FORM, t).mu()
     spec = SeminormSpec([0.7, 1.3], 0.5)
     yield "seminorm", seminorm_pR(spec, A * B)
     yield "continuity", star_continuity_report(
@@ -107,9 +103,6 @@ FROZEN = {
     'exp': '{(0, 0): NumericScalar((1+0j)), (1, 0): NumericScalar((0.1-0.65j)), (0, 1): NumericScalar((-1.25-0.525j)), (2, 0): NumericScalar((-0.20625000000000002-0.065j)), (1, 1): NumericScalar((-0.46625000000000005+0.76j)), (0, 2): NumericScalar((0.6434375+0.65625j)), (3, 0): NumericScalar((-0.02095833333333334+0.04252083333333334j)), (2, 1): NumericScalar((0.2236875+0.18953125000000004j)), (1, 2): NumericScalar((0.49090625000000004-0.35260937499999995j)), (0, 3): NumericScalar((-0.15325520833333334-0.38603906250000003j)), (4, 0): NumericScalar((0.006385677083333334+0.004468750000000001j)), (3, 1): NumericScalar((0.04852135416666668-0.04214791666666667j)), (2, 2): NumericScalar((-0.09005273437499998-0.17717500000000003j)), (1, 3): NumericScalar((-0.26625091145833335+0.06101197916666665j)), (0, 4): NumericScalar((-0.0027753743489583316+0.14075195312500002j)), (5, 0): NumericScalar((0.0007086510416666669-0.0007407630208333335j)), (4, 1): NumericScalar((-0.005636002604166666-0.008938417968750003j)), (3, 2): NumericScalar((-0.04138967447916668+0.013605592447916662j)), (2, 3): NumericScalar((0.006516347656249992+0.08958214518229168j)), (1, 4): NumericScalar((0.09121123209635416+0.015879188639322923j)), (0, 5): NumericScalar((0.015472798665364584-0.03489657397460938j)), (6, 0): NumericScalar((-6.843847656250002e-05-8.911657986111115e-05j)), (5, 1): NumericScalar((-0.0012747143880208337+0.0005539119791666665j)), (4, 2): NumericScalar((0.0011761669108072907+0.007065961914062502j)), (3, 3): NumericScalar((0.019626676378038197+0.001574196180555559j)), (2, 4): NumericScalar((0.00972129791259766-0.028849690999348962j)), (1, 5): NumericScalar((-0.021135493216959636-0.01354697652994792j)), (0, 6): NumericScalar((-0.006276949944729275+0.00591624969482422j)), (7, 0): NumericScalar((-9.252803509424605e-06+5.081907397073414e-06j)), (6, 1): NumericScalar((3.876189127604164e-05+0.00014732592502170142j)), (5, 2): NumericScalar((0.0009420983870442711-1.1582460123697744e-05j)), (4, 3): NumericScalar((0.0007464737887912333-0.0031499800069173184j)), (3, 4): NumericScalar((-0.00592672311943902-0.0030679375810411256j)), (2, 5): NumericScalar((-0.0054595420330810565+0.006191686469014487j)), (1, 6): NumericScalar((0.003217867307162815+0.004671642433556451j)), (0, 7): NumericScalar((0.0015646026458134728-0.0005857019139353436j))}',
     'exp10': 'sha256:e7455165db551a7ce52075735baa077c12214d18c0c188058b0e35c439c03714',
     'ordering': '{(3, 2): NumericScalar((2.3114285714285714+1.8914285714285715j)), (2, 3): NumericScalar((0.32571428571428573+0.8085714285714285j)), (5, 1): NumericScalar((0.24285714285714283-0.04285714285714285j)), (2, 1): NumericScalar((4.5895357142857165+19.250464285714283j)), (1, 2): NumericScalar((5.4252142857142855+6.6416428571428545j)), (4, 0): NumericScalar((1.6125-0.08392857142857146j)), (1, 0): NumericScalar((-12.101060714285715+35.8271j)), (0, 3): NumericScalar((0.6763214285714285+0.6258214285714284j)), (3, 1): NumericScalar((0.10714285714285718-1.6214285714285714j)), (0, 1): NumericScalar((8.2152375+16.78551964285714j)), (1, 1): NumericScalar((-46.21340119047621-34.18190595238095j)), (0, 2): NumericScalar((-39.610416666666666+20.568750000000005j)), (3, 0): NumericScalar((-4.381714285714287+3.8922380952380955j)), (0, 0): NumericScalar((-37.148592470238114-44.90327383928571j)), (2, 4): NumericScalar((0.02999999999999997+0.79j)), (1, 5): NumericScalar((-0.06999999999999999+0.48999999999999994j)), (4, 3): NumericScalar((0.09999999999999999+0.014285714285714285j)), (1, 3): NumericScalar((-9.130999999999998+6.967000000000002j)), (2, 0): NumericScalar((3.6575250000000015-15.296603571428575j)), (0, 4): NumericScalar((0.35025000000000006+3.4107499999999997j)), (2, 2): NumericScalar((-9.297000000000002-1.0710000000000006j)), (4, 1): NumericScalar((-0.1735714285714286+0.5721428571428572j))}',
-    'tensor': '{((2, 1), (1, 1)): NumericScalar((0.67+1.81j)), ((2, 1), (0, 2)): NumericScalar((0.21+1.19j)), ((2, 1), (3, 0)): NumericScalar((0.24285714285714283-0.04285714285714285j)), ((2, 1), (0, 0)): NumericScalar((-1.1+3.6999999999999997j)), ((1, 0), (1, 1)): NumericScalar((-2.75+0.5j)), ((1, 0), (0, 2)): NumericScalar((-1.75+0j)), ((1, 0), (3, 0)): NumericScalar(0.3571428571428571j), ((1, 0), (0, 0)): NumericScalar((-5-2.5j)), ((0, 1), (1, 1)): NumericScalar((0.2+1.1j)), ((0, 1), (0, 2)): NumericScalar(0.7j), ((0, 1), (3, 0)): NumericScalar((0.14285714285714285+0j)), ((0, 1), (0, 0)): NumericScalar((-1+2j)), ((0, 0), (1, 1)): NumericScalar((0.3666666666666667-0.06666666666666667j)), ((0, 0), (0, 2)): NumericScalar((0.2333333333333333+0j)), ((0, 0), (3, 0)): NumericScalar(-0.047619047619047616j), ((0, 0), (0, 0)): NumericScalar((0.6666666666666666+0.3333333333333333j)), ((1, 3), (1, 1)): NumericScalar((0.02999999999999997+0.79j)), ((1, 3), (0, 2)): NumericScalar((-0.06999999999999999+0.48999999999999994j)), ((1, 3), (3, 0)): NumericScalar((0.09999999999999999+0.014285714285714285j)), ((1, 3), (0, 0)): NumericScalar((-0.8999999999999999+1.2999999999999998j))}',
-    'p_lambda': '{((1, 1), (0, 1)): NumericScalar((-1.205+6.085j)), ((1, 1), (1, 0)): NumericScalar((-0.47+4.29j)), ((2, 0), (0, 1)): NumericScalar((-1.2958333333333334-1.2175j)), ((2, 0), (1, 0)): NumericScalar((-0.6033333333333333+0.22333333333333333j)), ((1, 1), (2, 0)): NumericScalar((0.3642857142857142-0.06428571428571428j)), ((2, 0), (2, 0)): NumericScalar((-0.5464285714285714+0.09642857142857142j)), ((0, 0), (0, 1)): NumericScalar((-4.804166666666667-2.45j)), ((0, 0), (1, 0)): NumericScalar((-3.3666666666666667-0.8083333333333333j)), ((0, 0), (2, 0)): NumericScalar((-0.3214285714285714+0.2678571428571428j)), ((0, 3), (0, 1)): NumericScalar((-0.6224999999999999+1.1075j)), ((0, 3), (1, 0)): NumericScalar((-0.36500000000000005+0.805j)), ((1, 2), (0, 1)): NumericScalar((-1.0474999999999997-1.9175j)), ((1, 2), (1, 0)): NumericScalar((-0.7899999999999999+0.02999999999999997j)), ((0, 3), (2, 0)): NumericScalar((0.075+0.010714285714285714j)), ((1, 2), (2, 0)): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
-    'mu': '{(1, 2): NumericScalar((-1.205+6.085j)), (2, 1): NumericScalar((-1.7658333333333334+3.0725j)), (3, 0): NumericScalar((-0.6033333333333333+0.22333333333333333j)), (3, 1): NumericScalar((0.3642857142857142-0.06428571428571428j)), (4, 0): NumericScalar((-0.5464285714285714+0.09642857142857142j)), (0, 1): NumericScalar((-4.804166666666667-2.45j)), (1, 0): NumericScalar((-3.3666666666666667-0.8083333333333333j)), (2, 0): NumericScalar((-0.3214285714285714+0.2678571428571428j)), (0, 4): NumericScalar((-0.6224999999999999+1.1075j)), (1, 3): NumericScalar((-1.4124999999999996-1.1124999999999998j)), (2, 2): NumericScalar((-0.7899999999999999+0.02999999999999997j)), (2, 3): NumericScalar((0.075+0.010714285714285714j)), (3, 2): NumericScalar((-0.6749999999999999-0.09642857142857142j))}',
     'seminorm': '135.3937916183453',
     'continuity': '[1.0, 2.386567954757769, 2.6345039009678373, 2.5495901755677064, 2.50549208951384, 2.473936259606107, 2.4624923762871735, 2.4587326623628885, 2.4577076323690568]',
     'translation_defect': "'3.1401849173675502e-15'",
@@ -203,7 +196,6 @@ def test_numeric_outputs_are_near_the_exact_values():
     fa, fb = formal_poly(A), formal_poly(B)
     std = formal_form(standard_form(G, "numeric"))
     weyl = std.antisymmetric_part()
-    t = TensorSquare.of(fa, fb)
     pairs = {
         "star": (star(FORM, Z, A, B), star(formal_form(FORM), z, fa, fb)),
         "star_std": (star_standard(A, B), star(std, minus_i, fa, fb)),
@@ -211,10 +203,6 @@ def test_numeric_outputs_are_near_the_exact_values():
         "poisson": (poisson_bracket(FORM, A, B),
                     poisson_bracket(formal_form(FORM), fa, fb)),
         "poisson_std": (poisson_standard(A, B), poisson_standard(fa, fb)),
-        "p_lambda": (p_lambda(FORM, TensorSquare.of(A, B)),
-                     p_lambda(formal_form(FORM), t)),
-        "mu": (p_lambda(FORM, TensorSquare.of(A, B)).mu(),
-               p_lambda(formal_form(FORM), t).mu()),
         "n_operator": (n_operator(G, "numeric").apply(ab), ordering_operator(
             standard_form(G, "formal", 0).symmetric_part(), minus_i).apply(
                 formal_poly(ab))),

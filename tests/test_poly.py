@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starweyl import (
+    BilinearForm,
     DifferentialOperator,
     FormalScalar,
     GaussianRational,
     Generators,
     Polynomial,
     StarWeylError,
-    TensorSquare,
     TruncationError,
     UEElement,
     poly_from_text,
@@ -440,7 +440,6 @@ def test_scaling_takes_the_smaller_truncation(pair, t, g):
     # every term sum, pair keys and PBW keys too, scales term by term
     sums = (
         f,
-        TensorSquare.of(f, h),
         DifferentialOperator(GENS2, {(e, e): v for e, v in h.terms.items()},
                              "formal", h.trunc),
         UEElement(SL2, {(0,) * e[0] + (2,) * e[1]: v
@@ -476,13 +475,16 @@ def test_translation_or_evaluation_at_smaller_truncation_lowers_the_truncation()
 def test_tensor_and_operator_sums_keep_no_coefficient_above_the_truncation(pair):
     f, g = pair
     n = min(f.trunc, g.trunc)
-    one = Polynomial.one(GENS2, trunc=8)
     ops = [
         DifferentialOperator(GENS2, {(e, e): c for e, c in p.terms.items()},
                              "formal", p.trunc)
         for p in (f, g)
     ]
-    for s in (TensorSquare.of(f, one) + TensorSquare.of(g, one), ops[0] + ops[1]):
+    # bilinear forms, tensors in V* (x) V*, with the sum of each
+    # polynomial's coefficients on the diagonal
+    forms = [BilinearForm(GENS2, [[c, 0], [0, c]], "formal", p.trunc)
+             for p in (f, g) for c in [p.evaluate((1, 1))]]
+    for s in (forms[0] + forms[1], ops[0] + ops[1]):
         assert s.trunc == n
         for c in s.terms.values():
             assert c and all(r <= n for r in c.coeffs) and c.trunc <= n

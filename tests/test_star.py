@@ -18,7 +18,6 @@ from starweyl import (
     GaussianRational,
     Generators,
     Polynomial,
-    TensorSquare,
     TruncationError,
     apply_equivalence,
     jacobi_defect,
@@ -26,7 +25,6 @@ from starweyl import (
     n_operator,
     naive_star,
     ordering_operator,
-    p_lambda,
     poisson_bracket,
     poisson_standard,
     poly_from_text,
@@ -34,11 +32,10 @@ from starweyl import (
     standard_form,
     star,
     star_standard,
-    star_term_count,
     star_weyl,
     weyl_form,
 )
-from starweyl.bruteforce import DensePolynomial
+from starweyl.bruteforce import DensePolynomial, naive_p_lambda
 from starweyl.errors import NonFiniteError
 
 G = Generators(("q", "p"))
@@ -70,6 +67,35 @@ def forms():
     return st.tuples(entry, entry, entry, entry).map(
         lambda m: BilinearForm(G, ((m[0], m[1]), (m[2], m[3])))
     )
+
+
+# The tensor square of the definition f * g = mu(exp(z P_Lambda)(f (x) g)),
+# as dicts {(ea, eb): coefficient}: P_Lambda is the oracle's
+# naive_p_lambda, and these build a (x) b and apply mu.
+
+
+def tensor(a, b):
+    return {(ea, eb): ca * cb
+            for ea, ca in a.terms.items() for eb, cb in b.terms.items()}
+
+
+def mu(t):
+    """{e: coefficient} of mu(t), zeros dropped."""
+    out = {}
+    for (ea, eb), c in t.items():
+        e = tuple(x + y for x, y in zip(ea, eb))
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+def bracket_oracle(form, a, b):
+    """{e: coefficient} of mu(P_Lambda(a (x) b) - P_Lambda(b (x) a))."""
+    n = len(form.gens)
+    lam = [[form.entry(i, j) for j in range(n)] for i in range(n)]
+    t = naive_p_lambda(lam, tensor(a, b))
+    for key, c in naive_p_lambda(lam, tensor(b, a)).items():
+        t[key] = t[key] - c if key in t else -c
+    return mu(t)
 
 
 # ------------------------------------------------------------- conventions
@@ -180,22 +206,29 @@ def test_result_truncation_counts_the_form():
         s.hbar_coefficient(3)
     assert star(form, z, Polynomial.zero(G), b).trunc == 2
     assert poisson_bracket(form, a, b).trunc == 2
-    assert p_lambda(form, TensorSquare.of(a, b)).trunc == 2
     assert poisson_bracket(standard_form(G, "formal", 8), a, b).trunc == 8
 
 
 def test_p_lambda_of_a_tensor_cut_by_the_form():
-    # the form known to h^1 cuts the tensor square's h^2 part, and with it
-    # the stored denominator (8 at h^2, 4 after the cut): the step reads
-    # the cut tensor's values over the cut tensor's denominator
-    g = Generators(("a",))
-    form = BilinearForm(g, [[GaussianRational(0, Fraction(4, 3))]], "formal", 1)
+    # the form known to h^1 cuts the h^2 part of a, and with it the stored
+    # denominator (8 at h^2, 4 after the cut): the P_Lambda step of the
+    # bracket, level 1 of the star kernel, reads the cut operand's values
+    # over the cut operand's denominator
+    g = Generators(("x", "y"))
+    form = BilinearForm(g, [[0, GaussianRational(0, Fraction(4, 3))], [0, 0]],
+                        "formal", 1)
     c = FormalScalar({0: -3, 1: GaussianRational(8, Fraction(-1, 4)),
                       2: GaussianRational(Fraction(7, 4), Fraction(5, 8))}, 2)
-    t = TensorSquare(g, {((2,), (3,)): c}, "formal", 2)
-    # 4/3 i * 2 * 3 = 8i times c, known to h^1
+    a = Polynomial(g, {(2, 0): c}, "formal", 2)
+    b = Polynomial(g, {(0, 3): 1}, "formal", 2)
+    # {a, b} = mu(P_Lambda(a (x) b)), as b has no x: 4/3 i * 2 * 3 = 8i
+    # times c, known to h^1
     want = FormalScalar({0: GaussianRational(0, -24), 1: GaussianRational(2, 64)}, 1)
-    assert p_lambda(form, t) == TensorSquare(g, {((1,), (2,)): want}, "formal", 1)
+    out = poisson_bracket(form, a, b)
+    assert out == Polynomial(g, {(1, 2): want}, "formal", 1)
+    assert out.trunc == 1
+    lam = [[form.entry(i, j) for j in range(2)] for i in range(2)]
+    assert naive_p_lambda(lam, tensor(a, b)) == {((1, 0), (0, 2)): want}
 
 
 def test_a_parameter_or_form_entry_of_smaller_truncation_lowers_the_result():
@@ -219,11 +252,32 @@ def test_a_parameter_or_form_entry_of_smaller_truncation_lowers_the_result():
 
 
 def test_series_terminates_at_min_degree():
-    f, g = pf("q^3*p^3"), pf("q^2*p^2")
-    n = star_term_count(standard_form(G), f, g)
-    assert n <= min(f.degree(), g.degree()) + 1
-    wf = weyl_form(G)
-    assert star_term_count(wf, f, g) <= min(f.degree(), g.degree()) + 1
+    # with h-free operands and form and z = h, the h^r coefficient of the
+    # product is level r of the series, mu(P_Lambda^r(a (x) b)) / r!: zero
+    # past min(deg a, deg b), and nonzero at it for the standard form on
+    # generic operands
+    h = FormalScalar.hbar()
+    generic = [(pf("(q + p)^3 + q"), pf("(q - 2*p)^2 + p")),
+               (pf("(2*q - p)^4 - q*p"), pf("(q + 3*p)^3 + i*q"))]
+    special = [(pf("q^3*p^3"), pf("q^2*p^2")), (pf("p^2"), pf("q^5 + 1"))]
+    forms = [standard_form(G), weyl_form(G),
+             BilinearForm(G, [[Fraction(1, 2), -2], [3, I]])]
+    for form in forms:
+        lam = [[form.entry(i, j) for j in range(2)] for i in range(2)]
+        for a, b in generic + special:
+            s = star(form, h, a, b)
+            top = min(a.degree(), b.degree())
+            t = tensor(a, b)
+            for r in range(s.trunc + 1):
+                level = s.hbar_coefficient(r)
+                assert level.terms == {e: c * Fraction(1, math.factorial(r))
+                                       for e, c in mu(t).items()}, (r, a, b)
+                if r > top:
+                    assert not level
+                t = naive_p_lambda(lam, t)
+    for a, b in generic:
+        top = min(a.degree(), b.degree())
+        assert star(standard_form(G), h, a, b).hbar_coefficient(top)
 
 
 # ------------------------------------------------------------- equivalence
@@ -354,13 +408,11 @@ def test_star_equals_the_naive_oracle(case):
 def test_poisson_bracket_equals_the_tensor_square_formula(case):
     form, _, a, b = case
     out = poisson_bracket(form, a, b)
-    lhs = p_lambda(form, TensorSquare.of(a, b))
-    rhs = p_lambda(form, TensorSquare.of(b, a))
-    want = (lhs - rhs).mu()
-    assert out == want
-    assert out.trunc == want.trunc
+    assert out.trunc == min(a.trunc, b.trunc, form.trunc)
+    want = bracket_oracle(form, a, b)
+    assert out.terms == want
     assert {e: c.trunc for e, c in out.terms.items()} == {
-        e: c.trunc for e, c in want.terms.items()
+        e: c.trunc for e, c in want.items()
     }
 
 
@@ -369,9 +421,8 @@ def test_numeric_domain_keeps_float_coefficients():
     f = poly_from_text("(q + 2*p)^3 - (3/2)*i*q", gn, "numeric")
     g = poly_from_text("q*p^2 + 1/4", gn, "numeric")
     form = standard_form(Generators(gn), "numeric")
-    lhs = p_lambda(form.transpose(), TensorSquare.of(f, g))
-    rhs = p_lambda(form.transpose(), TensorSquare.of(g, f))
-    assert poisson_bracket(form.transpose(), f, g) == (lhs - rhs).mu()
+    assert poisson_bracket(form.transpose(), f, g).terms == bracket_oracle(
+        form.transpose(), f, g)
     # at hbar = 1 the numeric product is the formal one evaluated
     exact = star_standard(poly_from_text("(q + 2*p)^3 - (3/2)*i*q", gn),
                           poly_from_text("q*p^2 + 1/4", gn))

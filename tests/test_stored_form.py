@@ -1,9 +1,10 @@
 """The stored form of term sums.
 
-Polynomial, TensorSquare, BilinearForm, DifferentialOperator and UEElement
-keep one canonical (den, ints) pair in the integer codec of scalars.py, and
-.terms, text and JSON decode it. These properties pin the form on constructors and
+Polynomial, BilinearForm, DifferentialOperator and UEElement keep one
+canonical (den, ints) pair in the integer codec of scalars.py, and .terms,
+text and JSON decode it. These properties pin the form on constructors and
 operations, with mixed truncations and h-dependent Gaussian coefficients.
+DifferentialOperator is the sum keyed by pairs of exponent tuples.
 A numeric sum stores finite nonzero complex values, with no -0.0 part,
 under key + (0, 0) over den 1; the last properties pin that form.
 
@@ -29,7 +30,6 @@ from starweyl import (
     GaussianRational,
     Generators,
     Polynomial,
-    TensorSquare,
     UEElement,
     formal_adjoint,
     gutt_star,
@@ -75,12 +75,6 @@ def polys(gens=GENS, keys=exps):
         lambda p: Polynomial(gens, p[0], "formal", p[1]))
 
 
-def tensors():
-    return st.tuples(
-        st.dictionaries(st.tuples(exps, exps), coeffs(), max_size=4), truncs
-    ).map(lambda p: TensorSquare(GENS, p[0], "formal", p[1]))
-
-
 def operators():
     return st.tuples(
         st.dictionaries(st.tuples(qexps, qexps), coeffs(), max_size=4), truncs
@@ -95,11 +89,11 @@ def envelope():
                      truncs).map(lambda p: UEElement(SL2, p[0], p[1]))
 
 
-KINDS = {"Polynomial": polys(), "TensorSquare": tensors(),
-         "DifferentialOperator": operators(), "UEElement": envelope()}
+KINDS = {"Polynomial": polys(), "DifferentialOperator": operators(),
+         "UEElement": envelope()}
 # a key outside what the strategies above draw
-SPARE_KEY = {"Polynomial": (4, 4), "TensorSquare": ((4, 4), (4, 4)),
-             "DifferentialOperator": ((3,), (3,)), "UEElement": (0, 0, 1, 2)}
+SPARE_KEY = {"Polynomial": (4, 4), "DifferentialOperator": ((3,), (3,)),
+             "UEElement": (0, 0, 1, 2)}
 
 
 def assert_canonical(x):
@@ -142,8 +136,6 @@ def results(kind, a, b):
                 (a + b) * (a - b), poisson_standard(a, a),
                 a.translate(s).translate([-x for x in s]),
                 star(ANTISYMMETRIC, FormalScalar.minus_i_hbar(), a, a)]
-    if kind == "TensorSquare":
-        out.append(a.mu())
     if kind == "DifferentialOperator":
         out += [a.compose(b), a.formal_adjoint(),
                 a.apply(Polynomial(QGENS, {(2,): FormalScalar({0: 1, 1: 3})}))]
@@ -180,8 +172,6 @@ def test_two_routes_to_one_value_store_one_form(kind, data):
         assert (a + b).compose(c) == a.compose(c) + b.compose(c)
     if kind == "UEElement":
         assert (a + b) * c == a * c + b * c
-    if kind == "TensorSquare":
-        assert (a + b).mu() == a.mu() + b.mu()
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -261,7 +251,6 @@ def numeric_sums(cls, gens, keys):
 
 NUMERIC_KINDS = {
     "Polynomial": numeric_sums(Polynomial, GENS, exps),
-    "TensorSquare": numeric_sums(TensorSquare, GENS, st.tuples(exps, exps)),
     "DifferentialOperator": numeric_sums(DifferentialOperator, QGENS,
                                          st.tuples(qexps, qexps)),
 }
@@ -294,8 +283,6 @@ def numeric_results(kind, a, b):
                 _degree_cut(a, 2), (a + b) * (a - b), poisson_standard(a, a),
                 a.translate((0.5, -2)).translate((-0.5, 2)),
                 star(NUMERIC_ANTISYMMETRIC, -1j, a, a)]
-    if kind == "TensorSquare":
-        out.append(a.mu())
     if kind == "DifferentialOperator":
         out += [a.compose(b), a.formal_adjoint(),
                 a.apply(Polynomial(QGENS, {(2,): -1j, (0,): 0.5}, "numeric"))]
@@ -434,11 +421,26 @@ def test_bilinear_forms_are_immutable(kind, data):
 @given(data=st.data())
 def test_bilinear_form_json_round_trip(kind, data):
     x = data.draw(forms(kind))
-    y = BilinearForm.from_json(x.to_json(), domain=x.domain, trunc=x.trunc)
+    y = BilinearForm.from_json(x.to_json())
     assert y == x
     assert (y._den, y._data, y.trunc) == (x._den, x._data, x.trunc)
     assert y.to_json() == x.to_json()
     assert str(y) == str(x)
+
+
+@pytest.mark.parametrize("trunc", range(9))
+def test_bilinear_form_json_keeps_the_truncation_and_domain(trunc):
+    # a form reads back at its own truncation, not the default 8, and a
+    # numeric one in the numeric domain, its entries [re, im] pairs
+    c = FormalScalar({0: Fraction(1, 3), 1: GaussianRational(0, 2), 5: -1})
+    formal = BilinearForm(GENS, [[c, 0], [-1, Fraction(5, 2)]], "formal", trunc)
+    numeric = BilinearForm(GENS, [[0.5, complex(1, -0.25)], [-1, 1j]],
+                           "numeric", trunc)
+    for x in (formal, numeric, standard_form(GENS, "formal", trunc),
+              standard_form(GENS, "numeric", trunc)):
+        y = BilinearForm.from_json(x.to_json())
+        assert (y.trunc, y.domain) == (x.trunc, x.domain)
+        assert (y._den, y._data) == (x._den, x._data)
 
 
 @pytest.mark.parametrize("kind", ["formal", "dyadic"])

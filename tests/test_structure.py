@@ -6,10 +6,11 @@ kernels, accumulate and every other sum add into their output and keep a
 slot whose sum is zero. So no code pops or deletes a slot whose sum
 vanished, and outside scalars.py no code filters the zero values out of
 a term dict; the naive oracles, bruteforce.py, kept naive on purpose, are
-exempt. The six term containers share one base class, coefficients cross
+exempt. The five term containers share one base class, coefficients cross
 one boundary, the envelope engine and the operations on the stored terms
-run on plain ints or complex values, and the term sums do not fork on the
-scalar domain (see the end of this file).
+run on plain ints or complex values, the term sums do not fork on the
+scalar domain, and the oracles share only the scalars and the errors with
+the engine (see the end of this file).
 """
 
 import ast
@@ -221,15 +222,14 @@ def test_the_reduce_step_filters_once_per_domain():
 
 # -- one term container --------------------------------------------------------
 #
-# Polynomial, TensorSquare, BilinearForm, DifferentialOperator, UEElement
-# and FormalScalar inherit the container (immutability, truth, equality,
+# Polynomial, BilinearForm, DifferentialOperator, UEElement and
+# FormalScalar inherit the container (immutability, truth, equality,
 # sums, negation, text) from scalars.TermSum and keep only what differs
 # between them. FormalScalar keeps its own __str__ alone: a scalar prints
 # in the scalar grammar ("1/2+3/4*i" at order 0), not as a sum of terms.
 
 TERM_SUMS = [
     ("poly.py", "Polynomial"),
-    ("star.py", "TensorSquare"),
     ("star.py", "BilinearForm"),
     ("ops.py", "DifferentialOperator"),
     ("lie.py", "UEElement"),
@@ -415,11 +415,8 @@ INT_ONLY = {
     ("star.py", "_fold"),
     ("star.py", "_star_formal"),
     ("star.py", "BilinearForm.transpose"),
-    ("star.py", "TensorSquare.of"),
-    ("star.py", "TensorSquare.mu"),
     ("star.py", "OrderingOperator.apply"),
     ("star.py", "_exp_levels"),
-    ("star.py", "p_lambda"),
     ("star.py", "poisson_bracket"),
     ("star.py", "_delta_entries"),
     ("star.py", "_star_numeric"),
@@ -721,12 +718,11 @@ def test_raw_engine_runs_on_ints():
 # and the truncated exponential with their helpers, make none either.
 
 DOMAIN_FORK_FILES = {"poly.py", "ops.py"}
-DOMAIN_FORK_CLASSES = {("star.py", "TensorSquare"), ("star.py", "BilinearForm"),
+DOMAIN_FORK_CLASSES = {("star.py", "BilinearForm"),
                        ("star.py", "OrderingOperator"),
                        ("lie.py", "UEElement"), ("scalars.py", "TermSum"),
                        ("scalars.py", "FormalScalar")}
 DOMAIN_FORK_FUNCTIONS = {("star.py", "_fold"), ("star.py", "poisson_bracket"),
-                         ("star.py", "p_lambda"),
                          ("star.py", "_delta_entries"),
                          ("star.py", "_exp_levels"),
                          ("seminorms.py", "truncated_exponential"),
@@ -803,9 +799,10 @@ def test_detector_sees_a_domain_fork():
     ]
     # a fork in a term-sum method of another module
     star = sources["star.py"].replace(
-        "a._check(b)\n", "a._check(b)\n        assert a.domain != 'x'\n", 1)
+        "def transpose(self):\n",
+        "def transpose(self):\n        assert self.domain != 'x'\n", 1)
     assert _domain_forks({**sources, "star.py": star}) == [
-        ("star.py", "TensorSquare.of"),
+        ("star.py", "BilinearForm.transpose"),
     ]
     # and in the container that scalars.py holds
     scalars = sources["scalars.py"].replace(
@@ -971,3 +968,59 @@ def test_ops_has_no_leibniz_loop():
     with open(os.path.join(PACKAGE, "ops.py"), encoding="utf-8") as fh:
         imports = module_imports(ast.parse(fh.read()))
     assert not imports & {"itertools", "math"}
+
+
+# The oracles of bruteforce.py recompute results from the definitions to
+# cross-check the engine, so they share only the scalar types and the
+# errors with the rest of the package: an oracle that imported the engine
+# (kernels, poly, star, ...) would inherit a fault of it and agree with it.
+
+ORACLE_IMPORTS = {"errors", "scalars"}
+
+
+def package_imports(tree):
+    """The modules of the package a tree imports anywhere: relatively
+    (from .m import x, from . import m) or by the package's name
+    (import starweyl.m, from starweyl import m); the package itself as
+    "starweyl"."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts = [a.name.split(".") for a in node.names]
+            names.update(p[1] if len(p) > 1 else p[0] for p in parts
+                         if p[0] == "starweyl")
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level:
+                module = ["starweyl"] + [m for m in module if m]
+            if module[0] != "starweyl":
+                continue
+            if len(module) > 1:
+                names.add(module[1])
+            else:
+                names.update(a.name for a in node.names)
+    return names
+
+
+def _oracle_source():
+    with open(os.path.join(PACKAGE, "bruteforce.py"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_detector_sees_an_engine_import():
+    mutant = _oracle_source().replace(
+        "from .errors import", "from . import kernels\nfrom .errors import", 1)
+    assert package_imports(ast.parse(mutant)) - ORACLE_IMPORTS == {"kernels"}
+    # inside a function, and through the package's name
+    src = ("import itertools\n"
+           "def f():\n"
+           "    from .star import star\n"
+           "    import starweyl.poly\n"
+           "    from starweyl import ops\n"
+           "    import starweyl\n")
+    assert package_imports(ast.parse(src)) == {"star", "poly", "ops",
+                                               "starweyl"}
+
+
+def test_oracles_share_only_the_scalars_and_errors():
+    assert package_imports(ast.parse(_oracle_source())) == ORACLE_IMPORTS

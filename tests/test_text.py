@@ -1,6 +1,6 @@
 """Frozen text of every term printer: Polynomial (formal and numeric),
-DifferentialOperator (formal and numeric), TensorSquare, BilinearForm,
-UEElement and LieSeries; and frozen JSON of the coefficient writers.
+DifferentialOperator (formal and numeric), BilinearForm, UEElement and
+LieSeries; and frozen JSON of the coefficient writers.
 
 Each row pins one branch of the shared term printer: a negative leading
 term, a coefficient with several h-orders in parentheses, h and h^r, a
@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from starweyl import (
+    BilinearForm,
     DifferentialOperator,
     FormalScalar,
     GaussianRational,
@@ -20,7 +21,6 @@ from starweyl import (
     LieSeries,
     Polynomial,
     Session,
-    TensorSquare,
     UEElement,
     bch,
     poly_from_text,
@@ -111,8 +111,8 @@ CASES = [
         " - (3/5)*h^2*F + h^3*F",
     ),
     (
-        TensorSquare.of(pf("q^2 - h"), pf("2*p + i")),
-        "2*q^2 (x) p + i*q^2 (x) 1 - 2*h*1 (x) p - i*h*1 (x) 1",
+        BilinearForm(G, [[2, GR(0, 1)], [fs({1: -2}), fs({1: GR(0, -1)})]]),
+        "2*q (x) q + i*q (x) p - 2*h*p (x) q - i*h*p (x) p",
     ),
     (standard_form(G), "p (x) q"),
     (weyl_form(G), "-(1/2)*q (x) p + (1/2)*p (x) q"),
@@ -168,17 +168,20 @@ JSON_CASES = [
     ),
     (
         weyl_form(G),
-        '{"generators": ["q", "p"], "matrix": [["0", "-1/2"], ["1/2", "0"]]}',
+        '{"generators": ["q", "p"], "matrix": [["0", "-1/2"], ["1/2", "0"]], '
+        '"scalar_domain": "formal", "truncation": 8}',
     ),
     (
         weyl_form(G, "numeric"),
         '{"generators": ["q", "p"], "matrix": '
-        '[[[0.0, 0.0], [-0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]}',
+        '[[[0.0, 0.0], [-0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]], '
+        '"scalar_domain": "numeric", "truncation": 8}',
     ),
     (
         Session.default(),
         '{"generators": ["q", "p"], "domain": "formal", "truncation": 8, '
-        '"lambda": {"generators": ["q", "p"], "matrix": [["0", "0"], ["1", "0"]]}, '
+        '"lambda": {"generators": ["q", "p"], "matrix": [["0", "0"], ["1", "0"]], '
+        '"scalar_domain": "formal", "truncation": 8}, '
         '"z": "-i*h", "seminorm": {"weights": [1.0, 1.0], "R": 0.5}}',
     ),
     (
@@ -186,7 +189,8 @@ JSON_CASES = [
                              "z": "-i"}),
         '{"generators": ["q", "p"], "domain": "numeric", "truncation": 8, '
         '"lambda": {"generators": ["q", "p"], "matrix": '
-        '[[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}, '
+        '[[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], '
+        '"scalar_domain": "numeric", "truncation": 8}, '
         '"z": [0.0, -1.0], "seminorm": {"weights": [1.0, 1.0], "R": 0.5}}',
     ),
 ]

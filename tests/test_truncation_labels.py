@@ -27,7 +27,6 @@ from starweyl import (
     LieAlgebra,
     OrderingOperator,
     Polynomial,
-    TensorSquare,
     TruncationError,
     UEElement,
     apply_equivalence,
@@ -35,7 +34,6 @@ from starweyl import (
     kks_bracket,
     minus_i_hbar,
     n_operator,
-    p_lambda,
     pbw_symmetrize,
     poisson_bracket,
     sl2,
@@ -106,11 +104,6 @@ def extend(x, rng):
     if isinstance(x, DifferentialOperator):
         return DifferentialOperator(x.gens, extend_terms(
             x.terms, x.trunc, rng, OPERATOR_KEYS), "formal", x.trunc + EXTRA)
-    if isinstance(x, TensorSquare):
-        return TensorSquare(x.gens, extend_terms(
-            x.terms, x.trunc, rng, [(ea, eb) for ea in MONOMIALS[:4]
-                                    for eb in MONOMIALS[:4]]),
-            "formal", x.trunc + EXTRA)
     if isinstance(x, BilinearForm):
         n = len(x.gens)
         m = [[extend_scalar(c, rng) for c in row] for row in x.matrix]
@@ -197,8 +190,6 @@ OPS = {
     "star_standard": (star_standard, st.tuples(polys(), polys())),
     "star_weyl": (star_weyl, st.tuples(polys(), polys())),
     "poisson_bracket": (poisson_bracket, st.tuples(forms(), polys(), polys())),
-    "p_lambda": (p_lambda, st.tuples(forms(), st.builds(
-        TensorSquare.of, polys(), polys()))),
     "apply_equivalence": (apply_equivalence, st.tuples(
         st.builds(OrderingOperator, forms(symmetric=True), zs),
         forms(), zs, polys(), polys())),
