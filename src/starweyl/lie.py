@@ -31,6 +31,7 @@ from .scalars import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    Immutable,
     TermSum,
     accumulate,
     int_canonical,
@@ -58,7 +59,7 @@ def _refuse_h(node):
     return 0
 
 
-class LieAlgebra:
+class LieAlgebra(Immutable):
     """Finite-dimensional Lie algebra given by structure constants.
 
     brackets[(i, j)] is the coefficient vector of [xi_i, xi_j]; antisymmetry
@@ -134,9 +135,6 @@ class LieAlgebra:
                      "_cache_guttmono", "_keys"):
             object.__setattr__(self, slot, {})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LieAlgebra is immutable")
-
     def _check_jacobi(self):
         e = [(1, {(i, 0, 0): 1}) for i in range(self.dim)]
         br = self._bracket_ints
@@ -165,7 +163,7 @@ class LieAlgebra:
 
     def bracket_vec(self, u, v):
         """[u, v] for coefficient vectors; returns a GaussianRational tuple."""
-        return object.__new__(LieSeries)._set(self, 0, *self._bracket_ints(
+        return LieSeries._stored(self, 0, *self._bracket_ints(
             _vec_ints(self, {0: u}), _vec_ints(self, {0: v}))).component(0)
 
     def basis_vector(self, which):
@@ -598,7 +596,7 @@ def _vec_sum(parts, f=1):
     return stored_sum("formal", parts) if parts else (1, {})
 
 
-class LieSeries:
+class LieSeries(Immutable):
     """Formal series sum_w h^w Z_w with Z_w in the algebra, stored as the
     canonical pair (den, {(k, w, i-power): int}) of the coefficients of e_k
     in the Z_w; terms and component(w) decode it."""
@@ -609,16 +607,14 @@ class LieSeries:
         for w in () if _clean else terms or ():
             if not isinstance(w, int) or w < 0 or w > order:
                 raise ValueError(f"bad series order {w!r}")
-        self._set(algebra, order, *_vec_ints(algebra, terms or {}))
+        super().__init__(algebra, order, *_vec_ints(algebra, terms or {}))
 
-    def _set(self, algebra, order, den, data):
-        """self storing the canonical pair (den, data)."""
-        for name, value in zip(self.__slots__, (algebra, order, den, data)):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieSeries is immutable")
+    @classmethod
+    def _stored(cls, algebra, order, den, data):
+        """The series storing the canonical pair (den, data)."""
+        new = object.__new__(cls)
+        Immutable.__init__(new, algebra, order, den, data)
+        return new
 
     @property
     def terms(self):
@@ -720,7 +716,7 @@ def bch(algebra: LieAlgebra, x, y, order: int) -> LieSeries:
             for (a, b), (d, t) in zip(_bch_weights(),
                                       [row[n] for row in w[2::2]])
         ], n + 1))
-    return object.__new__(LieSeries)._set(algebra, order, *_vec_sum([
+    return LieSeries._stored(algebra, order, *_vec_sum([
         (d, {(k, m, q): v for (k, _, q), v in t.items()})
         for m, (d, t) in enumerate(z[1:order + 1], 1)]))
 
@@ -752,19 +748,14 @@ def bch_exponential(z: LieSeries, trunc=None) -> Polynomial:
     return truncated_exponential(z.algebra.coords, vec, 1, n, "formal", n).base
 
 
-class BchReport:
+class BchReport(Immutable):
     """Outcome of check_bch_property."""
 
     __slots__ = ("order", "cutoff", "max_agreed_order", "ok")
 
     def __init__(self, order, cutoff, max_agreed_order):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "max_agreed_order", max_agreed_order)
-        object.__setattr__(self, "ok", max_agreed_order >= order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BchReport is immutable")
+        super().__init__(order, cutoff, max_agreed_order,
+                         max_agreed_order >= order)
 
     def to_json(self):
         return {

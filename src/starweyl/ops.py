@@ -139,17 +139,15 @@ class DifferentialOperator(TermSum):
         return f"<DifferentialOperator {self} over {list(self.gens.names)}>"
 
     def to_json(self) -> dict:
-        d = {
+        return {
             "generators": list(self.gens.names),
             "scalar_domain": self.domain,
             "terms": [
                 {"coef_exp": list(a), "deriv_exp": list(d), "coeff": c.to_json()}
                 for (a, d), c in self.sorted_terms()
             ],
+            "truncation": self.trunc,
         }
-        if self.domain == "formal":
-            d["truncation"] = self.trunc
-        return d
 
 
 def _split_phase(gens: Generators):

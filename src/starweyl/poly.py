@@ -23,6 +23,7 @@ from .scalars import (
     DEFAULT_TRUNCATION,
     GR_I,
     FormalScalar,
+    Immutable,
     TermSum,
     accumulate,
     coerce_coeff,
@@ -57,7 +58,7 @@ def check_product_size(a, b):
         )
 
 
-class Generators:
+class Generators(Immutable):
     """Ordered tuple of distinct generator names."""
 
     __slots__ = ("names", "_index")
@@ -75,11 +76,7 @@ class Generators:
                 raise ValueError(f"generator name {nm!r} is not an identifier")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_index", {nm: k for k, nm in enumerate(names)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Generators is immutable")
+        super().__init__(names, {nm: k for k, nm in enumerate(names)})
 
     def __len__(self):
         return len(self.names)
@@ -339,15 +336,13 @@ class Polynomial(TermSum):
 
     # -- JSON -------------------------------------------------------------------
     def to_json(self) -> dict:
-        d = {
+        return {
             "generators": list(self.gens.names),
             "scalar_domain": self.domain,
             "terms": [{"exp": list(exp), "coeff": c.to_json()}
                       for exp, c in self.sorted_terms()],
+            "truncation": self.trunc,
         }
-        if self.domain == "formal":
-            d["truncation"] = self.trunc
-        return d
 
     @classmethod
     def from_json(cls, d: dict) -> "Polynomial":

@@ -15,6 +15,8 @@ parse.py reads a coefficient back.
 TermSum, the immutable term sum that every algebra element derives from,
 lives here next to the stored form it owns: a FormalScalar is itself the
 term sum over no generators, so its h-series arithmetic is the term sums'.
+Immutable, the base of every value class of the package, holds the one
+guard against assigning to a value after construction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,29 @@ from . import kernels
 from .errors import IncompatibleError, NonFiniteError, TruncationError
 
 DEFAULT_TRUNCATION = 8
+
+
+class Immutable:
+    """A value whose attributes are fixed at construction.
+
+    __init__ stores its arguments into the class's own __slots__, in
+    order; a subclass that validates or derives first ends its __init__ in
+    super().__init__(...), and a hot constructor may set its slots with
+    object.__setattr__ itself. Assignment afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        slots = type(self).__slots__
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} "
+                            f"values ({', '.join(slots)}), {len(values)} given")
+        for name, value in zip(slots, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 def _as_fraction(x):
@@ -60,7 +85,7 @@ def _gaussian_text(re, im, den):
             f"{_ratio_text(abs(im), den, True)}*i")
 
 
-class GaussianRational:
+class GaussianRational(Immutable):
     """Exact complex rational a + b*i with Fraction parts."""
 
     __slots__ = ("re", "im")
@@ -68,9 +93,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         object.__setattr__(self, "re", _as_fraction(re))
         object.__setattr__(self, "im", _as_fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- predicates -------------------------------------------------------
     def __bool__(self):
@@ -194,7 +216,7 @@ def accumulate(out, items):
     return out
 
 
-class TermSum:
+class TermSum(Immutable):
     """Immutable finite sum of terms, key -> nonzero coefficient.
 
     The attributes named in _space (with the domain) say where the terms
@@ -262,9 +284,6 @@ class TermSum:
         if trunc >= self.trunc:
             return self
         return self._canonical(trunc, self._data, self._den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __bool__(self):
         return bool(self._data)
@@ -534,7 +553,7 @@ def join_terms(pieces) -> str:
     return "".join(chunks) or "0"
 
 
-class NumericScalar:
+class NumericScalar(Immutable):
     """Complex double that refuses to become inf or nan."""
 
     __slots__ = ("val",)
@@ -549,9 +568,6 @@ class NumericScalar:
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise NonFiniteError(f"non-finite numeric scalar {v!r}")
         object.__setattr__(self, "val", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NumericScalar is immutable")
 
     def _coerce(self, other):
         if isinstance(other, NumericScalar):

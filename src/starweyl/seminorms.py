@@ -23,6 +23,7 @@ from .parse import MAX_EXPONENT
 from .poly import Generators, Polynomial
 from .scalars import (
     DEFAULT_TRUNCATION,
+    Immutable,
     int_groups,
     int_value_at,
     stored_canonical,
@@ -32,7 +33,7 @@ from .scalars import (
 from .star import BilinearForm, _star_slices, _star_window, star
 
 
-class SeminormSpec:
+class SeminormSpec(Immutable):
     """Weight vector and exponent R for the p_R seminorm family."""
 
     __slots__ = ("weights", "R")
@@ -46,11 +47,7 @@ class SeminormSpec:
         R = float(R)
         if not (R >= 0.5 and math.isfinite(R)):
             raise ValueError("R must be >= 1/2")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "R", R)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeminormSpec is immutable")
+        super().__init__(ws, R)
 
     def linear_norm(self, v) -> float:
         """Weighted 1-norm sum |v_i| w_i of a coefficient vector."""
@@ -76,7 +73,7 @@ class SeminormSpec:
         return cls(d["weights"], d["R"])
 
 
-class TruncatedElement:
+class TruncatedElement(Immutable):
     """A polynomial together with the cutoff it was truncated at."""
 
     __slots__ = ("base", "cutoff")
@@ -86,11 +83,7 @@ class TruncatedElement:
             raise TypeError("base must be a Polynomial")
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "cutoff", cutoff)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedElement is immutable")
+        super().__init__(base, cutoff)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedElement):
@@ -211,26 +204,11 @@ def _csv_lines(report):
     ]
 
 
-class ConvergenceReport:
+class ConvergenceReport(Immutable):
     """Term-by-term behaviour of sum_k k!^(R-1) x^k."""
 
     __slots__ = ("R", "x", "kmax", "terms", "partial_sums", "verdict",
                  "reason", "limit", "tail")
-
-    def __init__(self, R, x, kmax, terms, partial_sums, verdict, reason,
-                 limit, tail):
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "kmax", kmax)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "partial_sums", partial_sums)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "limit", limit)
-        object.__setattr__(self, "tail", tail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvergenceReport is immutable")
 
     @property
     def convergent(self) -> bool:
@@ -309,20 +287,13 @@ def exponential_convergence_report(spec: SeminormSpec, v, alpha,
                              tail)
 
 
-class DefectReport:
+class DefectReport(Immutable):
     """Maximal deviation of an exact identity over a graded window."""
 
     __slots__ = ("check", "window", "defect_max", "exact", "detail")
 
     def __init__(self, check, window, defect_max, exact, detail=None):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "window", dict(window))
-        object.__setattr__(self, "defect_max", defect_max)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DefectReport is immutable")
+        super().__init__(check, dict(window), defect_max, exact, detail)
 
     @property
     def ok(self) -> bool:
@@ -376,8 +347,7 @@ def _check_window(**bounds):
 
 
 def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
-                         orders: int = 4, cutoff=None,
-                         trunc=None) -> DefectReport:
+                         orders: int = 4, cutoff=None) -> DefectReport:
     """Check E(v~) * E(w~) = exp(z L(v,w)) E((v+w)~) on a graded window.
 
     E is the degree-cutoff exponential. The identity is exact on components
@@ -398,11 +368,8 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
             f"truncation too small: cutoff {k} must be >= degree + 2*orders "
             f"= {degree + 2 * orders}"
         )
-    nt = orders if trunc is None else trunc
-    if nt < orders:
-        raise TruncationError("scalar truncation below the order window")
-    ev = truncated_exponential(gens, v, 1, k, "formal", nt).base
-    ew = truncated_exponential(gens, w, 1, k, "formal", nt).base
+    ev = truncated_exponential(gens, v, 1, k, "formal", orders).base
+    ew = truncated_exponential(gens, w, 1, k, "formal", orders).base
     zz = ev.coerce_scalar(z)
     lhs = _star_window(form, zz, ev, ew, degree)
     # scalar prefactor exp(z L(v,w)): needs arg to start at h-order >= 1 so
@@ -414,13 +381,13 @@ def weyl_relation_defect(form: BilinearForm, z, v, w, degree: int = 6,
             "part"
         )
     one = ev.coerce_scalar(1)
-    pref = _series_sum(one, arg.trunc, _slices(one, arg, nt))
+    pref = _series_sum(one, arg.trunc, _slices(one, arg, orders))
     vsum = [ev.coerce_scalar(a) + ev.coerce_scalar(b) for a, b in zip(v, w)]
     # only the degree <= degree part of E_k((v+w)~) is read, and E_c has it
     # for every cutoff c >= degree; c >= 1 (when k is) also keeps E_k's
     # truncation, the step's
     evw = truncated_exponential(gens, vsum, 1, min(k, max(degree, 1)),
-                                "formal", nt).base
+                                "formal", orders).base
     rhs = _degree_cut(evw, degree) * pref
     exact, worst = _window_defect(lhs - rhs, degree, orders)
     return DefectReport(
@@ -503,21 +470,10 @@ def inner_automorphism_defect(form: BilinearForm, z, w, f: Polynomial,
     )
 
 
-class ContinuityReport:
+class ContinuityReport(Immutable):
     """Partial seminorms p_R(E_K(v~) * E_K(w~)) as the cutoff K grows."""
 
     __slots__ = ("R", "kmax", "partial_sums", "monotone", "tail", "converged")
-
-    def __init__(self, R, kmax, partial_sums, monotone, tail, converged):
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "kmax", kmax)
-        object.__setattr__(self, "partial_sums", partial_sums)
-        object.__setattr__(self, "monotone", monotone)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "converged", converged)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContinuityReport is immutable")
 
     csv_lines = _csv_lines
 
@@ -546,8 +502,8 @@ def _degree_cut(p: Polynomial, k: int) -> Polynomial:
 
 
 def star_continuity_report(spec: SeminormSpec, form: BilinearForm, z, v, w,
-                           kmax: int = 40, tol: float = 1e-10,
-                           hbar: float = 1.0) -> ContinuityReport:
+                           kmax: int = 40,
+                           tol: float = 1e-10) -> ContinuityReport:
     """Numeric-domain diagnostic: p_R of truncated exponential star products.
 
     Convergence of the partial seminorms as K grows is the quantitative
@@ -567,7 +523,7 @@ def star_continuity_report(spec: SeminormSpec, form: BilinearForm, z, v, w,
     for k in range(kmax + 1):
         if k in slices:
             prod = prod + slices[k]
-        sums.append(seminorm_pR(spec, prod, hbar=hbar))
+        sums.append(seminorm_pR(spec, prod))
     monotone = all(b >= a - 1e-15 for a, b in zip(sums, sums[1:]))
     tail = abs(sums[-1] - sums[-2]) if len(sums) >= 2 else math.inf
     return ContinuityReport(spec.R, kmax, sums, monotone, tail, tail < tol)

@@ -16,7 +16,7 @@ from .parse import (
     scalar_from_text,
 )
 from .poly import Generators, Polynomial, poly_from_text
-from .scalars import DEFAULT_TRUNCATION
+from .scalars import DEFAULT_TRUNCATION, Immutable
 from .seminorms import SeminormSpec
 from .star import BilinearForm, minus_i_hbar
 
@@ -30,7 +30,7 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
-class Session:
+class Session(Immutable):
     __slots__ = ("gens", "domain", "trunc", "form", "z", "seminorm")
 
     def __init__(self, gens, domain, trunc, form, z, seminorm):
@@ -40,29 +40,11 @@ class Session:
                     f"generator name {nm!r} is reserved for the formal "
                     "parameter and the imaginary unit"
                 )
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "seminorm", seminorm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Session is immutable")
+        super().__init__(gens, domain, trunc, form, z, seminorm)
 
     @classmethod
     def default(cls, truncation=None) -> "Session":
-        trunc = DEFAULT_TRUNCATION if truncation is None else truncation
-        gens = Generators(("q", "p"))
-        form = BilinearForm.standard(gens, "formal", trunc)
-        return cls(
-            gens,
-            "formal",
-            trunc,
-            form,
-            minus_i_hbar("formal", trunc),
-            SeminormSpec((1.0, 1.0), 0.5),
-        )
+        return cls.from_config({}, truncation)
 
     @classmethod
     def from_config(cls, cfg: dict, truncation=None) -> "Session":

@@ -21,6 +21,7 @@ from .poly import Generators, Polynomial, check_product_size
 from .scalars import (
     DEFAULT_TRUNCATION,
     FormalScalar,
+    Immutable,
     NumericScalar,
     TermSum,
     accumulate,
@@ -61,13 +62,6 @@ class BilinearForm(TermSum):
         return key
 
     # -- constructors -----------------------------------------------------
-    @classmethod
-    def zero(cls, gens, domain="formal", trunc=DEFAULT_TRUNCATION):
-        if not isinstance(gens, Generators):
-            gens = Generators(gens)
-        n = len(gens)
-        return cls(gens, [[0] * n for _ in range(n)], domain, trunc)
-
     @classmethod
     def standard(cls, gens, domain="formal", trunc=DEFAULT_TRUNCATION):
         """Lambda_std on phase-space generators (q_1..q_n, p_1..p_n):
@@ -418,7 +412,7 @@ def _exp_levels(f, den, entries, trunc):
         levels.append((level._den, level._data.items()))
 
 
-class OrderingOperator:
+class OrderingOperator(Immutable):
     """T = exp(z * Delta_S) with Delta_S = (1/2) sum_ij S_ij d_i d_j.
 
     S must be symmetric; the exponential series terminates because Delta_S
@@ -431,12 +425,8 @@ class OrderingOperator:
     def __init__(self, sym_form: BilinearForm, z):
         if not sym_form.is_symmetric():
             raise IncompatibleError("ordering operator needs a symmetric form")
-        zz = coerce_coeff(z, sym_form.domain, sym_form.trunc)
-        object.__setattr__(self, "sym_form", sym_form)
-        object.__setattr__(self, "z", zz)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderingOperator is immutable")
+        super().__init__(sym_form,
+                         coerce_coeff(z, sym_form.domain, sym_form.trunc))
 
     def apply(self, f: Polynomial) -> Polynomial:
         """f + sum_k (z Delta_S)^k f / k! on the stored values: z * S folded

@@ -17,7 +17,7 @@ from .bruteforce import DensePolynomial, naive_bch_via_ue, naive_star
 from .lie import bch, check_bch_property, gutt_star, heisenberg3, kks_bracket, sl2
 from .ops import formal_adjoint, std_rep, weyl_rep
 from .poly import Generators, Polynomial, poly_from_text
-from .scalars import GR_I, FormalScalar, GaussianRational
+from .scalars import GR_I, FormalScalar, GaussianRational, Immutable
 from .seminorms import (
     SeminormSpec,
     exponential_convergence_report,
@@ -42,15 +42,8 @@ from .star import (
 )
 
 
-class VerifyResult:
+class VerifyResult(Immutable):
     __slots__ = ("number", "name", "ok", "detail", "elapsed")
-
-    def __init__(self, number, name, ok, detail, elapsed):
-        self.number = number
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-        self.elapsed = elapsed
 
     @property
     def status(self) -> str:
@@ -438,8 +431,14 @@ def check_star_continuity(seed: int):
     return True, "monotone partial sums, tail below 1e-10 by K=40"
 
 
+def _same(a, b):
+    """a == b with the same truncation label, which == does not compare."""
+    return a == b and a.trunc == b.trunc
+
+
 def check_serialization_roundtrip(seed: int):
-    """JSON and canonical-text round trips on 100 random elements."""
+    """JSON and canonical-text round trips on 100 random elements; a term
+    sum must also keep its truncation label."""
     rng = random.Random(seed)
     from .lie import LieAlgebra
 
@@ -447,33 +446,31 @@ def check_serialization_roundtrip(seed: int):
         n = rng.randint(1, 3)
         gens = Generators(_GEN_POOLS[n])
         f = _rand_poly(rng, gens, 4, 6, complex_coeffs=True)
-        if Polynomial.from_json(f.to_json()) != f:
+        if not _same(Polynomial.from_json(f.to_json()), f):
             return False, f"polynomial JSON round trip failed (trial {trial})"
-        if poly_from_text(str(f), gens, "formal", 6) != f:
+        if not _same(poly_from_text(str(f), gens, "formal", 6), f):
             return False, f"canonical text round trip failed (trial {trial})"
         _, form = _rand_form(rng, gens, 6)
-        if BilinearForm.from_json(form.to_json()) != form:
+        if not _same(BilinearForm.from_json(form.to_json()), form):
             return False, f"form JSON round trip failed (trial {trial})"
     for g in (heisenberg3(), sl2()):
         if LieAlgebra.from_json(g.to_json()) != g:
             return False, "Lie algebra JSON round trip failed"
-    # numeric domain survives via [re, im] coefficient pairs
+    # numeric domain survives via [re, im] coefficient pairs, with its label
     gens = Generators(("q", "p"))
-    f = Polynomial(gens, {(1, 0): 0.5 + 0.25j, (0, 2): -1.0j}, "numeric")
-    if Polynomial.from_json(f.to_json()) != f:
-        return False, "numeric polynomial JSON round trip failed"
+    for trunc in (8, 3):
+        f = Polynomial(gens, {(1, 0): 0.5 + 0.25j, (0, 2): -1.0j}, "numeric",
+                       trunc)
+        if not _same(Polynomial.from_json(f.to_json()), f):
+            return False, "numeric polynomial JSON round trip failed"
     return True, "100 random formal elements, forms, algebras, numeric sample"
 
 
-class Criterion:
+class Criterion(Immutable):
     __slots__ = ("number", "name", "group", "fn", "budget")
 
     def __init__(self, number, name, group, fn, budget=None):
-        self.number = number
-        self.name = name
-        self.group = group
-        self.fn = fn
-        self.budget = budget
+        super().__init__(number, name, group, fn, budget)
 
 
 CRITERIA = (

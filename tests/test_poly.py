@@ -377,6 +377,26 @@ def test_sum_keeps_no_coefficient_above_the_truncation(pair):
     assert f + g == cut + g.map_coefficients(lambda c: c.truncate(s.trunc))
 
 
+def test_numeric_json_keeps_the_truncation_label():
+    # a numeric sum's label is the label of the numeric products it enters;
+    # JSON writes it in both domains, as BilinearForm.to_json does
+    import jsonschema
+
+    from starweyl.schemas import OPERATOR_SCHEMA, POLYNOMIAL_SCHEMA
+
+    for trunc in range(9):
+        f = Polynomial(GENS2, {(1, 0): 0.5, (0, 2): -1j}, "numeric", trunc)
+        data = f.to_json()
+        jsonschema.validate(data, POLYNOMIAL_SCHEMA)
+        back = Polynomial.from_json(data)
+        assert back == f and back.trunc == trunc
+    op = DifferentialOperator(Generators(("x",)), {((1,), (1,)): 0.5},
+                              "numeric", 3)
+    data = op.to_json()
+    jsonschema.validate(data, OPERATOR_SCHEMA)
+    assert data["truncation"] == 3
+
+
 def test_map_coefficients_coerces_what_fn_returns():
     f = poly_from_text("2*q + h*p", GENS2, trunc=4)
     # plain numbers of the domain, and a value that vanishes is dropped

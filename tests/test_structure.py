@@ -6,11 +6,12 @@ kernels, accumulate and every other sum add into their output and keep a
 slot whose sum is zero. So no code pops or deletes a slot whose sum
 vanished, and outside scalars.py no code filters the zero values out of
 a term dict; the naive oracles, bruteforce.py, kept naive on purpose, are
-exempt. The five term containers share one base class, coefficients cross
-one boundary, the envelope engine and the operations on the stored terms
-run on plain ints or complex values, the term sums do not fork on the
-scalar domain, and the oracles share only the scalars and the errors with
-the engine (see the end of this file).
+exempt. The five term containers share one base class, one class guards
+every value against assignment, coefficients cross one boundary, the
+envelope engine and the operations on the stored terms run on plain ints
+or complex values, the term sums do not fork on the scalar domain, and
+the oracles share only the scalars and the errors with the engine (see
+the end of this file).
 """
 
 import ast
@@ -200,12 +201,19 @@ def test_detector_sees_a_zero_sum_dropped():
     assert zero_drops(ast.parse(kept), "x.py") == []
 
 
-def _package_zero_drops():
-    found = []
+def _package_sources():
+    out = {}
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py") and name not in EXEMPT_FILES:
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-                found += zero_drops(ast.parse(fh.read()), name)
+                out[name] = fh.read()
+    return out
+
+
+def _package_zero_drops():
+    found = []
+    for name, src in _package_sources().items():
+        found += zero_drops(ast.parse(src), name)
     return found
 
 
@@ -242,17 +250,22 @@ CONTAINER_METHODS = {
 }
 
 
-def own_container_methods(tree, class_name):
-    """Container methods the class defines or assigns in its own body."""
-    (cls,) = [node for node in tree.body
-              if isinstance(node, ast.ClassDef) and node.name == class_name]
+def own_names(cls):
+    """The names a class node defines or assigns in its own body."""
     names = set()
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    return names & CONTAINER_METHODS
+    return names
+
+
+def own_container_methods(tree, class_name):
+    """Container methods the class defines or assigns in its own body."""
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == class_name]
+    return own_names(cls) & CONTAINER_METHODS
 
 
 def test_detector_sees_a_container_method():
@@ -278,6 +291,77 @@ def test_term_sums_inherit_the_container():
         if own:
             found[class_name] = sorted(own)
     assert found == {}
+
+
+# -- one immutability guard -----------------------------------------------------
+#
+# Every value class of the package (the term sums, the scalars, the
+# generators and algebras, the reports, the session, the ordering operator
+# and the verify records) takes its guard against assignment from
+# scalars.Immutable: no other class defines __setattr__.
+
+GUARD = ("scalars.py", "Immutable")
+
+
+def setattr_guards(tree, filename):
+    """(filename, class) for each class other than the base that defines or
+    assigns __setattr__ in its own body."""
+    return [(filename, node.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and (filename, node.name) != GUARD
+            and "__setattr__" in own_names(node)]
+
+
+def _package_setattr_guards(sources):
+    found = []
+    for name, src in sorted(sources.items()):
+        found += setattr_guards(ast.parse(src), name)
+    return found
+
+
+# seminorms.ConvergenceReport as it was, with its own guard
+OLD_CONVERGENCE_REPORT = '''
+class ConvergenceReport:
+    __slots__ = ("R", "x", "kmax", "terms", "partial_sums", "verdict",
+                 "reason", "limit", "tail")
+
+    def __init__(self, R, x, kmax, terms, partial_sums, verdict, reason,
+                 limit, tail):
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "kmax", kmax)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "partial_sums", partial_sums)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "tail", tail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConvergenceReport is immutable")
+'''
+
+
+def test_detector_sees_a_setattr_guard():
+    sources = _package_sources()
+    tree = ast.parse(sources["seminorms.py"])
+    tree.body = [ast.parse(OLD_CONVERGENCE_REPORT).body[0]
+                 if getattr(n, "name", None) == "ConvergenceReport" else n
+                 for n in tree.body]
+    seminorms = ast.unparse(tree)
+    assert _package_setattr_guards({**sources, "seminorms.py": seminorms}) \
+        == [("seminorms.py", "ConvergenceReport")]
+    # an assigned guard and a nested class count; the base does not
+    assigned = "class A:\n    class B:\n        __setattr__ = None\n"
+    assert setattr_guards(ast.parse(assigned), "x.py") == [("x.py", "B")]
+    base = "class Immutable:\n    def __setattr__(self, n, v):\n        pass\n"
+    assert setattr_guards(ast.parse(base), "scalars.py") == []
+    assert setattr_guards(ast.parse(base), "poly.py") == [
+        ("poly.py", "Immutable")]
+
+
+def test_one_class_guards_against_assignment():
+    assert _package_setattr_guards(_package_sources()) == []
 
 
 def test_merge_terms_stays_gone():
@@ -711,8 +795,8 @@ def test_raw_engine_runs_on_ints():
 # home of TermSum) compute on the stored pair the same way in both domains and reach the domain through the
 # stored_* functions. A comparison of a domain with a domain name forks on
 # the domain; only these parts may make one: hbar_coefficient (formal
-# only), to_json (which writes the truncation of a formal sum) and
-# poly_from_ast (whose h leaf is formal only). A comparison of two domains
+# only) and poly_from_ast (whose h leaf is formal only); to_json writes the
+# truncation in both domains. A comparison of two domains
 # is a compatibility check and reads no stored form. The operations that
 # run one loop in both domains, the Poisson bracket, the ordering operator
 # and the truncated exponential with their helpers, make none either.
@@ -729,9 +813,7 @@ DOMAIN_FORK_FUNCTIONS = {("star.py", "_fold"), ("star.py", "poisson_bracket"),
                          ("seminorms.py", "_slices")}
 DOMAIN_FORKS_ALLOWED = {
     ("poly.py", "Polynomial.hbar_coefficient"),
-    ("poly.py", "Polynomial.to_json"),
     ("poly.py", "poly_from_ast"),
-    ("ops.py", "DifferentialOperator.to_json"),
 }
 
 
@@ -839,9 +921,13 @@ def test_detector_sees_a_domain_fork():
     # term sums of star.py are not forks
     check = "def f(a, b):\n    return a.domain != b.domain\n"
     assert domain_forks(ast.parse(check), "poly.py") == []
-    allowed = "class Polynomial:\n    def to_json(self):\n" \
+    allowed = "class Polynomial:\n    def hbar_coefficient(self):\n" \
         "        return self.domain == 'formal'\n"
     assert domain_forks(ast.parse(allowed), "poly.py") == []
+    # to_json writes the truncation in both domains: a fork there is one
+    writer = allowed.replace("hbar_coefficient", "to_json")
+    assert domain_forks(ast.parse(writer), "poly.py") == [
+        ("poly.py", "Polynomial.to_json")]
     outside = "def star(a):\n    return a.domain == 'formal'\n"
     assert domain_forks(ast.parse(outside), "star.py") == []
     assert domain_forks(ast.parse(outside), "ops.py") == [("ops.py", "star")]

@@ -125,7 +125,7 @@ def test_frozen_text(value, text):
 
 
 # Frozen JSON of the coefficient writers, compared as text so that a float
-# -0.0 and 0.0 differ. The numeric polynomial read back from JSON writes the
+# -0.0 and 0.0 differ. A sum writes its truncation in both domains. The numeric polynomial read back from JSON writes the
 # -0.0 parts of its pairs as +0.0 (docs/conventions.md section 14).
 NUMERIC_PAIRS = {
     "generators": ["q", "p"],
@@ -145,12 +145,14 @@ JSON_CASES = [
         pf("2*q - 1 + 1/2*i*p - i*q*p", "numeric"),
         '{"generators": ["q", "p"], "scalar_domain": "numeric", "terms": ['
         '{"exp": [1, 1], "coeff": [0.0, -1.0]}, {"exp": [1, 0], "coeff": [2.0, 0.0]}, '
-        '{"exp": [0, 1], "coeff": [0.0, 0.5]}, {"exp": [0, 0], "coeff": [-1.0, 0.0]}]}',
+        '{"exp": [0, 1], "coeff": [0.0, 0.5]}, {"exp": [0, 0], "coeff": [-1.0, 0.0]}], '
+        '"truncation": 8}',
     ),
     (
         Polynomial.from_json(NUMERIC_PAIRS),
         '{"generators": ["q", "p"], "scalar_domain": "numeric", "terms": ['
-        '{"exp": [1, 0], "coeff": [0.0, -1.0]}, {"exp": [0, 0], "coeff": [0.5, 0.0]}]}',
+        '{"exp": [1, 0], "coeff": [0.0, -1.0]}, {"exp": [0, 0], "coeff": [0.5, 0.0]}], '
+        '"truncation": 8}',
     ),
     (
         std_rep(pf("q*p^2 + i*q - h")),
@@ -164,7 +166,8 @@ JSON_CASES = [
         '{"generators": ["q"], "scalar_domain": "numeric", "terms": ['
         '{"coef_exp": [1], "deriv_exp": [2], "coeff": [-1.0, 0.0]}, '
         '{"coef_exp": [1], "deriv_exp": [0], "coeff": [-0.25, 0.0]}, '
-        '{"coef_exp": [0], "deriv_exp": [0], "coeff": [0.0, 1.0]}]}',
+        '{"coef_exp": [0], "deriv_exp": [0], "coeff": [0.0, 1.0]}], '
+        '"truncation": 8}',
     ),
     (
         weyl_form(G),
